@@ -14,6 +14,7 @@ truth with no asserted trend:
 from __future__ import annotations
 
 import argparse
+import re
 import time
 
 from cylkit.bao import BudgetExceededError
@@ -45,11 +46,13 @@ def solve_row(name: str, spec: GameSpec, budget: int) -> None:
     start = time.perf_counter()
     try:
         res = solve(spec, 0, budget=budget)
-    except BudgetExceededError:
+    except BudgetExceededError as exc:
         peb = "-" if spec.pebbles is None else str(spec.pebbles)
+        reached = re.search(r"after (\d+) states", str(exc))
+        states = reached.group(1) if reached else "-"
         print(
             f"{name:<22} {peb:>7} {spec.rounds:>6} {'(budget)':>7} "
-            f"{'-':>11} {'-':>12} {time.perf_counter() - start:>7.2f}s",
+            f"{'-':>11} {states:>12} {time.perf_counter() - start:>7.2f}s",
             flush=True,
         )
         return

@@ -412,12 +412,6 @@ def matrix_label(bin_ra: RaAtomStructure, values: Sequence[int]) -> str:
     return repr(tuple(bin_ra.atoms[v] for v in values))
 
 
-def parse_matrix_label(bin_ra: RaAtomStructure, label: str) -> tuple[int, ...]:
-    names = ast.literal_eval(label)
-    index = {name: i for i, name in enumerate(bin_ra.atoms)}
-    return tuple(index[name] for name in names)
-
-
 def basic_matrices(m: int, bin_ra: RaAtomStructure) -> CaAtomStructure:
     """Dimension-m structure of basic matrices over a graded atom family.
 

@@ -29,11 +29,13 @@ replayed as a structural self-check before the result is handed back.
 from __future__ import annotations
 
 import ast
+import functools
 import itertools
 import json
 import os
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from typing import NoReturn
 from concurrent.futures import ThreadPoolExecutor
 
 from .bao import BudgetExceededError, CaAtomStructure
@@ -59,7 +61,10 @@ def search_budget(default: int = DEFAULT_BUDGET) -> int:
 
     The numeric semantics: the maximum number of search states the solver
     may explore, counting every candidate label placement and every
-    position evaluation.
+    position evaluation.  With one worker (the default) the cap is hard:
+    the search stops at the first count that takes the running total past
+    it, which adds at most a node or atom count.  With ``workers > 1`` the
+    total is checked at the end of the solve.
     """
     raw = os.environ.get("CYLKIT_BUDGET")
     if raw is None:
@@ -105,12 +110,12 @@ class CaNetwork:
             raise ValueError("a network needs at least one node")
         if list(self.nodes) != sorted(set(self.nodes)):
             raise ValueError("nodes must be strictly increasing")
-        if any(v < 0 for v in self.nodes):
+        if self.nodes[0] < 0:
             raise ValueError("nodes must be naturals")
         s = len(self.nodes)
         if len(self.labels) != s ** self.structure.dim:
             raise ValueError("labels must cover every node tuple exactly once")
-        if any(not 0 <= a < self.structure.natoms for a in self.labels):
+        if min(self.labels) < 0 or max(self.labels) >= self.structure.natoms:
             raise ValueError("label out of range")
         object.__setattr__(
             self, "_pos", {v: p for p, v in enumerate(self.nodes)}
@@ -158,12 +163,12 @@ class RaNetwork:
             raise ValueError("a network needs at least one node")
         if list(self.nodes) != sorted(set(self.nodes)):
             raise ValueError("nodes must be strictly increasing")
-        if any(v < 0 for v in self.nodes):
+        if self.nodes[0] < 0:
             raise ValueError("nodes must be naturals")
         s = len(self.nodes)
         if len(self.labels) != s * s:
             raise ValueError("labels must cover every ordered node pair")
-        if any(not 0 <= a < self.structure.natoms for a in self.labels):
+        if min(self.labels) < 0 or max(self.labels) >= self.structure.natoms:
             raise ValueError("label out of range")
         object.__setattr__(
             self, "_pos", {v: p for p, v in enumerate(self.nodes)}
@@ -431,6 +436,11 @@ def state_space_bound(spec: GameSpec) -> int:
     return spec.structure.natoms ** (spec.node_budget ** spec.arity)
 
 
+def _bound_text(spec: GameSpec) -> str:
+    """The state-space bound as the power ``atoms^(nodes^arity)``."""
+    return f"{spec.structure.natoms}^({spec.node_budget}^{spec.arity})"
+
+
 # ---------------------------------------------------------------------------
 # moves
 
@@ -489,9 +499,12 @@ Move = CaMove | RaMove
 
 
 class _Counter:
+    """Running count of search states; ``bound`` is the state-space bound
+    as text, for the refusal message."""
+
     __slots__ = ("states", "budget", "bound")
 
-    def __init__(self, budget: int, bound: int) -> None:
+    def __init__(self, budget: int, bound: str) -> None:
         self.states = 0
         self.budget = budget
         self.bound = bound
@@ -499,10 +512,13 @@ class _Counter:
     def tick(self, n: int = 1) -> None:
         self.states += n
         if self.states > self.budget:
-            raise BudgetExceededError(
-                f"search budget exhausted after {self.states} states "
-                f"(budget {self.budget}, state-space bound {self.bound})"
-            )
+            self.refuse(self.states)
+
+    def refuse(self, states: int) -> NoReturn:
+        raise BudgetExceededError(
+            f"search budget exhausted after {states} states "
+            f"(budget {self.budget}, state-space bound {self.bound})"
+        )
 
 
 def _least_fresh(nodes: Sequence[int]) -> int:
@@ -591,6 +607,108 @@ def _ra_moves(spec: GameSpec, net: RaNetwork, counter: _Counter) -> tuple[list[R
 # completion enumeration (responder choices and opening networks)
 
 
+_Pairs = tuple[tuple[int, int], ...]
+
+
+@functools.lru_cache(maxsize=None)
+def _ca_slot_table(s: int, dim: int) -> tuple[tuple[_Pairs, _Pairs, _Pairs], ...]:
+    """Per slot of a labelling of ``s`` nodes in dimension ``dim``, three
+    tuples: the coordinate pairs (i, j), i < j, at which its node tuple
+    repeats a node; its cylindrifier neighbours (i, slot), the tuples that
+    differ from it only at position i; and its transposition partners
+    (pair rank, slot), the tuples with positions i and j swapped."""
+    pairs = list(itertools.combinations(range(dim), 2))
+    out = []
+    for t in _position_tuples(s, dim):
+        diag = tuple((i, j) for i, j in pairs if t[i] == t[j])
+        cyl = tuple(
+            (i, _tuple_index(t[:i] + (d,) + t[i + 1 :], s))
+            for i in range(dim)
+            for d in range(s)
+            if d != t[i]
+        )
+        transp = []
+        for rank, (i, j) in enumerate(pairs):
+            u = list(t)
+            u[i], u[j] = u[j], u[i]
+            transp.append((rank, _tuple_index(u, s)))
+        out.append((diag, cyl, tuple(transp)))
+    return tuple(out)
+
+
+def _cyl_masks(structure: CaAtomStructure) -> tuple[tuple[int, ...], ...]:
+    """Per index i and atom b, the mask of {a : (a,b) and (b,a) in T_i}:
+    the labels a slot may carry beside a T_i-neighbour labelled b.  Cached
+    on the structure."""
+    got = getattr(structure, "_game_cyl_masks", None)
+    if got is None:
+        tables = []
+        for i in range(structure.dim):
+            rows = [0] * structure.natoms
+            for a, b in structure.cyl[i]:
+                rows[a] |= 1 << b
+            cols = structure.cyl_image_masks(i)
+            tables.append(tuple(c & r for c, r in zip(cols, rows)))
+        got = tuple(tables)
+        object.__setattr__(structure, "_game_cyl_masks", got)
+    return got
+
+
+def _transp_masks(structure: CaAtomStructure) -> list[tuple[int, ...]]:
+    """Transposition image masks by pair rank; empty without transpositions."""
+    if structure.transp is None:
+        return []
+    return [
+        structure.transp_image_masks(i, j)
+        for i, j in itertools.combinations(range(structure.dim), 2)
+    ]
+
+
+def _label_search(
+    lab: list[int],
+    free: Sequence[int],
+    mirror: Sequence[int],
+    conv: Sequence[int],
+    candidates: Callable[[int], int],
+    counter: _Counter,
+) -> Iterator[None]:
+    """Backtracking over the slots ``free`` in order, lowest atom first.
+
+    ``lab`` is the flat labelling, -1 where unlabelled; ``candidates(at)``
+    is the atom mask of ``free[at]`` given the slots before it.  Placing
+    atom a at ``free[at]`` also writes ``conv[a]`` at ``mirror[at]``.  One
+    tick per slot visited and one per atom placed; yields whenever ``lab``
+    is total.
+    """
+    n = len(free)
+    if not n:
+        yield
+        return
+    tick = counter.tick
+    masks = [0] * n
+    at = 0
+    tick()
+    masks[0] = candidates(0)
+    while at >= 0:
+        mask = masks[at]
+        if not mask:
+            lab[free[at]] = lab[mirror[at]] = -1
+            at -= 1
+            continue
+        low = mask & -mask
+        masks[at] = mask ^ low
+        a = low.bit_length() - 1
+        tick()
+        lab[free[at]] = a
+        lab[mirror[at]] = conv[a]
+        if at + 1 == n:
+            yield
+        else:
+            at += 1
+            tick()
+            masks[at] = candidates(at)
+
+
 def _ca_completions(
     structure: CaAtomStructure,
     nodes: tuple[int, ...],
@@ -608,92 +726,41 @@ def _ca_completions(
     re-checked by the caller via _check_fixed_slot when needed.
     """
     dim = structure.dim
-    s = len(nodes)
-    tuples = _position_tuples(s, dim)
-    total = len(tuples)
+    table = _ca_slot_table(len(nodes), dim)
+    cyl = _cyl_masks(structure)
+    transp = _transp_masks(structure)
+    lab = [-1] * len(table)
+    for idx, a in fixed.items():
+        lab[idx] = a
+    free = [idx for idx, a in enumerate(lab) if a < 0]
     full = structure.full_mask
     diag_masks = [[structure.diag_mask(i, j) for j in range(dim)] for i in range(dim)]
-    cyl_cols = [structure.cyl_image_masks(i) for i in range(dim)]
-    cyl_rows = [_row_masks(structure, i) for i in range(dim)]
-    if structure.transp is not None:
-        transp_cols = [
-            ((i, j), structure.transp_image_masks(i, j))
-            for i in range(dim)
-            for j in range(i + 1, dim)
-        ]
-    else:
-        transp_cols = []
-    assign: dict[int, int] = dict(fixed)
-    free = [idx for idx in range(total) if idx not in fixed]
-    tick = counter.tick
 
-    def candidates(idx: int) -> int:
-        t = tuples[idx]
+    def candidates(at: int) -> int:
+        diag, cyl_nbrs, transp_nbrs = table[free[at]]
         cand = full
-        for i in range(dim):
-            ti = t[i]
-            for j in range(i + 1, dim):
-                if ti == t[j]:
-                    cand &= diag_masks[i][j]
+        for i, j in diag:
+            cand &= diag_masks[i][j]
+        for i, n in cyl_nbrs:
+            other = lab[n]
+            if other >= 0:
+                cand &= cyl[i][other]
+                if not cand:
+                    return 0
+        if transp:
+            for rank, n in transp_nbrs:
+                other = lab[n]
+                if other >= 0:
+                    cand &= transp[rank][other]
                     if not cand:
                         return 0
-        for i in range(dim):
-            cols = cyl_cols[i]
-            rows = cyl_rows[i]
-            ti = t[i]
-            for d in range(s):
-                if d == ti:
-                    continue
-                other = assign.get(_tuple_index(t[:i] + (d,) + t[i + 1 :], s))
-                if other is None:
-                    continue
-                cand &= cols[other] & rows[other]
-                if not cand:
-                    return 0
-        for (i, j), timg in transp_cols:
-            u = list(t)
-            u[i], u[j] = u[j], u[i]
-            other = assign.get(_tuple_index(u, s))
-            if other is not None:
-                cand &= timg[other]
-                if not cand:
-                    return 0
         return cand
 
-    def backtrack(at: int) -> Iterator[CaNetwork]:
-        if at == len(free):
-            yield CaNetwork(structure, nodes, tuple(assign[i] for i in range(total)))
-            return
-        idx = free[at]
-        tick()
-        mask = candidates(idx)
-        while mask:
-            a = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            tick()
-            assign[idx] = a
-            yield from backtrack(at + 1)
-            del assign[idx]
-
-    yield from backtrack(0)
-
-
-def _row_masks(structure: CaAtomStructure, i: int) -> tuple[int, ...]:
-    """Per atom b, the mask of {a : (b,a) in T_i} (the transpose of the
-    column images); cached on the structure."""
-    cache = getattr(structure, "_game_row_masks", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(structure, "_game_row_masks", cache)
-    got = cache.get(i)
-    if got is None:
-        n = structure.natoms
-        rows = [0] * n
-        for a, b in structure.cyl[i]:
-            rows[a] |= 1 << b
-        got = tuple(rows)
-        cache[i] = got
-    return got
+    # a slot has no mirror: it is its own, under the identity map
+    for _ in _label_search(
+        lab, free, free, range(structure.natoms), candidates, counter
+    ):
+        yield CaNetwork(structure, nodes, tuple(lab))
 
 
 def _check_fixed_slot(
@@ -704,36 +771,35 @@ def _check_fixed_slot(
 ) -> bool:
     """Whether the fixed label at slot ``idx`` is compatible with the rest
     of ``fixed`` (used to pre-validate a demanded slot)."""
-    dim = structure.dim
-    s = len(nodes)
-    t = _position_tuples(s, dim)[idx]
+    diag, cyl_nbrs, transp_nbrs = _ca_slot_table(len(nodes), structure.dim)[idx]
     a = fixed[idx]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            if t[i] == t[j] and not (structure.diag_mask(i, j) >> a) & 1:
-                return False
-    for i in range(dim):
-        cols = structure.cyl_image_masks(i)
-        rows = _row_masks(structure, i)
-        for d in range(s):
-            if d == t[i]:
-                continue
-            other = fixed.get(_tuple_index(t[:i] + (d,) + t[i + 1 :], s))
-            if other is None:
-                continue
-            if not (cols[other] >> a) & 1 or not (rows[other] >> a) & 1:
-                return False
-    if structure.transp is not None:
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                u = list(t)
-                u[i], u[j] = u[j], u[i]
-                other = fixed.get(_tuple_index(u, s))
-                if other is not None:
-                    timg = structure.transp_image_masks(i, j)
-                    if not (timg[other] >> a) & 1:
-                        return False
+    for i, j in diag:
+        if not (structure.diag_mask(i, j) >> a) & 1:
+            return False
+    cyl = _cyl_masks(structure)
+    nbrs = [(cyl[i], n) for i, n in cyl_nbrs]
+    transp = _transp_masks(structure)
+    if transp:
+        nbrs += [(transp[rank], n) for rank, n in transp_nbrs]
+    for masks, n in nbrs:
+        other = fixed.get(n)
+        if other is not None and not (masks[other] >> a) & 1:
+            return False
     return True
+
+
+def _comp_table(structure: RaAtomStructure) -> list[int]:
+    """Flat ``natoms * natoms`` table: entry b * natoms + c is
+    ``comp_row(b, c)``, the mask of {a : (a,b,c) consistent}.  Cached on
+    the structure."""
+    got = getattr(structure, "_game_comp_table", None)
+    if got is None:
+        n = structure.natoms
+        got = [structure.full_mask] * (n * n)
+        for a, b, c in structure.forbidden:
+            got[b * n + c] &= ~(1 << a)
+        object.__setattr__(structure, "_game_comp_table", got)
+    return got
 
 
 def _ra_completions(
@@ -744,76 +810,50 @@ def _ra_completions(
 ) -> Iterator[RaNetwork]:
     """All valid edge labellings over ``nodes`` extending ``fixed``;
     assigning (p,q) forces (q,p) to the converse label, and candidates
-    are narrowed through the composition rows of every labelled triangle."""
+    are narrowed through the composition rows of every labelled triangle.
+
+    Every labelled edge carries the converse of its mirror, so the three
+    orientations of a triangle p, w, q narrow (p,q) by the same mask,
+    ``comp_row(M(p,w), M(w,q))``; it is taken once per apex w.
+    """
     s = len(nodes)
+    n = structure.natoms
+    comp = _comp_table(structure)
+    conv = structure.converse
+    lab = [-1] * (s * s)
+    for idx, a in fixed.items():
+        p, q = divmod(idx, s)
+        ridx = q * s + p
+        other = fixed.get(ridx)
+        if other is not None and other != conv[a]:
+            return
+        lab[idx] = a
+        lab[ridx] = conv[a]
+    decide = [
+        (p, q) for p in range(s) for q in range(p, s) if lab[p * s + q] < 0
+    ]
     full = structure.full_mask
     identity_mask = 0
     for a in structure.identity:
         identity_mask |= 1 << a
-    conv = structure.converse
-    slots = [(p, q) for p in range(s) for q in range(p, s)]
-    assign: dict[int, int] = {}
-    for idx, a in fixed.items():
-        p, q = divmod(idx, s)
-        ridx = q * s + p
-        mirror = fixed.get(ridx)
-        if mirror is not None and mirror != conv[a]:
-            return
-        assign[idx] = a
-        assign[ridx] = conv[a]
-    decide = [
-        (p, q) for (p, q) in slots if p * s + q not in assign
-    ]
-    tick = counter.tick
 
-    def candidates(p: int, q: int) -> int:
+    def candidates(at: int) -> int:
+        p, q = decide[at]
         cand = identity_mask if p == q else full
+        ps = p * s
         for w in range(s):
-            e2 = assign.get(p * s + w)
-            e3 = assign.get(w * s + q)
-            if e2 is not None and e3 is not None:
-                cand &= structure.comp_row(e2, e3)
-                if not cand:
-                    return 0
-            e1 = assign.get(p * s + w)
-            e3b = assign.get(q * s + w)
-            if e1 is not None and e3b is not None:
-                # (p,w) over (p,q),(q,w): the middle side must keep
-                # (e1, x, e3b) consistent
-                cand &= structure.comp_row(e1, conv[e3b])
-                if not cand:
-                    return 0
-            e1b = assign.get(w * s + q)
-            e2b = assign.get(w * s + p)
-            if e1b is not None and e2b is not None:
-                # (w,q) over (w,p),(p,q): the right side must keep
-                # (e1b, e2b, x) consistent
-                cand &= structure.comp_row(conv[e2b], e1b)
+            e2 = lab[ps + w]
+            e3 = lab[w * s + q]
+            if e2 >= 0 and e3 >= 0:
+                cand &= comp[e2 * n + e3]
                 if not cand:
                     return 0
         return cand
 
-    def backtrack(at: int) -> Iterator[RaNetwork]:
-        if at == len(decide):
-            yield RaNetwork(structure, nodes, tuple(assign[i] for i in range(s * s)))
-            return
-        p, q = decide[at]
-        tick()
-        mask = candidates(p, q)
-        while mask:
-            a = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            tick()
-            idx = p * s + q
-            ridx = q * s + p
-            assign[idx] = a
-            assign[ridx] = conv[a]
-            yield from backtrack(at + 1)
-            del assign[idx]
-            if ridx != idx:
-                del assign[ridx]
-
-    yield from backtrack(0)
+    free = [p * s + q for p, q in decide]
+    mirror = [q * s + p for p, q in decide]
+    for _ in _label_search(lab, free, mirror, conv, candidates, counter):
+        yield RaNetwork(structure, nodes, tuple(lab))
 
 
 def _check_fixed_ra(
@@ -1144,12 +1184,13 @@ class _MoveClass:
 
 
 class _BranchSolver:
-    """Exact value search under one opening; owns its memo and counters so
-    sibling branches are schedule-independent."""
+    """Exact value search under one opening; owns its memo so sibling
+    branches are schedule-independent.  Branches that run one after
+    another may share one state counter."""
 
-    def __init__(self, spec: GameSpec, budget: int, bound: int, canonical: bool) -> None:
+    def __init__(self, spec: GameSpec, counter: _Counter, canonical: bool) -> None:
         self.spec = spec
-        self.counter = _Counter(budget, bound)
+        self.counter = counter
         self.canonical = canonical
         self.memo: dict[tuple[object, int], int] = {}
         self.succ: dict[object, list[_MoveClass]] = {}
@@ -1544,6 +1585,13 @@ def solve(
     memo, so results and statistics are identical at every worker count.
     The returned strategy is replayed as a structural self-check before
     the result is handed back.
+
+    ``budget`` (default: search_budget()) caps the states explored.  With
+    ``workers == 1`` the cap is hard: every branch counts on one running
+    total, and the search raises BudgetExceededError as soon as the total
+    passes the budget.  With ``workers > 1`` each branch counts apart and
+    the total is checked at the end.  Either way a solve is refused
+    exactly when its total exceeds the budget.
     """
     if not 0 <= initial_atom < spec.structure.natoms:
         raise ValueError(
@@ -1554,14 +1602,13 @@ def solve(
         raise ValueError("workers must be at least 1")
     if budget is None:
         budget = search_budget()
-    bound = state_space_bound(spec)
     if spec.structure.natoms > MAX_GAME_ATOMS:
         raise BudgetExceededError(
             f"structure has {spec.structure.natoms} atoms, beyond the solver's "
-            f"limit of {MAX_GAME_ATOMS}; state-space bound {bound}"
+            f"limit of {MAX_GAME_ATOMS}; state-space bound {_bound_text(spec)}"
         )
 
-    base = _Counter(budget, bound)
+    base = _Counter(budget, _bound_text(spec))
     all_openings = _openings(spec, initial_atom, base)
     openings: list[Network] = []
     seen_classes: set[str] = set()
@@ -1577,11 +1624,17 @@ def solve(
             memo_hits=0,
             openings=0,
             representative_disagreements=0,
-            state_space_bound=str(bound),
+            state_space_bound=str(state_space_bound(spec)),
         )
         return SolveResult(FORALL, 0, {}, stats)
 
-    solvers = [_BranchSolver(spec, budget, bound, canonical_memo) for _ in openings]
+    shared = workers == 1
+    solvers = [
+        _BranchSolver(
+            spec, base if shared else _Counter(budget, base.bound), canonical_memo
+        )
+        for _ in openings
+    ]
 
     def run_branch(i: int) -> int:
         return solvers[i].value(openings[i], spec.rounds)
@@ -1607,18 +1660,17 @@ def solve(
             _extract_forall(solver, opening, spec.rounds, strategy)
         _verify_forall(spec, solvers, openings, strategy, spec.rounds)
 
-    total_states = base.states + sum(s.counter.states for s in solvers)
-    if total_states > budget:
-        raise BudgetExceededError(
-            f"search budget exhausted after {total_states} states "
-            f"(budget {budget}, state-space bound {bound})"
-        )
+    total_states = base.states
+    if not shared:
+        total_states += sum(s.counter.states for s in solvers)
+        if total_states > budget:
+            base.refuse(total_states)
     stats = SolveStats(
         states_explored=total_states,
         memo_hits=sum(s.memo_hits for s in solvers),
         openings=len(openings),
         representative_disagreements=sum(s.disagreements for s in solvers),
-        state_space_bound=str(bound),
+        state_space_bound=str(state_space_bound(spec)),
     )
     return SolveResult(winner, rounds_used, strategy, stats)
 
@@ -1706,8 +1758,9 @@ class _Session:
         self.initial_atom = initial_atom
         self.agent = agent
         self.emit = emit
-        bound = state_space_bound(spec)
-        self.solver = _BranchSolver(spec, budget, bound, True)
+        self.solver = _BranchSolver(
+            spec, _Counter(budget, _bound_text(spec)), True
+        )
         self.events: list[dict] = []
         self.net: Network | None = None
         self.winner: str | None = None

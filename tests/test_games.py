@@ -6,11 +6,15 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import itertools
 import json
+import re
+from collections.abc import Iterator, Mapping
 
 import pytest
 
-from cylkit.bao import BudgetExceededError, CaAtomStructure
+from cylkit import games
+from cylkit.bao import BudgetExceededError, CaAtomStructure, _pair_rank
 from cylkit.constructions import bin_forb, full_set_algebra, hh_ra, monk_atoms
 from cylkit.games import (
     DEFAULT_BUDGET,
@@ -39,6 +43,8 @@ from cylkit.games import (
     transcript_to_json,
     validate_network,
 )
+from cylkit.games import _Counter, _position_tuples, _tuple_index
+from cylkit.ra import RaAtomStructure
 
 CS3 = full_set_algebra(3, 2)
 BIN312 = bin_forb(3, 1, 2)
@@ -359,6 +365,46 @@ def test_solver_refuses_to_blow_the_budget():
         solve(GameSpec(VARIANT_FRESH, CS3, 2), 0, budget=100)
 
 
+def test_default_budget_is_a_hard_cap():
+    # the whole search explores 105,719 states; one worker stops at the
+    # first tick past the budget
+    with pytest.raises(BudgetExceededError) as info:
+        solve(GameSpec(VARIANT_FRESH, CS3, 2), 0, budget=50_000)
+    reached = int(re.search(r"after (\d+) states", str(info.value)).group(1))
+    assert 50_000 < reached <= 50_000 + CS3.natoms
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_refused_exactly_when_the_total_exceeds_the_budget(workers):
+    spec = GameSpec(VARIANT_FRESH, CS3, 2)
+    total = 105719
+    res = solve(spec, 0, budget=total, workers=workers)
+    assert res.stats.states_explored == total
+    with pytest.raises(BudgetExceededError):
+        solve(spec, 0, budget=total - 1, workers=workers)
+
+
+def test_refusal_prints_the_state_space_bound_as_a_power():
+    with pytest.raises(
+        BudgetExceededError,
+        match=re.escape("(budget 100, state-space bound 8^(5^3))"),
+    ):
+        solve(GameSpec(VARIANT_FRESH, CS3, 2), 0, budget=100)
+    n = games.MAX_GAME_ATOMS + 1
+    every = frozenset(range(n))
+    huge = CaAtomStructure(
+        dim=2,
+        atoms=tuple(str(a) for a in range(n)),
+        cyl=(frozenset(), frozenset()),
+        diag=((every, frozenset()), (frozenset(), every)),
+    )
+    with pytest.raises(
+        BudgetExceededError,
+        match=re.escape(f"limit of {n - 1}; state-space bound {n}^(3^2)"),
+    ):
+        solve(GameSpec(VARIANT_FRESH, huge, 1), 0)
+
+
 def test_solver_argument_validation():
     spec = GameSpec(VARIANT_FRESH, CS3, 1)
     with pytest.raises(ValueError, match="out of range"):
@@ -386,6 +432,397 @@ def test_winning_responder_strategy_has_an_opening_entry():
     assert "open" in res.strategy
     # every other key is a position/demand pair answered by a position
     assert all("|" in key for key in res.strategy if key != "open")
+
+
+# ---------------------------------------------------------------------------
+# the completion enumerators against the original dict-based ones
+#
+# The four functions below are the original implementations, kept verbatim
+# as oracles for the table-driven enumerators of cylkit.games and for
+# _check_fixed_slot; _row_masks is a helper of the cylindric ones.
+
+
+def _ca_completions(
+    structure: CaAtomStructure,
+    nodes: tuple[int, ...],
+    fixed: Mapping[int, int],
+    counter: _Counter,
+) -> Iterator[CaNetwork]:
+    """All valid total labellings over ``nodes`` extending ``fixed``
+    (slot index -> atom), in lexicographic label order.
+
+    Candidate atoms per free slot are narrowed by mask intersection
+    against all already-labelled neighbours.  Fixed slots are assumed
+    mutually valid (they come from a valid network); slots listed in
+    ``fixed`` that conflict with each other are caught because every free
+    slot still checks against all of them, and a demanded fixed slot is
+    re-checked by the caller via _check_fixed_slot when needed.
+    """
+    dim = structure.dim
+    s = len(nodes)
+    tuples = _position_tuples(s, dim)
+    total = len(tuples)
+    full = structure.full_mask
+    diag_masks = [[structure.diag_mask(i, j) for j in range(dim)] for i in range(dim)]
+    cyl_cols = [structure.cyl_image_masks(i) for i in range(dim)]
+    cyl_rows = [_row_masks(structure, i) for i in range(dim)]
+    if structure.transp is not None:
+        transp_cols = [
+            ((i, j), structure.transp_image_masks(i, j))
+            for i in range(dim)
+            for j in range(i + 1, dim)
+        ]
+    else:
+        transp_cols = []
+    assign: dict[int, int] = dict(fixed)
+    free = [idx for idx in range(total) if idx not in fixed]
+    tick = counter.tick
+
+    def candidates(idx: int) -> int:
+        t = tuples[idx]
+        cand = full
+        for i in range(dim):
+            ti = t[i]
+            for j in range(i + 1, dim):
+                if ti == t[j]:
+                    cand &= diag_masks[i][j]
+                    if not cand:
+                        return 0
+        for i in range(dim):
+            cols = cyl_cols[i]
+            rows = cyl_rows[i]
+            ti = t[i]
+            for d in range(s):
+                if d == ti:
+                    continue
+                other = assign.get(_tuple_index(t[:i] + (d,) + t[i + 1 :], s))
+                if other is None:
+                    continue
+                cand &= cols[other] & rows[other]
+                if not cand:
+                    return 0
+        for (i, j), timg in transp_cols:
+            u = list(t)
+            u[i], u[j] = u[j], u[i]
+            other = assign.get(_tuple_index(u, s))
+            if other is not None:
+                cand &= timg[other]
+                if not cand:
+                    return 0
+        return cand
+
+    def backtrack(at: int) -> Iterator[CaNetwork]:
+        if at == len(free):
+            yield CaNetwork(structure, nodes, tuple(assign[i] for i in range(total)))
+            return
+        idx = free[at]
+        tick()
+        mask = candidates(idx)
+        while mask:
+            a = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            tick()
+            assign[idx] = a
+            yield from backtrack(at + 1)
+            del assign[idx]
+
+    yield from backtrack(0)
+
+
+def _row_masks(structure: CaAtomStructure, i: int) -> tuple[int, ...]:
+    """Per atom b, the mask of {a : (b,a) in T_i} (the transpose of the
+    column images); cached on the structure."""
+    cache = getattr(structure, "_game_row_masks", None)
+    if cache is None:
+        cache = {}
+        object.__setattr__(structure, "_game_row_masks", cache)
+    got = cache.get(i)
+    if got is None:
+        n = structure.natoms
+        rows = [0] * n
+        for a, b in structure.cyl[i]:
+            rows[a] |= 1 << b
+        got = tuple(rows)
+        cache[i] = got
+    return got
+
+
+def _check_fixed_slot(
+    structure: CaAtomStructure,
+    nodes: tuple[int, ...],
+    fixed: Mapping[int, int],
+    idx: int,
+) -> bool:
+    """Whether the fixed label at slot ``idx`` is compatible with the rest
+    of ``fixed`` (used to pre-validate a demanded slot)."""
+    dim = structure.dim
+    s = len(nodes)
+    t = _position_tuples(s, dim)[idx]
+    a = fixed[idx]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            if t[i] == t[j] and not (structure.diag_mask(i, j) >> a) & 1:
+                return False
+    for i in range(dim):
+        cols = structure.cyl_image_masks(i)
+        rows = _row_masks(structure, i)
+        for d in range(s):
+            if d == t[i]:
+                continue
+            other = fixed.get(_tuple_index(t[:i] + (d,) + t[i + 1 :], s))
+            if other is None:
+                continue
+            if not (cols[other] >> a) & 1 or not (rows[other] >> a) & 1:
+                return False
+    if structure.transp is not None:
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                u = list(t)
+                u[i], u[j] = u[j], u[i]
+                other = fixed.get(_tuple_index(u, s))
+                if other is not None:
+                    timg = structure.transp_image_masks(i, j)
+                    if not (timg[other] >> a) & 1:
+                        return False
+    return True
+
+
+def _ra_completions(
+    structure: RaAtomStructure,
+    nodes: tuple[int, ...],
+    fixed: Mapping[int, int],
+    counter: _Counter,
+) -> Iterator[RaNetwork]:
+    """All valid edge labellings over ``nodes`` extending ``fixed``;
+    assigning (p,q) forces (q,p) to the converse label, and candidates
+    are narrowed through the composition rows of every labelled triangle."""
+    s = len(nodes)
+    full = structure.full_mask
+    identity_mask = 0
+    for a in structure.identity:
+        identity_mask |= 1 << a
+    conv = structure.converse
+    slots = [(p, q) for p in range(s) for q in range(p, s)]
+    assign: dict[int, int] = {}
+    for idx, a in fixed.items():
+        p, q = divmod(idx, s)
+        ridx = q * s + p
+        mirror = fixed.get(ridx)
+        if mirror is not None and mirror != conv[a]:
+            return
+        assign[idx] = a
+        assign[ridx] = conv[a]
+    decide = [
+        (p, q) for (p, q) in slots if p * s + q not in assign
+    ]
+    tick = counter.tick
+
+    def candidates(p: int, q: int) -> int:
+        cand = identity_mask if p == q else full
+        for w in range(s):
+            e2 = assign.get(p * s + w)
+            e3 = assign.get(w * s + q)
+            if e2 is not None and e3 is not None:
+                cand &= structure.comp_row(e2, e3)
+                if not cand:
+                    return 0
+            e1 = assign.get(p * s + w)
+            e3b = assign.get(q * s + w)
+            if e1 is not None and e3b is not None:
+                # (p,w) over (p,q),(q,w): the middle side must keep
+                # (e1, x, e3b) consistent
+                cand &= structure.comp_row(e1, conv[e3b])
+                if not cand:
+                    return 0
+            e1b = assign.get(w * s + q)
+            e2b = assign.get(w * s + p)
+            if e1b is not None and e2b is not None:
+                # (w,q) over (w,p),(p,q): the right side must keep
+                # (e1b, e2b, x) consistent
+                cand &= structure.comp_row(conv[e2b], e1b)
+                if not cand:
+                    return 0
+        return cand
+
+    def backtrack(at: int) -> Iterator[RaNetwork]:
+        if at == len(decide):
+            yield RaNetwork(structure, nodes, tuple(assign[i] for i in range(s * s)))
+            return
+        p, q = decide[at]
+        tick()
+        mask = candidates(p, q)
+        while mask:
+            a = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            tick()
+            idx = p * s + q
+            ridx = q * s + p
+            assign[idx] = a
+            assign[ridx] = conv[a]
+            yield from backtrack(at + 1)
+            del assign[idx]
+            if ridx != idx:
+                del assign[ridx]
+
+    yield from backtrack(0)
+
+
+def _enumeration(enumerate_, structure, nodes, fixed):
+    """Every completion's labels with the state count at its yield, and
+    the final state count."""
+    counter = _Counter(10**12, "")
+    out = [
+        (net.labels, counter.states)
+        for net in enumerate_(structure, nodes, fixed, counter)
+    ]
+    return out, counter.states
+
+
+def _assert_same_enumeration(kind, structure, nodes, fixed):
+    new = games._ca_completions if kind == "ca" else games._ra_completions
+    old = _ca_completions if kind == "ca" else _ra_completions
+    assert _enumeration(new, structure, nodes, fixed) == _enumeration(
+        old, structure, nodes, fixed
+    )
+
+
+def _response_tasks(spec):
+    """(nodes, fixed, demanded slots) of every responder task one round
+    from every opening, with the demanded slots left free."""
+    st = spec.structure
+    for net in games._openings(spec, 0, _Counter(10**12, "")):
+        if spec.variant == VARIANT_TRIANGLE:
+            for x, y in itertools.product(net.nodes, repeat=2):
+                for z in games._k_choices(spec, net, {x, y}):
+                    nodes, fixed = games._ra_response_task(net, RaMove(x, y, z, 0, 0))
+                    s = len(nodes)
+                    pos = {v: p for p, v in enumerate(nodes)}
+                    demanded = (pos[x] * s + pos[z], pos[z] * s + pos[y])
+                    for idx in demanded:
+                        fixed.pop(idx, None)
+                    yield nodes, fixed, demanded
+        else:
+            for face in itertools.product(net.nodes, repeat=st.dim - 1):
+                for l in range(st.dim):
+                    for k in games._k_choices(spec, net, set(face)):
+                        move = CaMove(face, l, k, 0)
+                        nodes, fixed = games._ca_response_task(net, move)
+                        pos = [nodes.index(v) for v in move.demanded()]
+                        didx = _tuple_index(pos, len(nodes))
+                        del fixed[didx]
+                        yield nodes, fixed, (didx,)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GameSpec(VARIANT_FRESH, CS3, 1),
+        GameSpec(VARIANT_REUSE, CS3, 1, pebbles=4),
+        GameSpec(VARIANT_FRESH, drop_cyl_pair(CS3, 0, 1, 1), 1),
+        GameSpec(VARIANT_FRESH, dataclasses.replace(CS3, transp=None), 1),
+    ],
+    ids=["fresh-cs3", "reuse-cs3", "fresh-drop011", "fresh-cs3-no-transp"],
+)
+def test_ca_completions_match_the_original(spec):
+    st = spec.structure
+    tasks = 0
+    for nodes, fixed, (didx,) in _response_tasks(spec):
+        tasks += 1
+        _assert_same_enumeration("ca", st, nodes, fixed)
+        # the demanded slot fixed to each atom, as a responder faces it
+        for b in range(st.natoms):
+            demand = {**fixed, didx: b}
+            ok = games._check_fixed_slot(st, nodes, demand, didx)
+            assert ok == _check_fixed_slot(st, nodes, demand, didx)
+            if ok:
+                _assert_same_enumeration("ca", st, nodes, demand)
+    assert tasks > 0
+
+
+# the complex algebra of the cyclic group of order 4: a in b;c iff a = b+c;
+# unlike the graded algebras, two of its atoms are not self-converse
+Z4 = RaAtomStructure.build(
+    ("e", "g1", "g2", "g3"),
+    [0],
+    (0, 3, 2, 1),
+    [
+        (a, b, c)
+        for a, b, c in itertools.product(range(4), repeat=3)
+        if a != (b + c) % 4
+    ],
+)
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [HH313, BIN312, Z4],
+    ids=["hh_ra(3,1,3)", "bin_forb(3,1,2)", "z4"],
+)
+def test_ra_completions_match_the_original(structure):
+    spec = GameSpec(VARIANT_TRIANGLE, structure, 1, pebbles=3)
+    tasks = 0
+    for nodes, fixed, (i1, i2) in _response_tasks(spec):
+        tasks += 1
+        _assert_same_enumeration("ra", structure, nodes, fixed)
+        for a, b in itertools.product(range(structure.natoms), repeat=2):
+            _assert_same_enumeration(
+                "ra", structure, nodes, {**fixed, i1: a, i2: b}
+            )
+    assert tasks > 0
+
+
+def test_completions_match_the_original_on_conflicting_fixed_slots():
+    # a valid two-node network with one label swapped for an atom that
+    # breaks the diagonal and cylindrifier rules, extended by a free node
+    net = semantic_network(CS3, {0: 0, 1: 1})
+    nodes = (0, 1, 2)
+    fixed = {
+        _tuple_index(t, 3): net.labels[_tuple_index(t, 2)]
+        for t in _position_tuples(2, CS3.dim)
+    }
+    corner = _tuple_index((0, 0, 0), 3)
+    fixed[corner] = CS3.atoms.index(repr((1, 0, 1)))
+    assert not games._check_fixed_slot(CS3, nodes, fixed, corner)
+    assert not _check_fixed_slot(CS3, nodes, fixed, corner)
+    _assert_same_enumeration("ca", CS3, nodes, fixed)
+    # relation algebra: a mirror that is not the converse, and a triangle
+    # whose fixed sides forbid every label of the free third side
+    idx = BIN312.atoms.index
+    ident, div, other = idx("Id"), idx("a^0(0,0)"), idx("a^1(0,0)")
+    _assert_same_enumeration("ra", BIN312, (0, 1), {1: div, 2: other})
+    triangle = {0: ident, 4: ident, 8: ident, 1: div, 5: div}
+    _assert_same_enumeration("ra", BIN312, (0, 1, 2), triangle)
+
+
+def test_slot_table_matches_tuple_index():
+    s, dim = 2, 3
+    table = games._ca_slot_table(s, dim)
+    tuples = _position_tuples(s, dim)
+    assert len(table) == len(tuples)
+    for idx, t in enumerate(tuples):
+        assert idx == _tuple_index(t, s)
+        diag, cyl, transp = table[idx]
+        assert diag == tuple(
+            (i, j) for i in range(dim) for j in range(i + 1, dim) if t[i] == t[j]
+        )
+        assert cyl == tuple(
+            (i, _tuple_index(t[:i] + (d,) + t[i + 1 :], s))
+            for i in range(dim)
+            for d in range(s)
+            if d != t[i]
+        )
+        expected = []
+        for i, j in itertools.combinations(range(dim), 2):
+            u = list(t)
+            u[i], u[j] = u[j], u[i]
+            expected.append((_pair_rank(i, j, dim), _tuple_index(u, s)))
+        assert transp == tuple(expected)
+    # slot 2 is the tuple (0, 1, 0)
+    assert table[2] == (
+        ((0, 2),),
+        ((0, 6), (1, 0), (2, 3)),
+        ((0, 4), (1, 2), (2, 1)),
+    )
 
 
 # ---------------------------------------------------------------------------
