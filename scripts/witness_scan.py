@@ -21,8 +21,9 @@ import argparse
 import itertools
 import time
 
-from cylkit.bao import Element, cyl, element
+from cylkit.bao import Element
 from cylkit.constructions import full_set_algebra
+from cylkit.neat import cyl_fixed_masks
 from cylkit.terms import (
     Exhaustive,
     check_equation,
@@ -43,26 +44,6 @@ def describe_counterexample(structure, report) -> str:
         atoms = ", ".join(structure.atoms[a] for a in el.atom_indices())
         parts.append(f"var{var} = {{{atoms}}}")
     return "; ".join(parts)
-
-
-def spare_closed_elements(structure) -> list[Element]:
-    """Every element fixed by the spare cylindrifier, as unions of its
-    atom classes."""
-    classes: dict[int, int] = {}
-    masks: list[int] = []
-    for a in range(structure.natoms):
-        image = cyl(structure, SPARE, element(structure, [a])).mask
-        if image not in classes:
-            classes[image] = len(masks)
-            masks.append(image)
-    closed = []
-    for bits in range(1 << len(masks)):
-        combined = 0
-        for k in range(len(masks)):
-            if (bits >> k) & 1:
-                combined |= masks[k]
-        closed.append(Element(structure, combined))
-    return closed
 
 
 def main() -> None:
@@ -98,7 +79,7 @@ def main() -> None:
             print(f"  {name}: bound FAILS")
             print(f"    counterexample: {describe_counterexample(structure, report)}")
 
-    closed = spare_closed_elements(structure)
+    closed = [Element(structure, m) for m in cyl_fixed_masks(structure, SPARE)]
     print(f"\nspare-closed elements (fixed by c_{SPARE}): {len(closed)}")
 
     start = time.perf_counter()

@@ -255,9 +255,7 @@ def _game_spec(args) -> GameSpec:
 def _cmd_game(args) -> int:
     if args.action == "solve":
         spec = _game_spec(args)
-        result = solve(
-            spec, args.atom, budget=args.budget, workers=args.workers
-        )
+        result = solve(spec, args.atom, budget=args.budget)
         _write(_canonical_json(result.to_dict()), args.output)
         return 0
     if args.action == "play":
@@ -476,7 +474,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = game_sub.add_parser("solve", help="exact winner and strategy")
     game_flags(p)
-    p.add_argument("--workers", type=int, default=1)
     out_flag(p)
     p = game_sub.add_parser("play", help="interactive play against the engine")
     game_flags(p)

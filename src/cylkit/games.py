@@ -20,10 +20,13 @@ The solver performs exact alternating reachability on positions
 ``(network, rounds left)``: demands aimed at earlier networks are
 subsumed because a responder who survives r rounds from a position also
 survives r' < r rounds from it, so rewinding never helps the challenger.
-Positions are canonicalized up to node renaming before memoization, move
-exploration follows a fixed canonical order, an explicit state budget
-turns runaway searches into refusals, and the returned strategy is
-replayed as a structural self-check before the result is handed back.
+One solve runs one solver: one memo over positions canonicalized up to
+node renaming, and one successor generator whose demands (in a fixed
+canonical order) and bucketed responses serve the search, strategy
+extraction, strategy verification and interactive play alike.  An
+explicit state budget is a hard cap that turns runaway searches into
+refusals, and the returned strategy is replayed as a structural
+self-check before the result is handed back.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ import os
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import NoReturn
-from concurrent.futures import ThreadPoolExecutor
 
 from .bao import BudgetExceededError, CaAtomStructure
 from .ra import RaAtomStructure
@@ -61,10 +63,9 @@ def search_budget(default: int = DEFAULT_BUDGET) -> int:
 
     The numeric semantics: the maximum number of search states the solver
     may explore, counting every candidate label placement and every
-    position evaluation.  With one worker (the default) the cap is hard:
-    the search stops at the first count that takes the running total past
-    it, which adds at most a node or atom count.  With ``workers > 1`` the
-    total is checked at the end of the solve.
+    position evaluation.  The cap is hard: the search stops at the first
+    count that takes the running total past it, which adds at most a node
+    or atom count.
     """
     raw = os.environ.get("CYLKIT_BUDGET")
     if raw is None:
@@ -542,33 +543,6 @@ def _k_choices(spec: GameSpec, net: Network, excluded: frozenset[int] | set[int]
     return out
 
 
-def _ca_moves(spec: GameSpec, net: CaNetwork, counter: _Counter) -> tuple[list[CaMove], int]:
-    """Challenger demands in canonical order, plus the number of
-    (face, index) pairs whose legality mask depended on the choice of
-    representative (a corruption symptom; the union of the masks is used)."""
-    st = net.structure
-    dim = st.dim
-    nodes = net.nodes
-    moves: list[CaMove] = []
-    disagreements = 0
-    for face in itertools.product(nodes, repeat=dim - 1):
-        k_choices = _k_choices(spec, net, set(face))
-        for l in range(dim):
-            counter.tick(len(nodes))
-            union, differed = _legal_mask(net, face, l)
-            if differed:
-                disagreements += 1
-            if not union:
-                continue
-            for k in k_choices:
-                mask = union
-                while mask:
-                    b = (mask & -mask).bit_length() - 1
-                    mask &= mask - 1
-                    moves.append(CaMove(face, l, k, b))
-    return moves, disagreements
-
-
 def _legal_mask(net: CaNetwork, face: tuple[int, ...], l: int) -> tuple[int, bool]:
     """Union over representatives of the cylindrified label mask, and
     whether the representatives disagreed (they cannot on a genuine frame)."""
@@ -584,23 +558,6 @@ def _legal_mask(net: CaNetwork, face: tuple[int, ...], l: int) -> tuple[int, boo
             differed = True
         union |= mask
     return union, differed
-
-
-def _ra_moves(spec: GameSpec, net: RaNetwork, counter: _Counter) -> tuple[list[RaMove], int]:
-    st = net.structure
-    nodes = net.nodes
-    moves: list[RaMove] = []
-    for x in nodes:
-        for y in nodes:
-            lab = net.label((x, y))
-            z_choices = _k_choices(spec, net, {x, y})
-            for z in z_choices:
-                counter.tick(st.natoms)
-                for a in range(st.natoms):
-                    for b in range(st.natoms):
-                        if st.consistent(lab, a, b):
-                            moves.append(RaMove(x, y, z, a, b))
-    return moves, 0
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +621,23 @@ def _transp_masks(structure: CaAtomStructure) -> list[tuple[int, ...]]:
     ]
 
 
+def _diag_masks(structure: CaAtomStructure) -> tuple[tuple[int, ...], ...]:
+    """Per i < j, the atoms a slot repeating a node at positions i and j
+    may carry: those in E_ij and, with transpositions, fixed by the (i, j)
+    transposition, since such a slot is its own (i, j) partner.  Cached on
+    the structure."""
+    got = getattr(structure, "_game_diag_masks", None)
+    if got is None:
+        dim = structure.dim
+        rows = [[structure.diag_mask(i, j) for j in range(dim)] for i in range(dim)]
+        pairs = itertools.combinations(range(dim), 2)
+        for (i, j), images in zip(pairs, _transp_masks(structure)):
+            rows[i][j] &= sum(1 << a for a, img in enumerate(images) if img >> a & 1)
+        got = tuple(map(tuple, rows))
+        object.__setattr__(structure, "_game_diag_masks", got)
+    return got
+
+
 def _label_search(
     lab: list[int],
     free: Sequence[int],
@@ -720,10 +694,8 @@ def _ca_completions(
 
     Candidate atoms per free slot are narrowed by mask intersection
     against all already-labelled neighbours.  Fixed slots are assumed
-    mutually valid (they come from a valid network); slots listed in
-    ``fixed`` that conflict with each other are caught because every free
-    slot still checks against all of them, and a demanded fixed slot is
-    re-checked by the caller via _check_fixed_slot when needed.
+    mutually valid (they come from a valid network); the solver leaves a
+    demanded slot free, so its label is checked like any other.
     """
     dim = structure.dim
     table = _ca_slot_table(len(nodes), dim)
@@ -734,7 +706,7 @@ def _ca_completions(
         lab[idx] = a
     free = [idx for idx, a in enumerate(lab) if a < 0]
     full = structure.full_mask
-    diag_masks = [[structure.diag_mask(i, j) for j in range(dim)] for i in range(dim)]
+    diag_masks = _diag_masks(structure)
 
     def candidates(at: int) -> int:
         diag, cyl_nbrs, transp_nbrs = table[free[at]]
@@ -761,31 +733,6 @@ def _ca_completions(
         lab, free, free, range(structure.natoms), candidates, counter
     ):
         yield CaNetwork(structure, nodes, tuple(lab))
-
-
-def _check_fixed_slot(
-    structure: CaAtomStructure,
-    nodes: tuple[int, ...],
-    fixed: Mapping[int, int],
-    idx: int,
-) -> bool:
-    """Whether the fixed label at slot ``idx`` is compatible with the rest
-    of ``fixed`` (used to pre-validate a demanded slot)."""
-    diag, cyl_nbrs, transp_nbrs = _ca_slot_table(len(nodes), structure.dim)[idx]
-    a = fixed[idx]
-    for i, j in diag:
-        if not (structure.diag_mask(i, j) >> a) & 1:
-            return False
-    cyl = _cyl_masks(structure)
-    nbrs = [(cyl[i], n) for i, n in cyl_nbrs]
-    transp = _transp_masks(structure)
-    if transp:
-        nbrs += [(transp[rank], n) for rank, n in transp_nbrs]
-    for masks, n in nbrs:
-        other = fixed.get(n)
-        if other is not None and not (masks[other] >> a) & 1:
-            return False
-    return True
 
 
 def _comp_table(structure: RaAtomStructure) -> list[int]:
@@ -856,32 +803,6 @@ def _ra_completions(
         yield RaNetwork(structure, nodes, tuple(lab))
 
 
-def _check_fixed_ra(
-    structure: RaAtomStructure,
-    s: int,
-    fixed: Mapping[int, int],
-) -> bool:
-    """Whether the fixed edges of a responder task are mutually valid
-    (identity diagonal, converse mirrors, labelled triangles)."""
-    conv = structure.converse
-    for idx, a in fixed.items():
-        p, q = divmod(idx, s)
-        if p == q and a not in structure.identity:
-            return False
-        mirror = fixed.get(q * s + p)
-        if mirror is not None and mirror != conv[a]:
-            return False
-    for idx, a in fixed.items():
-        p, q = divmod(idx, s)
-        for w in range(s):
-            e2 = fixed.get(p * s + w)
-            e3 = fixed.get(w * s + q)
-            if e2 is not None and e3 is not None:
-                if not structure.consistent(a, e2, e3):
-                    return False
-    return True
-
-
 def _ca_response_task(
     net: CaNetwork, move: CaMove
 ) -> tuple[tuple[int, ...], dict[int, int]]:
@@ -905,18 +826,6 @@ def _ca_response_task(
     return new_nodes, fixed
 
 
-def _ca_responses(
-    net: CaNetwork, move: CaMove, counter: _Counter
-) -> Iterator[CaNetwork]:
-    new_nodes, fixed = _ca_response_task(net, move)
-    didx = _tuple_index(
-        [new_nodes.index(v) for v in move.demanded()], len(new_nodes)
-    )
-    if not _check_fixed_slot(net.structure, new_nodes, fixed, didx):
-        return
-    yield from _ca_completions(net.structure, new_nodes, fixed, counter)
-
-
 def _ra_response_task(
     net: RaNetwork, move: RaMove
 ) -> tuple[tuple[int, ...], dict[int, int]]:
@@ -932,31 +841,6 @@ def _ra_response_task(
     fixed[pos[move.x] * s_new + pos[move.z]] = move.a
     fixed[pos[move.z] * s_new + pos[move.y]] = move.b
     return new_nodes, fixed
-
-
-def _ra_responses(
-    net: RaNetwork, move: RaMove, counter: _Counter
-) -> Iterator[RaNetwork]:
-    new_nodes, fixed = _ra_response_task(net, move)
-    if not _check_fixed_ra(net.structure, len(new_nodes), fixed):
-        return
-    yield from _ra_completions(net.structure, new_nodes, fixed, counter)
-
-
-def _moves(spec: GameSpec, net: Network, counter: _Counter) -> tuple[list[Move], int]:
-    if spec.variant == VARIANT_TRIANGLE:
-        assert isinstance(net, RaNetwork)
-        return _ra_moves(spec, net, counter)
-    assert isinstance(net, CaNetwork)
-    return _ca_moves(spec, net, counter)
-
-
-def _responses(net: Network, move: Move, counter: _Counter) -> Iterator[Network]:
-    if isinstance(net, RaNetwork):
-        assert isinstance(move, RaMove)
-        return _ra_responses(net, move, counter)
-    assert isinstance(move, CaMove)
-    return _ca_responses(net, move, counter)
 
 
 def _openings(
@@ -1175,18 +1059,25 @@ class SolveResult:
 @dataclass
 class _MoveClass:
     """All demands sharing one target slot: the move head in canonical
-    order, the legal atom mask, and the responder's completions bucketed
-    by the label they give the demanded slot."""
+    order, the labels it may demand in canonical order (an atom b for a
+    CaMove, an atom pair (a, b) for an RaMove), and the responder's
+    completions bucketed by the label they give the demanded slot."""
 
-    head: Move  # with b (CaMove) or a/b (RaMove) zeroed; kept for ordering
-    legal: tuple[int, ...] | int
+    head: Move  # with b (CaMove) or a/b (RaMove) set to -1
+    legal: tuple
     buckets: dict
 
+    def demand(self, label) -> Move:
+        head = self.head
+        if isinstance(head, CaMove):
+            return CaMove(head.face, head.l, head.k, label)
+        return RaMove(head.x, head.y, head.z, *label)
 
-class _BranchSolver:
-    """Exact value search under one opening; owns its memo so sibling
-    branches are schedule-independent.  Branches that run one after
-    another may share one state counter."""
+
+class _Solver:
+    """Exact value search for one solve: one memo, one successor cache and
+    one state counter, shared by every opening, by strategy extraction and
+    verification, and by interactive play."""
 
     def __init__(self, spec: GameSpec, counter: _Counter, canonical: bool) -> None:
         self.spec = spec
@@ -1213,14 +1104,10 @@ class _BranchSolver:
             return self.canon(net)[0]
         return (net.nodes, net.labels)
 
-    def moves(self, net: Network) -> list[Move]:
-        moves, disagreed = _moves(self.spec, net, self.counter)
-        self.disagreements += disagreed
-        return moves
-
     def move_classes(self, net: Network) -> list[_MoveClass]:
         """Per demanded slot: legality and bucketed responses, cached per
-        raw position (independent of rounds left)."""
+        raw position (independent of rounds left).  A (face, index) whose
+        legality depends on the representative is counted once, here."""
         key = (net.nodes, net.labels)
         got = self.succ.get(key)
         if got is not None:
@@ -1232,11 +1119,12 @@ class _BranchSolver:
                 k_choices = _k_choices(self.spec, net, set(face))
                 for l in range(dim):
                     self.counter.tick(len(net.nodes))
-                    legal, differed = _legal_mask(net, face, l)
+                    mask, differed = _legal_mask(net, face, l)
                     if differed:
                         self.disagreements += 1
-                    if not legal:
+                    if not mask:
                         continue
+                    legal = tuple(b for b in range(mask.bit_length()) if mask >> b & 1)
                     for k in k_choices:
                         move = CaMove(face, l, k, -1)
                         new_nodes, fixed = _ca_response_task(
@@ -1286,6 +1174,20 @@ class _BranchSolver:
         self.succ[key] = out
         return out
 
+    def successors(self, net: Network) -> Iterator[tuple[Move, list[Network]]]:
+        """Every demand at ``net`` in canonical order, each with its
+        responses in enumeration order (empty when none is legal)."""
+        for cls in self.move_classes(net):
+            for label in cls.legal:
+                yield cls.demand(label), cls.buckets.get(label, [])
+
+    def responses(self, net: Network, move: Move) -> list[Network]:
+        """The responses to ``move``; raises if it is no demand at ``net``."""
+        for demand, responses in self.successors(net):
+            if demand == move:
+                return responses
+        raise RuntimeError(f"{move.encode()} is not a legal demand at this position")
+
     def value(self, net: Network, r: int) -> int:
         """Rounds the responder can still survive from this position, in 0..r."""
         if r == 0:
@@ -1298,22 +1200,12 @@ class _BranchSolver:
         self.counter.tick()
         best = r
         for cls in self.move_classes(net):
-            if isinstance(cls.head, CaMove):
-                assert isinstance(cls.legal, int)
-                mask = cls.legal
-                while mask and best > 0:
-                    b = (mask & -mask).bit_length() - 1
-                    mask &= mask - 1
-                    contrib = self._class_contrib(cls.buckets.get(b), r)
-                    if contrib < best:
-                        best = contrib
-            else:
-                for pair in cls.legal:
+            for label in cls.legal:
+                contrib = self._class_contrib(cls.buckets.get(label), r)
+                if contrib < best:
+                    best = contrib
                     if best == 0:
                         break
-                    contrib = self._class_contrib(cls.buckets.get(pair), r)
-                    if contrib < best:
-                        best = contrib
             if best == 0:
                 break
         self.memo[key] = best
@@ -1332,9 +1224,7 @@ class _BranchSolver:
         return 1 + sub_best
 
 
-def _extract_exists(
-    solver: _BranchSolver, opening: Network, rounds: int
-) -> dict[str, str]:
+def _extract_exists(solver: _Solver, opening: Network, rounds: int) -> dict[str, str]:
     strategy: dict[str, str] = {}
     enc0, _pi0 = solver.canon(opening)
     strategy["open"] = enc0
@@ -1348,10 +1238,10 @@ def _extract_exists(
             return
         visited.add((enc, r))
         s = len(net.nodes)
-        for move in solver.moves(net):
+        for move, responses in solver.successors(net):
             key = f"{enc}|r{r}|{_rename_move(move, pi, s).encode()}"
             chosen = None
-            for response in _responses(net, move, solver.counter):
+            for response in responses:
                 if solver.value(response, r - 1) == r - 1:
                     chosen = response
                     break
@@ -1367,11 +1257,11 @@ def _extract_exists(
 
 
 def _extract_forall(
-    solver: _BranchSolver, opening: Network, rounds: int, strategy: dict[str, str]
+    solver: _Solver, opening: Network, rounds: int, strategy: dict[str, str]
 ) -> None:
     """Record an optimal demand at every position the challenger can
-    reach from this opening.  Keys are canonical, so sibling branches can
-    share positions; an already-recorded demand is reused rather than
+    reach from this opening.  Keys are canonical, so openings can share
+    positions; an already-recorded demand is reused rather than
     overwritten, keeping the merged strategy self-consistent."""
     visited: set[tuple[str, int]] = set()
 
@@ -1386,26 +1276,14 @@ def _extract_forall(
         key = f"{enc}|r{r}"
         recorded = strategy.get(key)
         if recorded is not None:
-            abstract: Move
-            if isinstance(net, RaNetwork):
-                abstract = RaMove.decode(recorded)
-            else:
-                abstract = CaMove.decode(recorded)
-            move = _unrename_move(abstract, pi, net.nodes)
-            for response in _responses(net, move, solver.counter):
+            move = _unrename_move(_decode_move(net, recorded), pi, net.nodes)
+            for response in solver.responses(net, move):
                 walk(response, r - 1)
             return
         s = len(net.nodes)
-        for move in solver.moves(net):
-            sub_best = -1
-            responses = []
-            for response in _responses(net, move, solver.counter):
-                responses.append(response)
-                v = solver.value(response, r - 1)
-                if v > sub_best:
-                    sub_best = v
-            contrib = 0 if sub_best < 0 else 1 + sub_best
-            if contrib == val:
+        for move, responses in solver.successors(net):
+            sub_best = max((solver.value(m, r - 1) for m in responses), default=-1)
+            if 1 + sub_best == val:
                 strategy[key] = _rename_move(move, pi, s).encode()
                 for response in responses:
                     walk(response, r - 1)
@@ -1415,9 +1293,15 @@ def _extract_forall(
     walk(opening, rounds)
 
 
+def _decode_move(net: Network, text: str) -> Move:
+    if isinstance(net, RaNetwork):
+        return RaMove.decode(text)
+    return CaMove.decode(text)
+
+
 def _verify_exists(
     spec: GameSpec,
-    solver: _BranchSolver,
+    solver: _Solver,
     strategy: Mapping[str, str],
     initial_atom: int,
     rounds: int,
@@ -1447,7 +1331,7 @@ def _verify_exists(
             return
         visited.add((enc, r))
         s = len(net.nodes)
-        for move in solver.moves(net):
+        for move, _responses in solver.successors(net):
             key = f"{enc}|r{r}|{_rename_move(move, pi, s).encode()}"
             resp_enc = strategy.get(key)
             if resp_enc is None:
@@ -1495,12 +1379,12 @@ def _check_response_matches(net: Network, move: Move, response: Network) -> None
 
 def _verify_forall(
     spec: GameSpec,
-    solvers: Sequence[_BranchSolver],
+    solver: _Solver,
     openings: Sequence[Network],
     strategy: Mapping[str, str],
     rounds: int,
 ) -> None:
-    for solver, opening in zip(solvers, openings):
+    for opening in openings:
         visited: set[tuple[str, int]] = set()
 
         def walk(net: Network, r: int) -> None:
@@ -1513,22 +1397,15 @@ def _verify_forall(
                 raise RuntimeError(
                     f"challenger strategy has no demand at {enc}|r{r}"
                 )
-            if spec.variant == VARIANT_TRIANGLE:
-                abstract: Move = RaMove.decode(move_enc)
-            else:
-                abstract = CaMove.decode(move_enc)
-            move = _unrename_move(abstract, pi, net.nodes)
+            move = _unrename_move(_decode_move(net, move_enc), pi, net.nodes)
             _check_move_legal(spec, net, move)
-            any_response = False
-            for response in _responses(net, move, solver.counter):
-                any_response = True
-                if r - 1 == 0:
-                    raise RuntimeError(
-                        "responder still alive when the round bound was reached"
-                    )
+            responses = solver.responses(net, move)
+            if responses and r == 1:
+                raise RuntimeError(
+                    "responder still alive when the round bound was reached"
+                )
+            for response in responses:
                 walk(response, r - 1)
-            if not any_response:
-                return
 
         walk(opening, rounds)
 
@@ -1575,31 +1452,25 @@ def solve(
     initial_atom: int,
     *,
     budget: int | None = None,
-    workers: int = 1,
     canonical_memo: bool = True,
 ) -> SolveResult:
     """Exact winner of the truncated game opened on ``initial_atom``.
 
-    Opening candidates are deduplicated up to node renaming and evaluated
-    as independent branches (optionally in parallel); each branch owns its
-    memo, so results and statistics are identical at every worker count.
-    The returned strategy is replayed as a structural self-check before
-    the result is handed back.
+    Opening candidates are deduplicated up to node renaming and searched
+    one after another by one solver, whose memo and successor cache also
+    serve strategy extraction and verification.  The returned strategy is
+    replayed as a structural self-check before the result is handed back.
 
-    ``budget`` (default: search_budget()) caps the states explored.  With
-    ``workers == 1`` the cap is hard: every branch counts on one running
-    total, and the search raises BudgetExceededError as soon as the total
-    passes the budget.  With ``workers > 1`` each branch counts apart and
-    the total is checked at the end.  Either way a solve is refused
-    exactly when its total exceeds the budget.
+    ``budget`` (default: search_budget()) caps the states explored, and
+    the cap is hard: every phase counts on one running total, and the
+    search raises BudgetExceededError as soon as the total passes the
+    budget.  A solve is refused exactly when its total exceeds the budget.
     """
     if not 0 <= initial_atom < spec.structure.natoms:
         raise ValueError(
             f"initial atom {initial_atom} out of range for "
             f"{spec.structure.natoms} atoms"
         )
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     if budget is None:
         budget = search_budget()
     if spec.structure.natoms > MAX_GAME_ATOMS:
@@ -1608,68 +1479,37 @@ def solve(
             f"limit of {MAX_GAME_ATOMS}; state-space bound {_bound_text(spec)}"
         )
 
-    base = _Counter(budget, _bound_text(spec))
-    all_openings = _openings(spec, initial_atom, base)
+    solver = _Solver(spec, _Counter(budget, _bound_text(spec)), canonical_memo)
     openings: list[Network] = []
     seen_classes: set[str] = set()
-    for net in all_openings:
-        enc, _ = _canon_encoding(net.nodes, net.labels, net.arity)
+    for net in _openings(spec, initial_atom, solver.counter):
+        enc, _ = solver.canon(net)
         if enc not in seen_classes:
             seen_classes.add(enc)
             openings.append(net)
 
-    if not openings:
-        stats = SolveStats(
-            states_explored=base.states,
-            memo_hits=0,
-            openings=0,
-            representative_disagreements=0,
-            state_space_bound=str(state_space_bound(spec)),
-        )
-        return SolveResult(FORALL, 0, {}, stats)
-
-    shared = workers == 1
-    solvers = [
-        _BranchSolver(
-            spec, base if shared else _Counter(budget, base.bound), canonical_memo
-        )
-        for _ in openings
-    ]
-
-    def run_branch(i: int) -> int:
-        return solvers[i].value(openings[i], spec.rounds)
-
-    if workers == 1 or len(openings) == 1:
-        values = [run_branch(i) for i in range(len(openings))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(run_branch, range(len(openings))))
-
-    best = max(values)
     strategy: dict[str, str] = {}
-    if best == spec.rounds:
-        winner = EXISTS
-        rounds_used = spec.rounds
-        pick = values.index(best)
-        strategy = _extract_exists(solvers[pick], openings[pick], spec.rounds)
-        _verify_exists(spec, solvers[pick], strategy, initial_atom, spec.rounds)
+    if not openings:
+        winner, rounds_used = FORALL, 0
     else:
-        winner = FORALL
-        rounds_used = best + 1
-        for solver, opening in zip(solvers, openings):
-            _extract_forall(solver, opening, spec.rounds, strategy)
-        _verify_forall(spec, solvers, openings, strategy, spec.rounds)
+        values = [solver.value(net, spec.rounds) for net in openings]
+        best = max(values)
+        if best == spec.rounds:
+            winner, rounds_used = EXISTS, spec.rounds
+            opening = openings[values.index(best)]
+            strategy = _extract_exists(solver, opening, spec.rounds)
+            _verify_exists(spec, solver, strategy, initial_atom, spec.rounds)
+        else:
+            winner, rounds_used = FORALL, best + 1
+            for opening in openings:
+                _extract_forall(solver, opening, spec.rounds, strategy)
+            _verify_forall(spec, solver, openings, strategy, spec.rounds)
 
-    total_states = base.states
-    if not shared:
-        total_states += sum(s.counter.states for s in solvers)
-        if total_states > budget:
-            base.refuse(total_states)
     stats = SolveStats(
-        states_explored=total_states,
-        memo_hits=sum(s.memo_hits for s in solvers),
+        states_explored=solver.counter.states,
+        memo_hits=solver.memo_hits,
         openings=len(openings),
-        representative_disagreements=sum(s.disagreements for s in solvers),
+        representative_disagreements=solver.disagreements,
         state_space_bound=str(state_space_bound(spec)),
     )
     return SolveResult(winner, rounds_used, strategy, stats)
@@ -1758,9 +1598,7 @@ class _Session:
         self.initial_atom = initial_atom
         self.agent = agent
         self.emit = emit
-        self.solver = _BranchSolver(
-            spec, _Counter(budget, _bound_text(spec)), True
-        )
+        self.solver = _Solver(spec, _Counter(budget, _bound_text(spec)), True)
         self.events: list[dict] = []
         self.net: Network | None = None
         self.winner: str | None = None
@@ -1837,7 +1675,8 @@ class _Session:
         for r in range(spec.rounds, 0, -1):
             self.emit(f"--- {r} round(s) left ---")
             self.emit(self.describe(self.net))
-            moves = self.solver.moves(self.net)
+            successors = list(self.solver.successors(self.net))
+            moves = [m for m, _ in successors]
             if not moves:
                 self.emit("no demand is available; the responder survives")
                 self.winner = EXISTS
@@ -1852,25 +1691,23 @@ class _Session:
                         f"(any index up to {len(moves) - 1} accepted)"
                     )
                 midx = self.choose("demand", moves)
-                move = moves[midx]
             else:
                 scored = []
-                for m in moves:
+                for _m, responses in successors:
                     sub = -1
-                    for response in _responses(self.net, m, self.solver.counter):
+                    for response in responses:
                         sub = max(sub, self.solver.value(response, r - 1))
                         if sub == r - 1:
                             break
                     scored.append(0 if sub < 0 else 1 + sub)
                 best = min(scored)
                 midx = scored.index(best)
-                move = moves[midx]
-                self.emit(f"engine demands {move.encode()}")
+                self.emit(f"engine demands {moves[midx].encode()}")
+            move, responses = successors[midx]
             self.events.append(
                 {"kind": "demand", "actor": FORALL, "choice": midx,
                  "move": move.encode()}
             )
-            responses = list(_responses(self.net, move, self.solver.counter))
             if not responses:
                 self.emit("no legal response exists; the challenger wins")
                 self.winner = FORALL

@@ -277,6 +277,19 @@ def nr(
     return frame, cert
 
 
+def cyl_fixed_masks(structure: CaAtomStructure, i: int) -> list[int]:
+    """Masks of every union of c_i's atom classes: the elements with
+    c_i x = x when T_i is an equivalence.
+
+    The classes are the distinct images c_i{a} in atom order; bit k of a
+    mask's position in the list stands for the k-th class.
+    """
+    masks = [0]
+    for c in dict.fromkeys(structure.cyl_image_masks(i)):
+        masks += [m | c for m in masks]
+    return masks
+
+
 def rd_rho(structure: CaAtomStructure, rho: Sequence[int]) -> CaAtomStructure:
     """Reduct along an injective index renaming: relation p of the result
     is relation rho[p] of the source."""

@@ -43,7 +43,15 @@ from cylkit.games import (
     transcript_to_json,
     validate_network,
 )
-from cylkit.games import _Counter, _position_tuples, _tuple_index
+from cylkit.games import (
+    _ca_response_task,
+    _Counter,
+    _k_choices,
+    _legal_mask,
+    _position_tuples,
+    _ra_response_task,
+    _tuple_index,
+)
 from cylkit.ra import RaAtomStructure
 
 CS3 = full_set_algebra(3, 2)
@@ -291,7 +299,7 @@ def test_ra_move_encoding_round_trip():
 
 
 def test_fresh_game_on_full_set_algebra_is_existential():
-    expected_states = {0: 465, 1: 14631, 2: 105719}
+    expected_states = {0: 465, 1: 14553, 2: 61986}
     for rounds, states in expected_states.items():
         res = solve(GameSpec(VARIANT_FRESH, CS3, rounds), 0)
         assert res.winner == EXISTS
@@ -301,7 +309,7 @@ def test_fresh_game_on_full_set_algebra_is_existential():
 
 
 def test_reuse_game_on_full_set_algebra_is_existential():
-    expected_states = {0: 465, 1: 24255, 2: 206904}
+    expected_states = {0: 465, 1: 24177, 2: 106208}
     for rounds, states in expected_states.items():
         res = solve(GameSpec(VARIANT_REUSE, CS3, rounds, pebbles=4), 0)
         assert res.winner == EXISTS
@@ -331,10 +339,10 @@ def test_subtler_damage_needs_a_longer_horizon():
 
 def test_triangle_games_are_existential_on_genuine_algebras():
     expected = {
-        (id(BIN312), 2): 1317,
-        (id(BIN312), 3): 26794,
-        (id(HH313), 2): 3115,
-        (id(HH313), 3): 180102,
+        (id(BIN312), 2): 222,
+        (id(BIN312), 3): 9519,
+        (id(HH313), 2): 392,
+        (id(HH313), 3): 69583,
     }
     for structure in (BIN312, HH313):
         for pebbles in (2, 3):
@@ -343,13 +351,22 @@ def test_triangle_games_are_existential_on_genuine_algebras():
             assert res.stats.states_explored == expected[(id(structure), pebbles)]
 
 
-def test_worker_count_does_not_change_results():
-    spec = GameSpec(VARIANT_FRESH, CS3, 2)
-    base = solve(spec, 0, workers=1)
-    assert solve(spec, 0, workers=2) == base
-    assert solve(spec, 0, workers=3) == base
-    reuse = GameSpec(VARIANT_REUSE, CS3, 1, pebbles=4)
-    assert solve(reuse, 0, workers=1) == solve(reuse, 0, workers=2)
+def test_two_solves_give_identical_json():
+    for spec in (
+        GameSpec(VARIANT_FRESH, CS3, 2),
+        GameSpec(VARIANT_REUSE, CS3, 1, pebbles=4),
+    ):
+        first, second = (
+            json.dumps(solve(spec, 0).to_dict(), sort_keys=True) for _ in range(2)
+        )
+        assert first == second
+
+
+def test_each_representative_disagreement_is_counted_once():
+    # one (position, face, index) whose legality mask depends on the
+    # representative counts once, however often extraction revisits it
+    res = solve(GameSpec(VARIANT_FRESH, drop_cyl_pair(CS3, 0, 1, 1), 2), 0)
+    assert res.stats.representative_disagreements == 3
 
 
 def test_plain_memo_agrees_with_the_canonical_memo():
@@ -366,22 +383,21 @@ def test_solver_refuses_to_blow_the_budget():
 
 
 def test_default_budget_is_a_hard_cap():
-    # the whole search explores 105,719 states; one worker stops at the
-    # first tick past the budget
+    # the whole search explores 61,986 states; it stops at the first tick
+    # past the budget
     with pytest.raises(BudgetExceededError) as info:
         solve(GameSpec(VARIANT_FRESH, CS3, 2), 0, budget=50_000)
     reached = int(re.search(r"after (\d+) states", str(info.value)).group(1))
     assert 50_000 < reached <= 50_000 + CS3.natoms
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_refused_exactly_when_the_total_exceeds_the_budget(workers):
+def test_refused_exactly_when_the_total_exceeds_the_budget():
     spec = GameSpec(VARIANT_FRESH, CS3, 2)
-    total = 105719
-    res = solve(spec, 0, budget=total, workers=workers)
+    total = 61986
+    res = solve(spec, 0, budget=total)
     assert res.stats.states_explored == total
     with pytest.raises(BudgetExceededError):
-        solve(spec, 0, budget=total - 1, workers=workers)
+        solve(spec, 0, budget=total - 1)
 
 
 def test_refusal_prints_the_state_space_bound_as_a_power():
@@ -411,8 +427,6 @@ def test_solver_argument_validation():
         solve(spec, CS3.natoms)
     with pytest.raises(ValueError, match="out of range"):
         solve(spec, -1)
-    with pytest.raises(ValueError, match="workers must be at least 1"):
-        solve(spec, 0, workers=0)
 
 
 def test_solve_result_serializes_to_json():
@@ -438,8 +452,11 @@ def test_winning_responder_strategy_has_an_opening_entry():
 # the completion enumerators against the original dict-based ones
 #
 # The four functions below are the original implementations, kept verbatim
-# as oracles for the table-driven enumerators of cylkit.games and for
-# _check_fixed_slot; _row_masks is a helper of the cylindric ones.
+# as oracles for the table-driven enumerators of cylkit.games;
+# _row_masks is a helper of the cylindric ones.  _check_fixed_slot and the
+# move and response functions further down are the original successor
+# path, kept verbatim as the oracle for the solver's one successor
+# generator (_Solver.successors).
 
 
 def _ca_completions(
@@ -667,6 +684,97 @@ def _ra_completions(
     yield from backtrack(0)
 
 
+def _ca_moves(spec: GameSpec, net: CaNetwork, counter: _Counter) -> tuple[list[CaMove], int]:
+    """Challenger demands in canonical order, plus the number of
+    (face, index) pairs whose legality mask depended on the choice of
+    representative (a corruption symptom; the union of the masks is used)."""
+    st = net.structure
+    dim = st.dim
+    nodes = net.nodes
+    moves: list[CaMove] = []
+    disagreements = 0
+    for face in itertools.product(nodes, repeat=dim - 1):
+        k_choices = _k_choices(spec, net, set(face))
+        for l in range(dim):
+            counter.tick(len(nodes))
+            union, differed = _legal_mask(net, face, l)
+            if differed:
+                disagreements += 1
+            if not union:
+                continue
+            for k in k_choices:
+                mask = union
+                while mask:
+                    b = (mask & -mask).bit_length() - 1
+                    mask &= mask - 1
+                    moves.append(CaMove(face, l, k, b))
+    return moves, disagreements
+
+
+def _ra_moves(spec: GameSpec, net: RaNetwork, counter: _Counter) -> tuple[list[RaMove], int]:
+    st = net.structure
+    nodes = net.nodes
+    moves: list[RaMove] = []
+    for x in nodes:
+        for y in nodes:
+            lab = net.label((x, y))
+            z_choices = _k_choices(spec, net, {x, y})
+            for z in z_choices:
+                counter.tick(st.natoms)
+                for a in range(st.natoms):
+                    for b in range(st.natoms):
+                        if st.consistent(lab, a, b):
+                            moves.append(RaMove(x, y, z, a, b))
+    return moves, 0
+
+
+def _check_fixed_ra(
+    structure: RaAtomStructure,
+    s: int,
+    fixed: Mapping[int, int],
+) -> bool:
+    """Whether the fixed edges of a responder task are mutually valid
+    (identity diagonal, converse mirrors, labelled triangles)."""
+    conv = structure.converse
+    for idx, a in fixed.items():
+        p, q = divmod(idx, s)
+        if p == q and a not in structure.identity:
+            return False
+        mirror = fixed.get(q * s + p)
+        if mirror is not None and mirror != conv[a]:
+            return False
+    for idx, a in fixed.items():
+        p, q = divmod(idx, s)
+        for w in range(s):
+            e2 = fixed.get(p * s + w)
+            e3 = fixed.get(w * s + q)
+            if e2 is not None and e3 is not None:
+                if not structure.consistent(a, e2, e3):
+                    return False
+    return True
+
+
+def _ca_responses(
+    net: CaNetwork, move: CaMove, counter: _Counter
+) -> Iterator[CaNetwork]:
+    new_nodes, fixed = _ca_response_task(net, move)
+    didx = _tuple_index(
+        [new_nodes.index(v) for v in move.demanded()], len(new_nodes)
+    )
+    if not _check_fixed_slot(net.structure, new_nodes, fixed, didx):
+        return
+    yield from _ca_completions(net.structure, new_nodes, fixed, counter)
+
+
+def _ra_responses(
+    net: RaNetwork, move: RaMove, counter: _Counter
+) -> Iterator[RaNetwork]:
+    new_nodes, fixed = _ra_response_task(net, move)
+    if not _check_fixed_ra(net.structure, len(new_nodes), fixed):
+        return
+    yield from _ra_completions(net.structure, new_nodes, fixed, counter)
+
+
 def _enumeration(enumerate_, structure, nodes, fixed):
     """Every completion's labels with the state count at its yield, and
     the final state count."""
@@ -732,9 +840,7 @@ def test_ca_completions_match_the_original(spec):
         # the demanded slot fixed to each atom, as a responder faces it
         for b in range(st.natoms):
             demand = {**fixed, didx: b}
-            ok = games._check_fixed_slot(st, nodes, demand, didx)
-            assert ok == _check_fixed_slot(st, nodes, demand, didx)
-            if ok:
+            if _check_fixed_slot(st, nodes, demand, didx):
                 _assert_same_enumeration("ca", st, nodes, demand)
     assert tasks > 0
 
@@ -781,10 +887,16 @@ def test_completions_match_the_original_on_conflicting_fixed_slots():
         for t in _position_tuples(2, CS3.dim)
     }
     corner = _tuple_index((0, 0, 0), 3)
-    fixed[corner] = CS3.atoms.index(repr((1, 0, 1)))
-    assert not games._check_fixed_slot(CS3, nodes, fixed, corner)
+    bad = fixed[corner] = CS3.atoms.index(repr((1, 0, 1)))
     assert not _check_fixed_slot(CS3, nodes, fixed, corner)
     _assert_same_enumeration("ca", CS3, nodes, fixed)
+    # left free, as the solver leaves a demanded slot, the corner never
+    # takes the conflicting atom, so no response bucket holds it
+    rest = {idx: a for idx, a in fixed.items() if idx != corner}
+    counter = _Counter(10**12, "")
+    completions = games._ca_completions(CS3, nodes, rest, counter)
+    labels = {m.labels[corner] for m in completions}
+    assert labels and bad not in labels
     # relation algebra: a mirror that is not the converse, and a triangle
     # whose fixed sides forbid every label of the free third side
     idx = BIN312.atoms.index
@@ -792,6 +904,95 @@ def test_completions_match_the_original_on_conflicting_fixed_slots():
     _assert_same_enumeration("ra", BIN312, (0, 1), {1: div, 2: other})
     triangle = {0: ident, 4: ident, 8: ident, 1: div, 5: div}
     _assert_same_enumeration("ra", BIN312, (0, 1, 2), triangle)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GameSpec(VARIANT_FRESH, CS3, 1),
+        GameSpec(VARIANT_REUSE, CS3, 1, pebbles=4),
+        GameSpec(VARIANT_FRESH, drop_cyl_pair(CS3, 0, 1, 1), 1),
+        GameSpec(VARIANT_FRESH, drop_cyl_pair(CS3, 0, 0, 4), 1),
+        GameSpec(VARIANT_TRIANGLE, HH313, 1, pebbles=3),
+        GameSpec(VARIANT_TRIANGLE, BIN312, 1, pebbles=3),
+        GameSpec(VARIANT_TRIANGLE, Z4, 1, pebbles=3),
+    ],
+    ids=[
+        "fresh-cs3",
+        "reuse-cs3",
+        "fresh-drop011",
+        "fresh-drop004",
+        "hh_ra(3,1,3)",
+        "bin_forb(3,1,2)",
+        "z4",
+    ],
+)
+def test_successors_match_the_original_moves_and_responses(spec):
+    # at every opening and at one position of each isomorphism class one
+    # round from the openings: the same demands in the same order, and
+    # each bucket is the original response list, in order
+    counter = _Counter(10**12, "")
+    solver = games._Solver(spec, counter, True)
+    if spec.variant == VARIANT_TRIANGLE:
+        moves, responses = _ra_moves, _ra_responses
+    else:
+        moves, responses = _ca_moves, _ca_responses
+    openings = games._openings(spec, 0, counter)
+    after = {}
+    for opening in openings:
+        for _, bucket in solver.successors(opening):
+            for m in bucket:
+                after.setdefault(solver.canon(m)[0], m)
+    assert openings and after
+    for net in [*openings, *after.values()]:
+        got = list(solver.successors(net))
+        assert [move for move, _ in got] == moves(spec, net, counter)[0]
+        for move, bucket in got:
+            want = responses(net, move, counter)
+            assert [m.labels for m in bucket] == [m.labels for m in want]
+
+
+def test_a_slot_that_is_its_own_transposition_partner_keeps_its_atom_fixed():
+    # s_12 swaps (0,0,0) and (1,0,0), both in E_12: a tuple repeating a
+    # node at positions 1 and 2 is its own partner and can carry neither
+    x, y = CS3.atoms.index(repr((0, 0, 0))), CS3.atoms.index(repr((1, 0, 0)))
+    transp = list(CS3.transp)
+    rank = _pair_rank(1, 2, 3)
+    transp[rank] = transp[rank] - {(x, x), (y, y)} | {(x, y), (y, x)}
+    swapped = dataclasses.replace(CS3, transp=tuple(transp))
+    spec = GameSpec(VARIANT_FRESH, swapped, 1)
+    counter = _Counter(10**12, "")
+    solver = games._Solver(spec, counter, True)
+    openings = games._openings(spec, CS3.atoms.index(repr((1, 1, 1))), counter)
+    assert openings
+    for net in openings:
+        assert validate_network(net).passed
+        # the original path checked only the demanded slot; its valid
+        # responses are exactly the bucket
+        for move, bucket in solver.successors(net):
+            want = _ca_responses(net, move, counter)
+            valid = [m.labels for m in want if validate_network(m).passed]
+            assert [m.labels for m in bucket] == valid
+
+
+def test_responses_to_a_move_that_is_no_demand_raise():
+    spec = GameSpec(VARIANT_FRESH, CS3, 1)
+    solver = games._Solver(spec, _Counter(10**12, ""), True)
+    net = semantic_network(CS3, {0: 0, 1: 1, 2: 0})
+    move, bucket = next(solver.successors(net))
+    assert solver.responses(net, move) is bucket
+    legal = {
+        m.b
+        for m, _ in solver.successors(net)
+        if (m.face, m.l, m.k) == (move.face, move.l, move.k)
+    }
+    illegal = min(set(range(CS3.natoms)) - legal)
+    for miss in (
+        dataclasses.replace(move, b=illegal),
+        dataclasses.replace(move, k=move.k + 1),
+    ):
+        with pytest.raises(RuntimeError, match="not a legal demand"):
+            solver.responses(net, miss)
 
 
 def test_slot_table_matches_tuple_index():

@@ -22,6 +22,7 @@ from cylkit import (
     singleton,
     three_cube,
 )
+from cylkit.neat import cyl_fixed_masks
 from cylkit.terms import (
     Complement,
     Cyl,
@@ -231,6 +232,23 @@ def closed42(fs42):
     masks = _spare_closed_masks(fs42)
     assert len(masks) == 256  # 2^16 elements, 256 fixed by the spare index
     return masks
+
+
+def test_cyl_fixed_masks_are_the_spare_closed_elements(fs42, closed42):
+    masks = cyl_fixed_masks(fs42, 3)
+    assert sorted(masks) == closed42
+    # bit k of a position stands for the k-th class c_3{a} in atom order
+    classes = []
+    for a in range(fs42.natoms):
+        image = cyl(fs42, 3, element(fs42, [a])).mask
+        if image not in classes:
+            classes.append(image)
+    for pos, mask in enumerate(masks):
+        union = 0
+        for k, image in enumerate(classes):
+            if pos >> k & 1:
+                union |= image
+        assert mask == union
 
 
 def test_spare_swap_below_lowdim_bound_on_closed_elements(fs42, closed42):
