@@ -391,9 +391,10 @@ def test_default_budget_is_a_hard_cap():
     assert 50_000 < reached <= 50_000 + CS3.natoms
 
 
-def test_refused_exactly_when_the_total_exceeds_the_budget():
-    spec = GameSpec(VARIANT_FRESH, CS3, 2)
-    total = 61986
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_refused_exactly_when_the_total_exceeds_the_budget(rounds):
+    spec = GameSpec(VARIANT_FRESH, CS3, rounds)
+    total = {1: 14553, 2: 61986}[rounds]
     res = solve(spec, 0, budget=total)
     assert res.stats.states_explored == total
     with pytest.raises(BudgetExceededError):
