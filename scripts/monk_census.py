@@ -23,8 +23,12 @@ def main() -> None:
     parser.add_argument(
         "--frame-cap",
         type=int,
-        default=1000,
-        help="skip the frame check above this many atoms (0 checks everything)",
+        default=5000,
+        help=(
+            "skip the frame check above this many atoms (0 checks everything); "
+            "the default checks (4,4) at 3,545 atoms (seconds) and skips (4,5) "
+            "at 14,016 atoms (minutes)"
+        ),
     )
     args = parser.parse_args()
 

@@ -55,7 +55,7 @@ from .neat import cyl_fixed_masks, ra_reduct, restriction_iso, rl_x
 from .ra import RaAtomStructure, check_ra_axioms
 from .terms import (
     Exhaustive,
-    _eval_vec,
+    _eval_masks,
     ca_axioms,
     check_equation,
     eval_term,
@@ -341,8 +341,8 @@ def criterion_07() -> CriterionResult:
         )
 
     def check(name, lhs, rhs, domain, noun):
-        lv = _eval_vec(cs4, lhs, domain)
-        rv = _eval_vec(cs4, rhs, domain)
+        lv = _eval_masks(cs4, lhs, domain)
+        rv = _eval_masks(cs4, rhs, domain)
         bad = np.flatnonzero(lv & ~rv)
         if bad.size:
             at = {v: Element(cs4, int(arr[bad[0]])) for v, arr in domain.items()}

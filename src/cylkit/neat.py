@@ -21,6 +21,7 @@ from .bao import (
     diag,
     element,
     empty,
+    equivalence_defects,
     subst_repl,
     subst_transp,
 )
@@ -33,23 +34,6 @@ from .ra import RaAtomStructure, RaAxiomReport, check_ra_axioms
 
 EXHAUSTIVE_CLASS_LIMIT = 12
 SAMPLE_COUNT = 512
-
-
-def _is_equivalence(structure: CaAtomStructure, i: int) -> str | None:
-    rel = structure.cyl[i]
-    n = structure.natoms
-    for a in range(n):
-        if (a, a) not in rel:
-            return f"T{i} not reflexive at {a}"
-    for a, b in rel:
-        if (b, a) not in rel:
-            return f"T{i} not symmetric at ({a},{b})"
-    cols = structure.cyl_image_masks(i)
-    for a, b in rel:
-        # transitivity: everything reaching a must reach b
-        if cols[a] & ~cols[b] & structure.full_mask:
-            return f"T{i} not transitive through ({a},{b})"
-    return None
 
 
 def _union_find_classes(n: int, pairs: Iterable[tuple[int, int]]):
@@ -127,7 +111,7 @@ def nr(
     dropped = tuple(i for i in range(structure.dim) if i not in gamma)
     details: list[str] = []
     for i in dropped:
-        why = _is_equivalence(structure, i)
+        why = next((d for _, d in equivalence_defects(structure, i) if d), None)
         if why is not None:
             if not force:
                 raise ValueError(f"dropped relation is not an equivalence: {why}")
@@ -214,9 +198,6 @@ def nr(
         subsets = [rng.getrandbits(nclasses) for _ in range(SAMPLE_COUNT)]
 
     cls_masks = [sum(1 << a for a in cls) for cls in classes]
-    q_cols = (
-        [quotient.cyl_image_masks(p) for p in range(len(gamma))] if quotient else None
-    )
     for sub in subsets:
         src_mask = 0
         for ci in range(nclasses):
@@ -230,10 +211,7 @@ def nr(
                 note_fail(f"c_{i} image of a closed set is not closed (subset {sub})")
                 continue
             if quotient is not None:
-                q_img = 0
-                for ci in range(nclasses):
-                    if (sub >> ci) & 1:
-                        q_img |= q_cols[p][ci]
+                q_img = quotient.cyl_op(p).apply(sub)
                 if frozenset(_bits(q_img)) != lifted:
                     note_fail(
                         f"quotient c at position {p} disagrees with source c_{i} "
@@ -372,22 +350,13 @@ def rl_x(structure: CaAtomStructure, x: Element) -> RlResult:
     probe = []
     commutes = True
     for i in range(sub.dim):
-        ci = sub.cyl_image_masks(i)
+        ci = sub.cyl_op(i)
         for j in range(i + 1, sub.dim):
-            cj = sub.cyl_image_masks(j)
-            ij = [_mask_image(ci, cj[a]) for a in range(sub.natoms)]
-            ji = [_mask_image(cj, ci[a]) for a in range(sub.natoms)]
-            same = ij == ji
+            cj = sub.cyl_op(j)
+            same = ci.after(cj) == cj.after(ci)
             probe.append((i, j, same))
             commutes = commutes and same
     return RlResult(sub, kept, tuple(probe), commutes, tuple(details))
-
-
-def _mask_image(cols: Sequence[int], mask: int) -> int:
-    out = 0
-    for b in _bits(mask):
-        out |= cols[b]
-    return out
 
 
 # ---------------------------------------------------------------------------

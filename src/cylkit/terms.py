@@ -1,10 +1,19 @@
 """Term AST over the cylindric/polyadic signature, evaluation, and checking.
 
-Terms are frozen dataclass trees with integer-indexed variables.  The
-evaluator interprets them in the complex algebra of a structure.  The
-equation checker decides equations and inequalities in three modes:
-exhaustive (all element assignments, a decision procedure for the finite
-complex algebra), atoms (singleton assignments), and seeded sampling.
+Terms are frozen dataclass trees with integer-indexed variables.  One
+evaluator, `_eval_masks`, interprets them in the complex algebra of a
+structure over raw masks: a variable maps to an int mask or to a uint32
+array of masks, and each cylindrifier or substitution node applies the
+structure's `AdditiveOperator`, through `apply` or `apply_vec` by the type
+of its argument.  `eval_term` is its Element-level entry point.
+
+The equation checker compiles both sides into one post-order program in
+which shared subterms are evaluated once, and decides equations and
+inequalities in three modes: exhaustive (all element assignments, a
+decision procedure for the finite complex algebra; the last variable
+sweeps all masks as one array, and steps that do not read the first of two
+variables run once per check), atoms (singleton assignments), and seeded
+sampling.
 
 The sc-word calculus turns a string of replacement-substitution and
 cylindrifier tokens into the partial self-map of indices it induces.
@@ -12,19 +21,12 @@ cylindrifier tokens into the partial self-map of indices it induces.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .bao import (
-    CaAtomStructure,
-    Element,
-    cyl,
-    diag,
-    subst_repl,
-    subst_transp,
-)
+from .bao import AdditiveOperator, CaAtomStructure, Element
 
 
 class Term:
@@ -127,99 +129,117 @@ def variables(t: Term) -> frozenset[int]:
     return variables(t.arg)  # type: ignore[union-attr]
 
 
-def eval_term(structure: CaAtomStructure, t: Term, env: Mapping[int, Element]) -> Element:
-    """Denotation of t under env in the complex algebra of the structure."""
-    if isinstance(t, Zero):
-        return Element(structure, 0)
-    if isinstance(t, One):
-        return Element(structure, structure.full_mask)
-    if isinstance(t, Var):
-        if t.k not in env:
-            raise ValueError(f"unbound variable {t.k}")
-        x = env[t.k]
-        if not (x.structure is structure or x.structure == structure):
-            raise ValueError("environment element belongs to a different structure")
-        return x
-    if isinstance(t, Complement):
-        return ~eval_term(structure, t.arg, env)
-    if isinstance(t, Meet):
-        return eval_term(structure, t.left, env) & eval_term(structure, t.right, env)
-    if isinstance(t, Join):
-        return eval_term(structure, t.left, env) | eval_term(structure, t.right, env)
+Mask = Union[int, np.ndarray]
+
+
+def _apply(op: AdditiveOperator, x: Mask) -> Mask:
+    return op.apply_vec(x) if isinstance(x, np.ndarray) else op.apply(x)
+
+
+def _eval_masks(structure: CaAtomStructure, t: Term, env: Mapping[int, Mask]) -> Mask:
+    """Denotation of t where each variable maps to a mask: an int, or a
+    uint32 array of masks, one per assignment.
+
+    Operators apply to ints one mask at a time and to arrays through
+    `AdditiveOperator.apply_vec`; the result is an array as soon as an array
+    variable reaches it.  Index ranges are checked at every node.
+    """
     if isinstance(t, Cyl):
-        return cyl(structure, t.i, eval_term(structure, t.arg, env))
-    if isinstance(t, Diag):
-        return diag(structure, t.i, t.j)
-    if isinstance(t, SubstRepl):
-        return subst_repl(structure, t.i, t.j, eval_term(structure, t.arg, env))
-    if isinstance(t, SubstTransp):
-        return subst_transp(structure, t.i, t.j, eval_term(structure, t.arg, env))
-    if isinstance(t, SwapMacro):
-        return eval_term(structure, expand_swap(t), env)
-    if isinstance(t, DualCyl):
-        return ~cyl(structure, t.i, ~eval_term(structure, t.arg, env))
-    raise TypeError(f"unknown term node {t!r}")
-
-
-# ---------------------------------------------------------------------------
-# vectorized evaluation over arrays of masks (exhaustive checking)
-
-
-def _apply_tables(tables: Sequence[int], arr: np.ndarray, natoms: int) -> np.ndarray:
-    out = np.zeros_like(arr)
-    for a in range(natoms):
-        out |= np.where((arr >> np.uint32(a)) & 1, np.uint32(tables[a]), np.uint32(0))
-    return out
-
-
-def _eval_vec(
-    structure: CaAtomStructure, t: Term, env: Mapping[int, np.ndarray | int]
-) -> np.ndarray | int:
-    """Evaluate t where variables map to scalar masks or arrays of masks."""
-    n = structure.natoms
-    full = structure.full_mask
-    if isinstance(t, Zero):
-        return 0
-    if isinstance(t, One):
-        return full
+        return _apply(structure.cyl_op(t.i), _eval_masks(structure, t.arg, env))
     if isinstance(t, Var):
         if t.k not in env:
             raise ValueError(f"unbound variable {t.k}")
         return env[t.k]
-    if isinstance(t, Complement):
-        return _eval_vec(structure, t.arg, env) ^ np.uint32(full)
     if isinstance(t, Meet):
-        return _eval_vec(structure, t.left, env) & _eval_vec(structure, t.right, env)
+        return _eval_masks(structure, t.left, env) & _eval_masks(structure, t.right, env)
     if isinstance(t, Join):
-        return _eval_vec(structure, t.left, env) | _eval_vec(structure, t.right, env)
+        return _eval_masks(structure, t.left, env) | _eval_masks(structure, t.right, env)
+    if isinstance(t, Complement):
+        return _eval_masks(structure, t.arg, env) ^ structure.full_mask
+    if isinstance(t, DualCyl):
+        full = structure.full_mask
+        inner = _eval_masks(structure, t.arg, env) ^ full
+        return _apply(structure.cyl_op(t.i), inner) ^ full
+    if isinstance(t, SubstRepl):
+        inner = _eval_masks(structure, t.arg, env)
+        dmask = structure.diag_mask(t.i, t.j)
+        return inner if t.i == t.j else _apply(structure.cyl_op(t.i), inner & dmask)
+    if isinstance(t, SubstTransp):
+        inner = _eval_masks(structure, t.arg, env)
+        structure._check_index(t.i)
+        structure._check_index(t.j)
+        return inner if t.i == t.j else _apply(structure.transp_op(t.i, t.j), inner)
+    if isinstance(t, SwapMacro):
+        return _eval_masks(structure, expand_swap(t), env)
+    if isinstance(t, Zero):
+        return 0
+    if isinstance(t, One):
+        return structure.full_mask
     if isinstance(t, Diag):
         return structure.diag_mask(t.i, t.j)
-    if isinstance(t, SwapMacro):
-        return _eval_vec(structure, expand_swap(t), env)
-    if isinstance(t, (Cyl, DualCyl, SubstRepl, SubstTransp)):
-        inner = _eval_vec(structure, t.arg, env)
-        if isinstance(t, DualCyl):
-            inner = inner ^ np.uint32(full)
-        elif isinstance(t, SubstRepl):
-            if t.i == t.j:
-                return inner
-            inner = inner & np.uint32(structure.diag_mask(t.i, t.j))
-        if isinstance(inner, (int, np.integer)):
-            inner = np.array([inner], dtype=np.uint32)
-            scalar = True
-        else:
-            scalar = False
-        if isinstance(t, SubstTransp):
-            if t.i == t.j:
-                out = inner
-            else:
-                out = _apply_tables(structure.transp_image_masks(t.i, t.j), inner, n)
-        else:
-            out = _apply_tables(structure.cyl_image_masks(t.i), inner, n)
-        if isinstance(t, DualCyl):
-            out = out ^ np.uint32(full)
-        return int(out[0]) if scalar else out
     raise TypeError(f"unknown term node {t!r}")
+
+
+def eval_term(structure: CaAtomStructure, t: Term, env: Mapping[int, Element]) -> Element:
+    """Denotation of t under env in the complex algebra of the structure."""
+    masks = {}
+    for k, x in env.items():
+        if not (x.structure is structure or x.structure == structure):
+            raise ValueError("environment element belongs to a different structure")
+        masks[k] = x.mask
+    return Element(structure, _eval_masks(structure, t, masks))
+
+
+# One step of a compiled program: (slot, node, variables).  The node is one
+# operation whose compound children are read from Var(slot) of earlier steps.
+_Step = tuple[int, Term, frozenset[int]]
+
+
+def _compile(sides: Sequence[Term], vs: Sequence[int]) -> tuple[list[_Step], list[Term]]:
+    """Compile terms into one post-order program with shared subterms.
+
+    Every compound subterm, identical ones once, becomes a step that stores
+    its mask in a slot variable numbered above every variable in `vs`.
+    Returns the steps and, per side, the term that reads its value: a slot
+    variable, or the side itself when it is a leaf.
+    """
+    base = max(vs, default=-1) + 1
+    seen: dict[Term, tuple[Term, frozenset[int]]] = {}
+    steps: list[_Step] = []
+    return steps, [_visit(t, base, seen, steps)[0] for t in sides]
+
+
+def _visit(
+    t: Term, base: int, seen: dict[Term, tuple[Term, frozenset[int]]], steps: list[_Step]
+) -> tuple[Term, frozenset[int]]:
+    """The term that reads t's value after the steps, and t's variables."""
+    if isinstance(t, SwapMacro):
+        t = expand_swap(t)
+    if isinstance(t, Var):
+        return t, frozenset({t.k})
+    if isinstance(t, (Zero, One, Diag)):
+        return t, frozenset()
+    if t in seen:
+        return seen[t]
+    if isinstance(t, (Meet, Join)):
+        left, lvars = _visit(t.left, base, seen, steps)
+        right, rvars = _visit(t.right, base, seen, steps)
+        node, tvars = replace(t, left=left, right=right), lvars | rvars
+    elif isinstance(t, (Complement, Cyl, DualCyl, SubstRepl, SubstTransp)):
+        arg, tvars = _visit(t.arg, base, seen, steps)
+        node = replace(t, arg=arg)
+    else:
+        raise TypeError(f"unknown term node {t!r}")
+    slot = base + len(steps)
+    steps.append((slot, node, tvars))
+    seen[t] = Var(slot), tvars
+    return seen[t]
+
+
+def _run(structure: CaAtomStructure, steps: Sequence[_Step], env: dict[int, Mask]) -> None:
+    """Evaluate the steps in order, storing each mask in env under its slot."""
+    for slot, node, _ in steps:
+        env[slot] = _eval_masks(structure, node, env)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +287,12 @@ def _violates(relation: str, lv: int, rv: int) -> bool:
     raise ValueError(f"unknown relation {relation!r}")
 
 
+def _counterexample(
+    structure: CaAtomStructure, masks: Mapping[int, int]
+) -> tuple[tuple[int, Element], ...]:
+    return tuple((v, Element(structure, m)) for v, m in sorted(masks.items()))
+
+
 def check_equation(
     structure: CaAtomStructure,
     lhs: Term,
@@ -274,7 +300,11 @@ def check_equation(
     mode: CheckMode = Exhaustive(),
     relation: str = "eq",
 ) -> EquationReport:
-    """Check lhs = rhs (or lhs <= rhs) under the given assignment mode."""
+    """Check lhs = rhs (or lhs <= rhs) under the given assignment mode.
+
+    Both sides are compiled once into one program (`_compile`), so a
+    subterm they share is evaluated once per assignment.
+    """
     if relation not in ("eq", "leq"):
         raise ValueError(f"unknown relation {relation!r}")
     vs = sorted(variables(lhs) | variables(rhs))
@@ -290,29 +320,31 @@ def check_equation(
     if isinstance(mode, AtomsMode):
         if n ** max(len(vs), 1) > 1 << 20:
             raise ValueError("atoms mode bound exceeded")
-        count = 0
-        for combo in _product_indices(n, len(vs)):
-            env = {v: Element(structure, 1 << a) for v, a in zip(vs, combo)}
-            count += 1
-            lv = eval_term(structure, lhs, env).mask
-            rv = eval_term(structure, rhs, env).mask
-            if _violates(relation, lv, rv):
-                return EquationReport(False, tuple(sorted(env.items())), count, "atoms", relation)
-        return EquationReport(True, None, count, "atoms", relation)
-
-    if isinstance(mode, Sample):
+        assignments: Iterator[dict[int, int]] = (
+            {v: 1 << a for v, a in zip(vs, combo)}
+            for combo in _product_indices(n, len(vs))
+        )
+        label = "atoms"
+    elif isinstance(mode, Sample):
         rng = random.Random(mode.seed)
-        for trial in range(mode.count):
-            env = {v: Element(structure, rng.getrandbits(n)) for v in vs}
-            lv = eval_term(structure, lhs, env).mask
-            rv = eval_term(structure, rhs, env).mask
-            if _violates(relation, lv, rv):
-                return EquationReport(
-                    False, tuple(sorted(env.items())), trial + 1, "sample", relation
-                )
-        return EquationReport(True, None, mode.count, "sample", relation)
+        assignments = ({v: rng.getrandbits(n) for v in vs} for _ in range(mode.count))
+        label = "sample"
+    else:
+        raise TypeError(f"unknown mode {mode!r}")
 
-    raise TypeError(f"unknown mode {mode!r}")
+    steps, (lref, rref) = _compile((lhs, rhs), vs)
+    count = 0
+    for masks in assignments:
+        count += 1
+        env = dict(masks)
+        _run(structure, steps, env)
+        lv = _eval_masks(structure, lref, env)
+        rv = _eval_masks(structure, rref, env)
+        if _violates(relation, lv, rv):
+            return EquationReport(
+                False, _counterexample(structure, masks), count, label, relation
+            )
+    return EquationReport(True, None, count, label, relation)
 
 
 def _product_indices(n: int, arity: int) -> Iterator[tuple[int, ...]]:
@@ -333,44 +365,46 @@ def _check_exhaustive(
 ) -> EquationReport:
     n = structure.natoms
     total = 1 << n
+    steps, (lref, rref) = _compile((lhs, rhs), vs)
     if not vs:
-        lv = eval_term(structure, lhs, {}).mask
-        rv = eval_term(structure, rhs, {}).mask
-        bad = _violates(relation, lv, rv)
+        env: dict[int, Mask] = {}
+        _run(structure, steps, env)
+        bad = _violates(
+            relation, _eval_masks(structure, lref, env), _eval_masks(structure, rref, env)
+        )
         return EquationReport(not bad, () if bad else None, 1, "exhaustive", relation)
 
+    # The last variable sweeps all its masks at once, as one array.  With two
+    # variables the first runs over its masks one at a time, and the steps
+    # that do not read it are evaluated once, before that loop.
     all_masks = np.arange(total, dtype=np.uint32)
-    if len(vs) == 1:
-        lv = _eval_vec(structure, lhs, {vs[0]: all_masks})
-        rv = _eval_vec(structure, rhs, {vs[0]: all_masks})
-        lv = np.broadcast_to(np.asarray(lv, dtype=np.uint32), (total,))
-        rv = np.broadcast_to(np.asarray(rv, dtype=np.uint32), (total,))
-        viol = (lv != rv) if relation == "eq" else (lv & ~rv & np.uint32(structure.full_mask)) != 0
-        idx = np.nonzero(viol)[0]
-        if idx.size:
-            env = ((vs[0], Element(structure, int(idx[0]))),)
-            return EquationReport(False, env, total, "exhaustive", relation)
-        return EquationReport(True, None, total, "exhaustive", relation)
-
-    # two variables: outer scalar loop, inner vectorized sweep
     full = np.uint32(structure.full_mask)
-    for xmask in range(total):
-        env = {vs[0]: xmask, vs[1]: all_masks}
-        lv = _eval_vec(structure, lhs, env)
-        rv = _eval_vec(structure, rhs, env)
-        lv = np.broadcast_to(np.asarray(lv, dtype=np.uint32), (total,))
-        rv = np.broadcast_to(np.asarray(rv, dtype=np.uint32), (total,))
+    outer = vs[0] if len(vs) == 2 else None
+    fixed: dict[int, Mask] = {vs[-1]: all_masks}
+    _run(structure, [s for s in steps if outer not in s[2]], fixed)
+    varying = [s for s in steps if outer in s[2]]
+    for xmask in range(total if outer is not None else 1):
+        env = fixed if outer is None else {**fixed, outer: xmask}
+        _run(structure, varying, env)
+        lv = np.broadcast_to(
+            np.asarray(_eval_masks(structure, lref, env), dtype=np.uint32), (total,)
+        )
+        rv = np.broadcast_to(
+            np.asarray(_eval_masks(structure, rref, env), dtype=np.uint32), (total,)
+        )
         viol = (lv != rv) if relation == "eq" else (lv & ~rv & full) != 0
-        idx = np.nonzero(viol)[0]
-        if idx.size:
-            env_out = (
-                (vs[0], Element(structure, xmask)),
-                (vs[1], Element(structure, int(idx[0]))),
-            )
+        if viol.any():
+            found = {vs[-1]: int(viol.argmax())}
+            if outer is not None:
+                found[outer] = xmask
             return EquationReport(
-                False, env_out, (xmask + 1) * total, "exhaustive", relation
+                False,
+                _counterexample(structure, found),
+                (xmask + 1) * total,
+                "exhaustive",
+                relation,
             )
-    return EquationReport(True, None, total * total, "exhaustive", relation)
+    return EquationReport(True, None, total ** len(vs), "exhaustive", relation)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,641 @@
+"""The additive operator and the one term evaluator, against the loops and
+evaluators they replaced.
+
+The oracles below are the earlier implementations, kept verbatim apart
+from their names: the "OR the columns of the set bits" loop, the
+vectorised `_apply_tables` (one `np.where` pass per atom), the array
+evaluator `_eval_vec`, the Element-level `eval_term` and `check_equation`,
+`check_ca_frame` with its `_compose_cols`, and `neat._is_equivalence`.
+"""
+
+import dataclasses
+import random
+
+import numpy as np
+import pytest
+
+from cylkit import (
+    AtomsMode,
+    CaAtomStructure,
+    Element,
+    EquationReport,
+    Exhaustive,
+    Sample,
+    ca_axioms,
+    diag,
+    element,
+    eval_term,
+    full_set_algebra,
+    monk_atoms,
+    pea_axioms,
+    rl_x,
+    three_cube,
+)
+from cylkit.acceptance import _violator_diagonal, _violator_nontransitive
+from cylkit.bao import FrameCondition, FrameReport, _bits, check_ca_frame
+from cylkit.constructions import SplitPolicy, johnson_extend, split_atom
+from cylkit.games import drop_cyl_pair
+from cylkit.neat import nr
+from cylkit.terms import (
+    Complement,
+    Cyl,
+    Diag,
+    DualCyl,
+    Join,
+    Meet,
+    One,
+    SubstRepl,
+    SubstTransp,
+    SwapMacro,
+    Var,
+    Zero,
+    _eval_masks,
+    _product_indices,
+    _violates,
+    check_equation,
+    expand_swap,
+    relcomp01_lowdim,
+    relcomp01_spare,
+    swap01_lowdim,
+    swap01_spare,
+    variables,
+)
+
+# ---------------------------------------------------------------------------
+# oracles: the earlier implementations
+
+
+def seed_bit_loop(tables, mask):
+    out = 0
+    for b in _bits(mask):
+        out |= tables[b]
+    return out
+
+
+def seed_apply_tables(tables, arr, natoms):
+    out = np.zeros_like(arr)
+    for a in range(natoms):
+        out |= np.where((arr >> np.uint32(a)) & 1, np.uint32(tables[a]), np.uint32(0))
+    return out
+
+
+def seed_cyl(structure, i, x):
+    """T_i-preimage: {a : exists b in x with (a,b) in T_i}."""
+    tables = structure.cyl_image_masks(i)
+    out = 0
+    for b in _bits(x.mask):
+        out |= tables[b]
+    return Element(structure, out)
+
+
+def seed_subst_repl(structure, i, j, x):
+    structure._check_index(i)
+    structure._check_index(j)
+    if i == j:
+        return x
+    return seed_cyl(structure, i, Element(structure, x.mask & structure.diag_mask(i, j)))
+
+
+def seed_subst_transp(structure, i, j, x):
+    structure._check_index(i)
+    structure._check_index(j)
+    if i == j:
+        return x
+    tables = structure.transp_image_masks(i, j)
+    out = 0
+    for b in _bits(x.mask):
+        out |= tables[b]
+    return Element(structure, out)
+
+
+def seed_eval_term(structure, t, env):
+    """Denotation of t under env in the complex algebra of the structure."""
+    if isinstance(t, Zero):
+        return Element(structure, 0)
+    if isinstance(t, One):
+        return Element(structure, structure.full_mask)
+    if isinstance(t, Var):
+        if t.k not in env:
+            raise ValueError(f"unbound variable {t.k}")
+        x = env[t.k]
+        if not (x.structure is structure or x.structure == structure):
+            raise ValueError("environment element belongs to a different structure")
+        return x
+    if isinstance(t, Complement):
+        return ~seed_eval_term(structure, t.arg, env)
+    if isinstance(t, Meet):
+        return seed_eval_term(structure, t.left, env) & seed_eval_term(structure, t.right, env)
+    if isinstance(t, Join):
+        return seed_eval_term(structure, t.left, env) | seed_eval_term(structure, t.right, env)
+    if isinstance(t, Cyl):
+        return seed_cyl(structure, t.i, seed_eval_term(structure, t.arg, env))
+    if isinstance(t, Diag):
+        return diag(structure, t.i, t.j)
+    if isinstance(t, SubstRepl):
+        return seed_subst_repl(structure, t.i, t.j, seed_eval_term(structure, t.arg, env))
+    if isinstance(t, SubstTransp):
+        return seed_subst_transp(structure, t.i, t.j, seed_eval_term(structure, t.arg, env))
+    if isinstance(t, SwapMacro):
+        return seed_eval_term(structure, expand_swap(t), env)
+    if isinstance(t, DualCyl):
+        return ~seed_cyl(structure, t.i, ~seed_eval_term(structure, t.arg, env))
+    raise TypeError(f"unknown term node {t!r}")
+
+
+def seed_eval_vec(structure, t, env):
+    """Evaluate t where variables map to scalar masks or arrays of masks."""
+    n = structure.natoms
+    full = structure.full_mask
+    if isinstance(t, Zero):
+        return 0
+    if isinstance(t, One):
+        return full
+    if isinstance(t, Var):
+        if t.k not in env:
+            raise ValueError(f"unbound variable {t.k}")
+        return env[t.k]
+    if isinstance(t, Complement):
+        return seed_eval_vec(structure, t.arg, env) ^ np.uint32(full)
+    if isinstance(t, Meet):
+        return seed_eval_vec(structure, t.left, env) & seed_eval_vec(structure, t.right, env)
+    if isinstance(t, Join):
+        return seed_eval_vec(structure, t.left, env) | seed_eval_vec(structure, t.right, env)
+    if isinstance(t, Diag):
+        return structure.diag_mask(t.i, t.j)
+    if isinstance(t, SwapMacro):
+        return seed_eval_vec(structure, expand_swap(t), env)
+    if isinstance(t, (Cyl, DualCyl, SubstRepl, SubstTransp)):
+        inner = seed_eval_vec(structure, t.arg, env)
+        if isinstance(t, DualCyl):
+            inner = inner ^ np.uint32(full)
+        elif isinstance(t, SubstRepl):
+            if t.i == t.j:
+                return inner
+            inner = inner & np.uint32(structure.diag_mask(t.i, t.j))
+        if isinstance(inner, (int, np.integer)):
+            inner = np.array([inner], dtype=np.uint32)
+            scalar = True
+        else:
+            scalar = False
+        if isinstance(t, SubstTransp):
+            if t.i == t.j:
+                out = inner
+            else:
+                out = seed_apply_tables(structure.transp_image_masks(t.i, t.j), inner, n)
+        else:
+            out = seed_apply_tables(structure.cyl_image_masks(t.i), inner, n)
+        if isinstance(t, DualCyl):
+            out = out ^ np.uint32(full)
+        return int(out[0]) if scalar else out
+    raise TypeError(f"unknown term node {t!r}")
+
+
+def seed_check_equation(structure, lhs, rhs, mode=Exhaustive(), relation="eq"):
+    """Check lhs = rhs (or lhs <= rhs) under the given assignment mode."""
+    if relation not in ("eq", "leq"):
+        raise ValueError(f"unknown relation {relation!r}")
+    vs = sorted(variables(lhs) | variables(rhs))
+    n = structure.natoms
+
+    if isinstance(mode, Exhaustive):
+        if len(vs) > 2:
+            raise ValueError("exhaustive mode supports at most 2 variables")
+        if n > 16:
+            raise ValueError("exhaustive mode requires at most 2^16 elements per variable")
+        return seed_check_exhaustive(structure, lhs, rhs, relation, vs)
+
+    if isinstance(mode, AtomsMode):
+        if n ** max(len(vs), 1) > 1 << 20:
+            raise ValueError("atoms mode bound exceeded")
+        count = 0
+        for combo in _product_indices(n, len(vs)):
+            env = {v: Element(structure, 1 << a) for v, a in zip(vs, combo)}
+            count += 1
+            lv = seed_eval_term(structure, lhs, env).mask
+            rv = seed_eval_term(structure, rhs, env).mask
+            if _violates(relation, lv, rv):
+                return EquationReport(False, tuple(sorted(env.items())), count, "atoms", relation)
+        return EquationReport(True, None, count, "atoms", relation)
+
+    if isinstance(mode, Sample):
+        rng = random.Random(mode.seed)
+        for trial in range(mode.count):
+            env = {v: Element(structure, rng.getrandbits(n)) for v in vs}
+            lv = seed_eval_term(structure, lhs, env).mask
+            rv = seed_eval_term(structure, rhs, env).mask
+            if _violates(relation, lv, rv):
+                return EquationReport(
+                    False, tuple(sorted(env.items())), trial + 1, "sample", relation
+                )
+        return EquationReport(True, None, mode.count, "sample", relation)
+
+    raise TypeError(f"unknown mode {mode!r}")
+
+
+def seed_check_exhaustive(structure, lhs, rhs, relation, vs):
+    n = structure.natoms
+    total = 1 << n
+    if not vs:
+        lv = seed_eval_term(structure, lhs, {}).mask
+        rv = seed_eval_term(structure, rhs, {}).mask
+        bad = _violates(relation, lv, rv)
+        return EquationReport(not bad, () if bad else None, 1, "exhaustive", relation)
+
+    all_masks = np.arange(total, dtype=np.uint32)
+    if len(vs) == 1:
+        lv = seed_eval_vec(structure, lhs, {vs[0]: all_masks})
+        rv = seed_eval_vec(structure, rhs, {vs[0]: all_masks})
+        lv = np.broadcast_to(np.asarray(lv, dtype=np.uint32), (total,))
+        rv = np.broadcast_to(np.asarray(rv, dtype=np.uint32), (total,))
+        viol = (lv != rv) if relation == "eq" else (lv & ~rv & np.uint32(structure.full_mask)) != 0
+        idx = np.nonzero(viol)[0]
+        if idx.size:
+            env = ((vs[0], Element(structure, int(idx[0]))),)
+            return EquationReport(False, env, total, "exhaustive", relation)
+        return EquationReport(True, None, total, "exhaustive", relation)
+
+    # two variables: outer scalar loop, inner vectorized sweep
+    full = np.uint32(structure.full_mask)
+    for xmask in range(total):
+        env = {vs[0]: xmask, vs[1]: all_masks}
+        lv = seed_eval_vec(structure, lhs, env)
+        rv = seed_eval_vec(structure, rhs, env)
+        lv = np.broadcast_to(np.asarray(lv, dtype=np.uint32), (total,))
+        rv = np.broadcast_to(np.asarray(rv, dtype=np.uint32), (total,))
+        viol = (lv != rv) if relation == "eq" else (lv & ~rv & full) != 0
+        idx = np.nonzero(viol)[0]
+        if idx.size:
+            env_out = (
+                (vs[0], Element(structure, xmask)),
+                (vs[1], Element(structure, int(idx[0]))),
+            )
+            return EquationReport(
+                False, env_out, (xmask + 1) * total, "exhaustive", relation
+            )
+    return EquationReport(True, None, total * total, "exhaustive", relation)
+
+
+def seed_compose_cols(outer, inner):
+    """Column masks of the relational composite outer after inner.
+
+    col[b] of the result is {a : exists c with a in outer-col[c], c in inner-col[b]}.
+    """
+    out = []
+    for col_b in inner:
+        acc = 0
+        for c in _bits(col_b):
+            acc |= outer[c]
+        out.append(acc)
+    return out
+
+
+def seed_check_ca_frame(structure):
+    n = structure.natoms
+    dim = structure.dim
+    conds = []
+
+    for i in range(dim):
+        rel = structure.cyl[i]
+        refl = all((a, a) in rel for a in range(n))
+        conds.append(FrameCondition(f"T{i}_reflexive", refl))
+        sym = all((b, a) in rel for a, b in rel)
+        conds.append(FrameCondition(f"T{i}_symmetric", sym))
+        cols = structure.cyl_image_masks(i)
+        trans = all(cols[a] & ~cols[b] == 0 for a, b in rel)
+        conds.append(FrameCondition(f"T{i}_transitive", trans))
+
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            ij = seed_compose_cols(structure.cyl_image_masks(i), structure.cyl_image_masks(j))
+            ji = seed_compose_cols(structure.cyl_image_masks(j), structure.cyl_image_masks(i))
+            conds.append(FrameCondition(f"commute_T{i}_T{j}", ij == ji))
+
+    for i in range(dim):
+        conds.append(
+            FrameCondition(f"E{i}{i}_full", structure.diag_mask(i, i) == structure.full_mask)
+        )
+
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                if k in (i, j):
+                    continue
+                meet = structure.diag_mask(i, k) & structure.diag_mask(k, j)
+                image = 0
+                cols = structure.cyl_image_masks(k)
+                for b in _bits(meet):
+                    image |= cols[b]
+                ok = image == structure.diag_mask(i, j)
+                conds.append(FrameCondition(f"diag_chain_E{i}{j}_via_{k}", ok))
+
+    for i in range(dim):
+        for j in range(dim):
+            if i == j:
+                continue
+            dm = structure.diag_mask(i, j)
+            ok = True
+            for a, b in structure.cyl[i]:
+                if a != b and dm >> a & 1 and dm >> b & 1:
+                    ok = False
+                    break
+            conds.append(FrameCondition(f"diag_unique_E{i}{j}_in_T{i}", ok))
+
+    if structure.transp is not None:
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                rel = structure.transp_rel(i, j)
+                img = dict(rel)
+                inv = len(img) == n and all(img.get(img[a]) == a for a in img)
+                conds.append(FrameCondition(f"P{i}{j}_involution", inv))
+                swap = {i: j, j: i}
+                pcols = structure.transp_image_masks(i, j)
+                ok = True
+                for k in range(dim):
+                    lhs = seed_compose_cols(pcols, structure.cyl_image_masks(k))
+                    rhs = seed_compose_cols(structure.cyl_image_masks(swap.get(k, k)), pcols)
+                    if lhs != rhs:
+                        ok = False
+                        break
+                conds.append(FrameCondition(f"P{i}{j}_cyl_compat", ok))
+                ok = True
+                for k in range(dim):
+                    for l in range(dim):
+                        image = 0
+                        for b in _bits(structure.diag_mask(k, l)):
+                            image |= pcols[b]
+                        if image != structure.diag_mask(swap.get(k, k), swap.get(l, l)):
+                            ok = False
+                conds.append(FrameCondition(f"P{i}{j}_diag_compat", ok))
+
+    return FrameReport(all(c.passed for c in conds), tuple(conds))
+
+
+def seed_is_equivalence(structure, i):
+    rel = structure.cyl[i]
+    n = structure.natoms
+    for a in range(n):
+        if (a, a) not in rel:
+            return f"T{i} not reflexive at {a}"
+    for a, b in rel:
+        if (b, a) not in rel:
+            return f"T{i} not symmetric at ({a},{b})"
+    cols = structure.cyl_image_masks(i)
+    for a, b in rel:
+        # transitivity: everything reaching a must reach b
+        if cols[a] & ~cols[b] & structure.full_mask:
+            return f"T{i} not transitive through ({a},{b})"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# fixtures
+
+
+def _split12():
+    """The 12-atom fixture of the benchmark's `equations` workload."""
+    fs23 = full_set_algebra(2, 3)
+    plain = dataclasses.replace(fs23, transp=None)
+    return split_atom(plain, fs23.atoms.index("(0, 1)"), SplitPolicy(4)).structure
+
+
+STRUCTURES = {
+    "cs3": lambda: full_set_algebra(3, 2),
+    "split12": _split12,
+    "fs42": lambda: full_set_algebra(4, 2),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(STRUCTURES))
+def structure(request):
+    return STRUCTURES[request.param]()
+
+
+def _operators(structure):
+    """(operator, its column table) for every cyl and transp operator."""
+    out = [(structure.cyl_op(i), structure.cyl_image_masks(i)) for i in range(structure.dim)]
+    if structure.transp is not None:
+        for i in range(structure.dim):
+            for j in range(i + 1, structure.dim):
+                out.append((structure.transp_op(i, j), structure.transp_image_masks(i, j)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the operator
+
+
+def test_operator_matches_the_bit_loop_on_every_mask(structure):
+    n = structure.natoms
+    every = np.arange(1 << n, dtype=np.uint32)
+    for op, cols in _operators(structure):
+        assert [op.apply(m) for m in range(1 << n)] == [
+            seed_bit_loop(cols, m) for m in range(1 << n)
+        ]
+        got = op.apply_vec(every)
+        assert got.dtype == np.uint32
+        assert np.array_equal(got, seed_apply_tables(cols, every, n))
+
+
+def _random_structure(n: int, seed: int, dim: int = 2) -> CaAtomStructure:
+    """Arbitrary relations, off-diagonal sets and involutions on n atoms;
+    at odd seeds the relations are made reflexive and symmetric."""
+    rng = random.Random(seed)
+    rels = [
+        {(a, b) for a in range(n) for b in range(n) if rng.random() < 0.2}
+        for _ in range(dim)
+    ]
+    if seed % 2:
+        rels = [rel | {(b, a) for a, b in rel} | {(a, a) for a in range(n)} for rel in rels]
+    diag_sets = [
+        [range(n) if i == j else rng.sample(range(n), n // 2) for j in range(dim)]
+        for i in range(dim)
+    ]
+    transp = []
+    for _ in range(dim * (dim - 1) // 2):
+        atoms = list(range(n))
+        rng.shuffle(atoms)
+        pairs = list(zip(atoms[::2], atoms[1::2]))
+        fixed = [(a, a) for a in atoms[len(pairs) * 2 :]]
+        transp.append(pairs + [(b, a) for a, b in pairs] + fixed)
+    return CaAtomStructure.build(
+        dim=dim, atoms=[f"a{k}" for k in range(n)], cyl=rels, diag=diag_sets, transp=transp
+    )
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 31, 32, 33, 40])
+def test_operator_on_every_chunk_boundary(n):
+    # tables up to 32 atoms, the last chunk partly filled; the bit loop above
+    s = _random_structure(n, n)
+    rng = random.Random(n)
+    masks = [0, s.full_mask] + [rng.getrandbits(n) for _ in range(200)]
+    for i in range(s.dim):
+        op, cols = s.cyl_op(i), s.cyl_image_masks(i)
+        assert [op.apply(m) for m in masks] == [seed_bit_loop(cols, m) for m in masks]
+        if n <= 32:
+            arr = np.array(masks, dtype=np.uint32)
+            assert np.array_equal(op.apply_vec(arr), seed_apply_tables(cols, arr, n))
+        else:
+            with pytest.raises(ValueError):
+                op.apply_vec(np.array(masks[:1], dtype=np.uint32))
+
+
+def test_no_tables_above_32_atoms():
+    s = monk_atoms(3, 3)  # 34 atoms
+    rng = random.Random(0)
+    for i in range(s.dim):
+        op = s.cyl_op(i)
+        for _ in range(50):
+            m = rng.getrandbits(s.natoms)
+            assert op.apply(m) == seed_bit_loop(s.cyl_image_masks(i), m)
+        assert "_tables" not in vars(op)
+
+
+def test_tables_are_built_on_first_use():
+    s = full_set_algebra(3, 2)
+    op = s.cyl_op(0)
+    assert "_tables" not in vars(op)
+    op.apply(5)
+    assert len(vars(op)["_tables"]) == 1  # 8 atoms: one byte, one table
+    assert s.cyl_op(0) is op
+
+
+# ---------------------------------------------------------------------------
+# the one evaluator
+
+
+def _battery(structure):
+    eqs = list(ca_axioms(structure.dim))
+    if structure.transp is not None:
+        eqs += pea_axioms(structure.dim)
+    return [side for e in eqs for side in (e.lhs, e.rhs)]
+
+
+def _sides(name, structure):
+    """C1-C7 and PEA sides, or on fs42 the swap and composition witnesses."""
+    if name == "fs42":
+        return [swap01_spare(), swap01_lowdim(), relcomp01_spare(), relcomp01_lowdim()]
+    return _battery(structure)
+
+
+def _as_array(v, total):
+    return np.broadcast_to(np.asarray(v, dtype=np.uint32), (total,))
+
+
+@pytest.mark.parametrize("name", ["cs3", "split12", "fs42"])
+def test_evaluator_matches_the_seed_evaluators(name):
+    structure = STRUCTURES[name]()
+    n = structure.natoms
+    total = 1 << n
+    every = np.arange(total, dtype=np.uint32)
+    rng = random.Random(1)
+    outer = [0, structure.full_mask, rng.getrandbits(n), rng.getrandbits(n)]
+    pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(20)]
+    for t in _sides(name, structure):
+        vs = sorted(variables(t))
+        inner = vs[-1] if vs else 1
+        # the full inner array at several outer masks
+        for x in outer:
+            env = {inner: every} if len(vs) < 2 else {vs[0]: x, inner: every}
+            got = _eval_masks(structure, t, env)
+            want = seed_eval_vec(structure, t, env)
+            assert np.array_equal(_as_array(got, total), _as_array(want, total)), t
+        # scalar pairs, as masks and as Elements
+        for x, y in pairs:
+            masks = {0: x, 1: y}
+            got = _eval_masks(structure, t, masks)
+            assert isinstance(got, int)
+            assert got == int(seed_eval_vec(structure, t, masks)), t
+            env = {k: Element(structure, m) for k, m in masks.items()}
+            assert eval_term(structure, t, env) == seed_eval_term(structure, t, env), t
+
+
+def test_evaluator_covers_every_node_kind():
+    s = full_set_algebra(3, 2)
+    x, y = Var(0), Var(1)
+    terms = [
+        Join(DualCyl(1, x), Complement(y)),
+        SubstRepl(2, 2, Cyl(0, x)),
+        SubstTransp(1, 1, Meet(x, One())),
+        SubstTransp(2, 0, Join(x, Diag(0, 2))),
+        SwapMacro(2, 0, 1, Meet(x, Cyl(2, y))),
+        Meet(Zero(), x),
+    ]
+    every = np.arange(1 << s.natoms, dtype=np.uint32)
+    for t in terms:
+        for x_mask in (0, 0b10110101, s.full_mask):
+            env = {0: x_mask, 1: every}
+            got = _as_array(_eval_masks(s, t, env), every.size)
+            assert np.array_equal(got, _as_array(seed_eval_vec(s, t, env), every.size)), t
+            scalar = {0: x_mask, 1: 0b01100011}
+            assert _eval_masks(s, t, scalar) == int(seed_eval_vec(s, t, scalar)), t
+
+
+# ---------------------------------------------------------------------------
+# check_equation
+
+
+def _criterion_1_fixtures():
+    tc = three_cube()
+    return {
+        "full-set-3-over-2": full_set_algebra(3, 2),
+        "cube-below-diag01": rl_x(tc, diag(tc, 0, 1)).structure,
+        "cube-constant-triples": rl_x(tc, element(tc, [0, 13, 26])).structure,
+        "violator-nontransitive": _violator_nontransitive(),
+        "violator-diagonal": _violator_diagonal(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_criterion_1_fixtures()))
+def test_check_equation_matches_the_seed_on_criterion_1_fixtures(name):
+    s = _criterion_1_fixtures()[name]
+    eqs = list(ca_axioms(s.dim))
+    if s.transp is not None:
+        eqs += pea_axioms(s.dim)
+    # both directions of every equation as inequalities too, so that the
+    # leq path and sides that hold one way only are compared
+    cases = [(e.lhs, e.rhs, e.relation) for e in eqs]
+    cases += [(e.rhs, e.lhs, "leq") for e in eqs] + [(e.lhs, e.rhs, "leq") for e in eqs]
+    failures = 0
+    for mode in (Exhaustive(), AtomsMode(), Sample(seed=5, count=40)):
+        for lhs, rhs, relation in cases:
+            got = check_equation(s, lhs, rhs, mode, relation)
+            assert got == seed_check_equation(s, lhs, rhs, mode, relation), (lhs, rhs, mode)
+            failures += not got.holds
+    if name.startswith("violator"):
+        assert failures
+
+
+# ---------------------------------------------------------------------------
+# frame conditions and the equivalence check of nr
+
+
+def _frame_fixtures():
+    cs3 = full_set_algebra(3, 2)
+    cube = three_cube()
+    return {
+        "cs3": cs3,
+        "cube": cube,
+        "fs42": full_set_algebra(4, 2),
+        "split12": _split12(),
+        "johnson_extend(monk_atoms(3,3))": johnson_extend(monk_atoms(3, 3)),
+        "drop_cyl_pair(cs3,0,0,4)": drop_cyl_pair(cs3, 0, 0, 4),
+        "drop_cyl_pair(cube,2,0,1)": drop_cyl_pair(cube, 2, 0, 1),
+        "violator-nontransitive": _violator_nontransitive(),
+        "violator-diagonal": _violator_diagonal(),
+        **{f"random-{n}-{seed}": _random_structure(n, seed, 3) for n in (3, 9, 34) for seed in (0, 1)},
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_frame_fixtures()))
+def test_frame_check_and_equivalence_match_the_seed(name):
+    s = _frame_fixtures()[name]
+    assert check_ca_frame(s) == seed_check_ca_frame(s)
+    for i in range(s.dim):
+        why = seed_is_equivalence(s, i)
+        gamma = [k for k in range(s.dim) if k != i]
+        if why is None:
+            nr(s, gamma)  # accepted
+        else:
+            with pytest.raises(ValueError) as err:
+                nr(s, gamma)
+            assert str(err.value) == f"dropped relation is not an equivalence: {why}"

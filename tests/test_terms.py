@@ -168,6 +168,16 @@ def test_mode_guards():
         check_equation(big, Var(0), Var(0), Exhaustive())
 
 
+@pytest.mark.parametrize("mode", [Exhaustive(), AtomsMode(), Sample(seed=0, count=4)])
+@pytest.mark.parametrize("node", [SubstRepl, SubstTransp])
+def test_out_of_range_substitution_index_raises_in_every_mode(fs32, mode, node):
+    # s_ii and p_ii are the identity, but only for an index of the dimension
+    with pytest.raises(ValueError, match="index 5 out of range for dimension 3"):
+        check_equation(fs32, node(5, 5, Var(0)), Var(0), mode)
+    with pytest.raises(ValueError, match="index 5 out of range for dimension 3"):
+        eval_term(fs32, node(5, 5, Var(0)), {0: singleton(fs32, 0)})
+
+
 def test_exhaustive_agrees_with_naive_on_small_structure(fs32):
     # one-variable law, checked against a direct loop over all 256 elements
     lhs = Cyl(0, Cyl(0, Var(0)))
