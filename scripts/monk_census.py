@@ -23,11 +23,12 @@ def main() -> None:
     parser.add_argument(
         "--frame-cap",
         type=int,
-        default=5000,
+        default=20000,
         help=(
             "skip the frame check above this many atoms (0 checks everything); "
-            "the default checks (4,4) at 3,545 atoms (seconds) and skips (4,5) "
-            "at 14,016 atoms (minutes)"
+            "the default checks up to (4,5) at 14,016 atoms, whose frame check "
+            "takes about 2 s after a build of about 20 s ((4,4), 3,545 atoms: "
+            "0.13 s after 1.3 s; 2-core VM, Python 3.11)"
         ),
     )
     args = parser.parse_args()

@@ -123,8 +123,15 @@ class AdditiveOperator:
         return out
 
     def after(self, inner: "AdditiveOperator") -> tuple[int, ...]:
-        """Column masks of the relational composite self after inner."""
-        return tuple(map(self.apply, inner.cols))
+        """Column masks of the relational composite self after inner.
+
+        Column b of the composite is the image of `inner.cols[b]`, so it
+        depends on that column alone: `self` is applied once per distinct
+        column of `inner` and the image mapped back.  This is exact on any
+        relation; on an equivalence it costs one apply per class.
+        """
+        image = {col: self.apply(col) for col in set(inner.cols)}
+        return tuple(map(image.__getitem__, inner.cols))
 
 
 @dataclass(frozen=True)
@@ -417,7 +424,21 @@ def equivalence_defects(
     structure: CaAtomStructure, i: int
 ) -> Iterator[tuple[str, str | None]]:
     """For reflexivity, symmetry and transitivity of T_i in turn, the
-    property name and the first violation found, or None if it holds."""
+    property name and the first violation found, or None if it holds.
+
+    The class test runs first: T_i is an equivalence iff every distinct
+    column c is exactly the set of atoms whose column is c, which takes one
+    pass over the columns.  Only when it fails do the pair scans run, and
+    they run only to name each property's first violation.
+    """
+    cols = structure.cyl_image_masks(i)
+    holders: dict[int, int] = {}
+    for b, col in enumerate(cols):
+        holders[col] = holders.get(col, 0) | 1 << b
+    if all(col == atoms for col, atoms in holders.items()):
+        for prop in ("reflexive", "symmetric", "transitive"):
+            yield prop, None
+        return
     rel = structure.cyl[i]
     yield "reflexive", next(
         (f"T{i} not reflexive at {a}" for a in range(structure.natoms) if (a, a) not in rel),
@@ -426,7 +447,6 @@ def equivalence_defects(
     yield "symmetric", next(
         (f"T{i} not symmetric at ({a},{b})" for a, b in rel if (b, a) not in rel), None
     )
-    cols = structure.cyl_image_masks(i)
     # transitivity: everything reaching a must reach b
     yield "transitive", next(
         (f"T{i} not transitive through ({a},{b})" for a, b in rel if cols[a] & ~cols[b]),
@@ -443,6 +463,12 @@ def check_ca_frame(structure: CaAtomStructure) -> FrameReport:
     when transpositions are present, P_ij compatibility with T and E under
     the index swap.  Exhaustive equational checking is the ground truth this
     list is validated against.
+
+    The work grows with the atoms and the distinct columns, not with the
+    pairs of the relations: the equivalence test is the class test of
+    `equivalence_defects`, the compositions apply once per distinct column
+    (`AdditiveOperator.after`), and uniqueness looks at one column per atom
+    of E_ij.
     """
     n = structure.natoms
     dim = structure.dim
@@ -476,11 +502,9 @@ def check_ca_frame(structure: CaAtomStructure) -> FrameReport:
             if i == j:
                 continue
             dm = structure.diag_mask(i, j)
-            ok = True
-            for a, b in structure.cyl[i]:
-                if a != b and dm >> a & 1 and dm >> b & 1:
-                    ok = False
-                    break
+            cols = structure.cyl_image_masks(i)
+            # no atom of E_ij is T_i-related to another atom of E_ij
+            ok = not any(cols[b] & dm & ~(1 << b) for b in _bits(dm))
             conds.append(FrameCondition(f"diag_unique_E{i}{j}_in_T{i}", ok))
 
     if structure.transp is not None:

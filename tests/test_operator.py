@@ -5,10 +5,13 @@ The oracles below are the earlier implementations, kept verbatim apart
 from their names: the "OR the columns of the set bits" loop, the
 vectorised `_apply_tables` (one `np.where` pass per atom), the array
 evaluator `_eval_vec`, the Element-level `eval_term` and `check_equation`,
-`check_ca_frame` with its `_compose_cols`, and `neat._is_equivalence`.
+`check_ca_frame` with its `_compose_cols` and its pair scan for
+`diag_unique`, `neat._is_equivalence`, and the three pair scans of
+`equivalence_defects`.
 """
 
 import dataclasses
+import functools
 import random
 
 import numpy as np
@@ -32,7 +35,14 @@ from cylkit import (
     three_cube,
 )
 from cylkit.acceptance import _violator_diagonal, _violator_nontransitive
-from cylkit.bao import FrameCondition, FrameReport, _bits, check_ca_frame
+from cylkit.bao import (
+    AdditiveOperator,
+    FrameCondition,
+    FrameReport,
+    _bits,
+    check_ca_frame,
+    equivalence_defects,
+)
 from cylkit.constructions import SplitPolicy, johnson_extend, split_atom
 from cylkit.games import drop_cyl_pair
 from cylkit.neat import nr
@@ -370,6 +380,24 @@ def seed_check_ca_frame(structure):
     return FrameReport(all(c.passed for c in conds), tuple(conds))
 
 
+def seed_equivalence_defects(structure, i):
+    """`bao.equivalence_defects` before the class test: the three scans."""
+    rel = structure.cyl[i]
+    yield "reflexive", next(
+        (f"T{i} not reflexive at {a}" for a in range(structure.natoms) if (a, a) not in rel),
+        None,
+    )
+    yield "symmetric", next(
+        (f"T{i} not symmetric at ({a},{b})" for a, b in rel if (b, a) not in rel), None
+    )
+    cols = structure.cyl_image_masks(i)
+    # transitivity: everything reaching a must reach b
+    yield "transitive", next(
+        (f"T{i} not transitive through ({a},{b})" for a, b in rel if cols[a] & ~cols[b]),
+        None,
+    )
+
+
 def seed_is_equivalence(structure, i):
     rel = structure.cyl[i]
     n = structure.natoms
@@ -609,6 +637,58 @@ def test_check_equation_matches_the_seed_on_criterion_1_fixtures(name):
 # frame conditions and the equivalence check of nr
 
 
+def _with_cyl(base, i, rel):
+    """base with T_i replaced by rel."""
+    cyl = list(base.cyl)
+    cyl[i] = frozenset(rel)
+    return dataclasses.replace(base, cyl=tuple(cyl))
+
+
+def _irreflexive_atom():
+    """T_0 of full_set_algebra(2,3) without atom 0: symmetric and
+    transitive, not reflexive."""
+    base = full_set_algebra(2, 3)
+    return _with_cyl(base, 0, {(a, b) for a, b in base.cyl[0] if 0 not in (a, b)})
+
+
+def _preorder():
+    """T_0 of full_set_algebra(2,3) the identity and the one pair
+    ((1, 1), (0, 0)): reflexive and transitive, not symmetric.  Its only
+    pair inside E_01 shows in the column of (0, 0), E_01's first atom."""
+    base = full_set_algebra(2, 3)
+    arrow = (base.atoms.index("(1, 1)"), base.atoms.index("(0, 0)"))
+    return _with_cyl(base, 0, {(a, a) for a in range(base.natoms)} | {arrow})
+
+
+def _path():
+    """T_0 of monk_atoms(3,3) the path a - a+1 with loops on its 34 atoms:
+    reflexive and symmetric, not transitive."""
+    base = monk_atoms(3, 3)
+    n = base.natoms
+    return _with_cyl(base, 0, {(a, b) for a in range(n) for b in range(n) if abs(a - b) <= 1})
+
+
+def _shifted_classes():
+    """Column b of T_0 is the next T_0-class after b's: the columns are
+    pairwise equal or disjoint, but T_0 is not reflexive."""
+    base = full_set_algebra(2, 3)
+    cols = base.cyl_image_masks(0)
+    classes = list(dict.fromkeys(cols))
+    shifted = [classes[(classes.index(col) + 1) % len(classes)] for col in cols]
+    return _with_cyl(base, 0, {(a, b) for b, col in enumerate(shifted) for a in _bits(col)})
+
+
+def _diag_shared_in_class():
+    """E_01 of full_set_algebra(2,3) with a second atom of the T_0-class
+    {(0, 0), (1, 0), (2, 0)} of its atom (0, 0)."""
+    base = full_set_algebra(2, 3)
+    extra = base.atoms.index("(1, 0)")
+    diag_sets = [list(row) for row in base.diag]
+    diag_sets[0][1] = base.diag[0][1] | {extra}
+    return dataclasses.replace(base, diag=tuple(tuple(row) for row in diag_sets))
+
+
+@functools.cache
 def _frame_fixtures():
     cs3 = full_set_algebra(3, 2)
     cube = three_cube()
@@ -618,10 +698,17 @@ def _frame_fixtures():
         "fs42": full_set_algebra(4, 2),
         "split12": _split12(),
         "johnson_extend(monk_atoms(3,3))": johnson_extend(monk_atoms(3, 3)),
+        "monk_atoms(3,4)": monk_atoms(3, 4),
+        "monk_atoms(3,5)": monk_atoms(3, 5),
         "drop_cyl_pair(cs3,0,0,4)": drop_cyl_pair(cs3, 0, 0, 4),
         "drop_cyl_pair(cube,2,0,1)": drop_cyl_pair(cube, 2, 0, 1),
         "violator-nontransitive": _violator_nontransitive(),
         "violator-diagonal": _violator_diagonal(),
+        "T0-not-reflexive": _irreflexive_atom(),
+        "T0-preorder": _preorder(),
+        "T0-path-34": _path(),
+        "T0-shifted-classes": _shifted_classes(),
+        "E01-shared-in-class": _diag_shared_in_class(),
         **{f"random-{n}-{seed}": _random_structure(n, seed, 3) for n in (3, 9, 34) for seed in (0, 1)},
     }
 
@@ -631,6 +718,7 @@ def test_frame_check_and_equivalence_match_the_seed(name):
     s = _frame_fixtures()[name]
     assert check_ca_frame(s) == seed_check_ca_frame(s)
     for i in range(s.dim):
+        assert list(equivalence_defects(s, i)) == list(seed_equivalence_defects(s, i))
         why = seed_is_equivalence(s, i)
         gamma = [k for k in range(s.dim) if k != i]
         if why is None:
@@ -639,3 +727,52 @@ def test_frame_check_and_equivalence_match_the_seed(name):
             with pytest.raises(ValueError) as err:
                 nr(s, gamma)
             assert str(err.value) == f"dropped relation is not an equivalence: {why}"
+
+
+@pytest.mark.parametrize(
+    "name, broken",
+    [
+        ("T0-not-reflexive", {"reflexive"}),
+        ("T0-preorder", {"symmetric"}),
+        ("T0-path-34", {"transitive"}),
+        ("T0-shifted-classes", {"reflexive", "symmetric", "transitive"}),
+    ],
+)
+def test_equivalence_fixtures_fail_the_class_test_as_built(name, broken):
+    s = _frame_fixtures()[name]
+    assert {prop for prop, why in seed_equivalence_defects(s, 0) if why} == broken
+
+
+def test_diag_unique_fixture_fails_inside_a_class_of_three():
+    s = _frame_fixtures()["E01-shared-in-class"]
+    assert not any(why for _, why in seed_equivalence_defects(s, 0))
+    assert len(list(_bits(s.cyl_image_masks(0)[s.atoms.index("(0, 0)")]))) == 3
+    assert not seed_check_ca_frame(s).condition("diag_unique_E01_in_T0").passed
+
+
+@pytest.mark.parametrize("name", sorted(_frame_fixtures()))
+def test_after_applies_the_outer_operator_to_every_column(name):
+    # the random fixtures carry arbitrary relations and involutions
+    ops = [op for op, _ in _operators(_frame_fixtures()[name])]
+    for outer in ops:
+        for inner in ops:
+            assert outer.after(inner) == tuple(map(outer.apply, inner.cols))
+
+
+def test_frame_check_applies_once_per_distinct_column(monkeypatch):
+    s = monk_atoms(3, 4)
+    calls = 0
+    apply = AdditiveOperator.apply
+
+    def counted(self, mask):
+        nonlocal calls
+        calls += 1
+        return apply(self, mask)
+
+    monkeypatch.setattr(AdditiveOperator, "apply", counted)
+    assert check_ca_frame(s).passed
+    distinct = sum(len(set(s.cyl_image_masks(i))) for i in range(s.dim))
+    # two compositions per pair of indices, one diagonal chain per (i, j, k)
+    bound = (s.dim - 1) * distinct + s.dim**3
+    assert bound == 57
+    assert calls <= bound
