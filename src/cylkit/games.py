@@ -1,10 +1,14 @@
 """Atomic networks and exact solving of truncated witness games.
 
 A network labels every tuple of its nodes with an atom of a fixed atom
-structure; validity means the labelling respects the diagonal sets, the
-cylindrifier relations and (when present) the transpositions.  Over such
-networks two players fight: the challenger demands a new labelled node,
-the responder must extend the network legally.  Three variants:
+structure: one network type at two arities, dim-tuples over a cylindric
+atom structure (valid when the labelling respects the diagonal sets, the
+cylindrifier relations and, when present, the transpositions) and pairs
+over a relation-algebra one (identity, converse and triangle rules).
+Over such networks two players fight: the challenger demands a new
+labelled node and the atoms of one or two slots through it, the
+responder must extend the network legally.  Only validity, completion
+enumeration and the legal demands depend on the arity.  Three variants:
 
 * ``fresh``    -- every demanded node is brand new; play is bounded by the
                   round count alone (the node set grows by one per round).
@@ -35,10 +39,11 @@ import ast
 import functools
 import itertools
 import json
+import operator
 import os
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import ClassVar, NoReturn
 
 from .bao import BudgetExceededError, CaAtomStructure
 from .ra import RaAtomStructure
@@ -95,16 +100,24 @@ def _position_tuples(s: int, arity: int) -> list[tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
-class CaNetwork:
-    """Total map from dim-tuples over a finite node set to atom indices.
+class Network:
+    """Total map from the ``arity``-tuples over a finite node set to atom
+    indices: one network type, played at two arities.
 
     ``nodes`` is strictly increasing; ``labels`` is row-major over
-    ``product(nodes, repeat=dim)`` in lexicographic order.
+    ``product(nodes, repeat=arity)`` in lexicographic order.  The
+    subclasses fix the arity (the dimension for CaNetwork, 2 for
+    RaNetwork) and the wording of the two errors for a labelling that
+    misses a tuple; the validity rules live in ``validate_network``.
     """
 
-    structure: CaAtomStructure
+    structure: CaAtomStructure | RaAtomStructure
     nodes: tuple[int, ...]
     labels: tuple[int, ...]
+
+    _arity: ClassVar[Callable[..., int]]
+    _cover_error: ClassVar[str]
+    _map_error: ClassVar[str]
 
     def __post_init__(self) -> None:
         if not self.nodes:
@@ -114,8 +127,8 @@ class CaNetwork:
         if self.nodes[0] < 0:
             raise ValueError("nodes must be naturals")
         s = len(self.nodes)
-        if len(self.labels) != s ** self.structure.dim:
-            raise ValueError("labels must cover every node tuple exactly once")
+        if len(self.labels) != s ** self._arity(self.structure):
+            raise ValueError(self._cover_error)
         if min(self.labels) < 0 or max(self.labels) >= self.structure.natoms:
             raise ValueError("label out of range")
         object.__setattr__(
@@ -124,7 +137,7 @@ class CaNetwork:
 
     @property
     def arity(self) -> int:
-        return self.structure.dim
+        return self._arity(self.structure)
 
     def label(self, tup: Sequence[int]) -> int:
         pos = self._pos  # type: ignore[attr-defined]
@@ -138,73 +151,42 @@ class CaNetwork:
 
     @classmethod
     def from_map(
-        cls, structure: CaAtomStructure, mapping: Mapping[Sequence[int], int]
-    ) -> "CaNetwork":
+        cls,
+        structure: CaAtomStructure | RaAtomStructure,
+        mapping: Mapping[Sequence[int], int],
+    ) -> "Network":
         nodes = tuple(sorted({v for t in mapping for v in t}))
         s = len(nodes)
         pos = {v: p for p, v in enumerate(nodes)}
-        labels = [-1] * (s ** structure.dim)
+        labels = [-1] * (s ** cls._arity(structure))
         for t, a in mapping.items():
             labels[_tuple_index([pos[v] for v in t], s)] = a
         if any(a < 0 for a in labels):
-            raise ValueError("mapping does not label every node tuple")
+            raise ValueError(cls._map_error)
         return cls(structure, nodes, tuple(labels))
 
 
-@dataclass(frozen=True)
-class RaNetwork:
-    """Total map from ordered node pairs to relation-algebra atom indices."""
+class CaNetwork(Network):
+    """Network over a cylindric atom structure: labels every dim-tuple."""
 
-    structure: RaAtomStructure
-    nodes: tuple[int, ...]
-    labels: tuple[int, ...]
+    _cover_error = "labels must cover every node tuple exactly once"
+    _map_error = "mapping does not label every node tuple"
 
-    def __post_init__(self) -> None:
-        if not self.nodes:
-            raise ValueError("a network needs at least one node")
-        if list(self.nodes) != sorted(set(self.nodes)):
-            raise ValueError("nodes must be strictly increasing")
-        if self.nodes[0] < 0:
-            raise ValueError("nodes must be naturals")
-        s = len(self.nodes)
-        if len(self.labels) != s * s:
-            raise ValueError("labels must cover every ordered node pair")
-        if min(self.labels) < 0 or max(self.labels) >= self.structure.natoms:
-            raise ValueError("label out of range")
-        object.__setattr__(
-            self, "_pos", {v: p for p, v in enumerate(self.nodes)}
-        )
+    @staticmethod
+    def _arity(structure: CaAtomStructure) -> int:
+        return structure.dim
 
-    @property
-    def arity(self) -> int:
+
+class RaNetwork(Network):
+    """Network over a relation-algebra atom structure: labels every
+    ordered node pair."""
+
+    _cover_error = "labels must cover every ordered node pair"
+    _map_error = "mapping does not label every ordered pair"
+
+    @staticmethod
+    def _arity(structure: RaAtomStructure) -> int:
         return 2
-
-    def label(self, tup: Sequence[int]) -> int:
-        pos = self._pos  # type: ignore[attr-defined]
-        return self.labels[_tuple_index([pos[v] for v in tup], len(self.nodes))]
-
-    def tuples(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(self.nodes, repeat=2)
-
-    def mapping(self) -> dict[tuple[int, ...], int]:
-        return {t: self.labels[i] for i, t in enumerate(self.tuples())}
-
-    @classmethod
-    def from_map(
-        cls, structure: RaAtomStructure, mapping: Mapping[Sequence[int], int]
-    ) -> "RaNetwork":
-        nodes = tuple(sorted({v for t in mapping for v in t}))
-        s = len(nodes)
-        pos = {v: p for p, v in enumerate(nodes)}
-        labels = [-1] * (s * s)
-        for t, a in mapping.items():
-            labels[_tuple_index([pos[v] for v in t], s)] = a
-        if any(a < 0 for a in labels):
-            raise ValueError("mapping does not label every ordered pair")
-        return cls(structure, nodes, tuple(labels))
-
-
-Network = CaNetwork | RaNetwork
 
 
 @dataclass(frozen=True)
@@ -217,20 +199,21 @@ def validate_network(net: Network) -> NetworkReport:
     """Check the network bullets; every violation is reported with the
     offending tuple (pair) spelled out."""
     if isinstance(net, CaNetwork):
-        return _validate_ca(net)
-    if isinstance(net, RaNetwork):
-        return _validate_ra(net)
-    raise TypeError(f"not a network: {type(net).__name__}")
+        violations = tuple(_validate_ca(net))
+    elif isinstance(net, RaNetwork):
+        violations = tuple(_validate_ra(net))
+    else:
+        raise TypeError(f"not a network: {type(net).__name__}")
+    return NetworkReport(not violations, violations)
 
 
-def _validate_ca(net: CaNetwork) -> NetworkReport:
+def _validate_ca(net: CaNetwork) -> Iterator[str]:
     st = net.structure
     dim = st.dim
     s = len(net.nodes)
     tuples = _position_tuples(s, dim)
     labels = net.labels
     nodes = net.nodes
-    out: list[str] = []
 
     for idx, t in enumerate(tuples):
         a = labels[idx]
@@ -238,7 +221,7 @@ def _validate_ca(net: CaNetwork) -> NetworkReport:
             for j in range(i + 1, dim):
                 if t[i] == t[j] and not (st.diag_mask(i, j) >> a) & 1:
                     real = tuple(nodes[p] for p in t)
-                    out.append(
+                    yield (
                         f"diagonal: tuple {real} repeats a node at positions "
                         f"({i},{j}) but its label {st.atoms[a]!r} lies outside E_{i}{j}"
                     )
@@ -256,7 +239,7 @@ def _validate_ca(net: CaNetwork) -> NetworkReport:
                 if not (cols[a] >> b) & 1:
                     real_t = tuple(nodes[p] for p in t)
                     real_u = tuple(nodes[p] for p in u)
-                    out.append(
+                    yield (
                         f"cylindrifier: tuples {real_u} and {real_t} differ only "
                         f"at position {i} but label {st.atoms[b]!r} is not below "
                         f"c_{i} of {st.atoms[a]!r}"
@@ -273,35 +256,32 @@ def _validate_ca(net: CaNetwork) -> NetworkReport:
                     b = labels[_tuple_index(u, s)]
                     if not (timg[a] >> b) & 1:
                         real = tuple(nodes[p] for p in t)
-                        out.append(
+                        yield (
                             f"transposition ({i},{j}): tuple {real} carries "
                             f"{st.atoms[a]!r} but its swap carries {st.atoms[b]!r}, "
                             f"not the transposition image"
                         )
 
-    return NetworkReport(not out, tuple(out))
 
-
-def _validate_ra(net: RaNetwork) -> NetworkReport:
+def _validate_ra(net: RaNetwork) -> Iterator[str]:
     st = net.structure
     s = len(net.nodes)
     labels = net.labels
     nodes = net.nodes
-    out: list[str] = []
 
     def lab(p: int, q: int) -> int:
         return labels[p * s + q]
 
     for p in range(s):
         if lab(p, p) not in st.identity:
-            out.append(
+            yield (
                 f"identity: edge ({nodes[p]},{nodes[p]}) carries "
                 f"{st.atoms[lab(p, p)]!r}, which is not an identity atom"
             )
     for p in range(s):
         for q in range(s):
             if lab(q, p) != st.converse[lab(p, q)]:
-                out.append(
+                yield (
                     f"converse: edge ({nodes[q]},{nodes[p]}) carries "
                     f"{st.atoms[lab(q, p)]!r}, not the converse of "
                     f"{st.atoms[lab(p, q)]!r} on ({nodes[p]},{nodes[q]})"
@@ -310,13 +290,12 @@ def _validate_ra(net: RaNetwork) -> NetworkReport:
         for q in range(s):
             for w in range(s):
                 if not st.consistent(lab(p, q), lab(p, w), lab(w, q)):
-                    out.append(
+                    yield (
                         f"triangle: ({nodes[p]},{nodes[q]}) = {st.atoms[lab(p, q)]!r} "
                         f"is forbidden over ({nodes[p]},{nodes[w]}) = "
                         f"{st.atoms[lab(p, w)]!r} and ({nodes[w]},{nodes[q]}) = "
                         f"{st.atoms[lab(w, q)]!r}"
                     )
-    return NetworkReport(not out, tuple(out))
 
 
 def semantic_network(
@@ -459,6 +438,23 @@ class CaMove:
     def demanded(self) -> tuple[int, ...]:
         return self.face[: self.l] + (self.k,) + self.face[self.l :]
 
+    @property
+    def node(self) -> int:
+        """The demanded node."""
+        return self.k
+
+    def slots(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The demanded (node tuple, atom) slots: here the one tuple."""
+        return ((self.demanded(), self.b),)
+
+    def renamed(self, node: Callable[[int], int]) -> "CaMove":
+        """The same demand with every node v replaced by ``node(v)``."""
+        return CaMove(tuple(node(f) for f in self.face), self.l, node(self.k), self.b)
+
+    def with_label(self, b: int) -> "CaMove":
+        """The same demand asking for atom ``b``."""
+        return CaMove(self.face, self.l, self.k, b)
+
     def encode(self) -> str:
         face = ",".join(map(str, self.face))
         return f"f({face});l{self.l};k{self.k};b{self.b}"
@@ -483,6 +479,23 @@ class RaMove:
     z: int
     a: int
     b: int
+
+    @property
+    def node(self) -> int:
+        """The demanded node."""
+        return self.z
+
+    def slots(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The demanded (node tuple, atom) slots: the edges (x,z) and (z,y)."""
+        return (((self.x, self.z), self.a), ((self.z, self.y), self.b))
+
+    def renamed(self, node: Callable[[int], int]) -> "RaMove":
+        """The same demand with every node v replaced by ``node(v)``."""
+        return RaMove(node(self.x), node(self.y), node(self.z), self.a, self.b)
+
+    def with_label(self, ab: tuple[int, int]) -> "RaMove":
+        """The same demand asking for the atom pair ``ab``."""
+        return RaMove(self.x, self.y, self.z, *ab)
 
     def encode(self) -> str:
         return f"x{self.x};y{self.y};z{self.z};a{self.a};b{self.b}"
@@ -803,65 +816,33 @@ def _ra_completions(
         yield RaNetwork(structure, nodes, tuple(lab))
 
 
-def _ca_response_task(
-    net: CaNetwork, move: CaMove
-) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Node set and fixed slots of the responder's completion problem.
+def _response_task(
+    net: Network, move: Move
+) -> tuple[tuple[int, ...], dict[int, int], tuple[int, ...]]:
+    """Node set and fixed slots of the responder's completion problem, and
+    the indices of the demanded slots among them.
 
-    The demanded tuple always contains k, and every tuple containing k is
-    either brand new (fresh k) or cleared (reused k), so the demand can
-    only conflict with retained labels through the validity checks, which
-    the enumerator applies.
+    The demanded slots always contain the demanded node, and every tuple
+    containing it is either brand new (fresh node) or cleared (reused
+    node), so the demand can only conflict with retained labels through
+    the validity checks, which the enumerators apply.
     """
-    reused = move.k in net.nodes
-    new_nodes = net.nodes if reused else tuple(sorted(net.nodes + (move.k,)))
+    k = move.node
+    reused = k in net.nodes
+    new_nodes = net.nodes if reused else tuple(sorted(net.nodes + (k,)))
     s_new = len(new_nodes)
     pos = {v: p for p, v in enumerate(new_nodes)}
     fixed: dict[int, int] = {}
     for t, a in net.mapping().items():
-        if reused and move.k in t:
+        if reused and k in t:
             continue
         fixed[_tuple_index([pos[v] for v in t], s_new)] = a
-    fixed[_tuple_index([pos[v] for v in move.demanded()], s_new)] = move.b
-    return new_nodes, fixed
-
-
-def _ra_response_task(
-    net: RaNetwork, move: RaMove
-) -> tuple[tuple[int, ...], dict[int, int]]:
-    reused = move.z in net.nodes
-    new_nodes = net.nodes if reused else tuple(sorted(net.nodes + (move.z,)))
-    s_new = len(new_nodes)
-    pos = {v: p for p, v in enumerate(new_nodes)}
-    fixed: dict[int, int] = {}
-    for (u, v), a in net.mapping().items():
-        if reused and move.z in (u, v):
-            continue
-        fixed[pos[u] * s_new + pos[v]] = a
-    fixed[pos[move.x] * s_new + pos[move.z]] = move.a
-    fixed[pos[move.z] * s_new + pos[move.y]] = move.b
-    return new_nodes, fixed
-
-
-def _openings(
-    spec: GameSpec, initial_atom: int, counter: _Counter
-) -> list[Network]:
-    """Legal opening networks on prefix node sets of size 1..arity, in
-    canonical (size-then-lexicographic) order, containing the demanded atom."""
-    out: list[Network] = []
-    max_s = min(spec.arity, spec.node_budget)
-    for s in range(1, max_s + 1):
-        nodes = tuple(range(s))
-        if spec.variant == VARIANT_TRIANGLE:
-            assert isinstance(spec.structure, RaAtomStructure)
-            nets: Iterator[Network] = _ra_completions(spec.structure, nodes, {}, counter)
-        else:
-            assert isinstance(spec.structure, CaAtomStructure)
-            nets = _ca_completions(spec.structure, nodes, {}, counter)
-        for net in nets:
-            if initial_atom in net.labels:
-                out.append(net)
-    return out
+    demanded = []
+    for t, a in move.slots():
+        idx = _tuple_index([pos[v] for v in t], s_new)
+        fixed[idx] = a
+        demanded.append(idx)
+    return new_nodes, fixed, tuple(demanded)
 
 
 # ---------------------------------------------------------------------------
@@ -962,25 +943,31 @@ def _decode_labels(enc: str) -> tuple[int, tuple[int, ...]]:
     return int(head), tuple(int(v) for v in rest.split(","))
 
 
-def _rename_move(move: Move, pi: Mapping[int, int], s: int) -> Move:
-    def node(v: int) -> int:
-        return pi[v] if v in pi else s
-
-    if isinstance(move, CaMove):
-        return CaMove(tuple(node(f) for f in move.face), move.l, node(move.k), move.b)
-    return RaMove(node(move.x), node(move.y), node(move.z), move.a, move.b)
+def _rename_move(move: Move, pi: Mapping[int, int]) -> Move:
+    """The move in the canonical node names ``pi`` of its position; a node
+    outside the position becomes the next name."""
+    s = len(pi)
+    return move.renamed(lambda v: pi[v] if v in pi else s)
 
 
-def _unrename_move(move: Move, pi: Mapping[int, int], nodes: Sequence[int]) -> Move:
+def _unrename_move(move: Move, pi: Mapping[int, int]) -> Move:
+    """Inverse of ``_rename_move``: back to the position's real node names,
+    with the next name mapped to the least fresh node."""
     inv = {new: old for old, new in pi.items()}
-    fresh = _least_fresh(nodes)
+    fresh = _least_fresh(pi)
+    return move.renamed(lambda v: inv[v] if v in inv else fresh)
 
-    def node(v: int) -> int:
-        return inv[v] if v in inv else fresh
 
-    if isinstance(move, CaMove):
-        return CaMove(tuple(node(f) for f in move.face), move.l, node(move.k), move.b)
-    return RaMove(node(move.x), node(move.y), node(move.z), move.a, move.b)
+def _strategy_key(
+    enc: str, pi: Mapping[int, int], r: int, move: Move | None = None
+) -> str:
+    """Key of a strategy entry at the position with canonical encoding
+    ``enc`` and renaming ``pi``, ``r`` rounds left: the challenger's entry,
+    or with ``move`` the responder's answer to that demand."""
+    key = f"{enc}|r{r}"
+    if move is None:
+        return key
+    return f"{key}|{_rename_move(move, pi).encode()}"
 
 
 def _encode_response(net: Network, response: Network, pi: Mapping[int, int]) -> str:
@@ -1016,9 +1003,7 @@ def _decode_response(
     new_labels = [0] * (s_new ** net.arity)
     for abstract_t, a in zip(itertools.product(order, repeat=net.arity), labels):
         new_labels[_tuple_index([pos_real[v] for v in abstract_t], s_new)] = a
-    if isinstance(net, RaNetwork):
-        return RaNetwork(net.structure, real_nodes, tuple(new_labels))
-    return CaNetwork(net.structure, real_nodes, tuple(new_labels))
+    return type(net)(net.structure, real_nodes, tuple(new_labels))
 
 
 # ---------------------------------------------------------------------------
@@ -1058,20 +1043,14 @@ class SolveResult:
 
 @dataclass
 class _MoveClass:
-    """All demands sharing one target slot: the move head in canonical
-    order, the labels it may demand in canonical order (an atom b for a
-    CaMove, an atom pair (a, b) for an RaMove), and the responder's
-    completions bucketed by the label they give the demanded slot."""
+    """All demands sharing their demanded slots: the move head in
+    canonical order, the labels it may demand in canonical order (an atom
+    b for a CaMove, an atom pair (a, b) for an RaMove), and the
+    responder's completions bucketed by the label they give those slots."""
 
-    head: Move  # with b (CaMove) or a/b (RaMove) set to -1
+    head: Move  # with its demanded atoms set to -1
     legal: tuple
     buckets: dict
-
-    def demand(self, label) -> Move:
-        head = self.head
-        if isinstance(head, CaMove):
-            return CaMove(head.face, head.l, head.k, label)
-        return RaMove(head.x, head.y, head.z, *label)
 
 
 class _Solver:
@@ -1083,6 +1062,11 @@ class _Solver:
         self.spec = spec
         self.counter = counter
         self.canonical = canonical
+        # the kind-specific halves of the game
+        triangle = spec.variant == VARIANT_TRIANGLE
+        self.network_type = RaNetwork if triangle else CaNetwork
+        self.move_type = RaMove if triangle else CaMove
+        self.complete = _ra_completions if triangle else _ca_completions
         self.memo: dict[tuple[object, int], int] = {}
         self.succ: dict[object, list[_MoveClass]] = {}
         self.canon_cache: dict[
@@ -1104,15 +1088,44 @@ class _Solver:
             return self.canon(net)[0]
         return (net.nodes, net.labels)
 
+    def openings(self, initial_atom: int) -> list[Network]:
+        """Legal opening networks on prefix node sets of size 1..arity, in
+        canonical (size-then-lexicographic) order, containing the demanded
+        atom."""
+        spec = self.spec
+        out: list[Network] = []
+        for s in range(1, min(spec.arity, spec.node_budget) + 1):
+            nodes = tuple(range(s))
+            for net in self.complete(spec.structure, nodes, {}, self.counter):
+                if initial_atom in net.labels:
+                    out.append(net)
+        return out
+
     def move_classes(self, net: Network) -> list[_MoveClass]:
-        """Per demanded slot: legality and bucketed responses, cached per
-        raw position (independent of rounds left).  A (face, index) whose
-        legality depends on the representative is counted once, here."""
+        """Per demanded slot set: legality and bucketed responses, cached
+        per raw position (independent of rounds left)."""
         key = (net.nodes, net.labels)
         got = self.succ.get(key)
         if got is not None:
             return got
         out: list[_MoveClass] = []
+        for head, legal in self._heads(net):
+            new_nodes, fixed, slots = _response_task(net, head)
+            for idx in slots:
+                del fixed[idx]
+            # an atom for one demanded slot, an atom pair for two
+            label_of = operator.itemgetter(*slots)
+            buckets: dict[object, list[Network]] = {}
+            for m in self.complete(net.structure, new_nodes, fixed, self.counter):
+                buckets.setdefault(label_of(m.labels), []).append(m)
+            out.append(_MoveClass(head, legal, buckets))
+        self.succ[key] = out
+        return out
+
+    def _heads(self, net: Network) -> Iterator[tuple[Move, tuple]]:
+        """Every demand head at ``net`` in canonical order, with the labels
+        it may demand.  A (face, index) whose legality depends on the
+        representative is counted once, here."""
         if isinstance(net, CaNetwork):
             dim = net.structure.dim
             for face in itertools.product(net.nodes, repeat=dim - 1):
@@ -1126,21 +1139,7 @@ class _Solver:
                         continue
                     legal = tuple(b for b in range(mask.bit_length()) if mask >> b & 1)
                     for k in k_choices:
-                        move = CaMove(face, l, k, -1)
-                        new_nodes, fixed = _ca_response_task(
-                            net, CaMove(face, l, k, 0)
-                        )
-                        didx = _tuple_index(
-                            [new_nodes.index(v) for v in move.demanded()],
-                            len(new_nodes),
-                        )
-                        del fixed[didx]
-                        buckets: dict[int, list[Network]] = {}
-                        for m in _ca_completions(
-                            net.structure, new_nodes, fixed, self.counter
-                        ):
-                            buckets.setdefault(m.labels[didx], []).append(m)
-                        out.append(_MoveClass(move, legal, buckets))
+                        yield CaMove(face, l, k, -1), legal
         else:
             st = net.structure
             for x in net.nodes:
@@ -1156,30 +1155,14 @@ class _Solver:
                         continue
                     for z in _k_choices(self.spec, net, {x, y}):
                         self.counter.tick(st.natoms)
-                        move = RaMove(x, y, z, -1, -1)
-                        new_nodes, fixed = _ra_response_task(
-                            net, RaMove(x, y, z, 0, 0)
-                        )
-                        s_new = len(new_nodes)
-                        pos = {v: p for p, v in enumerate(new_nodes)}
-                        i1 = pos[x] * s_new + pos[z]
-                        i2 = pos[z] * s_new + pos[y]
-                        del fixed[i1], fixed[i2]
-                        buckets = {}
-                        for m in _ra_completions(st, new_nodes, fixed, self.counter):
-                            buckets.setdefault(
-                                (m.labels[i1], m.labels[i2]), []
-                            ).append(m)
-                        out.append(_MoveClass(move, pairs, buckets))
-        self.succ[key] = out
-        return out
+                        yield RaMove(x, y, z, -1, -1), pairs
 
     def successors(self, net: Network) -> Iterator[tuple[Move, list[Network]]]:
         """Every demand at ``net`` in canonical order, each with its
         responses in enumeration order (empty when none is legal)."""
         for cls in self.move_classes(net):
             for label in cls.legal:
-                yield cls.demand(label), cls.buckets.get(label, [])
+                yield cls.head.with_label(label), cls.buckets.get(label, [])
 
     def responses(self, net: Network, move: Move) -> list[Network]:
         """The responses to ``move``; raises if it is no demand at ``net``."""
@@ -1237,9 +1220,8 @@ def _extract_exists(solver: _Solver, opening: Network, rounds: int) -> dict[str,
         if (enc, r) in visited:
             return
         visited.add((enc, r))
-        s = len(net.nodes)
         for move, responses in solver.successors(net):
-            key = f"{enc}|r{r}|{_rename_move(move, pi, s).encode()}"
+            key = _strategy_key(enc, pi, r, move)
             chosen = None
             for response in responses:
                 if solver.value(response, r - 1) == r - 1:
@@ -1273,18 +1255,17 @@ def _extract_forall(
         val = solver.value(net, r)
         if val >= r:
             raise RuntimeError("challenger extraction reached a surviving position")
-        key = f"{enc}|r{r}"
+        key = _strategy_key(enc, pi, r)
         recorded = strategy.get(key)
         if recorded is not None:
-            move = _unrename_move(_decode_move(net, recorded), pi, net.nodes)
+            move = _unrename_move(solver.move_type.decode(recorded), pi)
             for response in solver.responses(net, move):
                 walk(response, r - 1)
             return
-        s = len(net.nodes)
         for move, responses in solver.successors(net):
             sub_best = max((solver.value(m, r - 1) for m in responses), default=-1)
             if 1 + sub_best == val:
-                strategy[key] = _rename_move(move, pi, s).encode()
+                strategy[key] = _rename_move(move, pi).encode()
                 for response in responses:
                     walk(response, r - 1)
                 return
@@ -1293,14 +1274,7 @@ def _extract_forall(
     walk(opening, rounds)
 
 
-def _decode_move(net: Network, text: str) -> Move:
-    if isinstance(net, RaNetwork):
-        return RaMove.decode(text)
-    return CaMove.decode(text)
-
-
 def _verify_exists(
-    spec: GameSpec,
     solver: _Solver,
     strategy: Mapping[str, str],
     initial_atom: int,
@@ -1310,12 +1284,7 @@ def _verify_exists(
     if enc0 is None:
         raise RuntimeError("responder strategy lacks an opening")
     s0, labels0 = _decode_labels(enc0)
-    if spec.variant == VARIANT_TRIANGLE:
-        assert isinstance(spec.structure, RaAtomStructure)
-        opening: Network = RaNetwork(spec.structure, tuple(range(s0)), labels0)
-    else:
-        assert isinstance(spec.structure, CaAtomStructure)
-        opening = CaNetwork(spec.structure, tuple(range(s0)), labels0)
+    opening = solver.network_type(solver.spec.structure, tuple(range(s0)), labels0)
     report = validate_network(opening)
     if not report.passed:
         raise RuntimeError(f"strategy opening is invalid: {report.violations[0]}")
@@ -1330,9 +1299,8 @@ def _verify_exists(
         if (enc, r) in visited:
             return
         visited.add((enc, r))
-        s = len(net.nodes)
         for move, _responses in solver.successors(net):
-            key = f"{enc}|r{r}|{_rename_move(move, pi, s).encode()}"
+            key = _strategy_key(enc, pi, r, move)
             resp_enc = strategy.get(key)
             if resp_enc is None:
                 raise RuntimeError(f"responder strategy has no answer at {key}")
@@ -1349,36 +1317,23 @@ def _verify_exists(
 
 
 def _check_response_matches(net: Network, move: Move, response: Network) -> None:
-    if isinstance(move, CaMove):
-        reused = move.k in net.nodes
-        expect_nodes = net.nodes if reused else tuple(sorted(net.nodes + (move.k,)))
-        if response.nodes != expect_nodes:
-            raise RuntimeError("response changes the node set beyond the demand")
-        for t, a in net.mapping().items():
-            if reused and move.k in t:
-                continue
-            if response.label(t) != a:
-                raise RuntimeError("response rewrites a retained label")
-        if response.label(move.demanded()) != move.b:
-            raise RuntimeError("response does not deliver the demanded label")
-    else:
-        reused = move.z in net.nodes
-        expect_nodes = net.nodes if reused else tuple(sorted(net.nodes + (move.z,)))
-        if response.nodes != expect_nodes:
-            raise RuntimeError("response changes the node set beyond the demand")
-        for (u, v), a in net.mapping().items():
-            if reused and move.z in (u, v):
-                continue
-            if response.label((u, v)) != a:
-                raise RuntimeError("response rewrites a retained label")
-        if response.label((move.x, move.z)) != move.a or response.label(
-            (move.z, move.y)
-        ) != move.b:
-            raise RuntimeError("response does not deliver the demanded labels")
+    k = move.node
+    reused = k in net.nodes
+    expect_nodes = net.nodes if reused else tuple(sorted(net.nodes + (k,)))
+    if response.nodes != expect_nodes:
+        raise RuntimeError("response changes the node set beyond the demand")
+    for t, a in net.mapping().items():
+        if reused and k in t:
+            continue
+        if response.label(t) != a:
+            raise RuntimeError("response rewrites a retained label")
+    slots = move.slots()
+    if any(response.label(t) != a for t, a in slots):
+        plural = "s" if len(slots) > 1 else ""
+        raise RuntimeError(f"response does not deliver the demanded label{plural}")
 
 
 def _verify_forall(
-    spec: GameSpec,
     solver: _Solver,
     openings: Sequence[Network],
     strategy: Mapping[str, str],
@@ -1392,13 +1347,12 @@ def _verify_forall(
             if (enc, r) in visited:
                 return
             visited.add((enc, r))
-            move_enc = strategy.get(f"{enc}|r{r}")
+            key = _strategy_key(enc, pi, r)
+            move_enc = strategy.get(key)
             if move_enc is None:
-                raise RuntimeError(
-                    f"challenger strategy has no demand at {enc}|r{r}"
-                )
-            move = _unrename_move(_decode_move(net, move_enc), pi, net.nodes)
-            _check_move_legal(spec, net, move)
+                raise RuntimeError(f"challenger strategy has no demand at {key}")
+            move = _unrename_move(solver.move_type.decode(move_enc), pi)
+            _check_move_legal(solver.spec, net, move)
             responses = solver.responses(net, move)
             if responses and r == 1:
                 raise RuntimeError(
@@ -1411,9 +1365,9 @@ def _verify_forall(
 
 
 def _check_move_legal(spec: GameSpec, net: Network, move: Move) -> None:
+    st = net.structure
     if isinstance(move, CaMove):
         assert isinstance(net, CaNetwork)
-        st = net.structure
         if any(f not in net.nodes for f in move.face):
             raise RuntimeError("demand uses a face outside the network")
         if move.k in move.face:
@@ -1423,28 +1377,22 @@ def _check_move_legal(spec: GameSpec, net: Network, move: Move) -> None:
         union, _ = _legal_mask(net, move.face, move.l)
         if not (union >> move.b) & 1:
             raise RuntimeError("demanded atom is not below the cylindrified label")
-        if spec.variant == VARIANT_FRESH:
-            if move.k != _least_fresh(net.nodes):
-                raise RuntimeError("fresh variant must demand the least fresh node")
-        else:
-            if move.k not in net.nodes and (
-                move.k != _least_fresh(net.nodes)
-                or len(net.nodes) >= spec.node_budget
-            ):
-                raise RuntimeError("demanded node exceeds the pebble budget")
     else:
         assert isinstance(net, RaNetwork)
-        st = net.structure
         if move.x not in net.nodes or move.y not in net.nodes:
             raise RuntimeError("demand uses an edge outside the network")
         if move.z in (move.x, move.y):
             raise RuntimeError("demanded node collides with the edge")
         if not st.consistent(net.label((move.x, move.y)), move.a, move.b):
             raise RuntimeError("demanded atoms do not compose above the edge label")
-        if move.z not in net.nodes and (
-            move.z != _least_fresh(net.nodes) or len(net.nodes) >= spec.node_budget
-        ):
-            raise RuntimeError("demanded node exceeds the pebble budget")
+    k = move.node
+    if spec.variant == VARIANT_FRESH:
+        if k != _least_fresh(net.nodes):
+            raise RuntimeError("fresh variant must demand the least fresh node")
+    elif k not in net.nodes and (
+        k != _least_fresh(net.nodes) or len(net.nodes) >= spec.node_budget
+    ):
+        raise RuntimeError("demanded node exceeds the pebble budget")
 
 
 def solve(
@@ -1452,7 +1400,6 @@ def solve(
     initial_atom: int,
     *,
     budget: int | None = None,
-    canonical_memo: bool = True,
 ) -> SolveResult:
     """Exact winner of the truncated game opened on ``initial_atom``.
 
@@ -1479,10 +1426,10 @@ def solve(
             f"limit of {MAX_GAME_ATOMS}; state-space bound {_bound_text(spec)}"
         )
 
-    solver = _Solver(spec, _Counter(budget, _bound_text(spec)), canonical_memo)
+    solver = _Solver(spec, _Counter(budget, _bound_text(spec)), True)
     openings: list[Network] = []
     seen_classes: set[str] = set()
-    for net in _openings(spec, initial_atom, solver.counter):
+    for net in solver.openings(initial_atom):
         enc, _ = solver.canon(net)
         if enc not in seen_classes:
             seen_classes.add(enc)
@@ -1498,12 +1445,12 @@ def solve(
             winner, rounds_used = EXISTS, spec.rounds
             opening = openings[values.index(best)]
             strategy = _extract_exists(solver, opening, spec.rounds)
-            _verify_exists(spec, solver, strategy, initial_atom, spec.rounds)
+            _verify_exists(solver, strategy, initial_atom, spec.rounds)
         else:
             winner, rounds_used = FORALL, best + 1
             for opening in openings:
                 _extract_forall(solver, opening, spec.rounds, strategy)
-            _verify_forall(spec, solver, openings, strategy, spec.rounds)
+            _verify_forall(solver, openings, strategy, spec.rounds)
 
     stats = SolveStats(
         states_explored=solver.counter.states,
@@ -1611,7 +1558,19 @@ class _Session:
             lines.append(f"  {t} -> {st.atoms[a]}")
         return "\n".join(lines)
 
-    def choose(self, kind: str, options: list) -> int:
+    def choose(
+        self, kind: str, prompt: str, options: list, show: Callable[[object], str]
+    ) -> int:
+        """List at most 50 options under ``prompt``, then take the agent's
+        pick of any of them."""
+        self.emit(prompt)
+        for i, option in enumerate(options[:50]):
+            self.emit(f"[{i}] {show(option)}")
+        if len(options) > 50:
+            self.emit(
+                f"... {len(options) - 50} more "
+                f"(any index up to {len(options) - 1} accepted)"
+            )
         idx = self.agent(kind, options)
         if not 0 <= idx < len(options):
             raise ValueError(f"choice {idx} out of range")
@@ -1641,37 +1600,29 @@ class _Session:
 
     def _run(self) -> None:
         spec = self.spec
-        openings = _openings(spec, self.initial_atom, self.solver.counter)
+        openings = self.solver.openings(self.initial_atom)
         if not openings:
             self.emit("no legal opening network exists")
             self.winner = FORALL
             self.events.append({"kind": "stuck", "actor": EXISTS, "round": 0})
             return
         if self.human_side == EXISTS:
-            self.emit(f"pick an opening network for atom {self.initial_atom}:")
-            for i, net in enumerate(openings[:50]):
-                self.emit(f"[{i}] {self.describe(net)}")
-            if len(openings) > 50:
-                self.emit(
-                    f"... {len(openings) - 50} more "
-                    f"(any index up to {len(openings) - 1} accepted)"
-                )
-            idx = self.choose("open", openings)
-            self.net = openings[idx]
-            self.events.append(
-                {"kind": "open", "actor": EXISTS, "choice": idx,
-                 "labels": list(self.net.labels), "nodes": list(self.net.nodes)}
+            idx = self.choose(
+                "open",
+                f"pick an opening network for atom {self.initial_atom}:",
+                openings,
+                self.describe,
             )
         else:
             values = [self.solver.value(net, spec.rounds) for net in openings]
             best = max(values)
             idx = values.index(best)
-            self.net = openings[idx]
-            self.events.append(
-                {"kind": "open", "actor": EXISTS, "choice": idx,
-                 "labels": list(self.net.labels), "nodes": list(self.net.nodes)}
-            )
-            self.emit(f"engine opens with:\n{self.describe(self.net)}")
+            self.emit(f"engine opens with:\n{self.describe(openings[idx])}")
+        self.net = openings[idx]
+        self.events.append(
+            {"kind": "open", "actor": EXISTS, "choice": idx,
+             "labels": list(self.net.labels), "nodes": list(self.net.nodes)}
+        )
         for r in range(spec.rounds, 0, -1):
             self.emit(f"--- {r} round(s) left ---")
             self.emit(self.describe(self.net))
@@ -1682,24 +1633,14 @@ class _Session:
                 self.winner = EXISTS
                 return
             if self.human_side == FORALL:
-                self.emit("pick a demand:")
-                for i, m in enumerate(moves[:50]):
-                    self.emit(f"[{i}] {m.encode()}")
-                if len(moves) > 50:
-                    self.emit(
-                        f"... {len(moves) - 50} more "
-                        f"(any index up to {len(moves) - 1} accepted)"
-                    )
-                midx = self.choose("demand", moves)
+                midx = self.choose(
+                    "demand", "pick a demand:", moves, lambda m: m.encode()
+                )
             else:
-                scored = []
-                for _m, responses in successors:
-                    sub = -1
-                    for response in responses:
-                        sub = max(sub, self.solver.value(response, r - 1))
-                        if sub == r - 1:
-                            break
-                    scored.append(0 if sub < 0 else 1 + sub)
+                scored = [
+                    self.solver._class_contrib(responses, r)
+                    for _m, responses in successors
+                ]
                 best = min(scored)
                 midx = scored.index(best)
                 self.emit(f"engine demands {moves[midx].encode()}")
@@ -1716,15 +1657,9 @@ class _Session:
                 )
                 return
             if self.human_side == EXISTS:
-                self.emit("pick a response:")
-                for i, net in enumerate(responses[:50]):
-                    self.emit(f"[{i}] {self.describe(net)}")
-                if len(responses) > 50:
-                    self.emit(
-                        f"... {len(responses) - 50} more "
-                        f"(any index up to {len(responses) - 1} accepted)"
-                    )
-                ridx = self.choose("respond", responses)
+                ridx = self.choose(
+                    "respond", "pick a response:", responses, self.describe
+                )
             else:
                 values = [self.solver.value(n, r - 1) for n in responses]
                 best = max(values)
@@ -1856,21 +1791,14 @@ def network_to_dot(net: Network) -> str:
     lines = ["graph network {"]
     for v in net.nodes:
         lines.append(f'  n{v} [label="{v}"];')
-    if net.arity == 2:
-        for u in net.nodes:
-            for v in net.nodes:
-                if u <= v:
-                    lines.append(
-                        f'  n{u} -- n{v} [label="{st.atoms[net.label((u, v))]}"];'
-                    )
-    else:
-        for u in net.nodes:
-            for v in net.nodes:
-                if u < v:
-                    pad = (v,) * (net.arity - 2)
-                    lines.append(
-                        f'  n{u} -- n{v} [label="{st.atoms[net.label((u, v) + pad)]}"];'
-                    )
+    # pair networks draw their loops; wider ones pad each pair with its last node
+    pairs = net.arity == 2
+    for u in net.nodes:
+        for v in net.nodes:
+            if u < v or (pairs and u == v):
+                t = (u, v) + (v,) * (net.arity - 2)
+                lines.append(f'  n{u} -- n{v} [label="{st.atoms[net.label(t)]}"];')
+    if not pairs:
         lines.append("  // full labelling:")
         for t, a in net.mapping().items():
             lines.append(f"  // {t} -> {st.atoms[a]}")

@@ -44,12 +44,10 @@ from cylkit.games import (
     validate_network,
 )
 from cylkit.games import (
-    _ca_response_task,
     _Counter,
     _k_choices,
     _legal_mask,
     _position_tuples,
-    _ra_response_task,
     _tuple_index,
 )
 from cylkit.ra import RaAtomStructure
@@ -370,11 +368,22 @@ def test_each_representative_disagreement_is_counted_once():
 
 
 def test_plain_memo_agrees_with_the_canonical_memo():
-    spec = GameSpec(VARIANT_FRESH, CS3, 2)
-    canonical = solve(spec, 0)
-    plain = solve(spec, 0, canonical_memo=False)
-    assert plain.winner == canonical.winner
-    assert plain.rounds_used == canonical.rounds_used
+    # the plain memo keys positions by their raw labelling; it stays as the
+    # oracle for the memo keyed up to node renaming
+    for spec in (
+        GameSpec(VARIANT_FRESH, CS3, 2),
+        GameSpec(VARIANT_REUSE, CS3, 2, pebbles=4),
+        GameSpec(VARIANT_TRIANGLE, HH313, 2, pebbles=3),
+    ):
+        best = {}
+        for canonical in (True, False):
+            solver = games._Solver(spec, _Counter(10**12, ""), canonical)
+            openings = solver.openings(0)
+            best[canonical] = [
+                max(solver.value(net, r) for net in openings)
+                for r in range(1, spec.rounds + 1)
+            ]
+        assert best[True] == best[False]
 
 
 def test_solver_refuses_to_blow_the_budget():
@@ -449,6 +458,63 @@ def test_winning_responder_strategy_has_an_opening_entry():
     assert all("|" in key for key in res.strategy if key != "open")
 
 
+@pytest.mark.parametrize(
+    "spec, atom",
+    [
+        (GameSpec(VARIANT_FRESH, CS3, 2), 0),
+        (GameSpec(VARIANT_FRESH, drop_cyl_pair(CS3, 0, 1, 1), 2), 0),
+        (GameSpec(VARIANT_TRIANGLE, BIN312, 2, pebbles=3), 0),
+    ],
+    ids=["exists-fresh-cs3", "forall-fresh-drop011", "exists-bin_forb(3,1,2)"],
+)
+def test_strategy_keys_name_the_position_rounds_and_canonical_demand(spec, atom):
+    # a key is "<canonical encoding>|r<rounds left>", followed for the
+    # responder by the demand in the position's canonical node names, where
+    # a node outside the position is named by the position's node count
+    res = solve(spec, atom)
+    keys = [key for key in res.strategy if key != "open"]
+    assert keys
+    move_type = RaMove if spec.variant == VARIANT_TRIANGLE else CaMove
+    for key in keys:
+        enc, rounds, *demand = key.split("|")
+        s = int(enc.split(":")[0])
+        assert re.fullmatch(r"r\d+", rounds)
+        assert 1 <= int(rounds[1:]) <= spec.rounds
+        move_text = demand[0] if res.winner == EXISTS else res.strategy[key]
+        assert len(demand) == (res.winner == EXISTS)
+        move = move_type.decode(move_text)
+        assert move.node <= s
+        if spec.variant == VARIANT_FRESH:
+            assert move.node == s
+
+
+def test_check_move_legal_enforces_the_node_budget():
+    reuse = GameSpec(VARIANT_REUSE, CS3, 1, pebbles=4)
+    net = semantic_network(CS3, {0: 0, 1: 1, 2: 0, 3: 1})
+    mask, _ = _legal_mask(net, (0, 1), 0)
+    b = (mask & -mask).bit_length() - 1
+    games._check_move_legal(reuse, net, CaMove((0, 1), 0, 2, b))
+    with pytest.raises(RuntimeError, match="exceeds the pebble budget"):
+        games._check_move_legal(reuse, net, CaMove((0, 1), 0, 4, b))
+    fresh = GameSpec(VARIANT_FRESH, CS3, 1)
+    games._check_move_legal(fresh, net, CaMove((0, 1), 0, 4, b))
+    with pytest.raises(RuntimeError, match="must demand the least fresh node"):
+        games._check_move_legal(fresh, net, CaMove((0, 1), 0, 5, b))
+    tri = GameSpec(VARIANT_TRIANGLE, BIN312, 1, pebbles=3)
+    solver = games._Solver(tri, _Counter(10**12, ""), True)
+    three = next(
+        m
+        for opening in solver.openings(0)
+        for _, bucket in solver.successors(opening)
+        for m in bucket
+        if len(m.nodes) == 3
+    )
+    legal = next(m for m, bucket in solver.successors(three) if m.z == 2)
+    games._check_move_legal(tri, three, legal)
+    with pytest.raises(RuntimeError, match="exceeds the pebble budget"):
+        games._check_move_legal(tri, three, dataclasses.replace(legal, z=3))
+
+
 # ---------------------------------------------------------------------------
 # the completion enumerators against the original dict-based ones
 #
@@ -457,7 +523,10 @@ def test_winning_responder_strategy_has_an_opening_entry():
 # _row_masks is a helper of the cylindric ones.  _check_fixed_slot and the
 # move and response functions further down are the original successor
 # path, kept verbatim as the oracle for the solver's one successor
-# generator (_Solver.successors).
+# generator (_Solver.successors); among them, _ca_response_task,
+# _ra_response_task and _check_response_matches are also the oracles for
+# games._response_task and games._check_response_matches, which serve
+# both kinds of network.
 
 
 def _ca_completions(
@@ -755,6 +824,75 @@ def _check_fixed_ra(
     return True
 
 
+def _ca_response_task(
+    net: CaNetwork, move: CaMove
+) -> tuple[tuple[int, ...], dict[int, int]]:
+    """Node set and fixed slots of the responder's completion problem.
+
+    The demanded tuple always contains k, and every tuple containing k is
+    either brand new (fresh k) or cleared (reused k), so the demand can
+    only conflict with retained labels through the validity checks, which
+    the enumerator applies.
+    """
+    reused = move.k in net.nodes
+    new_nodes = net.nodes if reused else tuple(sorted(net.nodes + (move.k,)))
+    s_new = len(new_nodes)
+    pos = {v: p for p, v in enumerate(new_nodes)}
+    fixed: dict[int, int] = {}
+    for t, a in net.mapping().items():
+        if reused and move.k in t:
+            continue
+        fixed[_tuple_index([pos[v] for v in t], s_new)] = a
+    fixed[_tuple_index([pos[v] for v in move.demanded()], s_new)] = move.b
+    return new_nodes, fixed
+
+
+def _ra_response_task(
+    net: RaNetwork, move: RaMove
+) -> tuple[tuple[int, ...], dict[int, int]]:
+    reused = move.z in net.nodes
+    new_nodes = net.nodes if reused else tuple(sorted(net.nodes + (move.z,)))
+    s_new = len(new_nodes)
+    pos = {v: p for p, v in enumerate(new_nodes)}
+    fixed: dict[int, int] = {}
+    for (u, v), a in net.mapping().items():
+        if reused and move.z in (u, v):
+            continue
+        fixed[pos[u] * s_new + pos[v]] = a
+    fixed[pos[move.x] * s_new + pos[move.z]] = move.a
+    fixed[pos[move.z] * s_new + pos[move.y]] = move.b
+    return new_nodes, fixed
+
+
+def _check_response_matches(net, move, response) -> None:
+    if isinstance(move, CaMove):
+        reused = move.k in net.nodes
+        expect_nodes = net.nodes if reused else tuple(sorted(net.nodes + (move.k,)))
+        if response.nodes != expect_nodes:
+            raise RuntimeError("response changes the node set beyond the demand")
+        for t, a in net.mapping().items():
+            if reused and move.k in t:
+                continue
+            if response.label(t) != a:
+                raise RuntimeError("response rewrites a retained label")
+        if response.label(move.demanded()) != move.b:
+            raise RuntimeError("response does not deliver the demanded label")
+    else:
+        reused = move.z in net.nodes
+        expect_nodes = net.nodes if reused else tuple(sorted(net.nodes + (move.z,)))
+        if response.nodes != expect_nodes:
+            raise RuntimeError("response changes the node set beyond the demand")
+        for (u, v), a in net.mapping().items():
+            if reused and move.z in (u, v):
+                continue
+            if response.label((u, v)) != a:
+                raise RuntimeError("response rewrites a retained label")
+        if response.label((move.x, move.z)) != move.a or response.label(
+            (move.z, move.y)
+        ) != move.b:
+            raise RuntimeError("response does not deliver the demanded labels")
+
+
 def _ca_responses(
     net: CaNetwork, move: CaMove, counter: _Counter
 ) -> Iterator[CaNetwork]:
@@ -795,31 +933,31 @@ def _assert_same_enumeration(kind, structure, nodes, fixed):
     )
 
 
-def _response_tasks(spec):
-    """(nodes, fixed, demanded slots) of every responder task one round
-    from every opening, with the demanded slots left free."""
+def _task_moves(spec):
+    """(position, move) of every responder task one round from every
+    opening, each move demanding atom 0."""
     st = spec.structure
-    for net in games._openings(spec, 0, _Counter(10**12, "")):
+    solver = games._Solver(spec, _Counter(10**12, ""), True)
+    for net in solver.openings(0):
         if spec.variant == VARIANT_TRIANGLE:
             for x, y in itertools.product(net.nodes, repeat=2):
                 for z in games._k_choices(spec, net, {x, y}):
-                    nodes, fixed = games._ra_response_task(net, RaMove(x, y, z, 0, 0))
-                    s = len(nodes)
-                    pos = {v: p for p, v in enumerate(nodes)}
-                    demanded = (pos[x] * s + pos[z], pos[z] * s + pos[y])
-                    for idx in demanded:
-                        fixed.pop(idx, None)
-                    yield nodes, fixed, demanded
+                    yield net, RaMove(x, y, z, 0, 0)
         else:
             for face in itertools.product(net.nodes, repeat=st.dim - 1):
                 for l in range(st.dim):
                     for k in games._k_choices(spec, net, set(face)):
-                        move = CaMove(face, l, k, 0)
-                        nodes, fixed = games._ca_response_task(net, move)
-                        pos = [nodes.index(v) for v in move.demanded()]
-                        didx = _tuple_index(pos, len(nodes))
-                        del fixed[didx]
-                        yield nodes, fixed, (didx,)
+                        yield net, CaMove(face, l, k, 0)
+
+
+def _response_tasks(spec):
+    """(nodes, fixed, demanded slots) of every responder task one round
+    from every opening, with the demanded slots left free."""
+    for net, move in _task_moves(spec):
+        nodes, fixed, demanded = games._response_task(net, move)
+        for idx in demanded:
+            del fixed[idx]
+        yield nodes, fixed, demanded
 
 
 @pytest.mark.parametrize(
@@ -907,7 +1045,7 @@ def test_completions_match_the_original_on_conflicting_fixed_slots():
     _assert_same_enumeration("ra", BIN312, (0, 1, 2), triangle)
 
 
-@pytest.mark.parametrize(
+SUCCESSOR_SPECS = pytest.mark.parametrize(
     "spec",
     [
         GameSpec(VARIANT_FRESH, CS3, 1),
@@ -928,6 +1066,22 @@ def test_completions_match_the_original_on_conflicting_fixed_slots():
         "z4",
     ],
 )
+
+
+def _opening_and_next_positions(solver):
+    """Every opening, and one position of each isomorphism class one round
+    from the openings."""
+    openings = solver.openings(0)
+    after = {}
+    for opening in openings:
+        for _, bucket in solver.successors(opening):
+            for m in bucket:
+                after.setdefault(solver.canon(m)[0], m)
+    assert openings and after
+    return [*openings, *after.values()]
+
+
+@SUCCESSOR_SPECS
 def test_successors_match_the_original_moves_and_responses(spec):
     # at every opening and at one position of each isomorphism class one
     # round from the openings: the same demands in the same order, and
@@ -938,19 +1092,89 @@ def test_successors_match_the_original_moves_and_responses(spec):
         moves, responses = _ra_moves, _ra_responses
     else:
         moves, responses = _ca_moves, _ca_responses
-    openings = games._openings(spec, 0, counter)
-    after = {}
-    for opening in openings:
-        for _, bucket in solver.successors(opening):
-            for m in bucket:
-                after.setdefault(solver.canon(m)[0], m)
-    assert openings and after
-    for net in [*openings, *after.values()]:
+    for net in _opening_and_next_positions(solver):
         got = list(solver.successors(net))
         assert [move for move, _ in got] == moves(spec, net, counter)[0]
         for move, bucket in got:
             want = responses(net, move, counter)
             assert [m.labels for m in bucket] == [m.labels for m in want]
+
+
+def _seed_response_task(net, move):
+    if isinstance(move, CaMove):
+        return _ca_response_task(net, move)
+    return _ra_response_task(net, move)
+
+
+@SUCCESSOR_SPECS
+def test_response_task_matches_the_seed(spec):
+    tasks = 0
+    for net, move in _task_moves(spec):
+        tasks += 1
+        nodes, fixed, demanded = games._response_task(net, move)
+        want_nodes, want_fixed = _seed_response_task(net, move)
+        assert nodes == want_nodes
+        assert list(fixed.items()) == list(want_fixed.items())
+        # the demanded slots, in the order of move.slots()
+        assert demanded == tuple(
+            _tuple_index([nodes.index(v) for v in t], len(nodes))
+            for t, _ in move.slots()
+        )
+    assert tasks > 0
+
+
+def _match_outcome(check, net, move, response):
+    """None when ``check`` accepts the response, else its error text."""
+    try:
+        check(net, move, response)
+    except RuntimeError as exc:
+        return str(exc)
+    return None
+
+
+def _corrupted_responses(net, move, response):
+    """The response with a retained label rewritten, with a wrong label at
+    each demanded slot in turn, and on a changed node set."""
+    n = response.structure.natoms
+    labels = list(response.labels)
+    k = move.node
+    retained = next(t for t in net.tuples() if k not in t)
+    idx = list(response.tuples()).index(retained)
+    labels[idx] = (labels[idx] + 1) % n
+    yield "retained", dataclasses.replace(response, labels=tuple(labels))
+    for slot, atom in move.slots():
+        labels = list(response.labels)
+        labels[list(response.tuples()).index(slot)] = (atom + 1) % n
+        yield "demanded", dataclasses.replace(response, labels=tuple(labels))
+    shifted = tuple(v + 1 for v in response.nodes)
+    yield "nodes", dataclasses.replace(response, nodes=shifted)
+
+
+CORRUPTION_ERRORS = {
+    "retained": "response rewrites a retained label",
+    "demanded": "response does not deliver the demanded label",
+    "nodes": "response changes the node set beyond the demand",
+}
+
+
+@SUCCESSOR_SPECS
+def test_check_response_matches_agrees_with_the_seed(spec):
+    solver = games._Solver(spec, _Counter(10**12, ""), True)
+    corrupted = {"retained": 0, "demanded": 0, "nodes": 0}
+    for net in _opening_and_next_positions(solver):
+        for move, bucket in solver.successors(net):
+            assert games._response_task(net, move)[:2] == _seed_response_task(net, move)
+            for m in bucket:
+                assert _match_outcome(games._check_response_matches, net, move, m) is None
+                assert _match_outcome(_check_response_matches, net, move, m) is None
+            if not bucket:
+                continue
+            for what, bad in _corrupted_responses(net, move, bucket[0]):
+                got = _match_outcome(games._check_response_matches, net, move, bad)
+                assert got.startswith(CORRUPTION_ERRORS[what])
+                assert got == _match_outcome(_check_response_matches, net, move, bad)
+                corrupted[what] += 1
+    assert all(corrupted.values())
 
 
 def test_a_slot_that_is_its_own_transposition_partner_keeps_its_atom_fixed():
@@ -964,7 +1188,7 @@ def test_a_slot_that_is_its_own_transposition_partner_keeps_its_atom_fixed():
     spec = GameSpec(VARIANT_FRESH, swapped, 1)
     counter = _Counter(10**12, "")
     solver = games._Solver(spec, counter, True)
-    openings = games._openings(spec, CS3.atoms.index(repr((1, 1, 1))), counter)
+    openings = solver.openings(CS3.atoms.index(repr((1, 1, 1))))
     assert openings
     for net in openings:
         assert validate_network(net).passed
@@ -1054,6 +1278,33 @@ def test_interactive_play_reprompts_and_lets_the_engine_win():
         ("respond", EXISTS),
     ]
     assert f"winner: {EXISTS}" in printed
+
+
+def test_option_listings_show_at_most_50_and_count_the_rest():
+    # the second demand of this play has 104 options
+    spec = GameSpec(VARIANT_TRIANGLE, HH313, 2, pebbles=3)
+    out = io.StringIO()
+    play_interactive(
+        spec, FORALL, 0, input_stream=io.StringIO("1\n1\n"), output_stream=out
+    )
+    listings = re.findall(
+        r"pick a demand:\n(.*?)your choice \(0\.\.(\d+), or resign\):",
+        out.getvalue(),
+        re.S,
+    )
+    assert [int(last) + 1 for _, last in listings] == [7, 104]
+    for body, last in listings:
+        n = int(last) + 1
+        lines = body.splitlines()
+        assert [line.split("]")[0] for line in lines[:50]] == [
+            f"[{i}" for i in range(min(n, 50))
+        ]
+        if n > 50:
+            assert lines[50:] == [
+                f"... {n - 50} more (any index up to {n - 1} accepted)"
+            ]
+        else:
+            assert len(lines) == n
 
 
 def test_interactive_play_resignation_concedes():
