@@ -7,14 +7,16 @@ relation P_ij.  The complex algebra lives on subsets of the atom set:
 cylindrification is the T_i-preimage operator, diagonals are constants,
 and transpositions act through P_ij.
 
-Elements are dense bitmasks over atom indices.  Cylindrification and
-transposition are both the image map of one relation, x -> {a : exists b
-in x with (a, b) in R}; each is an `AdditiveOperator` held by the structure
-(`cyl_op`, `transp_op`).  An operator applies to one mask (`apply`) or to a
-uint32 array of masks (`apply_vec`); on structures of at most 32 atoms both
-read byte-sliced lookup tables built on first use.  Everything else is
-immutable after construction; operations are pure and freely shareable
-across tasks.
+Elements are dense bitmasks over atom indices, and a relation R is stored
+once, as its column table: column b is the mask of {a : (a, b) in R}.
+Cylindrification and transposition are both the image map of one relation,
+x -> {a : exists b in x with (a, b) in R}; each is an `AdditiveOperator`
+over the stored table (`cyl_op`, `transp_op`).  An operator applies to one
+mask (`apply`) or to a uint32 array of masks (`apply_vec`); on structures
+of at most 32 atoms both read byte-sliced lookup tables built on first use.
+(a, b) pairs appear only as input to `CaAtomStructure.build` and in JSON
+output.  Everything else is immutable after construction; operations are
+pure and freely shareable across tasks.
 """
 from __future__ import annotations
 
@@ -68,23 +70,21 @@ class AdditiveOperator:
     """The image map x -> OR of cols[b] over the atoms b of x.
 
     `cols[b]` is the mask of {a : (a, b) in R} for one relation R, so this
-    is the complete additive operator of R.  On at most 32 atoms `apply`
-    and `apply_vec` read one 256-entry table per byte of the mask (the
-    "Four Russians" chunking of Arlazarov et al., 1970), built on first
-    use; above that `apply` runs over the set bits and `apply_vec` raises.
+    is the complete additive operator of R.  On at most 32 atoms in and out
+    `apply` and `apply_vec` read one 256-entry table per byte of the mask
+    (the "Four Russians" chunking of Arlazarov et al., 1970), built on first
+    use; otherwise `apply` runs over the set bits and `apply_vec` raises.
     """
 
     def __init__(self, cols: tuple[int, ...]) -> None:
         self.cols = cols
-        self._tabled = len(cols) <= _TABLE_ATOMS
+        self._tabled = len(cols) <= _TABLE_ATOMS and not max(cols, default=0) >> _TABLE_ATOMS
 
     @cached_property
     def _tables(self) -> np.ndarray:
         """Row k, entry m: the image of the mask m << 8k."""
         if not self._tabled:
-            raise ValueError(
-                f"lookup tables need at most {_TABLE_ATOMS} atoms, got {len(self.cols)}"
-            )
+            raise ValueError(f"lookup tables need at most {_TABLE_ATOMS} atoms in and out")
         cols = self.cols + (0,) * (-len(self.cols) % 8)
         tables = np.zeros((len(cols) // 8, 256), dtype=np.uint32)
         for b, col in enumerate(cols):
@@ -134,22 +134,76 @@ class AdditiveOperator:
         return tuple(map(image.__getitem__, inner.cols))
 
 
+def column_pairs(cols: Sequence[int]) -> Iterator[Pair]:
+    """The (a, b) pairs of a column table in column order: b ascending,
+    then a."""
+    for b, col in enumerate(cols):
+        for a in _bits(col):
+            yield a, b
+
+
+def _holders(cols: Sequence[int]) -> dict[int, int]:
+    """Per distinct column, the mask of the atoms whose column it is."""
+    holders: dict[int, int] = {}
+    for b, col in enumerate(cols):
+        holders[col] = holders.get(col, 0) | 1 << b
+    return holders
+
+
+def transpose(cols: Sequence[int]) -> tuple[int, ...]:
+    """Column table of the converse relation: column a is {b : (a, b) in R}.
+
+    One OR per bit of each distinct column, so an equivalence costs one
+    per atom.
+    """
+    rows = [0] * len(cols)
+    for col, held in _holders(cols).items():
+        for a in _bits(col):
+            rows[a] |= held
+    return tuple(rows)
+
+
+def class_columns(n: int, classes: Iterable[Iterable[int]]) -> tuple[int, ...]:
+    """Column table of the equivalence on n atoms with these classes: each
+    class mask is built once and is the column of every member."""
+    cols = [0] * n
+    for cls in classes:
+        members = tuple(cls)
+        mask = 0
+        for a in members:
+            mask |= 1 << a
+        for a in members:
+            cols[a] = mask
+    return tuple(cols)
+
+
+def _check_columns(cols: Sequence[int], n: int, kind: str) -> None:
+    if len(cols) != n:
+        raise ValueError(f"{kind} relation needs one column per atom, got {len(cols)}")
+    for b, col in enumerate(cols):
+        if col >> n:
+            raise ValueError(f"{kind} pair ({col.bit_length() - 1},{b}) out of range")
+
+
 @dataclass(frozen=True)
 class CaAtomStructure:
     """Dimension-n atom frame: atoms, T_i relations, E_ij sets, optional P_ij.
 
-    Fields are canonical immutable containers; `transp` is None for a pure
-    cylindric signature, otherwise one relation per unordered index pair in
-    lexicographic order.  Construction enforces only the type invariants
-    (index ranges, E_ii full, P_ij a functional bijective involution);
-    the genuine frame conditions live in check_ca_frame.
+    Each relation R is stored once, as its column table: n masks, column b
+    the mask of {a : (a, b) in R}, the table its operator reads.  `cyl[i]`
+    is the table of T_i; `transp` is None for a pure cylindric signature,
+    otherwise the table of P_ij per unordered index pair in lexicographic
+    order; `diag[i][j]` is the frozenset E_ij.  `build` is the one
+    constructor from (a, b) pairs.  Construction enforces only the type
+    invariants (index ranges, E_ii full, P_ij a functional bijective
+    involution); the genuine frame conditions live in check_ca_frame.
     """
 
     dim: int
     atoms: tuple[str, ...]
-    cyl: tuple[frozenset[Pair], ...]
+    cyl: tuple[tuple[int, ...], ...]
     diag: tuple[tuple[frozenset[int], ...], ...]
-    transp: tuple[frozenset[Pair], ...] | None = None
+    transp: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         if not 2 <= self.dim <= MAX_DIM:
@@ -161,10 +215,8 @@ class CaAtomStructure:
             raise ValueError("atom labels must be unique")
         if len(self.cyl) != self.dim:
             raise ValueError("need one cylindrifier relation per index")
-        for rel in self.cyl:
-            for a, b in rel:
-                if not (0 <= a < n and 0 <= b < n):
-                    raise ValueError(f"cylindrifier pair ({a},{b}) out of range")
+        for cols in self.cyl:
+            _check_columns(cols, n, "cylindrifier")
         if len(self.diag) != self.dim or any(len(row) != self.dim for row in self.diag):
             raise ValueError("diagonal sets must form a dim x dim grid")
         full = frozenset(range(n))
@@ -174,32 +226,24 @@ class CaAtomStructure:
                     raise ValueError(f"diagonal set E_{i}{j} out of range")
             if self.diag[i][i] != full:
                 raise ValueError(f"E_{i}{i} must be the full atom set")
+        full_mask = (1 << n) - 1
         if self.transp is not None:
             npairs = self.dim * (self.dim - 1) // 2
             if len(self.transp) != npairs:
                 raise ValueError("need one transposition relation per unordered pair")
-            for rel in self.transp:
-                img = {}
-                for a, b in rel:
-                    if not (0 <= a < n and 0 <= b < n):
-                        raise ValueError(f"transposition pair ({a},{b}) out of range")
-                    if a in img:
+            for cols in self.transp:
+                _check_columns(cols, n, "transposition")
+                seen = 0
+                for col in cols:
+                    if col & seen:
                         raise ValueError("transposition relation is not functional")
-                    img[a] = b
-                if len(img) != n or set(img.values()) != set(range(n)):
+                    seen |= col
+                if seen != full_mask or not all(cols):
                     raise ValueError("transposition relation is not a bijection on atoms")
-                if any(img[img[a]] != a for a in img):
+                if any(cols[col.bit_length() - 1] != 1 << b for b, col in enumerate(cols)):
                     raise ValueError("transposition relation is not an involution")
-        object.__setattr__(self, "_full_mask", (1 << n) - 1)
-
-        def operator(rel: frozenset[Pair]) -> AdditiveOperator:
-            # column b holds the mask of {a : (a,b) in rel}
-            col = [0] * n
-            for a, b in rel:
-                col[b] |= 1 << a
-            return AdditiveOperator(tuple(col))
-
-        object.__setattr__(self, "_cyl_ops", tuple(map(operator, self.cyl)))
+        object.__setattr__(self, "_full_mask", full_mask)
+        object.__setattr__(self, "_cyl_ops", tuple(map(AdditiveOperator, self.cyl)))
         diag_mask = tuple(
             tuple(sum(1 << a for a in self.diag[i][j]) for j in range(self.dim))
             for i in range(self.dim)
@@ -208,7 +252,7 @@ class CaAtomStructure:
         object.__setattr__(
             self,
             "_transp_ops",
-            None if self.transp is None else tuple(map(operator, self.transp)),
+            None if self.transp is None else tuple(map(AdditiveOperator, self.transp)),
         )
 
     @property
@@ -242,11 +286,6 @@ class CaAtomStructure:
     def transp_image_masks(self, i: int, j: int) -> tuple[int, ...]:
         return self.transp_op(i, j).cols
 
-    def transp_rel(self, i: int, j: int) -> frozenset[Pair]:
-        if self.transp is None:
-            raise SignatureError("structure carries no transposition relations")
-        return self.transp[_pair_rank(min(i, j), max(i, j), self.dim)]
-
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.dim:
             raise ValueError(f"index {i} out of range for dimension {self.dim}")
@@ -260,14 +299,42 @@ class CaAtomStructure:
         diag: Sequence[Sequence[Iterable[int]]],
         transp: Sequence[Iterable[Pair]] | None = None,
     ) -> "CaAtomStructure":
-        """Normalize arbitrary iterables into the canonical frozen form."""
+        """The structure from (a, b) pairs and atom index sets: each pair is
+        range-checked and ORed into column b of its relation's table."""
+        atoms = tuple(atoms)
+        n = len(atoms)
+
+        def indices(xs: Iterable, name: str) -> tuple:
+            xs = tuple(xs)
+            bad = next((x for x in xs if type(x) is not int), None)
+            if bad is not None:
+                raise ValueError(f"{name} has a non-integer atom index {bad!r}")
+            return xs
+
+        def columns(rel: Iterable[Pair], kind: str, name: str) -> tuple[int, ...]:
+            cols = [0] * n
+            for pair in rel:
+                a, b = indices(pair, f"{kind} relation {name}")
+                if not (0 <= a < n and 0 <= b < n):
+                    raise ValueError(f"{kind} pair ({a},{b}) out of range")
+                cols[b] |= 1 << a
+            return tuple(cols)
+
+        names = [f"P{i}{j}" for i in range(dim) for j in range(i + 1, dim)]
         return cls(
             dim=dim,
-            atoms=tuple(atoms),
-            cyl=tuple(frozenset((a, b) for a, b in rel) for rel in cyl),
-            diag=tuple(tuple(frozenset(row_j) for row_j in row) for row in diag),
+            atoms=atoms,
+            cyl=tuple(columns(rel, "cylindrifier", f"T{i}") for i, rel in enumerate(cyl)),
+            diag=tuple(
+                tuple(
+                    frozenset(indices(row_j, f"diagonal set E{i}{j}"))
+                    for j, row_j in enumerate(row)
+                )
+                for i, row in enumerate(diag)
+            ),
             transp=None if transp is None else tuple(
-                frozenset((a, b) for a, b in rel) for rel in transp
+                columns(rel, "transposition", names[r] if r < len(names) else str(r))
+                for r, rel in enumerate(transp)
             ),
         )
 
@@ -432,24 +499,29 @@ def equivalence_defects(
     they run only to name each property's first violation.
     """
     cols = structure.cyl_image_masks(i)
-    holders: dict[int, int] = {}
-    for b, col in enumerate(cols):
-        holders[col] = holders.get(col, 0) | 1 << b
-    if all(col == atoms for col, atoms in holders.items()):
+    if all(col == atoms for col, atoms in _holders(cols).items()):
         for prop in ("reflexive", "symmetric", "transitive"):
             yield prop, None
         return
-    rel = structure.cyl[i]
     yield "reflexive", next(
-        (f"T{i} not reflexive at {a}" for a in range(structure.natoms) if (a, a) not in rel),
+        (f"T{i} not reflexive at {a}" for a, col in enumerate(cols) if not col >> a & 1),
         None,
     )
     yield "symmetric", next(
-        (f"T{i} not symmetric at ({a},{b})" for a, b in rel if (b, a) not in rel), None
+        (
+            f"T{i} not symmetric at ({a},{b})"
+            for a, b in column_pairs(cols)
+            if not cols[a] >> b & 1
+        ),
+        None,
     )
     # transitivity: everything reaching a must reach b
     yield "transitive", next(
-        (f"T{i} not transitive through ({a},{b})" for a, b in rel if cols[a] & ~cols[b]),
+        (
+            f"T{i} not transitive through ({a},{b})"
+            for a, b in column_pairs(cols)
+            if cols[a] & ~cols[b]
+        ),
         None,
     )
 
@@ -508,14 +580,13 @@ def check_ca_frame(structure: CaAtomStructure) -> FrameReport:
             conds.append(FrameCondition(f"diag_unique_E{i}{j}_in_T{i}", ok))
 
     if structure.transp is not None:
+        identity = tuple(1 << b for b in range(n))
         for i in range(dim):
             for j in range(i + 1, dim):
-                rel = structure.transp_rel(i, j)
-                img = dict(rel)
-                inv = len(img) == n and all(img.get(img[a]) == a for a in img)
+                pij = structure.transp_op(i, j)
+                inv = pij.after(pij) == identity
                 conds.append(FrameCondition(f"P{i}{j}_involution", inv))
                 swap = {i: j, j: i}
-                pij = structure.transp_op(i, j)
                 ok = all(
                     pij.after(structure.cyl_op(k))
                     == structure.cyl_op(swap.get(k, k)).after(pij)
@@ -538,24 +609,22 @@ def check_ca_frame(structure: CaAtomStructure) -> FrameReport:
 
 
 def structure_to_dict(structure: CaAtomStructure) -> dict:
+    dim = structure.dim
+
+    def pairs(cols: tuple[int, ...]) -> list[list[int]]:
+        return [[a, b] for a, b in sorted(column_pairs(cols))]
+
     out: dict = {
-        "dim": structure.dim,
+        "dim": dim,
         "atoms": list(structure.atoms),
-        "cyl": [sorted([a, b] for a, b in rel) for rel in structure.cyl],
-        "diag": [
-            [sorted(structure.diag[i][j]) for j in range(structure.dim)]
-            for i in range(structure.dim)
-        ],
+        "cyl": [pairs(cols) for cols in structure.cyl],
+        "diag": [[sorted(structure.diag[i][j]) for j in range(dim)] for i in range(dim)],
     }
     if structure.transp is not None:
-        pairs = [
-            (i, j)
-            for i in range(structure.dim)
-            for j in range(i + 1, structure.dim)
-        ]
         out["transp"] = [
-            [i, j, sorted([a, b] for a, b in structure.transp_rel(i, j))]
-            for i, j in pairs
+            [i, j, pairs(structure.transp_image_masks(i, j))]
+            for i in range(dim)
+            for j in range(i + 1, dim)
         ]
     return out
 
@@ -569,14 +638,13 @@ def structure_from_dict(data: Mapping) -> CaAtomStructure:
     if "transp" in data:
         dim = data["dim"]
         npairs = dim * (dim - 1) // 2
-        rels: list[frozenset[Pair]] = [frozenset()] * npairs
+        transp = [[]] * npairs
         for i, j, pairs in data["transp"]:
-            rels[_pair_rank(i, j, dim)] = frozenset((a, b) for a, b in pairs)
-        transp = rels
+            transp[_pair_rank(i, j, dim)] = pairs
     return CaAtomStructure.build(
         dim=data["dim"],
         atoms=[str(s) for s in data["atoms"]],
-        cyl=[[(a, b) for a, b in rel] for rel in data["cyl"]],
+        cyl=data["cyl"],
         diag=data["diag"],
         transp=transp,
     )

@@ -19,6 +19,7 @@ from .bao import (
     BudgetExceededError,
     CaAtomStructure,
     check_ca_frame,
+    column_pairs,
     element,
     structure_from_dict,
     structure_to_dict,
@@ -305,7 +306,7 @@ def _structure_dot(s: CaAtomStructure | RaAtomStructure) -> str:
             lines.append(f'  a{a} [label="{label}"];')
         for i in range(s.dim):
             colour = _DOT_COLOURS[i % len(_DOT_COLOURS)]
-            for a, b in sorted(s.cyl[i]):
+            for a, b in sorted(column_pairs(s.cyl[i])):
                 if a < b:
                     lines.append(f'  a{a} -- a{b} [color={colour}, label="T{i}"];')
     else:

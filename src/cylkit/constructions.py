@@ -9,11 +9,11 @@ triples, atom splitting, and (in `hyper`) hypernetwork machinery.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 from typing import Callable, Iterator, Sequence, Union
 
-from .bao import CaAtomStructure, Element, Pair, element
+from .bao import AdditiveOperator, CaAtomStructure, Element, Pair, class_columns, element
 from .ra import RaAtomStructure, Triple
 
 # ---------------------------------------------------------------------------
@@ -131,23 +131,22 @@ def monk_atoms(m: int, n: int) -> CaAtomStructure:
     if not m <= n <= 6:
         raise ValueError(f"n must be in {m}..6, got {n}")
     data = _monk_data(m, n)
-    labels = [monk_label(at) for at in data]
+    labels = tuple(monk_label(at) for at in data)
     cyl = []
     for kappa_idx in range(m):
         groups: dict[tuple, list[int]] = {}
         for idx, at in enumerate(data):
             groups.setdefault(_monk_residue(at, kappa_idx), []).append(idx)
-        rel = [(a, b) for grp in groups.values() for a in grp for b in grp]
-        cyl.append(rel)
-    full = range(len(data))
-    diag = [
-        [
-            list(full) if i == j else [idx for idx, at in enumerate(data) if at.related(i, j)]
+        cyl.append(class_columns(len(data), groups.values()))
+    full = frozenset(range(len(data)))
+    diag = tuple(
+        tuple(
+            full if i == j else frozenset(idx for idx, at in enumerate(data) if at.related(i, j))
             for j in range(m)
-        ]
+        )
         for i in range(m)
-    ]
-    return CaAtomStructure.build(dim=m, atoms=labels, cyl=cyl, diag=diag)
+    )
+    return CaAtomStructure(dim=m, atoms=labels, cyl=tuple(cyl), diag=diag)
 
 
 def monk_atom_listing(structure: CaAtomStructure) -> list[dict]:
@@ -191,20 +190,14 @@ def johnson_extend(structure: CaAtomStructure) -> CaAtomStructure:
     transp = []
     for i in range(m):
         for j in range(i + 1, m):
-            pairs = []
-            for idx, at in enumerate(data):
+            cols = []
+            for at in data:
                 conj = conjugate(at, i, j)
                 if conj not in index:
                     raise ValueError("structure was not produced by monk_atoms")
-                pairs.append((index[conj], idx))
-            transp.append(pairs)
-    return CaAtomStructure.build(
-        dim=m,
-        atoms=structure.atoms,
-        cyl=structure.cyl,
-        diag=structure.diag,
-        transp=transp,
-    )
+                cols.append(1 << index[conj])
+            transp.append(tuple(cols))
+    return replace(structure, transp=tuple(transp))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +420,7 @@ def basic_matrices(m: int, bin_ra: RaAtomStructure) -> CaAtomStructure:
     for values in mats:
         if not validate_matrix(bin_ra, values):
             raise AssertionError("enumerated matrix fails the triangle condition")
-    labels = [matrix_label(bin_ra, v) for v in mats]
+    labels = tuple(matrix_label(bin_ra, v) for v in mats)
     slots = _slot_pairs(m)
     index = {v: i for i, v in enumerate(mats)}
     (id_atom,) = bin_ra.identity
@@ -438,26 +431,26 @@ def basic_matrices(m: int, bin_ra: RaAtomStructure) -> CaAtomStructure:
         groups: dict[tuple[int, ...], list[int]] = {}
         for i, v in enumerate(mats):
             groups.setdefault(tuple(v[s] for s in keep), []).append(i)
-        cyl.append([(a, b) for grp in groups.values() for a in grp for b in grp])
+        cyl.append(class_columns(len(mats), groups.values()))
 
-    full = range(len(mats))
+    full = frozenset(range(len(mats)))
     diag = []
     for x in range(m):
         row = []
         for y in range(m):
             if x == y:
-                row.append(list(full))
+                row.append(full)
             else:
                 s = slots.index((min(x, y), max(x, y)))
-                row.append([i for i, v in enumerate(mats) if v[s] == id_atom])
-        diag.append(row)
+                row.append(frozenset(i for i, v in enumerate(mats) if v[s] == id_atom))
+        diag.append(tuple(row))
 
     transp = []
     for x in range(m):
         for y in range(x + 1, m):
             swap = {x: y, y: x}
-            pairs = []
-            for i, v in enumerate(mats):
+            cols = []
+            for v in mats:
                 conj = tuple(
                     v[
                         slots.index(
@@ -469,10 +462,12 @@ def basic_matrices(m: int, bin_ra: RaAtomStructure) -> CaAtomStructure:
                     ]
                     for a, b in slots
                 )
-                pairs.append((index[conj], i))
-            transp.append(pairs)
+                cols.append(1 << index[conj])
+            transp.append(tuple(cols))
 
-    return CaAtomStructure.build(dim=m, atoms=labels, cyl=cyl, diag=diag, transp=transp)
+    return CaAtomStructure(
+        dim=m, atoms=labels, cyl=tuple(cyl), diag=tuple(diag), transp=tuple(transp)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -491,26 +486,29 @@ def full_set_algebra(n: int, base_size: int) -> CaAtomStructure:
         raise ValueError(f"base_size must be in 2..4, got {base_size}")
     tuples = [t for t in product(range(base_size), repeat=n)]
     index = {t: i for i, t in enumerate(tuples)}
-    labels = [repr(t) for t in tuples]
+    labels = tuple(repr(t) for t in tuples)
     cyl = []
     for i in range(n):
         groups: dict[tuple, list[int]] = {}
         for t in tuples:
             groups.setdefault(t[:i] + t[i + 1 :], []).append(index[t])
-        cyl.append([(a, b) for grp in groups.values() for a in grp for b in grp])
-    diag = [
-        [[index[t] for t in tuples if t[i] == t[j]] for j in range(n)] for i in range(n)
-    ]
+        cyl.append(class_columns(len(tuples), groups.values()))
+    diag = tuple(
+        tuple(frozenset(index[t] for t in tuples if t[i] == t[j]) for j in range(n))
+        for i in range(n)
+    )
     transp = []
     for i in range(n):
         for j in range(i + 1, n):
-            pairs = []
+            cols = []
             for t in tuples:
                 s = list(t)
                 s[i], s[j] = s[j], s[i]
-                pairs.append((index[tuple(s)], index[t]))
-            transp.append(pairs)
-    return CaAtomStructure.build(dim=n, atoms=labels, cyl=cyl, diag=diag, transp=transp)
+                cols.append(1 << index[tuple(s)])
+            transp.append(tuple(cols))
+    return CaAtomStructure(
+        dim=n, atoms=labels, cyl=tuple(cyl), diag=diag, transp=tuple(transp)
+    )
 
 
 def three_cube() -> CaAtomStructure:
@@ -611,42 +609,41 @@ def _split_ca(structure: CaAtomStructure, a: int, policy: SplitPolicy) -> SplitR
     copy_map, proj = _split_indexing(structure.natoms, a, k)
     labels = _split_labels(structure.atoms, a, k)
     nn = len(labels)
+    # column of a new atom: the column of its source atom, with every atom
+    # replaced by its copies
+    lift = AdditiveOperator(tuple(sum(1 << new for new in news) for news in copy_map))
+    copies = lift.cols[a]
 
-    def lift_rel(rel: frozenset[Pair], custom: bool) -> list[Pair]:
-        pairs = []
-        for x, y in rel:
-            for xn in copy_map[x]:
-                for yn in copy_map[y]:
-                    if custom and x == a and y == a and callable(policy.intra):
-                        if not policy.intra(xn - a, yn - a):
-                            continue
-                    pairs.append((xn, yn))
-        return pairs
+    def lift_cols(cols: tuple[int, ...]) -> tuple[int, ...]:
+        out = [lift.apply(cols[proj[new]]) for new in range(nn)]
+        if callable(policy.intra) and cols[a] >> a & 1:
+            for yn in copy_map[a]:
+                kept = sum(1 << xn for xn in copy_map[a] if policy.intra(xn - a, yn - a))
+                out[yn] = out[yn] & ~copies | kept
+        return tuple(out)
 
-    cyl = [lift_rel(rel, custom=True) for rel in structure.cyl]
-    diag = [
-        [
-            [new for new in range(nn) if proj[new] in structure.diag[i][j]]
+    diag = tuple(
+        tuple(
+            frozenset(new for new in range(nn) if proj[new] in structure.diag[i][j])
             for j in range(structure.dim)
-        ]
+        )
         for i in range(structure.dim)
-    ]
+    )
     transp = None
     if structure.transp is not None:
-        transp = []
-        for rel in structure.transp:
-            img = dict(rel)
-            if img.get(a, a) != a:
-                raise ValueError("cannot split an atom moved by a transposition")
-            pairs = []
-            for x, y in rel:
-                if x == a:  # fixed point: copies stay individually fixed
-                    pairs.extend((c, c) for c in copy_map[a])
-                else:
-                    pairs.append((copy_map[x][0], copy_map[y][0]))
-            transp.append(pairs)
-    new_structure = CaAtomStructure.build(
-        dim=structure.dim, atoms=labels, cyl=cyl, diag=diag, transp=transp
+        if any(cols[a] != 1 << a for cols in structure.transp):
+            raise ValueError("cannot split an atom moved by a transposition")
+        # a fixed point: its copies stay individually fixed
+        transp = tuple(
+            tuple(1 << new if proj[new] == a else lift.apply(cols[proj[new]]) for new in range(nn))
+            for cols in structure.transp
+        )
+    new_structure = CaAtomStructure(
+        dim=structure.dim,
+        atoms=tuple(labels),
+        cyl=tuple(map(lift_cols, structure.cyl)),
+        diag=diag,
+        transp=transp,
     )
     return SplitResult(new_structure, copy_map, a)
 

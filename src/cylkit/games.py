@@ -42,10 +42,10 @@ import json
 import operator
 import os
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar, NoReturn
 
-from .bao import BudgetExceededError, CaAtomStructure
+from .bao import BudgetExceededError, CaAtomStructure, transpose
 from .ra import RaAtomStructure
 
 VARIANT_FRESH = "fresh"
@@ -335,18 +335,11 @@ def drop_cyl_pair(
     fails check_ca_frame and shrinks the responder's options in games.
     """
     structure._check_index(i)
-    rel = structure.cyl[i]
-    if (a, b) not in rel:
+    cols = structure.cyl[i]
+    if not (0 <= a < len(cols) and 0 <= b < len(cols) and cols[b] >> a & 1):
         raise ValueError(f"({a},{b}) is not in cylindrifier relation {i}")
-    new_cyl = list(structure.cyl)
-    new_cyl[i] = rel - {(a, b)}
-    return CaAtomStructure(
-        dim=structure.dim,
-        atoms=structure.atoms,
-        cyl=tuple(new_cyl),
-        diag=structure.diag,
-        transp=structure.transp,
-    )
+    cut = cols[:b] + (cols[b] & ~(1 << a),) + cols[b + 1 :]
+    return replace(structure, cyl=structure.cyl[:i] + (cut,) + structure.cyl[i + 1 :])
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +605,9 @@ def _cyl_masks(structure: CaAtomStructure) -> tuple[tuple[int, ...], ...]:
     on the structure."""
     got = getattr(structure, "_game_cyl_masks", None)
     if got is None:
-        tables = []
-        for i in range(structure.dim):
-            rows = [0] * structure.natoms
-            for a, b in structure.cyl[i]:
-                rows[a] |= 1 << b
-            cols = structure.cyl_image_masks(i)
-            tables.append(tuple(c & r for c, r in zip(cols, rows)))
-        got = tuple(tables)
+        got = tuple(
+            tuple(c & r for c, r in zip(cols, transpose(cols))) for cols in structure.cyl
+        )
         object.__setattr__(structure, "_game_cyl_masks", got)
     return got
 

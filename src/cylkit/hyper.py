@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
-from .bao import BudgetExceededError, CaAtomStructure
+from .bao import BudgetExceededError, CaAtomStructure, class_columns
 from .ra import RaAtomStructure
 
 DEFAULT_ENUM_BUDGET = 200_000
@@ -239,31 +239,24 @@ class HyperbasisReport:
         return None
 
 
-def is_hyperbasis(
-    ra: RaAtomStructure, networks: Sequence[HyperNetwork]
-) -> HyperbasisReport:
-    """Witness, cylindrifier, amalgamation, and node-map closure checks."""
-    nets = list(networks)
-    violations: list[tuple[str, str]] = []
-    if not nets:
-        return HyperbasisReport(False, (("member", "empty set"),))
-    m = nets[0].m
-    if any(h.m != m or h.n_wide != nets[0].n_wide for h in nets):
-        return HyperbasisReport(False, (("member", "mixed shapes"),))
+def _member_defects(ra: RaAtomStructure, nets: Sequence[HyperNetwork]) -> Iterator[str]:
     for idx, h in enumerate(nets):
         ok, why = validate_hypernetwork(ra, h)
         if not ok:
-            violations.append(("member", f"network {idx}: {why}"))
-            break
-    net_set = set(nets)
+            yield f"network {idx}: {why}"
 
-    if m >= 2:
+
+def _witness_defects(ra: RaAtomStructure, nets: Sequence[HyperNetwork]) -> Iterator[str]:
+    if nets[0].m >= 2:
         for a in range(ra.natoms):
             if not any(h.pair(0, 1) == a for h in nets):
-                violations.append(("witness", f"no network labels (0,1) with atom {a}"))
-                break
+                yield f"no network labels (0,1) with atom {a}"
 
-    done = False
+
+def _cylindrifier_defects(
+    ra: RaAtomStructure, nets: Sequence[HyperNetwork]
+) -> Iterator[str]:
+    m = nets[0].m
     for h in nets:
         for x in range(m):
             for y in range(m):
@@ -272,75 +265,64 @@ def is_hyperbasis(
                         continue
                     for a in range(ra.natoms):
                         for b in range(ra.natoms):
-                            if not ra.consistent(h.pair(x, y), a, b):
-                                continue
-                            if not any(
+                            if ra.consistent(h.pair(x, y), a, b) and not any(
                                 g.pair(x, z) == a
                                 and g.pair(z, y) == b
                                 and _agrees_off(g, h, frozenset((z,)))
                                 for g in nets
                             ):
-                                violations.append(
-                                    (
-                                        "cylindrifier",
-                                        f"no witness for ({x},{y}) via {z} "
-                                        f"with atoms ({a},{b})",
-                                    )
+                                yield (
+                                    f"no witness for ({x},{y}) via {z} "
+                                    f"with atoms ({a},{b})"
                                 )
-                                done = True
-                            if done:
-                                break
-                        if done:
-                            break
-                    if done:
-                        break
-                if done:
-                    break
-            if done:
-                break
-        if done:
-            break
 
-    done = False
+
+def _amalgamation_defects(nets: Sequence[HyperNetwork]) -> Iterator[str]:
+    m = nets[0].m
     for hi, h in enumerate(nets):
         for gi, g in enumerate(nets):
             for x in range(m):
                 for y in range(m):
-                    if _agrees_off(h, g, frozenset((x, y))):
-                        if not any(
-                            _agrees_off(h, mid, frozenset((x,)))
-                            and _agrees_off(mid, g, frozenset((y,)))
-                            for mid in nets
-                        ):
-                            violations.append(
-                                (
-                                    "amalgamation",
-                                    f"networks {hi},{gi} agree off ({x},{y}) "
-                                    "but have no amalgam",
-                                )
-                            )
-                            done = True
-                    if done:
-                        break
-                if done:
-                    break
-            if done:
-                break
-        if done:
-            break
+                    if _agrees_off(h, g, frozenset((x, y))) and not any(
+                        _agrees_off(h, mid, frozenset((x,)))
+                        and _agrees_off(mid, g, frozenset((y,)))
+                        for mid in nets
+                    ):
+                        yield f"networks {hi},{gi} agree off ({x},{y}) but have no amalgam"
 
+
+def _symmetry_defects(nets: Sequence[HyperNetwork]) -> Iterator[str]:
+    m = nets[0].m
+    net_set = set(nets)
     for h in nets:
         for sigma in product(range(m), repeat=m):
             if h.rename(sigma) not in net_set:
-                violations.append(
-                    ("symmetry", f"renaming by {sigma} leaves the set")
-                )
-                break
-        else:
-            continue
-        break
+                yield f"renaming by {sigma} leaves the set"
 
-    return HyperbasisReport(not violations, tuple(violations))
+
+def is_hyperbasis(
+    ra: RaAtomStructure, networks: Sequence[HyperNetwork]
+) -> HyperbasisReport:
+    """Witness, cylindrifier, amalgamation, and node-map closure checks,
+    each reporting its first violation."""
+    nets = list(networks)
+    if not nets:
+        return HyperbasisReport(False, (("member", "empty set"),))
+    if any(h.m != nets[0].m or h.n_wide != nets[0].n_wide for h in nets):
+        return HyperbasisReport(False, (("member", "mixed shapes"),))
+    rules = (
+        ("member", _member_defects(ra, nets)),
+        ("witness", _witness_defects(ra, nets)),
+        ("cylindrifier", _cylindrifier_defects(ra, nets)),
+        ("amalgamation", _amalgamation_defects(nets)),
+        ("symmetry", _symmetry_defects(nets)),
+    )
+    violations = tuple(
+        (rule, detail)
+        for rule, defects in rules
+        if (detail := next(defects, None)) is not None
+    )
+    return HyperbasisReport(not violations, violations)
 
 
 def ca_over_hyperbasis(
@@ -361,28 +343,31 @@ def ca_over_hyperbasis(
     if m < 2:
         raise ValueError("need at least two nodes to form a structure")
     index = {h: i for i, h in enumerate(nets)}
-    labels = [repr((h.pairs, h.hyper)) for h in nets]
+    labels = tuple(repr((h.pairs, h.hyper)) for h in nets)
     cyl = []
     for i in range(m):
-        rel = [
-            (a, b)
-            for a, ha in enumerate(nets)
-            for b, hb in enumerate(nets)
-            if _agrees_off(ha, hb, frozenset((i,)))
-        ]
-        cyl.append(rel)
-    diag = [
-        [
-            [a for a, h in enumerate(nets) if h.pair(i, j) in ra.identity]
+        # networks agree away from node i iff their labels off node i match
+        groups: dict[tuple, list[int]] = {}
+        for a, h in enumerate(nets):
+            off = (
+                tuple(h.pair(x, y) for x in range(m) for y in range(m) if i not in (x, y)),
+                tuple((t, v) for t, v in h.hyper if i not in t),
+            )
+            groups.setdefault(off, []).append(a)
+        cyl.append(class_columns(len(nets), groups.values()))
+    diag = tuple(
+        tuple(
+            frozenset(a for a, h in enumerate(nets) if h.pair(i, j) in ra.identity)
             for j in range(m)
-        ]
+        )
         for i in range(m)
-    ]
+    )
     transp = []
     for i in range(m):
         for j in range(i + 1, m):
             sigma = list(range(m))
             sigma[i], sigma[j] = j, i
-            pairs = [(index[h.rename(sigma)], a) for a, h in enumerate(nets)]
-            transp.append(pairs)
-    return CaAtomStructure.build(dim=m, atoms=labels, cyl=cyl, diag=diag, transp=transp)
+            transp.append(tuple(1 << index[h.rename(sigma)] for h in nets))
+    return CaAtomStructure(
+        dim=m, atoms=labels, cyl=tuple(cyl), diag=diag, transp=tuple(transp)
+    )

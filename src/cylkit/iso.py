@@ -1,94 +1,40 @@
 """Isomorphism search between finite atom structures.
 
 Backtracking over atom bijections, pruned by cheap per-atom invariants.
-Works for both cylindric-style structures (relations, diagonal sets,
-optional transpositions) and relation-algebra atom structures.
+Works for both cylindric-style structures (column tables of the relations,
+diagonal sets, optional transpositions) and relation-algebra atom
+structures.
 """
 from __future__ import annotations
 
-from .bao import CaAtomStructure
+from typing import Callable, Sequence
+
+from .bao import AdditiveOperator, CaAtomStructure, transpose
 from .ra import RaAtomStructure
 
 
-def ca_is_isomorphism(a: CaAtomStructure, b: CaAtomStructure, mapping) -> bool:
-    """Does the atom map preserve every relation in both directions?"""
-    mapping = tuple(mapping)
-    if a.dim != b.dim or a.natoms != b.natoms:
-        return False
-    if sorted(mapping) != list(range(a.natoms)):
-        return False
-    if (a.transp is None) != (b.transp is None):
-        return False
-    for i in range(a.dim):
-        if {(mapping[x], mapping[y]) for x, y in a.cyl[i]} != set(b.cyl[i]):
-            return False
-        for j in range(a.dim):
-            if {mapping[x] for x in a.diag[i][j]} != set(b.diag[i][j]):
-                return False
-    if a.transp is not None:
-        for rel_a, rel_b in zip(a.transp, b.transp):
-            if {(mapping[x], mapping[y]) for x, y in rel_a} != set(rel_b):
-                return False
-    return True
-
-
-def _ca_profile(s: CaAtomStructure, atom: int) -> tuple:
-    prof = []
-    for i in range(s.dim):
-        outs = sum(1 for x, y in s.cyl[i] if x == atom)
-        ins = sum(1 for x, y in s.cyl[i] if y == atom)
-        prof.append((outs, ins))
-    for i in range(s.dim):
-        for j in range(s.dim):
-            prof.append(atom in s.diag[i][j])
-    if s.transp is not None:
-        for rel in s.transp:
-            img = dict(rel)
-            prof.append(img.get(atom) == atom)
-    return tuple(prof)
-
-
-def ca_find_isomorphism(a: CaAtomStructure, b: CaAtomStructure):
-    """An atom bijection preserving all relations, or None."""
-    if a.dim != b.dim or a.natoms != b.natoms:
-        return None
-    if (a.transp is None) != (b.transp is None):
-        return None
-    n = a.natoms
-    prof_a = [_ca_profile(a, x) for x in range(n)]
-    prof_b = [_ca_profile(b, x) for x in range(n)]
+def _search(
+    prof_a: Sequence[tuple],
+    prof_b: Sequence[tuple],
+    consistent: Callable[[int, int, dict[int, int]], bool],
+) -> tuple[int, ...] | None:
+    """A bijection x -> y between atoms of equal profile that passes
+    `consistent(x, y, partial map)` at every step, or None.  Atoms with
+    the fewest candidates are placed first."""
     if sorted(prof_a) != sorted(prof_b):
         return None
-    cands = [
-        [y for y in range(n) if prof_b[y] == prof_a[x]] for x in range(n)
-    ]
-    cyl_a = [set(rel) for rel in a.cyl]
-    cyl_b = [set(rel) for rel in b.cyl]
-    transp_a = [dict(rel) for rel in a.transp] if a.transp is not None else []
-    transp_b = [dict(rel) for rel in b.transp] if b.transp is not None else []
+    n = len(prof_a)
+    cands = [[y for y in range(n) if prof_b[y] == prof_a[x]] for x in range(n)]
     order = sorted(range(n), key=lambda x: len(cands[x]))
     mapping: dict[int, int] = {}
     used = set()
-
-    def consistent(x: int, y: int) -> bool:
-        for i in range(a.dim):
-            for x2, y2 in mapping.items():
-                if ((x, x2) in cyl_a[i]) != ((y, y2) in cyl_b[i]):
-                    return False
-                if ((x2, x) in cyl_a[i]) != ((y2, y) in cyl_b[i]):
-                    return False
-        for rel_a, rel_b in zip(transp_a, transp_b):
-            ia = rel_a.get(x)
-            if ia is not None and ia in mapping and rel_b.get(y) != mapping[ia]:
-                return False
-        return True
 
     def rec(pos: int) -> bool:
         if pos == n:
             return True
         x = order[pos]
         for y in cands[x]:
-            if y in used or not consistent(x, y):
+            if y in used or not consistent(x, y, mapping):
                 continue
             mapping[x] = y
             used.add(y)
@@ -100,8 +46,66 @@ def ca_find_isomorphism(a: CaAtomStructure, b: CaAtomStructure):
 
     if not rec(0):
         return None
-    out = tuple(mapping[x] for x in range(n))
-    assert ca_is_isomorphism(a, b, out)
+    return tuple(mapping[x] for x in range(n))
+
+
+def ca_is_isomorphism(a: CaAtomStructure, b: CaAtomStructure, mapping) -> bool:
+    """Does the atom map preserve every relation in both directions?"""
+    mapping = tuple(mapping)
+    if a.dim != b.dim or a.natoms != b.natoms:
+        return False
+    if sorted(mapping) != list(range(a.natoms)):
+        return False
+    if (a.transp is None) != (b.transp is None):
+        return False
+    rename = AdditiveOperator(tuple(1 << y for y in mapping))
+    # column x of a relation of a, renamed, must be column mapping[x] of b's
+    return all(
+        cols_b[y] == rename.apply(col)
+        for cols_a, cols_b in zip(a.cyl + (a.transp or ()), b.cyl + (b.transp or ()))
+        for y, col in zip(mapping, cols_a)
+    ) and all(
+        rename.apply(a.diag_mask(i, j)) == b.diag_mask(i, j)
+        for i in range(a.dim)
+        for j in range(a.dim)
+    )
+
+
+def _ca_profiles(s: CaAtomStructure) -> list[tuple]:
+    """Per atom: its out- and in-degree in each T_i, its membership in each
+    E_ij, and whether each P_ij fixes it."""
+    degrees = [(transpose(cols), cols) for cols in s.cyl]
+    return [
+        tuple((rows[x].bit_count(), cols[x].bit_count()) for rows, cols in degrees)
+        + tuple(x in s.diag[i][j] for i in range(s.dim) for j in range(s.dim))
+        + tuple(cols[x] == 1 << x for cols in s.transp or ())
+        for x in range(s.natoms)
+    ]
+
+
+def ca_find_isomorphism(a: CaAtomStructure, b: CaAtomStructure):
+    """An atom bijection preserving all relations, or None."""
+    if a.dim != b.dim or a.natoms != b.natoms:
+        return None
+    if (a.transp is None) != (b.transp is None):
+        return None
+
+    def consistent(x: int, y: int, mapping: dict[int, int]) -> bool:
+        # (x, x2) is in a relation iff bit x of its column x2 is set
+        for cols_a, cols_b in zip(a.cyl, b.cyl):
+            for x2, y2 in mapping.items():
+                if cols_a[x2] >> x & 1 != cols_b[y2] >> y & 1:
+                    return False
+                if cols_a[x] >> x2 & 1 != cols_b[y] >> y2 & 1:
+                    return False
+        for cols_a, cols_b in zip(a.transp or (), b.transp or ()):
+            ia = cols_a[x].bit_length() - 1
+            if ia in mapping and cols_b[y] != 1 << mapping[ia]:
+                return False
+        return True
+
+    out = _search(_ca_profiles(a), _ca_profiles(b), consistent)
+    assert out is None or ca_is_isomorphism(a, b, out)
     return out
 
 
@@ -126,18 +130,9 @@ def _ra_profile(s: RaAtomStructure, atom: int) -> tuple:
 def ra_find_isomorphism(a: RaAtomStructure, b: RaAtomStructure):
     if a.natoms != b.natoms or len(a.identity) != len(b.identity):
         return None
-    n = a.natoms
-    prof_a = [_ra_profile(a, x) for x in range(n)]
-    prof_b = [_ra_profile(b, x) for x in range(n)]
-    if sorted(prof_a) != sorted(prof_b):
-        return None
-    cands = [[y for y in range(n) if prof_b[y] == prof_a[x]] for x in range(n)]
     forb_a, forb_b = set(a.forbidden), set(b.forbidden)
-    order = sorted(range(n), key=lambda x: len(cands[x]))
-    mapping: dict[int, int] = {}
-    used = set()
 
-    def consistent(x: int, y: int) -> bool:
+    def consistent(x: int, y: int, mapping: dict[int, int]) -> bool:
         ca = a.converse[x]
         if ca in mapping and mapping[ca] != b.converse[y]:
             return False
@@ -154,23 +149,10 @@ def ra_find_isomorphism(a: RaAtomStructure, b: RaAtomStructure):
                         return False
         return True
 
-    def rec(pos: int) -> bool:
-        if pos == n:
-            return True
-        x = order[pos]
-        for y in cands[x]:
-            if y in used or not consistent(x, y):
-                continue
-            mapping[x] = y
-            used.add(y)
-            if rec(pos + 1):
-                return True
-            del mapping[x]
-            used.remove(y)
-        return False
-
-    if not rec(0):
-        return None
-    out = tuple(mapping[x] for x in range(n))
-    assert ra_is_isomorphism(a, b, out)
+    out = _search(
+        [_ra_profile(a, x) for x in range(a.natoms)],
+        [_ra_profile(b, x) for x in range(b.natoms)],
+        consistent,
+    )
+    assert out is None or ra_is_isomorphism(a, b, out)
     return out

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .bao import (
+    AdditiveOperator,
     CaAtomStructure,
     Element,
     _bits,
@@ -24,6 +24,7 @@ from .bao import (
     equivalence_defects,
     subst_repl,
     subst_transp,
+    transpose,
 )
 from .constructions import (
     _slot_pairs,
@@ -36,28 +37,25 @@ EXHAUSTIVE_CLASS_LIMIT = 12
 SAMPLE_COUNT = 512
 
 
-def _union_find_classes(n: int, pairs: Iterable[tuple[int, int]]):
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for a in range(n):
-        groups.setdefault(find(a), []).append(a)
-    classes = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
-    class_of = [0] * n
-    for ci, cls in enumerate(classes):
-        for a in cls:
-            class_of[a] = ci
-    return classes, tuple(class_of)
+def _join_classes(structure: CaAtomStructure, indices: Iterable[int]) -> list[int]:
+    """Masks of the classes of the equivalence generated by the relations
+    of these indices, ordered by least atom: each grows from its least atom
+    by applying the operator of "equal, or related either way" to a
+    fixpoint."""
+    near = [1 << a for a in range(structure.natoms)]
+    for i in indices:
+        cols = structure.cyl_image_masks(i)
+        near = [x | col | row for x, col, row in zip(near, cols, transpose(cols))]
+    step = AdditiveOperator(tuple(near))
+    masks = []
+    unseen = structure.full_mask
+    while unseen:
+        cls = unseen & -unseen
+        while (grown := step.apply(cls)) != cls:
+            cls = grown
+        masks.append(cls)
+        unseen &= ~cls
+    return masks
 
 
 @dataclass(frozen=True)
@@ -117,8 +115,12 @@ def nr(
                 raise ValueError(f"dropped relation is not an equivalence: {why}")
             details.append(f"forced past non-equivalence: {why}")
 
-    join_pairs = [p for i in dropped for p in structure.cyl[i]]
-    classes, class_of = _union_find_classes(structure.natoms, join_pairs)
+    cls_masks = _join_classes(structure, dropped)
+    classes = tuple(tuple(_bits(mask)) for mask in cls_masks)
+    class_of = [0] * structure.natoms
+    for ci, cls in enumerate(classes):
+        for a in cls:
+            class_of[a] = ci
     nclasses = len(classes)
     passed = True
     counterexample: str | None = None
@@ -145,48 +147,46 @@ def nr(
     quotient: CaAtomStructure | None = None
     q_transp_ok = structure.transp is not None and len(gamma) >= 2
     if len(gamma) >= 2:
-        labels = [f"c{ci}|{structure.atoms[cls[0]]}" for ci, cls in enumerate(classes)]
-        q_cyl = []
-        for i in gamma:
-            rel = {(class_of[a], class_of[b]) for a, b in structure.cyl[i]}
-            q_cyl.append(sorted(rel))
+        labels = tuple(f"c{ci}|{structure.atoms[cls[0]]}" for ci, cls in enumerate(classes))
+        # column c of a quotient relation: the classes met by the source
+        # operator's image of class c
+        to_class = AdditiveOperator(tuple(1 << ci for ci in class_of))
+
+        def quotient_cols(op: AdditiveOperator) -> tuple[int, ...]:
+            return tuple(to_class.apply(op.apply(mask)) for mask in cls_masks)
+
+        q_cyl = tuple(quotient_cols(structure.cyl_op(i)) for i in gamma)
         q_diag = []
         for i in gamma:
             row = []
             for j in gamma:
                 dmask = structure.diag_mask(i, j)
                 row.append(
-                    [ci for ci, cls in enumerate(classes) if (dmask >> cls[0]) & 1]
+                    frozenset(ci for ci, cls in enumerate(classes) if (dmask >> cls[0]) & 1)
                 )
-            q_diag.append(row)
+            q_diag.append(tuple(row))
         q_transp = None
         if q_transp_ok:
             q_transp = []
             for p, i in enumerate(gamma):
                 for j in gamma[p + 1 :]:
-                    img: dict[int, int] = {}
-                    ok = True
-                    for a, b in structure.transp_rel(i, j):
-                        ca, cb = class_of[a], class_of[b]
-                        if img.setdefault(cb, ca) != ca:
-                            ok = False
-                            break
-                    if not ok or len(img) != nclasses:
+                    cols = quotient_cols(structure.transp_op(i, j))
+                    # well-defined iff each class has one image class
+                    if any(col & (col - 1) for col in cols):
                         q_transp_ok = False
                         details.append(
                             f"transposition ({i},{j}) not well-defined on classes; dropped"
                         )
                         break
-                    q_transp.append(sorted((img[cb], cb) for cb in img))
-            if not q_transp_ok:
-                q_transp = None
-        quotient = CaAtomStructure.build(
-            dim=len(gamma), atoms=labels, cyl=q_cyl, diag=q_diag, transp=q_transp
+                    q_transp.append(cols)
+            q_transp = tuple(q_transp) if q_transp_ok else None
+        quotient = CaAtomStructure(
+            dim=len(gamma), atoms=labels, cyl=q_cyl, diag=tuple(q_diag), transp=q_transp
         )
     else:
         details.append("fewer than two retained indices; no quotient structure built")
 
-    frame = QuotientFrame(structure, gamma, classes, class_of, quotient)
+    frame = QuotientFrame(structure, gamma, classes, tuple(class_of), quotient)
 
     # operator agreement on closed sets
     if nclasses <= EXHAUSTIVE_CLASS_LIMIT:
@@ -197,7 +197,6 @@ def nr(
         rng = random.Random(0)
         subsets = [rng.getrandbits(nclasses) for _ in range(SAMPLE_COUNT)]
 
-    cls_masks = [sum(1 << a for a in cls) for cls in classes]
     for sub in subsets:
         src_mask = 0
         for ci in range(nclasses):
@@ -279,18 +278,19 @@ def rd_rho(structure: CaAtomStructure, rho: Sequence[int]) -> CaAtomStructure:
     if len(rho) < 2:
         raise ValueError("renaming must retain at least two indices")
     m = len(rho)
-    cyl_rel = [sorted(structure.cyl[rho[p]]) for p in range(m)]
-    diag_rel = [
-        [sorted(structure.diag[rho[p]][rho[q]]) for q in range(m)] for p in range(m)
-    ]
     transp = None
     if structure.transp is not None:
-        transp = []
-        for p in range(m):
-            for q in range(p + 1, m):
-                transp.append(sorted(structure.transp_rel(rho[p], rho[q])))
-    return CaAtomStructure.build(
-        dim=m, atoms=structure.atoms, cyl=cyl_rel, diag=diag_rel, transp=transp
+        transp = tuple(
+            structure.transp_image_masks(rho[p], rho[q])
+            for p in range(m)
+            for q in range(p + 1, m)
+        )
+    return CaAtomStructure(
+        dim=m,
+        atoms=structure.atoms,
+        cyl=tuple(structure.cyl[i] for i in rho),
+        diag=tuple(tuple(structure.diag[i][j] for j in rho) for i in rho),
+        transp=transp,
     )
 
 
@@ -313,39 +313,35 @@ def rl_x(structure: CaAtomStructure, x: Element) -> RlResult:
     kept = x.atom_indices()
     pos = {a: p for p, a in enumerate(kept)}
     details: list[str] = []
-    labels = [structure.atoms[a] for a in kept]
-    cyl_rel = [
-        sorted((pos[a], pos[b]) for a, b in structure.cyl[i] if a in pos and b in pos)
-        for i in range(structure.dim)
-    ]
-    diag_rel = [
-        [
-            sorted(pos[a] for a in structure.diag[i][j] if a in pos)
+    # a kept atom to its position, any other atom to nothing
+    squeeze = AdditiveOperator(
+        tuple(1 << pos[a] if a in pos else 0 for a in range(structure.natoms))
+    )
+
+    def restrict(cols: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(squeeze.apply(cols[b]) for b in kept)
+
+    diag_rel = tuple(
+        tuple(
+            frozenset(pos[a] for a in structure.diag[i][j] if a in pos)
             for j in range(structure.dim)
-        ]
+        )
         for i in range(structure.dim)
-    ]
+    )
     transp = None
     if structure.transp is not None:
-        transp = []
-        total = True
-        for i in range(structure.dim):
-            for j in range(i + 1, structure.dim):
-                rel = [
-                    (pos[a], pos[b])
-                    for a, b in structure.transp_rel(i, j)
-                    if a in pos and b in pos
-                ]
-                if len({b for _, b in rel}) != len(kept):
-                    total = False
-                transp.append(sorted(rel))
-        if not total:
+        transp = tuple(map(restrict, structure.transp))
+        if not all(all(cols) for cols in transp):
             transp = None
             details.append(
                 "transpositions do not restrict to the kept atoms; dropped"
             )
-    sub = CaAtomStructure.build(
-        dim=structure.dim, atoms=labels, cyl=cyl_rel, diag=diag_rel, transp=transp
+    sub = CaAtomStructure(
+        dim=structure.dim,
+        atoms=tuple(structure.atoms[a] for a in kept),
+        cyl=tuple(map(restrict, structure.cyl)),
+        diag=diag_rel,
+        transp=transp,
     )
     probe = []
     commutes = True
@@ -540,18 +536,16 @@ def restriction_iso(msmall: int, mbig: int, bin_ra: RaAtomStructure) -> IsoRepor
     quotient = frame.structure
     if passed and quotient is not None:
         for p in range(msmall):
-            srel = set(small.cyl[p])
-            qrel = set(quotient.cyl[p])
+            scols, qcols = small.cyl[p], quotient.cyl[p]
             for a in range(small.natoms):
                 for b in range(small.natoms):
-                    if ((a, b) in srel) != ((mapping[a], mapping[b]) in qrel):
+                    if scols[b] >> a & 1 != qcols[mapping[b]] >> mapping[a] & 1:
                         fail(f"relation {p} differs at atom pair ({a},{b})")
                         break
                 if not passed:
                     break
             for q in range(msmall):
-                sd = set(small.diag[p][q])
-                qd = set(quotient.diag[p][q])
+                sd, qd = small.diag[p][q], quotient.diag[p][q]
                 for a in range(small.natoms):
                     if (a in sd) != (mapping[a] in qd):
                         fail(f"diagonal ({p},{q}) differs at atom {a}")
@@ -561,10 +555,11 @@ def restriction_iso(msmall: int, mbig: int, bin_ra: RaAtomStructure) -> IsoRepor
         else:
             for p in range(msmall):
                 for q in range(p + 1, msmall):
-                    srel2 = set(small.transp_rel(p, q))
-                    qrel2 = set(quotient.transp_rel(p, q))
-                    for a, b in srel2:
-                        if (mapping[a], mapping[b]) not in qrel2:
+                    scols = small.transp_image_masks(p, q)
+                    qcols = quotient.transp_image_masks(p, q)
+                    for b, col in enumerate(scols):
+                        a = col.bit_length() - 1
+                        if qcols[mapping[b]] != 1 << mapping[a]:
                             fail(f"transposition ({p},{q}) differs at ({a},{b})")
                             break
 

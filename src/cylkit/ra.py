@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .bao import MAX_ATOMS, BudgetExceededError, Element, _bits
 
@@ -182,84 +182,60 @@ def check_ra_axioms(structure: RaAtomStructure, bound: int = 50_000_000) -> RaAx
         raise BudgetExceededError(
             f"associativity sweep needs {n**4} evaluations, bound is {bound}"
         )
-    laws: list[RaLawResult] = []
+    name = structure.atoms
+    cv = structure.converse
     ident = identity_el(structure)
 
-    ok, detail = True, ""
-    for a in range(n):
-        el = Element(structure, 1 << a)
-        left = compose(structure, ident, el)
-        right = compose(structure, el, ident)
-        if left.mask != el.mask or right.mask != el.mask:
-            ok, detail = False, f"atom {structure.atoms[a]}"
-            break
-    laws.append(RaLawResult("identity", ok, detail))
+    def atom(a: int) -> Element:
+        return Element(structure, 1 << a)
 
-    ok, detail = True, ""
-    for a in range(n):
-        if structure.converse[structure.converse[a]] != a:
-            ok, detail = False, f"atom {structure.atoms[a]}"
-            break
-    laws.append(RaLawResult("converse_involution", ok, detail))
+    def identity() -> Iterator[str]:
+        for a in range(n):
+            el = atom(a)
+            left = compose(structure, ident, el)
+            right = compose(structure, el, ident)
+            if left.mask != el.mask or right.mask != el.mask:
+                yield f"atom {name[a]}"
 
-    ok, detail = True, ""
-    for a in range(n):
-        for b in range(n):
-            lhs = converse_el(
-                structure, compose(structure, Element(structure, 1 << a), Element(structure, 1 << b))
-            )
-            rhs = compose(
-                structure,
-                Element(structure, 1 << structure.converse[b]),
-                Element(structure, 1 << structure.converse[a]),
-            )
-            if lhs.mask != rhs.mask:
-                ok, detail = False, f"pair ({structure.atoms[a]}, {structure.atoms[b]})"
-                break
-        if not ok:
-            break
-    laws.append(RaLawResult("converse_distribution", ok, detail))
+    def converse_involution() -> Iterator[str]:
+        for a in range(n):
+            if cv[cv[a]] != a:
+                yield f"atom {name[a]}"
 
-    ok, detail = True, ""
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                val = structure.consistent(a, b, c)
-                for t in peircean_orbit((a, b, c), structure.converse):
-                    if structure.consistent(*t) != val:
-                        ok, detail = False, f"triple ({a},{b},{c}) vs {t}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    laws.append(RaLawResult("peircean", ok, detail))
-
-    ok, detail = True, ""
-    for a in range(n):
-        ea = Element(structure, 1 << a)
-        for b in range(n):
-            ab = compose(structure, ea, Element(structure, 1 << b))
-            for c in range(n):
-                ec = Element(structure, 1 << c)
-                lhs = compose(structure, ab, ec)
-                rhs = compose(
-                    structure, ea, compose(structure, Element(structure, 1 << b), ec)
-                )
+    def converse_distribution() -> Iterator[str]:
+        for a in range(n):
+            for b in range(n):
+                lhs = converse_el(structure, compose(structure, atom(a), atom(b)))
+                rhs = compose(structure, atom(cv[b]), atom(cv[a]))
                 if lhs.mask != rhs.mask:
-                    ok, detail = False, (
-                        f"triple ({structure.atoms[a]}, {structure.atoms[b]}, "
-                        f"{structure.atoms[c]})"
-                    )
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    laws.append(RaLawResult("associativity", ok, detail))
+                    yield f"pair ({name[a]}, {name[b]})"
 
+    def peircean() -> Iterator[str]:
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    val = structure.consistent(a, b, c)
+                    for t in peircean_orbit((a, b, c), cv):
+                        if structure.consistent(*t) != val:
+                            yield f"triple ({a},{b},{c}) vs {t}"
+
+    def associativity() -> Iterator[str]:
+        for a in range(n):
+            ea = atom(a)
+            for b in range(n):
+                ab = compose(structure, ea, atom(b))
+                for c in range(n):
+                    ec = atom(c)
+                    lhs = compose(structure, ab, ec)
+                    rhs = compose(structure, ea, compose(structure, atom(b), ec))
+                    if lhs.mask != rhs.mask:
+                        yield f"triple ({name[a]}, {name[b]}, {name[c]})"
+
+    laws = [
+        RaLawResult(law.__name__, detail is None, detail or "")
+        for law in (identity, converse_involution, converse_distribution, peircean, associativity)
+        for detail in (next(law(), None),)
+    ]
     return RaAxiomReport(all(entry.passed for entry in laws), tuple(laws))
 
 

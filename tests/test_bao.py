@@ -1,6 +1,7 @@
 """Atom structures, element algebra, frame checking, serialization."""
 
 import ast
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -27,16 +28,16 @@ from cylkit import (
     three_cube,
     top,
 )
-from cylkit.bao import StructureMismatchError
+from cylkit.bao import StructureMismatchError, class_columns, column_pairs, transpose
 
 
 def diagonal_free(dim: int, n: int, cyl_rels) -> CaAtomStructure:
     """Structure with the given T_i and trivial (full) diagonal sets."""
     full = frozenset(range(n))
-    return CaAtomStructure(
+    return CaAtomStructure.build(
         dim=dim,
         atoms=tuple(f"a{i}" for i in range(n)),
-        cyl=tuple(frozenset(r) for r in cyl_rels),
+        cyl=cyl_rels,
         diag=tuple(tuple(full for _ in range(dim)) for _ in range(dim)),
     )
 
@@ -59,9 +60,9 @@ def test_dimension_bounds():
     ident = frozenset({(0, 0)})
     full = frozenset({0})
     with pytest.raises(ValueError):
-        CaAtomStructure(1, ("a",), (ident,), ((full,),))
+        CaAtomStructure.build(1, ("a",), (ident,), ((full,),))
     with pytest.raises(ValueError):
-        CaAtomStructure(
+        CaAtomStructure.build(
             9,
             ("a",),
             tuple(ident for _ in range(9)),
@@ -71,7 +72,7 @@ def test_dimension_bounds():
 
 def test_atom_labels_must_be_unique():
     with pytest.raises(ValueError):
-        CaAtomStructure(
+        CaAtomStructure.build(
             2,
             ("x", "x"),
             (frozenset(), frozenset()),
@@ -90,7 +91,7 @@ def test_diag_ii_must_be_full():
     full = frozenset({0, 1})
     part = frozenset({0})
     with pytest.raises(ValueError):
-        CaAtomStructure(
+        CaAtomStructure.build(
             2,
             ("a", "b"),
             (frozenset(), frozenset()),
@@ -104,7 +105,7 @@ def test_transp_must_be_involution():
     diag = tuple(tuple(full for _ in range(2)) for _ in range(2))
     # 3-cycle is a bijection but not an involution
     with pytest.raises(ValueError):
-        CaAtomStructure(
+        CaAtomStructure.build(
             2,
             ("a", "b", "c"),
             (ident, ident),
@@ -113,7 +114,7 @@ def test_transp_must_be_involution():
         )
     # non-functional relation
     with pytest.raises(ValueError):
-        CaAtomStructure(
+        CaAtomStructure.build(
             2,
             ("a", "b", "c"),
             (ident, ident),
@@ -126,7 +127,7 @@ def test_cached_masks_match_declared_relations(cube):
     for i in range(cube.dim):
         cols = cube.cyl_image_masks(i)
         for b in range(cube.natoms):
-            expected = {a for a, bb in cube.cyl[i] if bb == b}
+            expected = {a for a, bb in structure_to_dict(cube)["cyl"][i] if bb == b}
             assert {a for a in range(cube.natoms) if cols[b] >> a & 1} == expected
     for i in range(cube.dim):
         for j in range(cube.dim):
@@ -134,6 +135,87 @@ def test_cached_masks_match_declared_relations(cube):
             assert {a for a in range(cube.natoms) if mask >> a & 1} == set(
                 cube.diag[i][j]
             )
+
+
+def test_relations_are_stored_as_column_tables(fs32):
+    # column 0 of T_0: the tuples agreeing with (0, 0, 0) off coordinate 0
+    assert fs32.cyl[0][0] == 1 << 0 | 1 << fs32.atoms.index("(1, 0, 0)")
+    assert fs32.cyl_op(0).cols is fs32.cyl[0]
+    assert fs32.transp_op(0, 1).cols is fs32.transp[0]
+
+
+@pytest.mark.parametrize(
+    "cyl0, transp, text",
+    [
+        ((1, 2), None, "cylindrifier relation needs one column per atom, got 2"),
+        ((1, 2, 1 << 3), None, "cylindrifier pair (3,2) out of range"),
+        ((1, 2, 4), (1, 2), "transposition relation needs one column per atom, got 2"),
+        ((1, 2, 4), (1, 2, 1 << 5), "transposition pair (5,2) out of range"),
+        ((1, 2, 4), (2, 2, 1), "transposition relation is not functional"),
+        ((1, 2, 4), (2, 1, 0), "transposition relation is not a bijection on atoms"),
+        ((1, 2, 4), (1, 6, 0), "transposition relation is not a bijection on atoms"),
+        ((1, 2, 4), (2, 4, 1), "transposition relation is not an involution"),
+    ],
+)
+def test_column_tables_are_checked(cyl0, transp, text):
+    full = frozenset(range(3))
+    with pytest.raises(ValueError, match=re.escape(text)):
+        CaAtomStructure(
+            2,
+            ("a", "b", "c"),
+            (cyl0, (1, 2, 4)),
+            ((full, full), (full, full)),
+            None if transp is None else (transp,),
+        )
+
+
+def test_column_helpers():
+    assert class_columns(5, [[0, 3], [1], [2, 4]]) == (9, 2, 20, 9, 20)
+    rel = {(0, 1), (2, 1), (1, 0), (3, 3), (3, 0)}
+    cols = diagonal_free(2, 4, [rel, ()]).cyl[0]
+    # column order: b ascending, then a
+    assert list(column_pairs(cols)) == [(1, 0), (3, 0), (0, 1), (2, 1), (3, 3)]
+    assert set(column_pairs(transpose(cols))) == {(b, a) for a, b in rel}
+
+
+def _two_atoms(**fields):
+    data = {
+        "dim": 2,
+        "atoms": ["a", "b"],
+        "cyl": [[[0, 0], [1, 1]], [[0, 0], [1, 1]]],
+        "diag": [[[0, 1], [0]], [[0], [0, 1]]],
+        "transp": [[0, 1, [[0, 0], [1, 1]]]],
+    }
+    return {**data, **fields}
+
+
+@pytest.mark.parametrize(
+    "fields, text",
+    [
+        ({"cyl": [[[True, 0]], []]}, "cylindrifier relation T0 has a non-integer atom index True"),
+        ({"cyl": [[], [[0, 1.0]]]}, "cylindrifier relation T1 has a non-integer atom index 1.0"),
+        (
+            {"diag": [[[0, 1], [False]], [[0], [0, 1]]]},
+            "diagonal set E01 has a non-integer atom index False",
+        ),
+        (
+            {"diag": [[[0, 1], [0]], [["1"], [0, 1]]]},
+            "diagonal set E10 has a non-integer atom index '1'",
+        ),
+        (
+            {"transp": [[0, 1, [[0, 0], [1.0, 1]]]]},
+            "transposition relation P01 has a non-integer atom index 1.0",
+        ),
+    ],
+)
+def test_non_integer_atom_indices_are_refused(fields, text):
+    with pytest.raises(ValueError, match=re.escape(text)):
+        structure_from_dict(_two_atoms(**fields))
+
+
+def test_two_atom_fixture_loads():
+    s = structure_from_dict(_two_atoms())
+    assert s.cyl == ((1, 2), (1, 2)) and s.transp == ((1, 2),)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +331,7 @@ def test_diag_chain_violation_flagged():
     ident = frozenset((a, a) for a in range(2))
     full = frozenset({0, 1})
     sub = frozenset({0})
-    s = CaAtomStructure(
+    s = CaAtomStructure.build(
         3,
         ("a", "b"),
         (ident, ident, ident),
@@ -313,24 +395,27 @@ def random_structures(draw):
                     )
                 )
         diag_rows.append(tuple(row))
-    return CaAtomStructure(
+    s = CaAtomStructure.build(
         dim, tuple(f"a{i}" for i in range(n)), cyl_rels, tuple(diag_rows)
     )
+    return s, cyl_rels
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_structures())
-def test_round_trip_on_random_structures(s):
+def test_round_trip_on_random_structures(drawn):
+    s, _ = drawn
     assert structure_from_dict(structure_to_dict(s)) == s
     assert structure_from_json(structure_to_json(s)) == s
 
 
 @settings(max_examples=30, deadline=None)
 @given(random_structures(), st.data())
-def test_cyl_image_mask_consistency(s, data):
+def test_cyl_image_mask_consistency(drawn, data):
+    s, cyl_rels = drawn
     i = data.draw(st.integers(min_value=0, max_value=s.dim - 1))
     b = data.draw(st.integers(min_value=0, max_value=s.natoms - 1))
     mask = s.cyl_image_masks(i)[b]
     assert {a for a in range(s.natoms) if mask >> a & 1} == {
-        a for a, bb in s.cyl[i] if bb == b
+        a for a, bb in cyl_rels[i] if bb == b
     }

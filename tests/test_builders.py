@@ -1,0 +1,744 @@
+"""Builders that write column tables, against the pair-list builders they
+replaced.
+
+Each `seed_*` function below is the earlier construction, kept as an
+oracle: it lists every (a, b) pair of every relation and hands the lists
+to `CaAtomStructure.build`.  Where it read a relation of its input it read
+the pair set, recovered here with `column_pairs`.  Every builder must give
+a structure equal to its oracle's, with the same JSON.
+"""
+
+import dataclasses
+import functools
+import hashlib
+import random
+from itertools import product
+
+import pytest
+
+from cylkit import enumerate_hypernetworks
+from cylkit.bao import (
+    CaAtomStructure,
+    _pair_rank,
+    column_pairs,
+    diag,
+    element,
+    structure_to_json,
+)
+from cylkit.constructions import (
+    MonkAtom,
+    SplitPolicy,
+    _canon_blocks,
+    _monk_data,
+    _monk_residue,
+    _slot_pairs,
+    _split_indexing,
+    _split_labels,
+    basic_matrices,
+    bin_forb,
+    enumerate_matrices,
+    full_set_algebra,
+    johnson_extend,
+    matrix_label,
+    monk_atoms,
+    monk_label,
+    parse_monk_label,
+    split_atom,
+    three_cube,
+)
+from cylkit.games import drop_cyl_pair
+from cylkit.hyper import _agrees_off, ca_over_hyperbasis
+from cylkit.neat import nr, rd_rho, rl_x
+from cylkit.ra import RaAtomStructure
+
+
+def _rel(cols):
+    return frozenset(column_pairs(cols))
+
+
+def _transp_rel(s, i, j):
+    return _rel(s.transp_image_masks(i, j))
+
+
+# ---------------------------------------------------------------------------
+# the pair-list builders
+
+
+def seed_monk_atoms(m, n):
+    data = _monk_data(m, n)
+    labels = [monk_label(at) for at in data]
+    cyl = []
+    for kappa_idx in range(m):
+        groups = {}
+        for idx, at in enumerate(data):
+            groups.setdefault(_monk_residue(at, kappa_idx), []).append(idx)
+        rel = [(a, b) for grp in groups.values() for a in grp for b in grp]
+        cyl.append(rel)
+    full = range(len(data))
+    diag_sets = [
+        [
+            list(full) if i == j else [idx for idx, at in enumerate(data) if at.related(i, j)]
+            for j in range(m)
+        ]
+        for i in range(m)
+    ]
+    return CaAtomStructure.build(dim=m, atoms=labels, cyl=cyl, diag=diag_sets)
+
+
+def seed_johnson_extend(structure):
+    data = [parse_monk_label(label) for label in structure.atoms]
+    m = structure.dim
+    index = {at: i for i, at in enumerate(data)}
+
+    def conjugate(at, i, j):
+        swap = {i: j, j: i}
+        blocks = _canon_blocks([[swap.get(e, e) for e in blk] for blk in at.blocks])
+        fitems = []
+        for (a, b), c in at.f:
+            p, q = swap.get(a, a), swap.get(b, b)
+            fitems.append(((min(p, q), max(p, q)), c))
+        return MonkAtom(blocks, tuple(sorted(fitems)))
+
+    transp = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            pairs = []
+            for idx, at in enumerate(data):
+                pairs.append((index[conjugate(at, i, j)], idx))
+            transp.append(pairs)
+    return CaAtomStructure.build(
+        dim=m,
+        atoms=structure.atoms,
+        cyl=[_rel(cols) for cols in structure.cyl],
+        diag=structure.diag,
+        transp=transp,
+    )
+
+
+def seed_basic_matrices(m, bin_ra):
+    mats = enumerate_matrices(m, bin_ra)
+    labels = [matrix_label(bin_ra, v) for v in mats]
+    slots = _slot_pairs(m)
+    index = {v: i for i, v in enumerate(mats)}
+    (id_atom,) = bin_ra.identity
+    cyl = []
+    for x in range(m):
+        keep = [s for s, (a, b) in enumerate(slots) if x not in (a, b)]
+        groups = {}
+        for i, v in enumerate(mats):
+            groups.setdefault(tuple(v[s] for s in keep), []).append(i)
+        cyl.append([(a, b) for grp in groups.values() for a in grp for b in grp])
+    full = range(len(mats))
+    diag_sets = []
+    for x in range(m):
+        row = []
+        for y in range(m):
+            if x == y:
+                row.append(list(full))
+            else:
+                s = slots.index((min(x, y), max(x, y)))
+                row.append([i for i, v in enumerate(mats) if v[s] == id_atom])
+        diag_sets.append(row)
+    transp = []
+    for x in range(m):
+        for y in range(x + 1, m):
+            swap = {x: y, y: x}
+            pairs = []
+            for i, v in enumerate(mats):
+                conj = tuple(
+                    v[
+                        slots.index(
+                            (
+                                min(swap.get(a, a), swap.get(b, b)),
+                                max(swap.get(a, a), swap.get(b, b)),
+                            )
+                        )
+                    ]
+                    for a, b in slots
+                )
+                pairs.append((index[conj], i))
+            transp.append(pairs)
+    return CaAtomStructure.build(dim=m, atoms=labels, cyl=cyl, diag=diag_sets, transp=transp)
+
+
+def seed_full_set_algebra(n, base_size):
+    tuples = list(product(range(base_size), repeat=n))
+    index = {t: i for i, t in enumerate(tuples)}
+    labels = [repr(t) for t in tuples]
+    cyl = []
+    for i in range(n):
+        groups = {}
+        for t in tuples:
+            groups.setdefault(t[:i] + t[i + 1 :], []).append(index[t])
+        cyl.append([(a, b) for grp in groups.values() for a in grp for b in grp])
+    diag_sets = [
+        [[index[t] for t in tuples if t[i] == t[j]] for j in range(n)] for i in range(n)
+    ]
+    transp = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            pairs = []
+            for t in tuples:
+                s = list(t)
+                s[i], s[j] = s[j], s[i]
+                pairs.append((index[tuple(s)], index[t]))
+            transp.append(pairs)
+    return CaAtomStructure.build(dim=n, atoms=labels, cyl=cyl, diag=diag_sets, transp=transp)
+
+
+def seed_split_ca(structure, a, policy):
+    k = policy.copies
+    copy_map, proj = _split_indexing(structure.natoms, a, k)
+    labels = _split_labels(structure.atoms, a, k)
+    nn = len(labels)
+
+    def lift_rel(rel):
+        pairs = []
+        for x, y in rel:
+            for xn in copy_map[x]:
+                for yn in copy_map[y]:
+                    if x == a and y == a and callable(policy.intra):
+                        if not policy.intra(xn - a, yn - a):
+                            continue
+                    pairs.append((xn, yn))
+        return pairs
+
+    cyl = [lift_rel(_rel(cols)) for cols in structure.cyl]
+    diag_sets = [
+        [
+            [new for new in range(nn) if proj[new] in structure.diag[i][j]]
+            for j in range(structure.dim)
+        ]
+        for i in range(structure.dim)
+    ]
+    transp = None
+    if structure.transp is not None:
+        transp = []
+        for cols in structure.transp:
+            rel = _rel(cols)
+            img = dict(rel)
+            if img.get(a, a) != a:
+                raise ValueError("cannot split an atom moved by a transposition")
+            pairs = []
+            for x, y in rel:
+                if x == a:
+                    pairs.extend((c, c) for c in copy_map[a])
+                else:
+                    pairs.append((copy_map[x][0], copy_map[y][0]))
+            transp.append(pairs)
+    return CaAtomStructure.build(
+        dim=structure.dim, atoms=labels, cyl=cyl, diag=diag_sets, transp=transp
+    )
+
+
+def seed_rd_rho(structure, rho):
+    m = len(rho)
+    cyl_rel = [sorted(_rel(structure.cyl[rho[p]])) for p in range(m)]
+    diag_rel = [
+        [sorted(structure.diag[rho[p]][rho[q]]) for q in range(m)] for p in range(m)
+    ]
+    transp = None
+    if structure.transp is not None:
+        transp = []
+        for p in range(m):
+            for q in range(p + 1, m):
+                transp.append(sorted(_transp_rel(structure, rho[p], rho[q])))
+    return CaAtomStructure.build(
+        dim=m, atoms=structure.atoms, cyl=cyl_rel, diag=diag_rel, transp=transp
+    )
+
+
+def seed_rl_x(structure, x):
+    """The relativized structure and the details of `neat.rl_x`."""
+    kept = x.atom_indices()
+    pos = {a: p for p, a in enumerate(kept)}
+    details = []
+    labels = [structure.atoms[a] for a in kept]
+    cyl_rel = [
+        sorted((pos[a], pos[b]) for a, b in _rel(structure.cyl[i]) if a in pos and b in pos)
+        for i in range(structure.dim)
+    ]
+    diag_rel = [
+        [sorted(pos[a] for a in structure.diag[i][j] if a in pos) for j in range(structure.dim)]
+        for i in range(structure.dim)
+    ]
+    transp = None
+    if structure.transp is not None:
+        transp = []
+        total = True
+        for i in range(structure.dim):
+            for j in range(i + 1, structure.dim):
+                rel = [
+                    (pos[a], pos[b])
+                    for a, b in _transp_rel(structure, i, j)
+                    if a in pos and b in pos
+                ]
+                if len({b for _, b in rel}) != len(kept):
+                    total = False
+                transp.append(sorted(rel))
+        if not total:
+            transp = None
+            details.append("transpositions do not restrict to the kept atoms; dropped")
+    sub = CaAtomStructure.build(
+        dim=structure.dim, atoms=labels, cyl=cyl_rel, diag=diag_rel, transp=transp
+    )
+    return sub, tuple(details)
+
+
+def _union_find_classes(n, pairs):
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    groups = {}
+    for a in range(n):
+        groups.setdefault(find(a), []).append(a)
+    classes = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+    class_of = [0] * n
+    for ci, cls in enumerate(classes):
+        for a in cls:
+            class_of[a] = ci
+    return classes, tuple(class_of)
+
+
+def seed_nr_quotient(structure, gamma):
+    """The classes, quotient structure and transposition details of
+    `neat.nr` with force."""
+    gamma = tuple(sorted(set(gamma)))
+    dropped = tuple(i for i in range(structure.dim) if i not in gamma)
+    join_pairs = [p for i in dropped for p in _rel(structure.cyl[i])]
+    classes, class_of = _union_find_classes(structure.natoms, join_pairs)
+    nclasses = len(classes)
+    details = []
+    q_transp_ok = structure.transp is not None
+    labels = [f"c{ci}|{structure.atoms[cls[0]]}" for ci, cls in enumerate(classes)]
+    q_cyl = []
+    for i in gamma:
+        rel = {(class_of[a], class_of[b]) for a, b in _rel(structure.cyl[i])}
+        q_cyl.append(sorted(rel))
+    q_diag = []
+    for i in gamma:
+        row = []
+        for j in gamma:
+            dmask = structure.diag_mask(i, j)
+            row.append([ci for ci, cls in enumerate(classes) if (dmask >> cls[0]) & 1])
+        q_diag.append(row)
+    q_transp = None
+    if q_transp_ok:
+        q_transp = []
+        for p, i in enumerate(gamma):
+            for j in gamma[p + 1 :]:
+                img = {}
+                ok = True
+                for a, b in _transp_rel(structure, i, j):
+                    ca, cb = class_of[a], class_of[b]
+                    if img.setdefault(cb, ca) != ca:
+                        ok = False
+                        break
+                if not ok or len(img) != nclasses:
+                    q_transp_ok = False
+                    details.append(
+                        f"transposition ({i},{j}) not well-defined on classes; dropped"
+                    )
+                    break
+                q_transp.append(sorted((img[cb], cb) for cb in img))
+        if not q_transp_ok:
+            q_transp = None
+    quotient = CaAtomStructure.build(
+        dim=len(gamma), atoms=labels, cyl=q_cyl, diag=q_diag, transp=q_transp
+    )
+    return classes, quotient, details
+
+
+def seed_ca_over_hyperbasis(ra, networks):
+    nets = sorted(networks, key=lambda h: (h.pairs, h.hyper))
+    m = nets[0].m
+    index = {h: i for i, h in enumerate(nets)}
+    labels = [repr((h.pairs, h.hyper)) for h in nets]
+    cyl = []
+    for i in range(m):
+        rel = [
+            (a, b)
+            for a, ha in enumerate(nets)
+            for b, hb in enumerate(nets)
+            if _agrees_off(ha, hb, frozenset((i,)))
+        ]
+        cyl.append(rel)
+    diag_sets = [
+        [[a for a, h in enumerate(nets) if h.pair(i, j) in ra.identity] for j in range(m)]
+        for i in range(m)
+    ]
+    transp = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            sigma = list(range(m))
+            sigma[i], sigma[j] = j, i
+            transp.append([(index[h.rename(sigma)], a) for a, h in enumerate(nets)])
+    return CaAtomStructure.build(dim=m, atoms=labels, cyl=cyl, diag=diag_sets, transp=transp)
+
+
+def seed_drop_cyl_pair(structure, i, a, b):
+    rel = _rel(structure.cyl[i])
+    if (a, b) not in rel:
+        raise ValueError(f"({a},{b}) is not in cylindrifier relation {i}")
+    cyl = [_rel(cols) for cols in structure.cyl]
+    cyl[i] = rel - {(a, b)}
+    transp = None if structure.transp is None else [_rel(cols) for cols in structure.transp]
+    return CaAtomStructure.build(
+        dim=structure.dim, atoms=structure.atoms, cyl=cyl, diag=structure.diag, transp=transp
+    )
+
+
+# ---------------------------------------------------------------------------
+# the cases
+
+
+def _fixed_atoms(s):
+    """The atoms every transposition fixes."""
+    return [
+        a
+        for a in range(s.natoms)
+        if all(
+            s.transp_image_masks(i, j)[a] == 1 << a
+            for i in range(s.dim)
+            for j in range(i + 1, s.dim)
+        )
+    ]
+
+
+def _random_structure(n, seed, dim):
+    """Arbitrary relations and involutions on n atoms, full diagonals."""
+    rng = random.Random(seed)
+    rels = [
+        {(a, b) for a in range(n) for b in range(n) if rng.random() < 0.15} for _ in range(dim)
+    ]
+    transp = []
+    for _ in range(dim * (dim - 1) // 2):
+        atoms = list(range(n))
+        rng.shuffle(atoms)
+        pairs = list(zip(atoms[::2], atoms[1::2]))
+        fixed = [(a, a) for a in atoms[len(pairs) * 2 :]]
+        transp.append(pairs + [(b, a) for a, b in pairs] + fixed)
+    full = range(n)
+    return CaAtomStructure.build(
+        dim=dim,
+        atoms=[f"a{k}" for k in range(n)],
+        cyl=rels,
+        diag=[[full] * dim for _ in range(dim)],
+        transp=transp,
+    )
+
+
+def _group_z4():
+    forbidden = [
+        (a, b, c) for a in range(4) for b in range(4) for c in range(4) if a != (b + c) % 4
+    ]
+    return RaAtomStructure.build(("e", "g1", "g2", "g3"), [0], (0, 3, 2, 1), forbidden)
+
+
+def _below(p, q):
+    return p <= q
+
+
+def _apart(p, q):
+    return p != q
+
+
+@functools.cache
+def _inputs():
+    monk33 = monk_atoms(3, 3)
+    johnson = johnson_extend(monk33)
+    cube = three_cube()
+    fs32 = full_set_algebra(3, 2)
+    fs42 = full_set_algebra(4, 2)
+    fs33 = full_set_algebra(3, 3)
+    z4 = _group_z4()
+    return {
+        "monk33": monk33,
+        "monk34": monk_atoms(3, 4),
+        "monk44": monk_atoms(4, 4),
+        "johnson": johnson,
+        "cube": cube,
+        "fs22": full_set_algebra(2, 2),
+        "fs32": fs32,
+        "fs42": fs42,
+        "fs33": fs33,
+        "fs33-no-transp": dataclasses.replace(fs33, transp=None),
+        "bin": bin_forb(3, 1, 2),
+        "basic4": basic_matrices(4, bin_forb(3, 1, 2)),
+        "z4": z4,
+        "z4-nets-2": enumerate_hypernetworks(z4, 2, 2, 1),
+        "z4-nets-3": enumerate_hypernetworks(z4, 3, 3, 1),
+        # two symbols: networks that agree on atoms can differ off a node
+        "z4-nets-2-two-symbols": enumerate_hypernetworks(z4, 2, 2, 2),
+        "johnson-fixed": _fixed_atoms(johnson)[0],
+        "cube-diag01": diag(cube, 0, 1),
+        "cube-constant": element(cube, [0, 13, 26]),
+        "fs32-not-closed": element(fs32, [0, 1, 3]),
+        "johnson-fixed-atoms": element(johnson, _fixed_atoms(johnson)),
+        "johnson-every-third": element(johnson, range(0, 34, 3)),
+        **{f"random-{seed}": _random_structure(9, seed, 4) for seed in range(4)},
+        **{f"random-two-{seed}": _random_structure(12, seed, 4) for seed in range(4)},
+    }
+
+
+def _split_case(key, atom, copies, intra):
+    policy = SplitPolicy(copies, intra or "inherit")
+
+    def args():
+        return _inputs()[key], _inputs().get(atom, atom), policy
+
+    return lambda: split_atom(*args()).structure, lambda: seed_split_ca(*args())
+
+
+# each case: (the builder under test, its pair-list oracle), both thunks
+# over `_inputs()`
+CASES = {
+    **{
+        f"monk_atoms({m},{n})": (
+            lambda m=m, n=n: monk_atoms(m, n),
+            lambda m=m, n=n: seed_monk_atoms(m, n),
+        )
+        for m, n in ((3, 3), (3, 4), (3, 5), (4, 4))
+    },
+    **{
+        f"full_set_algebra({n},{base})": (
+            lambda n=n, base=base: full_set_algebra(n, base),
+            lambda n=n, base=base: seed_full_set_algebra(n, base),
+        )
+        for n in (2, 3, 4)
+        for base in (2, 3, 4)
+    },
+    **{
+        f"basic_matrices({m},bin_forb(3,1,2))": (
+            lambda m=m: basic_matrices(m, _inputs()["bin"]),
+            lambda m=m: seed_basic_matrices(m, _inputs()["bin"]),
+        )
+        for m in (3, 4)
+    },
+    **{
+        f"johnson_extend({key})": (
+            lambda key=key: johnson_extend(_inputs()[key]),
+            lambda key=key: seed_johnson_extend(_inputs()[key]),
+        )
+        for key in ("monk33", "monk34")
+    },
+    **{
+        f"split_atom({key},{atom},{copies},{intra.__name__ if intra else 'inherit'})": (
+            _split_case(key, atom, copies, intra)
+        )
+        for key, atom, copies, intra in (
+            ("monk33", 5, 3, None),
+            ("monk33", 0, 3, _below),
+            ("fs22", 0, 2, None),
+            ("fs22", 3, 4, _apart),
+            ("johnson", "johnson-fixed", 2, _apart),
+            ("cube", 13, 3, _below),
+            # 27 atoms split into more than 32
+            ("fs33", 0, 7, None),
+            ("fs33", 13, 8, _apart),
+            ("fs33-no-transp", 0, 7, None),
+            ("fs33-no-transp", 5, 9, _below),
+            ("cube", 13, 7, _below),
+            ("cube", 0, 30, None),
+        )
+    },
+    **{
+        f"rd_rho({key},{rho})": (
+            lambda key=key, rho=rho: rd_rho(_inputs()[key], rho),
+            lambda key=key, rho=rho: seed_rd_rho(_inputs()[key], rho),
+        )
+        for key, rho in (
+            ("fs42", (3, 1, 0)),
+            ("fs42", (2, 3)),
+            ("johnson", (2, 0)),
+            ("cube", (1, 2, 0)),
+        )
+    },
+    **{
+        f"rl_x({key},{x})": (
+            lambda key=key, x=x: rl_x(_inputs()[key], _inputs()[x]).structure,
+            lambda key=key, x=x: seed_rl_x(_inputs()[key], _inputs()[x])[0],
+        )
+        for key, x in (
+            ("cube", "cube-diag01"),
+            ("cube", "cube-constant"),
+            ("fs32", "fs32-not-closed"),
+            ("johnson", "johnson-fixed-atoms"),
+            ("johnson", "johnson-every-third"),
+        )
+    },
+    **{
+        f"nr({key},{gamma})": (
+            lambda key=key, gamma=gamma: nr(_inputs()[key], gamma, force=True)[0].structure,
+            lambda key=key, gamma=gamma: seed_nr_quotient(_inputs()[key], gamma)[1],
+        )
+        for key, gamma in (
+            ("fs42", (0, 1, 2)),
+            ("fs42", (1, 2)),
+            ("fs42", (0, 1, 2, 3)),
+            ("johnson", (0, 1)),
+            ("basic4", (0, 1, 2)),
+            ("monk44", (1, 3)),
+            *((f"random-{seed}", (1, 2, 3)) for seed in range(4)),
+            *((f"random-two-{seed}", (2, 3)) for seed in range(4)),
+        )
+    },
+    **{
+        f"ca_over_hyperbasis(z4,{nets[len('z4-nets-'):]})": (
+            lambda nets=nets: ca_over_hyperbasis(_inputs()["z4"], _inputs()[nets]),
+            lambda nets=nets: seed_ca_over_hyperbasis(_inputs()["z4"], _inputs()[nets]),
+        )
+        for nets in ("z4-nets-2", "z4-nets-3", "z4-nets-2-two-symbols")
+    },
+    **{
+        f"drop_cyl_pair({key},{i},{a},{b})": (
+            lambda key=key, i=i, a=a, b=b: drop_cyl_pair(_inputs()[key], i, a, b),
+            lambda key=key, i=i, a=a, b=b: seed_drop_cyl_pair(_inputs()[key], i, a, b),
+        )
+        for key, i, a, b in (
+            ("fs32", 0, 0, 4),
+            ("fs32", 0, 1, 1),
+            ("cube", 2, 0, 1),
+            ("monk33", 1, 7, 7),
+        )
+    },
+}
+
+# the first 16 hex digits of the sha256 of `structure_to_json` of each
+# case's structure, as written by the pair-list builders and serializer
+# before the change to column tables
+PAIR_LIST_JSON = {
+    "basic_matrices(3,bin_forb(3,1,2))": "e37645e4d547b160",
+    "basic_matrices(4,bin_forb(3,1,2))": "80925e920ede85fd",
+    "ca_over_hyperbasis(z4,2)": "b7cce02b43a9857c",
+    "ca_over_hyperbasis(z4,2-two-symbols)": "5a6cc83f17bac065",
+    "ca_over_hyperbasis(z4,3)": "1e4ec83401724d8b",
+    "drop_cyl_pair(cube,2,0,1)": "fe47cfb36b93f77b",
+    "drop_cyl_pair(fs32,0,0,4)": "e7e289a37c305807",
+    "drop_cyl_pair(fs32,0,1,1)": "2017ee8ce1caef13",
+    "drop_cyl_pair(monk33,1,7,7)": "d519e6d4924c0279",
+    "full_set_algebra(2,2)": "93d4a3cd796cd178",
+    "full_set_algebra(2,3)": "89160a7c74574856",
+    "full_set_algebra(2,4)": "50fdc461008cbf04",
+    "full_set_algebra(3,2)": "161b999d3e404fad",
+    "full_set_algebra(3,3)": "cf91d90d3097c3f3",
+    "full_set_algebra(3,4)": "5a9422a2f60fc833",
+    "full_set_algebra(4,2)": "e7047f917fd45843",
+    "full_set_algebra(4,3)": "a7a3aec5a2b77711",
+    "full_set_algebra(4,4)": "9be5fcacdfd827ad",
+    "johnson_extend(monk33)": "eed405b184bf8dc2",
+    "johnson_extend(monk34)": "077a4673b885676b",
+    "monk_atoms(3,3)": "009923062751fdd4",
+    "monk_atoms(3,4)": "812a4bde89b1dac7",
+    "monk_atoms(3,5)": "4bbbfb15df824367",
+    "monk_atoms(4,4)": "02071c9ac2fcb8df",
+    "nr(basic4,(0, 1, 2))": "bf133bc59da58df4",
+    "nr(fs42,(0, 1, 2))": "e8622a9e6a6389d8",
+    "nr(fs42,(0, 1, 2, 3))": "ad50e0eddaacb329",
+    "nr(fs42,(1, 2))": "eca401c24aa1977f",
+    "nr(johnson,(0, 1))": "b09b9560255c8152",
+    "nr(monk44,(1, 3))": "4b00a543a4ae131e",
+    "nr(random-0,(1, 2, 3))": "4cc10f2da9f087f1",
+    "nr(random-1,(1, 2, 3))": "ff97e1182028e5cd",
+    "nr(random-2,(1, 2, 3))": "2a6079151b0d6ae1",
+    "nr(random-3,(1, 2, 3))": "72c194f283f9e188",
+    "nr(random-two-0,(2, 3))": "57c6a82b7b8645aa",
+    "nr(random-two-1,(2, 3))": "57c6a82b7b8645aa",
+    "nr(random-two-2,(2, 3))": "57c6a82b7b8645aa",
+    "nr(random-two-3,(2, 3))": "57c6a82b7b8645aa",
+    "rd_rho(cube,(1, 2, 0))": "7ae110924ecb62cc",
+    "rd_rho(fs42,(2, 3))": "909a1d58fa242424",
+    "rd_rho(fs42,(3, 1, 0))": "19444f8ea0274947",
+    "rd_rho(johnson,(2, 0))": "99747be4d5789ca2",
+    "rl_x(cube,cube-constant)": "ace2afd3cfb0d6f1",
+    "rl_x(cube,cube-diag01)": "da0bec20df5fa878",
+    "rl_x(fs32,fs32-not-closed)": "b3afbbb1fe882862",
+    "rl_x(johnson,johnson-every-third)": "1259b11169740b44",
+    "rl_x(johnson,johnson-fixed-atoms)": "e8b5fa492608cb15",
+    "split_atom(cube,0,30,inherit)": "1a6b5117a0ed52fd",
+    "split_atom(cube,13,3,_below)": "348af1134cb561a1",
+    "split_atom(cube,13,7,_below)": "10413397992490f7",
+    "split_atom(fs22,0,2,inherit)": "88aeb1204982a0a4",
+    "split_atom(fs22,3,4,_apart)": "1db3d2b82e02a415",
+    "split_atom(fs33,0,7,inherit)": "b0396d4a80cc371e",
+    "split_atom(fs33,13,8,_apart)": "b2106ac95fbfcc19",
+    "split_atom(fs33-no-transp,0,7,inherit)": "c2866d505ac3b1ce",
+    "split_atom(fs33-no-transp,5,9,_below)": "cff5d05e44dde7f0",
+    "split_atom(johnson,johnson-fixed,2,_apart)": "c6814422d790cb90",
+    "split_atom(monk33,0,3,_below)": "23ea9173762ad60e",
+    "split_atom(monk33,5,3,inherit)": "44613bb9a66662ca",
+}
+
+
+# ---------------------------------------------------------------------------
+# the builders
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_builder_matches_the_pair_lists(name):
+    build, oracle = CASES[name]
+    got, want = build(), oracle()
+    assert got.cyl == want.cyl
+    assert got.diag == want.diag
+    assert got.transp == want.transp
+    assert got == want
+    digest = hashlib.sha256(structure_to_json(got).encode()).hexdigest()
+    assert digest[:16] == PAIR_LIST_JSON[name]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("rl_x")))
+def test_rl_x_details_match_the_pair_lists(name):
+    key, x = name[len("rl_x(") : -1].split(",")
+    assert rl_x(_inputs()[key], _inputs()[x]).details == seed_rl_x(_inputs()[key], _inputs()[x])[1]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("nr(")))
+def test_nr_classes_and_details_match_the_pair_lists(name):
+    key, gamma = name[len("nr(") : -1].split(",", 1)
+    gamma = tuple(int(i) for i in gamma.strip("()").split(","))
+    frame, cert = nr(_inputs()[key], gamma, force=True)
+    classes, _, details = seed_nr_quotient(_inputs()[key], gamma)
+    assert frame.classes == classes
+    assert [d for d in cert.details if d.startswith("transposition")] == details
+
+
+def test_random_nr_cases_keep_and_drop_transpositions():
+    kept = {
+        CASES[name][0]().transp is not None
+        for name in CASES
+        if name.startswith("nr(random")
+    }
+    assert kept == {True, False}
+
+
+def test_split_refuses_an_atom_a_transposition_moves_like_the_pair_lists():
+    fs22 = _inputs()["fs22"]
+    moved = fs22.atoms.index("(0, 1)")
+    for split in (
+        lambda: split_atom(fs22, moved, SplitPolicy(2)),
+        lambda: seed_split_ca(fs22, moved, SplitPolicy(2)),
+    ):
+        with pytest.raises(ValueError, match="cannot split an atom moved by a transposition"):
+            split()
+
+
+@pytest.mark.parametrize("a, b", [(0, 1), (-1, 0), (0, -1), (8, 0), (0, 8)])
+def test_drop_cyl_pair_refuses_a_missing_pair(a, b):
+    with pytest.raises(ValueError, match=r"is not in cylindrifier relation 0"):
+        drop_cyl_pair(_inputs()["fs32"], 0, a, b)
+
+
+def test_transpositions_are_stored_in_pair_rank_order():
+    s = _inputs()["fs42"]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            assert s.transp[_pair_rank(i, j, 4)] == s.transp_image_masks(j, i)

@@ -296,3 +296,19 @@ def test_suite_is_deterministic_and_reports_every_criterion(tmp_path):
     assert sum("PASS" in ln for ln in verdict_lines) == 12
     assert sum("FAIL" in ln for ln in verdict_lines) == 0
     assert lines[-1] == "12/12 criteria passed"
+
+
+@pytest.mark.parametrize("pair, shown", [([True, 0], "True"), ([0, 1.0], "1.0")])
+def test_check_refuses_a_non_integer_atom_index(tmp_path, capsys, pair, shown):
+    path = tmp_path / "bad.json"
+    data = {
+        "dim": 2,
+        "atoms": ["a", "b"],
+        "cyl": [[pair], []],
+        "diag": [[[0, 1], []], [[], [0, 1]]],
+    }
+    path.write_text(json.dumps(data))
+    assert main(["check", "ca-frame", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cylindrifier relation T0 has a non-integer atom index {shown}\n"

@@ -245,3 +245,48 @@ def test_induced_structure_diagonals_match_identity_labels(z4, z4_nets):
 def test_induced_structure_refuses_non_basis(z4, z4_nets):
     with pytest.raises(ValueError):
         ca_over_hyperbasis(z4, list(z4_nets)[:-1])
+
+
+def _with_bad_member(nets):
+    first = nets[0]
+    bad = HyperNetwork(first.m, first.n_wide, (1,) + first.pairs[1:], first.hyper)
+    return list(nets) + [bad]
+
+
+# violation reports recorded before the rules were written as generators
+RECORDED_REPORTS = {
+    "drop-0": (
+        ("cylindrifier", "no witness for (0,0) via 2 with atoms (0,0)"),
+        ("amalgamation", "networks 0,3 agree off (2,1) but have no amalgam"),
+        ("symmetry", "renaming by (0, 0, 0) leaves the set"),
+    ),
+    "drop-7": (
+        ("cylindrifier", "no witness for (1,1) via 0 with atoms (3,1)"),
+        ("amalgamation", "networks 2,3 agree off (0,1) but have no amalgam"),
+        ("symmetry", "renaming by (1, 2, 0) leaves the set"),
+    ),
+    "two-nodes-drop-2": (
+        ("witness", "no network labels (0,1) with atom 2"),
+        ("cylindrifier", "no witness for (0,0) via 1 with atoms (2,2)"),
+    ),
+    "bad-member": (
+        ("member", "network 16: pair (0,0) is not an identity atom"),
+        ("cylindrifier", "no witness for (0,0) via 1 with atoms (0,1)"),
+        ("amalgamation", "networks 1,16 agree off (0,1) but have no amalgam"),
+        ("symmetry", "renaming by (0, 0, 0) leaves the set"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_REPORTS))
+def test_violation_reports_match_the_recorded_ones(z4, z4_nets, name):
+    if name.startswith("drop-"):
+        drop = int(name.split("-")[1])
+        nets = [h for i, h in enumerate(z4_nets) if i != drop]
+    elif name == "two-nodes-drop-2":
+        nets = [h for i, h in enumerate(enumerate_hypernetworks(z4, 2, 2, 1)) if i != 2]
+    else:
+        nets = _with_bad_member(z4_nets)
+    rep = is_hyperbasis(z4, nets)
+    assert not rep.passed
+    assert rep.violations == RECORDED_REPORTS[name]

@@ -1,0 +1,261 @@
+"""Isomorphism search on column tables, against the pair-set search it
+replaced.
+
+`seed_ca_is_isomorphism`, `seed_ca_profile` and `seed_ca_find_isomorphism`
+are the earlier versions, which read every relation as a set of (a, b)
+pairs; they are kept here as oracles, with the pair sets recovered by
+`column_pairs`.
+"""
+
+import random
+
+import pytest
+
+from cylkit import (
+    ca_find_isomorphism,
+    ca_is_isomorphism,
+    full_set_algebra,
+    johnson_extend,
+    monk_atoms,
+    ra_find_isomorphism,
+    ra_is_isomorphism,
+    three_cube,
+)
+from cylkit.bao import CaAtomStructure, column_pairs
+from cylkit.constructions import bin_forb, hh_ra
+from cylkit.games import drop_cyl_pair
+from cylkit.iso import _ca_profiles
+from cylkit.neat import rd_rho
+from cylkit.ra import RaAtomStructure
+
+
+def _pairs(s):
+    return [set(column_pairs(cols)) for cols in s.cyl]
+
+
+def _transp_pairs(s):
+    return None if s.transp is None else [set(column_pairs(cols)) for cols in s.transp]
+
+
+def seed_ca_is_isomorphism(a, b, mapping):
+    mapping = tuple(mapping)
+    if a.dim != b.dim or a.natoms != b.natoms:
+        return False
+    if sorted(mapping) != list(range(a.natoms)):
+        return False
+    if (a.transp is None) != (b.transp is None):
+        return False
+    for i in range(a.dim):
+        if {(mapping[x], mapping[y]) for x, y in _pairs(a)[i]} != _pairs(b)[i]:
+            return False
+        for j in range(a.dim):
+            if {mapping[x] for x in a.diag[i][j]} != set(b.diag[i][j]):
+                return False
+    if a.transp is not None:
+        for rel_a, rel_b in zip(_transp_pairs(a), _transp_pairs(b)):
+            if {(mapping[x], mapping[y]) for x, y in rel_a} != rel_b:
+                return False
+    return True
+
+
+def seed_ca_profile(s, atom):
+    prof = []
+    for rel in _pairs(s):
+        outs = sum(1 for x, y in rel if x == atom)
+        ins = sum(1 for x, y in rel if y == atom)
+        prof.append((outs, ins))
+    for i in range(s.dim):
+        for j in range(s.dim):
+            prof.append(atom in s.diag[i][j])
+    if s.transp is not None:
+        for rel in _transp_pairs(s):
+            img = dict(rel)
+            prof.append(img.get(atom) == atom)
+    return tuple(prof)
+
+
+def seed_ca_find_isomorphism(a, b):
+    if a.dim != b.dim or a.natoms != b.natoms:
+        return None
+    if (a.transp is None) != (b.transp is None):
+        return None
+    n = a.natoms
+    prof_a = [seed_ca_profile(a, x) for x in range(n)]
+    prof_b = [seed_ca_profile(b, x) for x in range(n)]
+    if sorted(prof_a) != sorted(prof_b):
+        return None
+    cands = [[y for y in range(n) if prof_b[y] == prof_a[x]] for x in range(n)]
+    cyl_a, cyl_b = _pairs(a), _pairs(b)
+    transp_a = [dict(rel) for rel in _transp_pairs(a)] if a.transp is not None else []
+    transp_b = [dict(rel) for rel in _transp_pairs(b)] if b.transp is not None else []
+    order = sorted(range(n), key=lambda x: len(cands[x]))
+    mapping = {}
+    used = set()
+
+    def consistent(x, y):
+        for i in range(a.dim):
+            for x2, y2 in mapping.items():
+                if ((x, x2) in cyl_a[i]) != ((y, y2) in cyl_b[i]):
+                    return False
+                if ((x2, x) in cyl_a[i]) != ((y2, y) in cyl_b[i]):
+                    return False
+        for rel_a, rel_b in zip(transp_a, transp_b):
+            ia = rel_a.get(x)
+            if ia is not None and ia in mapping and rel_b.get(y) != mapping[ia]:
+                return False
+        return True
+
+    def rec(pos):
+        if pos == n:
+            return True
+        x = order[pos]
+        for y in cands[x]:
+            if y in used or not consistent(x, y):
+                continue
+            mapping[x] = y
+            used.add(y)
+            if rec(pos + 1):
+                return True
+            del mapping[x]
+            used.remove(y)
+        return False
+
+    if not rec(0):
+        return None
+    return tuple(mapping[x] for x in range(n))
+
+
+def _relabel(s, perm):
+    """s with atom x renamed perm[x]."""
+    atoms = [None] * s.natoms
+    for x, y in enumerate(perm):
+        atoms[y] = s.atoms[x]
+
+    def moved(cols):
+        return [(perm[x], perm[y]) for x, y in column_pairs(cols)]
+
+    return CaAtomStructure.build(
+        dim=s.dim,
+        atoms=atoms,
+        cyl=[moved(cols) for cols in s.cyl],
+        diag=[[[perm[x] for x in row] for row in rows] for rows in s.diag],
+        transp=None if s.transp is None else [moved(cols) for cols in s.transp],
+    )
+
+
+def _shuffled(n, seed):
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return perm
+
+
+def _cycles(*lengths):
+    """T_0 a disjoint union of directed cycles, T_1 the identity: every
+    atom has in- and out-degree 1 in both, so profiles cannot tell cycle
+    lengths apart."""
+    n = sum(lengths)
+    edges, start = [], 0
+    for length in lengths:
+        edges += [(start + k, start + (k + 1) % length) for k in range(length)]
+        start += length
+    return CaAtomStructure.build(
+        dim=2,
+        atoms=[f"a{k}" for k in range(n)],
+        cyl=[edges, [(a, a) for a in range(n)]],
+        diag=[[range(n)] * 2] * 2,
+    )
+
+
+def _digraph(n, seed):
+    """T_0 a seeded random digraph without loops, T_1 the identity."""
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3]
+    return CaAtomStructure.build(
+        dim=2,
+        atoms=[f"a{k}" for k in range(n)],
+        cyl=[edges, [(a, a) for a in range(n)]],
+        diag=[[range(n)] * 2] * 2,
+    )
+
+
+def _pairs_of_structures():
+    cs3 = full_set_algebra(3, 2)
+    johnson = johnson_extend(monk_atoms(3, 3))
+    cube = three_cube()
+    damaged = drop_cyl_pair(cs3, 0, 0, 4)
+    return {
+        "cs3-self": (cs3, cs3),
+        "cs3-index-swap": (cs3, rd_rho(cs3, (1, 0, 2))),
+        "cs3-shuffled": (cs3, _relabel(cs3, _shuffled(8, 1))),
+        "cs3-damaged": (cs3, damaged),
+        # column 0 is the only difference, seen by the identity mapping
+        "cs3-damaged-column-0": (cs3, drop_cyl_pair(cs3, 0, 4, 0)),
+        "six-cycle-vs-two-triangles": (_cycles(6), _cycles(3, 3)),
+        "two-triangles-shuffled": (_cycles(3, 3), _relabel(_cycles(3, 3), _shuffled(6, 7))),
+        # a search that checks only the edges from each new atom back to the
+        # atoms already placed finds a wrong map here
+        "digraph-shuffled": (_digraph(7, 11), _relabel(_digraph(7, 11), _shuffled(7, 11))),
+        "damaged-both": (damaged, _relabel(damaged, _shuffled(8, 2))),
+        "cube-shuffled": (cube, _relabel(cube, _shuffled(27, 3))),
+        "johnson-shuffled": (johnson, _relabel(johnson, _shuffled(34, 4))),
+        "monk-vs-johnson": (monk_atoms(3, 3), johnson),
+        "monk33-vs-monk34": (monk_atoms(3, 3), monk_atoms(3, 4)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_pairs_of_structures()))
+def test_find_isomorphism_matches_the_pair_set_search(name):
+    a, b = _pairs_of_structures()[name]
+    got = ca_find_isomorphism(a, b)
+    assert got == seed_ca_find_isomorphism(a, b)
+    if name.endswith(("shuffled", "self", "both")):
+        assert got is not None
+    if got is not None:
+        assert seed_ca_is_isomorphism(a, b, got)
+
+
+@pytest.mark.parametrize("name", sorted(_pairs_of_structures()))
+def test_is_isomorphism_matches_the_pair_set_test(name):
+    a, b = _pairs_of_structures()[name]
+    rng = random.Random(name)
+    found = seed_ca_find_isomorphism(a, b)
+    mappings = [list(range(a.natoms)), _shuffled(a.natoms, 5), [0] * a.natoms]
+    if found is not None:
+        broken = list(found)
+        broken[0], broken[-1] = broken[-1], broken[0]
+        mappings += [found, broken]
+    for _ in range(5):
+        mappings.append(rng.sample(range(a.natoms), a.natoms))
+    for mapping in mappings:
+        assert ca_is_isomorphism(a, b, mapping) == seed_ca_is_isomorphism(a, b, mapping)
+
+
+@pytest.mark.parametrize("name", sorted(_pairs_of_structures()))
+def test_profiles_match_the_pair_set_counts(name):
+    for s in _pairs_of_structures()[name]:
+        assert _ca_profiles(s) == [seed_ca_profile(s, x) for x in range(s.natoms)]
+
+
+def _ra_relabel(s, perm):
+    converse = [0] * s.natoms
+    for x in range(s.natoms):
+        converse[perm[x]] = perm[s.converse[x]]
+    atoms = [None] * s.natoms
+    for x, y in enumerate(perm):
+        atoms[y] = s.atoms[x]
+    return RaAtomStructure(
+        atoms=tuple(atoms),
+        identity=frozenset(perm[x] for x in s.identity),
+        converse=tuple(converse),
+        forbidden=frozenset(tuple(perm[x] for x in t) for t in s.forbidden),
+    )
+
+
+@pytest.mark.parametrize("make", [lambda: bin_forb(3, 1, 2), lambda: hh_ra(3, 1, 3)])
+def test_ra_search_finds_a_relabelling(make):
+    s = make()
+    t = _ra_relabel(s, _shuffled(s.natoms, 6))
+    found = ra_find_isomorphism(s, t)
+    assert found is not None and ra_is_isomorphism(s, t, found)
+    # the same atoms, the colour family forbidden the other way round
+    assert ra_find_isomorphism(bin_forb(3, 1, 3), hh_ra(3, 1, 3)) is None

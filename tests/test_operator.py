@@ -41,6 +41,7 @@ from cylkit.bao import (
     FrameReport,
     _bits,
     check_ca_frame,
+    column_pairs,
     equivalence_defects,
 )
 from cylkit.constructions import SplitPolicy, johnson_extend, split_atom
@@ -305,7 +306,7 @@ def seed_check_ca_frame(structure):
     conds = []
 
     for i in range(dim):
-        rel = structure.cyl[i]
+        rel = frozenset(column_pairs(structure.cyl[i]))
         refl = all((a, a) in rel for a in range(n))
         conds.append(FrameCondition(f"T{i}_reflexive", refl))
         sym = all((b, a) in rel for a, b in rel)
@@ -344,7 +345,7 @@ def seed_check_ca_frame(structure):
                 continue
             dm = structure.diag_mask(i, j)
             ok = True
-            for a, b in structure.cyl[i]:
+            for a, b in column_pairs(structure.cyl[i]):
                 if a != b and dm >> a & 1 and dm >> b & 1:
                     ok = False
                     break
@@ -353,7 +354,7 @@ def seed_check_ca_frame(structure):
     if structure.transp is not None:
         for i in range(dim):
             for j in range(i + 1, dim):
-                rel = structure.transp_rel(i, j)
+                rel = column_pairs(structure.transp_image_masks(i, j))
                 img = dict(rel)
                 inv = len(img) == n and all(img.get(img[a]) == a for a in img)
                 conds.append(FrameCondition(f"P{i}{j}_involution", inv))
@@ -381,34 +382,38 @@ def seed_check_ca_frame(structure):
 
 
 def seed_equivalence_defects(structure, i):
-    """`bao.equivalence_defects` before the class test: the three scans."""
-    rel = structure.cyl[i]
+    """`bao.equivalence_defects` before the class test: the three scans,
+    reading the pairs in column order (b ascending, then a)."""
+    pairs = list(column_pairs(structure.cyl[i]))
+    rel = frozenset(pairs)
     yield "reflexive", next(
         (f"T{i} not reflexive at {a}" for a in range(structure.natoms) if (a, a) not in rel),
         None,
     )
     yield "symmetric", next(
-        (f"T{i} not symmetric at ({a},{b})" for a, b in rel if (b, a) not in rel), None
+        (f"T{i} not symmetric at ({a},{b})" for a, b in pairs if (b, a) not in rel), None
     )
     cols = structure.cyl_image_masks(i)
     # transitivity: everything reaching a must reach b
     yield "transitive", next(
-        (f"T{i} not transitive through ({a},{b})" for a, b in rel if cols[a] & ~cols[b]),
+        (f"T{i} not transitive through ({a},{b})" for a, b in pairs if cols[a] & ~cols[b]),
         None,
     )
 
 
 def seed_is_equivalence(structure, i):
-    rel = structure.cyl[i]
+    """`neat._is_equivalence` of the seed, reading the pairs in column order."""
+    pairs = list(column_pairs(structure.cyl[i]))
+    rel = frozenset(pairs)
     n = structure.natoms
     for a in range(n):
         if (a, a) not in rel:
             return f"T{i} not reflexive at {a}"
-    for a, b in rel:
+    for a, b in pairs:
         if (b, a) not in rel:
             return f"T{i} not symmetric at ({a},{b})"
     cols = structure.cyl_image_masks(i)
-    for a, b in rel:
+    for a, b in pairs:
         # transitivity: everything reaching a must reach b
         if cols[a] & ~cols[b] & structure.full_mask:
             return f"T{i} not transitive through ({a},{b})"
@@ -516,6 +521,19 @@ def test_no_tables_above_32_atoms():
             m = rng.getrandbits(s.natoms)
             assert op.apply(m) == seed_bit_loop(s.cyl_image_masks(i), m)
         assert "_tables" not in vars(op)
+
+
+def test_no_tables_for_columns_past_32_bits():
+    # few columns onto more atoms, as when an atom is split: the bit loop
+    rng = random.Random(1)
+    cols = tuple(rng.getrandbits(40) | 1 << 39 for _ in range(27))
+    op = AdditiveOperator(cols)
+    for _ in range(50):
+        m = rng.getrandbits(27)
+        assert op.apply(m) == seed_bit_loop(cols, m)
+    assert "_tables" not in vars(op)
+    with pytest.raises(ValueError, match="at most 32 atoms in and out"):
+        op.apply_vec(np.zeros(1, dtype=np.uint32))
 
 
 def test_tables_are_built_on_first_use():
@@ -638,9 +656,12 @@ def test_check_equation_matches_the_seed_on_criterion_1_fixtures(name):
 
 
 def _with_cyl(base, i, rel):
-    """base with T_i replaced by rel."""
+    """base with T_i replaced by the relation of the pairs in rel."""
+    cols = [0] * base.natoms
+    for a, b in rel:
+        cols[b] |= 1 << a
     cyl = list(base.cyl)
-    cyl[i] = frozenset(rel)
+    cyl[i] = tuple(cols)
     return dataclasses.replace(base, cyl=tuple(cyl))
 
 
@@ -648,7 +669,7 @@ def _irreflexive_atom():
     """T_0 of full_set_algebra(2,3) without atom 0: symmetric and
     transitive, not reflexive."""
     base = full_set_algebra(2, 3)
-    return _with_cyl(base, 0, {(a, b) for a, b in base.cyl[0] if 0 not in (a, b)})
+    return _with_cyl(base, 0, {(a, b) for a, b in column_pairs(base.cyl[0]) if 0 not in (a, b)})
 
 
 def _preorder():
@@ -776,3 +797,20 @@ def test_frame_check_applies_once_per_distinct_column(monkeypatch):
     bound = (s.dim - 1) * distinct + s.dim**3
     assert bound == 57
     assert calls <= bound
+
+
+@pytest.mark.parametrize(
+    "name, prop, text",
+    [
+        # the one pair outside the diagonal, ((1, 1), (0, 0)) = (4, 0)
+        ("T0-preorder", "symmetric", "T0 not symmetric at (4,0)"),
+        # column 0 is {0, 1}; column 1 is {0, 1, 2}, so (1, 0) comes first
+        ("T0-path-34", "transitive", "T0 not transitive through (1,0)"),
+    ],
+)
+def test_first_violation_is_named_in_column_order(name, prop, text):
+    s = _frame_fixtures()[name]
+    assert dict(equivalence_defects(s, 0))[prop] == text
+    with pytest.raises(ValueError) as err:
+        nr(s, [1])
+    assert str(err.value) == f"dropped relation is not an equivalence: {text}"

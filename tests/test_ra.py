@@ -268,3 +268,63 @@ def test_comp_row_cache_consistent_on_random(s, data):
     assert row == sum(
         1 << a for a in range(s.natoms) if s.consistent(a, b, c)
     )
+
+
+def _unchecked(atoms, identity, converse, forbidden):
+    """An RaAtomStructure past the constructor's checks, which already
+    guarantee the converse and Peircean laws."""
+    s = object.__new__(RaAtomStructure)
+    fields = {
+        "atoms": tuple(atoms),
+        "identity": frozenset(identity),
+        "converse": tuple(converse),
+        "forbidden": frozenset(forbidden),
+        "_full_mask": (1 << len(atoms)) - 1,
+        "_comp_rows": {},
+    }
+    for name, value in fields.items():
+        object.__setattr__(s, name, value)
+    return s
+
+
+# law reports recorded before the laws were written as generators
+RECORDED_LAWS = {
+    # a 3-cycle as converse
+    "cycle": (
+        _unchecked(("Id", "a", "b", "c"), [0], (0, 2, 3, 1), []),
+        {"identity": "atom Id", "converse_involution": "atom a"},
+    ),
+    # one forbidden triple without its Peircean images
+    "open": (
+        _unchecked(("Id", "a", "b"), [0], (0, 2, 1), [(1, 1, 1)]),
+        {
+            "identity": "atom Id",
+            "converse_distribution": "pair (a, a)",
+            "peircean": "triple (1,1,1) vs (1, 2, 1)",
+        },
+    ),
+    "identity": (
+        RaAtomStructure.build(("Id", "d"), [0], (0, 1), [(1, 0, 1)]),
+        {"identity": "atom Id"},
+    ),
+    "bin_forb(3,1,2)": (
+        bin_forb(3, 1, 2),
+        {"associativity": "triple (a^0(0,0), a^0(0,0), a^0(1,0))"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_LAWS))
+def test_law_reports_match_the_recorded_ones(name):
+    structure, failed = RECORDED_LAWS[name]
+    rep = check_ra_axioms(structure)
+    assert [law.name for law in rep.laws] == [
+        "identity",
+        "converse_involution",
+        "converse_distribution",
+        "peircean",
+        "associativity",
+    ]
+    assert not rep.passed
+    for law in rep.laws:
+        assert (law.passed, law.detail) == (law.name not in failed, failed.get(law.name, ""))
