@@ -108,17 +108,6 @@ def parse_monk_label(label: str) -> MonkAtom:
     return MonkAtom(tuple(tuple(b) for b in blocks), tuple((tuple(p), c) for p, c in fitems))
 
 
-def _monk_residue(atom: MonkAtom, kappa_idx: int) -> tuple:
-    """What an atom looks like when index kappa is ignored."""
-    blocks = _canon_blocks(
-        [b for b in ([e for e in blk if e != kappa_idx] for blk in atom.blocks) if b]
-    )
-    fpart = tuple(
-        (pair, c) for pair, c in atom.f if kappa_idx not in pair
-    )
-    return blocks, fpart
-
-
 def monk_atoms(m: int, n: int) -> CaAtomStructure:
     """The dimension-m structure of coloured pair partitions with n colours.
 
@@ -132,16 +121,35 @@ def monk_atoms(m: int, n: int) -> CaAtomStructure:
         raise ValueError(f"n must be in {m}..6, got {n}")
     data = _monk_data(m, n)
     labels = tuple(monk_label(at) for at in data)
+    pairs = list(combinations(range(m), 2))
+    rank = {p: k for k, p in enumerate(pairs)}
+    # each atom read once, as one byte per pair a < b: 0 when a and b share
+    # a block, else 1 + their colour
+    shapes = []
+    for at in data:
+        block = [0] * m
+        for bi, blk in enumerate(at.blocks):
+            for e in blk:
+                block[e] = bi
+        colours = dict(at.f)
+        shapes.append(bytes(0 if block[a] == block[b] else 1 + colours[a, b] for a, b in pairs))
     cyl = []
     for kappa_idx in range(m):
-        groups: dict[tuple, list[int]] = {}
-        for idx, at in enumerate(data):
-            groups.setdefault(_monk_residue(at, kappa_idx), []).append(idx)
+        # two atoms agree away from kappa iff their shapes agree on the
+        # pairs that avoid kappa
+        keep = [k for k, p in enumerate(pairs) if kappa_idx not in p]
+        groups: dict[bytes, list[int]] = {}
+        for idx, shape in enumerate(shapes):
+            groups.setdefault(bytes(shape[k] for k in keep), []).append(idx)
         cyl.append(class_columns(len(data), groups.values()))
     full = frozenset(range(len(data)))
     diag = tuple(
         tuple(
-            full if i == j else frozenset(idx for idx, at in enumerate(data) if at.related(i, j))
+            full
+            if i == j
+            else frozenset(
+                idx for idx, shape in enumerate(shapes) if not shape[rank[min(i, j), max(i, j)]]
+            )
             for j in range(m)
         )
         for i in range(m)
@@ -412,6 +420,14 @@ def basic_matrices(m: int, bin_ra: RaAtomStructure) -> CaAtomStructure:
     matrices with an identity entry at (x,y), and P_xy conjugates a matrix
     by the index swap.
     """
+    return _basic_matrices(m, bin_ra)[0]
+
+
+def _basic_matrices(
+    m: int, bin_ra: RaAtomStructure
+) -> tuple[CaAtomStructure, tuple[tuple[int, ...], ...]]:
+    """`basic_matrices` and the matrices of its atoms, in atom order, as
+    `enumerate_matrices` lists them."""
     if not 3 <= m <= 4:
         raise ValueError(f"m must be in 3..4, got {m}")
     mats = enumerate_matrices(m, bin_ra)
@@ -465,8 +481,11 @@ def basic_matrices(m: int, bin_ra: RaAtomStructure) -> CaAtomStructure:
                 cols.append(1 << index[conj])
             transp.append(tuple(cols))
 
-    return CaAtomStructure(
-        dim=m, atoms=labels, cyl=tuple(cyl), diag=tuple(diag), transp=tuple(transp)
+    return (
+        CaAtomStructure(
+            dim=m, atoms=labels, cyl=tuple(cyl), diag=tuple(diag), transp=tuple(transp)
+        ),
+        mats,
     )
 
 

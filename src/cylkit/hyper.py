@@ -5,6 +5,17 @@ with symbols from a fixed auxiliary alphabet, subject to identity, triangle,
 and substitution coherence.  A set of them closed under witnessing,
 cylindrifier responses, amalgamation, and node maps induces a
 cylindric-style structure whose atoms are the hypernetworks themselves.
+
+`is_hyperbasis` reads the networks through an index it builds once per
+call and drops on return.  Networks of one shape list their tuples in one
+order, so every label has a fixed position.  For each excluded node set S
+({z} and {x,y}) each network gets one key, its labels on the pairs and
+tuples that avoid S, and "g agrees with h off S" is a key comparison.  The
+cylindrifier rule groups the networks by their key off {z}; the
+amalgamation rule keeps, for each x != y, the set of (key off {x}, key off
+{y}) pairs of all networks; the symmetry rule renames a network by reading
+its labels at precomputed positions.  For N networks on m nodes a call
+builds about N*m^2 keys and makes at most N^2*m^2 key comparisons.
 """
 from __future__ import annotations
 
@@ -49,13 +60,11 @@ class HyperNetwork:
     def rename(self, sigma: Sequence[int]) -> "HyperNetwork":
         """The hypernetwork t -> self(sigma composed with t)."""
         m = self.m
-        pairs = tuple(
-            self.pair(sigma[x], sigma[y]) for x in range(m) for y in range(m)
-        )
-        hyper = tuple(
-            sorted((t, self.hyper_label(tuple(sigma[v] for v in t))) for t, _ in self.hyper)
-        )
-        return HyperNetwork(m, self.n_wide, pairs, hyper)
+        tuples = [t for t, _ in self.hyper]
+        labels = _flat_labels(self)
+        renamed = [labels[p] for p in _renaming(m, tuples, sigma)]
+        hyper = tuple(sorted(zip(tuples, renamed[m * m :])))
+        return HyperNetwork(m, self.n_wide, tuple(renamed[: m * m]), hyper)
 
 
 def _hyper_tuples(m: int, n_wide: int) -> list[tuple[int, ...]]:
@@ -67,10 +76,29 @@ def _hyper_tuples(m: int, n_wide: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _flat_labels(h: HyperNetwork) -> tuple[int, ...]:
+    """The pair labels in row-major order, then the symbols in `hyper` order."""
+    return h.pairs + tuple(v for _, v in h.hyper)
+
+
+def _renaming(m: int, tuples: Sequence[tuple[int, ...]], sigma: Sequence[int]) -> list[int]:
+    """For each position of the flat labels renamed by sigma, the position
+    it reads in the flat labels of a network listing `tuples`."""
+    where = {t: m * m + k for k, t in enumerate(tuples)}
+    return [sigma[x] * m + sigma[y] for x in range(m) for y in range(m)] + [
+        where[tuple(sigma[v] for v in t)] for t in tuples
+    ]
+
+
 def validate_hypernetwork(
     ra: RaAtomStructure, net: HyperNetwork
 ) -> tuple[bool, str | None]:
-    """Identity diagonal, triangle consistency, and substitution coherence."""
+    """Identity diagonal, triangle consistency, and substitution coherence.
+
+    Substitution is checked between each tuple s and the tuples t of its
+    length with every net(s_k, t_k) an identity atom, enumerated from the
+    nodes each node is identity-linked to.
+    """
     m = net.m
     for x in range(m):
         if net.pair(x, x) not in ra.identity:
@@ -80,18 +108,15 @@ def validate_hypernetwork(
             for z in range(m):
                 if not ra.consistent(net.pair(x, y), net.pair(x, z), net.pair(z, y)):
                     return False, f"triangle ({x},{y}) via {z} is inconsistent"
-    tuples = _hyper_tuples(m, net.n_wide) + [
-        (x, y) for x in range(m) for y in range(m)
-    ]
-    by_len: dict[int, list[tuple[int, ...]]] = {}
-    for t in tuples:
-        by_len.setdefault(len(t), []).append(t)
-    for length, ts in by_len.items():
-        for s in ts:
-            for t in ts:
-                if all(net.pair(a, b) in ra.identity for a, b in zip(s, t)):
-                    if net.label(s) != net.label(t):
-                        return False, f"substitution fails between {s} and {t}"
+    linked = [[b for b in range(m) if net.pair(a, b) in ra.identity] for a in range(m)]
+    symbols = dict(net.hyper)
+    atoms = {(x, y): net.pair(x, y) for x in range(m) for y in range(m)}
+    for length in [k for k in range(net.n_wide + 1) if k != 2] + [2]:
+        label = atoms if length == 2 else symbols
+        for s in product(range(m), repeat=length):
+            for t in product(*(linked[v] for v in s)):
+                if label[s] != label[t]:
+                    return False, f"substitution fails between {s} and {t}"
     return True, None
 
 
@@ -253,50 +278,93 @@ def _witness_defects(ra: RaAtomStructure, nets: Sequence[HyperNetwork]) -> Itera
                 yield f"no network labels (0,1) with atom {a}"
 
 
-def _cylindrifier_defects(
-    ra: RaAtomStructure, nets: Sequence[HyperNetwork]
-) -> Iterator[str]:
-    m = nets[0].m
-    for h in nets:
+class _Index:
+    """One call's view of a set of networks of one shape.
+
+    `flat[i]` is network i's labels as one tuple (`_flat_labels`), and
+    `off[S][i]` its key off the node set S, for every S of one or two nodes:
+    its labels on the pairs and tuples that avoid S.  The networks list
+    their tuples in one order, so two of them agree off S iff their keys
+    are equal.
+    """
+
+    def __init__(self, nets: Sequence[HyperNetwork]) -> None:
+        m = nets[0].m
+        self.m = m
+        self.tuples = [t for t, _ in nets[0].hyper]
+        self.flat = [_flat_labels(h) for h in nets]
+        self.off: dict[frozenset[int], list[tuple[int, ...]]] = {}
+        for excluded in {frozenset((x, y)) for x in range(m) for y in range(m)}:
+            keep = [x * m + y for x in range(m) for y in range(m) if excluded.isdisjoint((x, y))]
+            keep += [m * m + k for k, t in enumerate(self.tuples) if excluded.isdisjoint(t)]
+            self.off[excluded] = [tuple(map(f.__getitem__, keep)) for f in self.flat]
+
+
+def _cylindrifier_defects(ra: RaAtomStructure, ix: _Index) -> Iterator[str]:
+    m = ix.m
+    # peers[z][i]: the networks that agree with network i off node z
+    peers = []
+    for z in range(m):
+        keys = ix.off[frozenset((z,))]
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for key, g in zip(keys, ix.flat):
+            groups.setdefault(key, []).append(g)
+        peers.append([groups[key] for key in keys])
+    consistent: dict[int, list[tuple[int, int]]] = {}
+    for hi, h in enumerate(ix.flat):
         for x in range(m):
             for y in range(m):
+                c = h[x * m + y]
+                if c not in consistent:
+                    consistent[c] = [
+                        (a, b)
+                        for a in range(ra.natoms)
+                        for b in range(ra.natoms)
+                        if ra.consistent(c, a, b)
+                    ]
                 for z in range(m):
                     if z in (x, y):
                         continue
-                    for a in range(ra.natoms):
-                        for b in range(ra.natoms):
-                            if ra.consistent(h.pair(x, y), a, b) and not any(
-                                g.pair(x, z) == a
-                                and g.pair(z, y) == b
-                                and _agrees_off(g, h, frozenset((z,)))
-                                for g in nets
-                            ):
-                                yield (
-                                    f"no witness for ({x},{y}) via {z} "
-                                    f"with atoms ({a},{b})"
-                                )
+                    witnessed = {(g[x * m + z], g[z * m + y]) for g in peers[z][hi]}
+                    for a, b in consistent[c]:
+                        if (a, b) not in witnessed:
+                            yield f"no witness for ({x},{y}) via {z} with atoms ({a},{b})"
 
 
-def _amalgamation_defects(nets: Sequence[HyperNetwork]) -> Iterator[str]:
-    m = nets[0].m
-    for hi, h in enumerate(nets):
-        for gi, g in enumerate(nets):
-            for x in range(m):
-                for y in range(m):
-                    if _agrees_off(h, g, frozenset((x, y))) and not any(
-                        _agrees_off(h, mid, frozenset((x,)))
-                        and _agrees_off(mid, g, frozenset((y,)))
-                        for mid in nets
-                    ):
-                        yield f"networks {hi},{gi} agree off ({x},{y}) but have no amalgam"
+def _amalgamation_defects(ix: _Index) -> Iterator[str]:
+    m = ix.m
+    off = ix.off
+    # for x == y, h itself is an amalgam of h and g
+    rows = [
+        (
+            x,
+            y,
+            off[frozenset((x, y))],
+            off[frozenset((x,))],
+            off[frozenset((y,))],
+            set(zip(off[frozenset((x,))], off[frozenset((y,))])),
+        )
+        for x in range(m)
+        for y in range(m)
+        if x != y
+    ]
+    count = len(ix.flat)
+    for hi in range(count):
+        for gi in range(count):
+            for x, y, off_xy, off_x, off_y, amalgams in rows:
+                if off_xy[hi] == off_xy[gi] and (off_x[hi], off_y[gi]) not in amalgams:
+                    yield f"networks {hi},{gi} agree off ({x},{y}) but have no amalgam"
 
 
-def _symmetry_defects(nets: Sequence[HyperNetwork]) -> Iterator[str]:
-    m = nets[0].m
-    net_set = set(nets)
-    for h in nets:
-        for sigma in product(range(m), repeat=m):
-            if h.rename(sigma) not in net_set:
+def _symmetry_defects(ix: _Index) -> Iterator[str]:
+    present = set(ix.flat)
+    renamings = [
+        (sigma, _renaming(ix.m, ix.tuples, sigma))
+        for sigma in product(range(ix.m), repeat=ix.m)
+    ]
+    for h in ix.flat:
+        for sigma, reads in renamings:
+            if tuple(map(h.__getitem__, reads)) not in present:
                 yield f"renaming by {sigma} leaves the set"
 
 
@@ -304,18 +372,34 @@ def is_hyperbasis(
     ra: RaAtomStructure, networks: Sequence[HyperNetwork]
 ) -> HyperbasisReport:
     """Witness, cylindrifier, amalgamation, and node-map closure checks,
-    each reporting its first violation."""
+    each reporting its first violation.
+
+    The networks must be of one shape (m and n_wide), each labelling every
+    tuple of that shape once, in sorted order, as `enumerate_hypernetworks`
+    builds them.  The rules read the `_Index` built here.  For N networks
+    on m nodes: amalgamation makes N^2*m^2 key comparisons, the cylindrifier
+    rule reads the networks that agree with h off z once per (h, x, y, z),
+    and symmetry makes m^m renamings per network, each one pass over the
+    network's labels.
+    """
     nets = list(networks)
     if not nets:
         return HyperbasisReport(False, (("member", "empty set"),))
     if any(h.m != nets[0].m or h.n_wide != nets[0].n_wide for h in nets):
         return HyperbasisReport(False, (("member", "mixed shapes"),))
+    tuples = sorted(_hyper_tuples(nets[0].m, nets[0].n_wide))
+    for idx, h in enumerate(nets):
+        if [t for t, _ in h.hyper] != tuples:
+            return HyperbasisReport(
+                False, (("member", f"network {idx} does not list the tuples of its shape"),)
+            )
+    ix = _Index(nets)
     rules = (
         ("member", _member_defects(ra, nets)),
         ("witness", _witness_defects(ra, nets)),
-        ("cylindrifier", _cylindrifier_defects(ra, nets)),
-        ("amalgamation", _amalgamation_defects(nets)),
-        ("symmetry", _symmetry_defects(nets)),
+        ("cylindrifier", _cylindrifier_defects(ra, ix)),
+        ("amalgamation", _amalgamation_defects(ix)),
+        ("symmetry", _symmetry_defects(ix)),
     )
     violations = tuple(
         (rule, detail)
@@ -344,16 +428,13 @@ def ca_over_hyperbasis(
         raise ValueError("need at least two nodes to form a structure")
     index = {h: i for i, h in enumerate(nets)}
     labels = tuple(repr((h.pairs, h.hyper)) for h in nets)
+    off = _Index(nets).off
     cyl = []
     for i in range(m):
         # networks agree away from node i iff their labels off node i match
-        groups: dict[tuple, list[int]] = {}
-        for a, h in enumerate(nets):
-            off = (
-                tuple(h.pair(x, y) for x in range(m) for y in range(m) if i not in (x, y)),
-                tuple((t, v) for t, v in h.hyper if i not in t),
-            )
-            groups.setdefault(off, []).append(a)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for a, key in enumerate(off[frozenset((i,))]):
+            groups.setdefault(key, []).append(a)
         cyl.append(class_columns(len(nets), groups.values()))
     diag = tuple(
         tuple(

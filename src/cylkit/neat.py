@@ -26,11 +26,7 @@ from .bao import (
     subst_transp,
     transpose,
 )
-from .constructions import (
-    _slot_pairs,
-    basic_matrices,
-    enumerate_matrices,
-)
+from .constructions import _basic_matrices, _slot_pairs
 from .ra import RaAtomStructure, RaAxiomReport, check_ra_axioms
 
 EXHAUSTIVE_CLASS_LIMIT = 12
@@ -479,10 +475,8 @@ def restriction_iso(msmall: int, mbig: int, bin_ra: RaAtomStructure) -> IsoRepor
     """
     if not 3 <= msmall < mbig <= 4:
         raise ValueError("need 3 <= msmall < mbig <= 4")
-    small = basic_matrices(msmall, bin_ra)
-    big = basic_matrices(mbig, bin_ra)
-    small_vals = enumerate_matrices(msmall, bin_ra)
-    big_vals = enumerate_matrices(mbig, bin_ra)
+    small, small_vals = _basic_matrices(msmall, bin_ra)
+    big, big_vals = _basic_matrices(mbig, bin_ra)
     slots_big = _slot_pairs(mbig)
     keep = [slots_big.index(p) for p in _slot_pairs(msmall)]
 
@@ -605,10 +599,8 @@ def rl_x_witness(
         raise ValueError("need mbig = msmall + k with k >= 1")
     if not 3 <= msmall < mbig <= 4:
         raise ValueError("need 3 <= msmall < mbig <= 4")
-    big = basic_matrices(mbig, bin_ra)
-    small = basic_matrices(msmall, bin_ra)
-    big_vals = enumerate_matrices(mbig, bin_ra)
-    small_vals = enumerate_matrices(msmall, bin_ra)
+    big, big_vals = _basic_matrices(mbig, bin_ra)
+    small, small_vals = _basic_matrices(msmall, bin_ra)
     slots_big = _slot_pairs(mbig)
     (id_atom,) = bin_ra.identity
     details: list[str] = []

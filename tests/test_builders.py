@@ -30,7 +30,6 @@ from cylkit.constructions import (
     SplitPolicy,
     _canon_blocks,
     _monk_data,
-    _monk_residue,
     _slot_pairs,
     _split_indexing,
     _split_labels,
@@ -47,9 +46,11 @@ from cylkit.constructions import (
     three_cube,
 )
 from cylkit.games import drop_cyl_pair
-from cylkit.hyper import _agrees_off, ca_over_hyperbasis
+from cylkit.hyper import ca_over_hyperbasis
 from cylkit.neat import nr, rd_rho, rl_x
 from cylkit.ra import RaAtomStructure
+
+from seed_hyper import _agrees_off
 
 
 def _rel(cols):
@@ -62,6 +63,17 @@ def _transp_rel(s, i, j):
 
 # ---------------------------------------------------------------------------
 # the pair-list builders
+
+
+def _monk_residue(atom, kappa_idx):
+    """What an atom looks like when index kappa is ignored."""
+    blocks = _canon_blocks(
+        [b for b in ([e for e in blk if e != kappa_idx] for blk in atom.blocks) if b]
+    )
+    fpart = tuple(
+        (pair, c) for pair, c in atom.f if kappa_idx not in pair
+    )
+    return blocks, fpart
 
 
 def seed_monk_atoms(m, n):

@@ -1,5 +1,9 @@
 """Hypernetworks, hyperbasis checking, and the induced structure."""
 
+import functools
+import random
+from itertools import islice, product
+
 import pytest
 
 from cylkit import (
@@ -10,7 +14,10 @@ from cylkit import (
     is_hyperbasis,
     validate_hypernetwork,
 )
+from cylkit import hyper
 from cylkit.hyper import HyperNetwork, ca_over_hyperbasis
+
+import seed_hyper
 
 
 def group_z4() -> RaAtomStructure:
@@ -290,3 +297,133 @@ def test_violation_reports_match_the_recorded_ones(z4, z4_nets, name):
     rep = is_hyperbasis(z4, nets)
     assert not rep.passed
     assert rep.violations == RECORDED_REPORTS[name]
+
+
+# ---------------------------------------------------------------------------
+# the indexed checker against the checker that scanned pairs of networks
+
+
+def _substitution_breaker(nets):
+    """A copy of the first network that links nodes 0 and 1, with the symbol
+    of (0,) changed so that (0,) and (1,) disagree."""
+    h = next(g for g in nets if g.pair(0, 1) == 0)
+    entries = dict(h.hyper)
+    entries[(0,)] = entries[(1,)] + 1
+    return HyperNetwork(h.m, h.n_wide, h.pairs, tuple(sorted(entries.items())))
+
+
+def _corrupted(nets, k, pairs):
+    h = nets[k]
+    return HyperNetwork(h.m, h.n_wide, pairs(h.pairs), h.hyper)
+
+
+@functools.cache
+def _differential_sets():
+    z4, pa = group_z4(), pair_algebra()
+    nets3 = enumerate_hypernetworks(z4, 3, 3, 1)
+    nets2 = enumerate_hypernetworks(z4, 2, 2, 1)
+    free = RaAtomStructure.build(("Id", "a"), [0], (0, 1), [])
+    free_nets = enumerate_hypernetworks(free, 2, 2, 1)
+    rng = random.Random(2013)
+    return {
+        "z4-3": (z4, nets3),
+        "z4-2": (z4, nets2),
+        "pair-algebra-2-3": (pa, enumerate_hypernetworks(pa, 2, 3, 1)),
+        "pair-algebra-2-3-two-symbols": (pa, enumerate_hypernetworks(pa, 2, 3, 2)[:40]),
+        # (0,0) labelled with a non-identity atom
+        "z4-3-bad-diagonal": (
+            z4,
+            list(nets3) + [_corrupted(nets3, 5, lambda p: (1,) + p[1:])],
+        ),
+        # (0,1) relabelled, so the triangles through it no longer compose
+        "z4-3-bad-triangle": (
+            z4,
+            list(nets3[:9]) + [_corrupted(nets3, 9, lambda p: p[:1] + ((p[1] + 1) % 4,) + p[2:])]
+            + list(nets3[10:]),
+        ),
+        "z4-3-bad-substitution": (z4, list(nets3) + [_substitution_breaker(nets3)]),
+        "z4-2-bad-substitution": (z4, list(nets2[1:]) + [_substitution_breaker(nets2)]),
+        # nodes 0 and 1 linked one way only: (0,0) and (1,0) are linked but
+        # labelled apart, which no triangle rules out when nothing is forbidden
+        "free-2-bad-pair-substitution": (
+            free,
+            list(free_nets) + [_corrupted(free_nets, 0, lambda p: (0, 0, 1, 0))],
+        ),
+        **{
+            f"z4-3-random-{seed}": (
+                z4,
+                [h for h in nets3 if rng.random() < 0.5 + seed / 60] or [nets3[seed % 16]],
+            )
+            for seed in range(30)
+        },
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_differential_sets()))
+def test_report_matches_the_pairwise_checker(name):
+    ra, nets = _differential_sets()[name]
+    assert is_hyperbasis(ra, nets).violations == seed_hyper.is_hyperbasis(ra, nets).violations
+    for h in nets:
+        assert validate_hypernetwork(ra, h) == seed_hyper.validate_hypernetwork(ra, h)
+
+
+@pytest.mark.parametrize("name", sorted(_differential_sets()))
+def test_rules_list_the_defects_of_the_pairwise_checker(name):
+    # the first 25 defects of each rule, not only the first one the report keeps
+    ra, nets = _differential_sets()[name]
+    ix = hyper._Index(nets)
+    for got, want in (
+        (hyper._cylindrifier_defects(ra, ix), seed_hyper._cylindrifier_defects(ra, nets)),
+        (hyper._amalgamation_defects(ix), seed_hyper._amalgamation_defects(nets)),
+        (hyper._symmetry_defects(ix), seed_hyper._symmetry_defects(nets)),
+    ):
+        assert list(islice(got, 25)) == list(islice(want, 25))
+
+
+def test_corrupted_sets_fail_the_member_rule_as_built():
+    sets = _differential_sets()
+    expected = {
+        "z4-3-bad-diagonal": "network 16: pair (0,0) is not an identity atom",
+        "z4-3-bad-triangle": "network 9: triangle (0,0) via 1 is inconsistent",
+        "z4-3-bad-substitution": "network 16: substitution fails between (0,) and (1,)",
+        "z4-2-bad-substitution": "network 3: substitution fails between (0,) and (1,)",
+        "free-2-bad-pair-substitution": "network 2: substitution fails between (0, 0) and (1, 0)",
+    }
+    for name, detail in expected.items():
+        assert is_hyperbasis(*sets[name]).violation("member") == detail
+
+
+def test_random_subsets_reach_every_rule():
+    reports = [
+        is_hyperbasis(*_differential_sets()[f"z4-3-random-{seed}"]) for seed in range(30)
+    ]
+    failed = {rule for rep in reports for rule, _ in rep.violations}
+    assert failed >= {"witness", "cylindrifier", "amalgamation", "symmetry"}
+
+
+@pytest.mark.parametrize("symbols", [1, 2])
+def test_off_keys_are_equal_iff_the_networks_agree(z4, symbols):
+    # with two symbols, networks that agree on atoms can differ off a node
+    nets = enumerate_hypernetworks(z4, 2, 3, symbols)[:64]
+    ix = hyper._Index(nets)
+    for excluded, keys in ix.off.items():
+        for a, ka in zip(nets, keys):
+            for b, kb in zip(nets, keys):
+                assert (ka == kb) == seed_hyper._agrees_off(a, b, excluded)
+
+
+def test_rename_matches_the_scanning_rename(z4, z4_nets):
+    two_symbols = enumerate_hypernetworks(pair_algebra(), 2, 3, 2)[::97]
+    for h in list(z4_nets) + list(two_symbols):
+        for sigma in product(range(h.m), repeat=h.m):
+            assert h.rename(sigma) == seed_hyper.rename(h, sigma)
+
+
+def test_networks_must_list_the_tuples_of_their_shape(z4, z4_nets):
+    h = z4_nets[3]
+    for hyper_entries in (h.hyper[1:], h.hyper[::-1], h.hyper + (((0, 0, 0, 0), 0),)):
+        odd = HyperNetwork(h.m, h.n_wide, h.pairs, hyper_entries)
+        rep = is_hyperbasis(z4, list(z4_nets) + [odd])
+        assert rep.violations == (
+            ("member", "network 16 does not list the tuples of its shape"),
+        )
