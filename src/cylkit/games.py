@@ -27,10 +27,13 @@ survives r' < r rounds from it, so rewinding never helps the challenger.
 One solve runs one solver: one memo over positions canonicalized up to
 node renaming, and one successor generator whose demands (in a fixed
 canonical order) and bucketed responses serve the search, strategy
-extraction, strategy verification and interactive play alike.  An
-explicit state budget is a hard cap that turns runaway searches into
-refusals, and the returned strategy is replayed as a structural
-self-check before the result is handed back.
+extraction, strategy verification and interactive play alike.  The
+responder's completions are enumerated once per position and demanded
+node, over the labels every demand on that node retains, and bucketed
+per demand by the labels of its demanded slots.  An explicit state
+budget is a hard cap that turns runaway searches into refusals, and the
+returned strategy is replayed as a structural self-check before the
+result is handed back.
 """
 
 from __future__ import annotations
@@ -68,9 +71,11 @@ def search_budget(default: int = DEFAULT_BUDGET) -> int:
 
     The numeric semantics: the maximum number of search states the solver
     may explore, counting every candidate label placement and every
-    position evaluation.  The cap is hard: the search stops at the first
-    count that takes the running total past it, which adds at most a node
-    or atom count.
+    position evaluation.  The placements of one completion enumeration
+    count once per position and demanded node, however many demands on
+    that node share its completions.  The cap is hard: the search stops at
+    the first count that takes the running total past it, which adds at
+    most a node or atom count.
     """
     raw = os.environ.get("CYLKIT_BUDGET")
     if raw is None:
@@ -804,27 +809,48 @@ def _ra_completions(
         yield RaNetwork(structure, nodes, tuple(lab))
 
 
+def _retained_task(
+    net: Network, k: int
+) -> tuple[tuple[int, ...], dict[int, int], dict[int, int]]:
+    """Node set, node -> position map and retained slots of the
+    responder's completion problem for a demand on node ``k``.
+
+    The retained slots (slot index -> atom over the new node set) are the
+    network's labels on every tuple avoiding ``k``: all of them when k is
+    fresh, all but the cleared tuples through k when it is reused.  They
+    depend on the position and k alone, not on the face, index or edge of
+    the demand, so every demand on k shares one completion problem.
+    """
+    nodes = net.nodes
+    new_nodes = nodes if k in nodes else tuple(sorted(nodes + (k,)))
+    s_new = len(new_nodes)
+    pos = {v: p for p, v in enumerate(new_nodes)}
+    shift = [pos[v] for v in nodes]
+    kp = pos[k]
+    fixed: dict[int, int] = {}
+    for t, a in zip(_position_tuples(len(nodes), net.arity), net.labels):
+        u = [shift[p] for p in t]
+        if kp not in u:
+            fixed[_tuple_index(u, s_new)] = a
+    return new_nodes, pos, fixed
+
+
 def _response_task(
     net: Network, move: Move
 ) -> tuple[tuple[int, ...], dict[int, int], tuple[int, ...]]:
-    """Node set and fixed slots of the responder's completion problem, and
+    """Node set and fixed slots of one demand's completion problem (the
+    retained slots of ``_retained_task``, then the demanded ones), and
     the indices of the demanded slots among them.
 
     The demanded slots always contain the demanded node, and every tuple
     containing it is either brand new (fresh node) or cleared (reused
     node), so the demand can only conflict with retained labels through
-    the validity checks, which the enumerators apply.
+    the validity checks, which the enumerators apply.  The solver leaves
+    the demanded slots free and enumerates once per demanded node; this
+    full form is what a response is checked against.
     """
-    k = move.node
-    reused = k in net.nodes
-    new_nodes = net.nodes if reused else tuple(sorted(net.nodes + (k,)))
+    new_nodes, pos, fixed = _retained_task(net, move.node)
     s_new = len(new_nodes)
-    pos = {v: p for p, v in enumerate(new_nodes)}
-    fixed: dict[int, int] = {}
-    for t, a in net.mapping().items():
-        if reused and k in t:
-            continue
-        fixed[_tuple_index([pos[v] for v in t], s_new)] = a
     demanded = []
     for t, a in move.slots():
         idx = _tuple_index([pos[v] for v in t], s_new)
@@ -1034,7 +1060,10 @@ class _MoveClass:
     """All demands sharing their demanded slots: the move head in
     canonical order, the labels it may demand in canonical order (an atom
     b for a CaMove, an atom pair (a, b) for an RaMove), and the
-    responder's completions bucketed by the label they give those slots."""
+    responder's completions bucketed by the label they give those slots.
+    The completions are those of the head's demanded node, enumerated
+    once per position and node and shared by every head on that node;
+    each bucket keeps their enumeration order."""
 
     head: Move  # with its demanded atoms set to -1
     legal: tuple
@@ -1091,20 +1120,35 @@ class _Solver:
 
     def move_classes(self, net: Network) -> list[_MoveClass]:
         """Per demanded slot set: legality and bucketed responses, cached
-        per raw position (independent of rounds left)."""
+        per raw position (independent of rounds left).
+
+        The completions are enumerated once per demanded node, over the
+        retained slots with every slot through that node left free; each
+        head on the node buckets that one list by the labels of its own
+        demanded slots.
+        """
         key = (net.nodes, net.labels)
         got = self.succ.get(key)
         if got is not None:
             return got
         out: list[_MoveClass] = []
+        # per demanded node: its node -> position map and its completions
+        tasks: dict[int, tuple[dict[int, int], list[Network]]] = {}
         for head, legal in self._heads(net):
-            new_nodes, fixed, slots = _response_task(net, head)
-            for idx in slots:
-                del fixed[idx]
+            task = tasks.get(head.node)
+            if task is None:
+                new_nodes, pos, retained = _retained_task(net, head.node)
+                completions = list(
+                    self.complete(net.structure, new_nodes, retained, self.counter)
+                )
+                task = tasks[head.node] = (pos, completions)
+            pos, completions = task
             # an atom for one demanded slot, an atom pair for two
-            label_of = operator.itemgetter(*slots)
+            label_of = operator.itemgetter(
+                *(_tuple_index([pos[v] for v in t], len(pos)) for t, _ in head.slots())
+            )
             buckets: dict[object, list[Network]] = {}
-            for m in self.complete(net.structure, new_nodes, fixed, self.counter):
+            for m in completions:
                 buckets.setdefault(label_of(m.labels), []).append(m)
             out.append(_MoveClass(head, legal, buckets))
         self.succ[key] = out
@@ -1279,6 +1323,8 @@ def _verify_exists(
     if initial_atom not in opening.labels:
         raise RuntimeError("strategy opening does not witness the demanded atom")
     visited: set[tuple[str, int]] = set()
+    # many entries decode to one network: validate each distinct one once
+    reports: dict[tuple[tuple[int, ...], tuple[int, ...]], NetworkReport] = {}
 
     def walk(net: Network, r: int) -> None:
         if r == 0:
@@ -1293,7 +1339,10 @@ def _verify_exists(
             if resp_enc is None:
                 raise RuntimeError(f"responder strategy has no answer at {key}")
             response = _decode_response(net, resp_enc, pi)
-            report = validate_network(response)
+            report = reports.get((response.nodes, response.labels))
+            if report is None:
+                report = validate_network(response)
+                reports[response.nodes, response.labels] = report
             if not report.passed:
                 raise RuntimeError(
                     f"strategy response is invalid: {report.violations[0]}"
@@ -1305,19 +1354,14 @@ def _verify_exists(
 
 
 def _check_response_matches(net: Network, move: Move, response: Network) -> None:
-    k = move.node
-    reused = k in net.nodes
-    expect_nodes = net.nodes if reused else tuple(sorted(net.nodes + (k,)))
-    if response.nodes != expect_nodes:
+    new_nodes, fixed, demanded = _response_task(net, move)
+    if response.nodes != new_nodes:
         raise RuntimeError("response changes the node set beyond the demand")
-    for t, a in net.mapping().items():
-        if reused and k in t:
-            continue
-        if response.label(t) != a:
-            raise RuntimeError("response rewrites a retained label")
-    slots = move.slots()
-    if any(response.label(t) != a for t, a in slots):
-        plural = "s" if len(slots) > 1 else ""
+    labels = response.labels
+    if any(labels[idx] != a for idx, a in fixed.items() if idx not in demanded):
+        raise RuntimeError("response rewrites a retained label")
+    if any(labels[idx] != fixed[idx] for idx in demanded):
+        plural = "s" if len(demanded) > 1 else ""
         raise RuntimeError(f"response does not deliver the demanded label{plural}")
 
 

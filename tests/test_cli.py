@@ -193,7 +193,7 @@ def test_game_solve_writes_the_result(cs3_file, tmp_path):
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["winner"] == EXISTS
     assert payload["rounds_used"] == 1
-    assert payload["stats"]["states_explored"] == 14553
+    assert payload["stats"]["states_explored"] == 1383
 
 
 def test_game_solve_triangle_variant(bin_file, capsys):

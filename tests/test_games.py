@@ -299,7 +299,7 @@ def test_ra_move_encoding_round_trip():
 
 
 def test_fresh_game_on_full_set_algebra_is_existential():
-    expected_states = {0: 465, 1: 14553, 2: 61986}
+    expected_states = {0: 465, 1: 1383, 2: 3132}
     for rounds, states in expected_states.items():
         res = solve(GameSpec(VARIANT_FRESH, CS3, rounds), 0)
         assert res.winner == EXISTS
@@ -309,7 +309,7 @@ def test_fresh_game_on_full_set_algebra_is_existential():
 
 
 def test_reuse_game_on_full_set_algebra_is_existential():
-    expected_states = {0: 465, 1: 24177, 2: 106208}
+    expected_states = {0: 465, 1: 2278, 2: 6407}
     for rounds, states in expected_states.items():
         res = solve(GameSpec(VARIANT_REUSE, CS3, rounds, pebbles=4), 0)
         assert res.winner == EXISTS
@@ -340,9 +340,9 @@ def test_subtler_damage_needs_a_longer_horizon():
 def test_triangle_games_are_existential_on_genuine_algebras():
     expected = {
         (id(BIN312), 2): 222,
-        (id(BIN312), 3): 9519,
+        (id(BIN312), 3): 3399,
         (id(HH313), 2): 392,
-        (id(HH313), 3): 69583,
+        (id(HH313), 3): 21853,
     }
     for structure in (BIN312, HH313):
         for pebbles in (2, 3):
@@ -394,18 +394,18 @@ def test_solver_refuses_to_blow_the_budget():
 
 
 def test_default_budget_is_a_hard_cap():
-    # the whole search explores 61,986 states; it stops at the first tick
+    # the whole search explores 3,132 states; it stops at the first tick
     # past the budget
     with pytest.raises(BudgetExceededError) as info:
-        solve(GameSpec(VARIANT_FRESH, CS3, 2), 0, budget=50_000)
+        solve(GameSpec(VARIANT_FRESH, CS3, 2), 0, budget=2_500)
     reached = int(re.search(r"after (\d+) states", str(info.value)).group(1))
-    assert 50_000 < reached <= 50_000 + CS3.natoms
+    assert 2_500 < reached <= 2_500 + CS3.natoms
 
 
 @pytest.mark.parametrize("rounds", [1, 2])
 def test_refused_exactly_when_the_total_exceeds_the_budget(rounds):
     spec = GameSpec(VARIANT_FRESH, CS3, rounds)
-    total = {1: 14553, 2: 61986}[rounds]
+    total = {1: 1383, 2: 3132}[rounds]
     res = solve(spec, 0, budget=total)
     assert res.stats.states_explored == total
     with pytest.raises(BudgetExceededError):
@@ -1102,6 +1102,44 @@ def test_successors_match_the_original_moves_and_responses(spec):
             assert [m.labels for m in bucket] == [m.labels for m in want]
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GameSpec(VARIANT_FRESH, CS3, 2),
+        GameSpec(VARIANT_REUSE, CS3, 2, pebbles=4),
+        GameSpec(VARIANT_TRIANGLE, HH313, 2, pebbles=3),
+    ],
+    ids=["fresh-cs3", "reuse-cs3", "hh_ra(3,1,3)"],
+)
+def test_move_classes_enumerate_once_per_demanded_node(spec):
+    # every position the search expands, expanded again by a fresh solver
+    # whose completion enumerator counts its calls
+    searched = games._Solver(spec, _Counter(10**12, ""), True)
+    for net in searched.openings(0):
+        searched.value(net, spec.rounds)
+    positions = [
+        searched.network_type(spec.structure, nodes, labels)
+        for nodes, labels in searched.succ
+    ]
+    solver = games._Solver(spec, _Counter(10**12, ""), True)
+    enumerate_ = solver.complete
+    calls = []
+
+    def counting(structure, nodes, fixed, counter):
+        calls.append(nodes)
+        return enumerate_(structure, nodes, fixed, counter)
+
+    solver.complete = counting
+    heads = 0
+    for net in positions:
+        before = len(calls)
+        classes = solver.move_classes(net)
+        heads += len(classes)
+        assert len(calls) - before == len({cls.head.node for cls in classes})
+    # demands share their node, so one enumeration per demand would be more
+    assert len(positions) > 1 and len(calls) < heads
+
+
 def _seed_response_task(net, move):
     if isinstance(move, CaMove):
         return _ca_response_task(net, move)
@@ -1177,6 +1215,117 @@ def test_check_response_matches_agrees_with_the_seed(spec):
                 assert got == _match_outcome(_check_response_matches, net, move, bad)
                 corrupted[what] += 1
     assert all(corrupted.values())
+
+
+def _strategy_entries(solver, strategy, rounds):
+    """(position, renaming, demand, key) of every responder entry, in the
+    order strategy verification checks them."""
+    s0, labels0 = games._decode_labels(strategy["open"])
+    opening = solver.network_type(solver.spec.structure, tuple(range(s0)), labels0)
+    visited = set()
+    entries = []
+
+    def walk(net, r):
+        if r == 0:
+            return
+        enc, pi = solver.canon(net)
+        if (enc, r) in visited:
+            return
+        visited.add((enc, r))
+        for move, _ in solver.successors(net):
+            key = games._strategy_key(enc, pi, r, move)
+            entries.append((net, pi, move, key))
+            walk(games._decode_response(net, strategy[key], pi), r - 1)
+
+    walk(opening, rounds)
+    return entries
+
+
+def _corrupted_strategies(solver, strategy, entries):
+    """(strategy with one entry corrupted, the error verification must
+    raise): an invalid network, a valid one that rewrites a retained label,
+    and another demand's valid answer, which misses the demanded label."""
+    # the last entry's answer with the first label change that breaks it
+    net, pi, _, key = entries[-1]
+    response = games._decode_response(net, strategy[key], pi)
+    for idx, a in itertools.product(
+        range(len(response.labels)), range(response.structure.natoms)
+    ):
+        labels = response.labels[:idx] + (a,) + response.labels[idx + 1 :]
+        bad = dataclasses.replace(response, labels=labels)
+        report = validate_network(bad)
+        if not report.passed:
+            break
+    text = f"strategy response is invalid: {report.violations[0]}"
+    yield {**strategy, key: games._encode_response(net, bad, pi)}, text
+
+    counter = _Counter(10**12, "")
+    for net, pi, move, key in entries:
+        nodes, fixed, demanded = games._response_task(net, move)
+        asked = {idx: fixed[idx] for idx in demanded}
+        # valid answers on the demand's node set that deliver the demanded
+        # labels but differ from the position on a retained slot
+        rewritten = [
+            m
+            for m in solver.complete(solver.spec.structure, nodes, asked, counter)
+            if validate_network(m).passed
+            and any(m.labels[idx] != a for idx, a in fixed.items())
+        ]
+        if rewritten:
+            enc = games._encode_response(net, rewritten[0], pi)
+            yield {**strategy, key: enc}, "response rewrites a retained label"
+            break
+    else:
+        raise AssertionError("no entry has a valid answer rewriting a retained label")
+
+    # the last pair of consecutive demands of one head: the first one's
+    # answer was validated earlier in the walk, and delivers another label
+    slots = [[t for t, _ in move.slots()] for _, _, move, _ in entries]
+    i = max(
+        i
+        for i in range(1, len(entries))
+        if entries[i][0] is entries[i - 1][0] and slots[i] == slots[i - 1]
+    )
+    key1, key2 = entries[i - 1][3], entries[i][3]
+    plural = "s" if len(slots[i]) > 1 else ""
+    text = f"response does not deliver the demanded label{plural}"
+    yield {**strategy, key2: strategy[key1]}, text
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GameSpec(VARIANT_FRESH, CS3, 2),
+        GameSpec(VARIANT_TRIANGLE, BIN312, 2, pebbles=3),
+    ],
+    ids=["fresh-cs3", "bin_forb(3,1,2)"],
+)
+def test_verification_validates_each_network_once_and_checks_every_entry(
+    spec, monkeypatch
+):
+    res = solve(spec, 0)
+    assert res.winner == EXISTS
+    solver = games._Solver(spec, _Counter(10**12, ""), True)
+    entries = _strategy_entries(solver, res.strategy, spec.rounds)
+    decoded = {
+        (m.nodes, m.labels)
+        for net, pi, _, key in entries
+        for m in [games._decode_response(net, res.strategy[key], pi)]
+    }
+    assert len(decoded) < len(entries)
+    validated = []
+    monkeypatch.setattr(
+        games,
+        "validate_network",
+        lambda net: validated.append(net) or validate_network(net),
+    )
+    games._verify_exists(solver, res.strategy, 0, spec.rounds)
+    # the opening, then each distinct decoded network once
+    assert len(validated) == 1 + len(decoded)
+    for broken, text in _corrupted_strategies(solver, res.strategy, entries):
+        with pytest.raises(RuntimeError) as info:
+            games._verify_exists(solver, broken, 0, spec.rounds)
+        assert str(info.value) == text
 
 
 def test_a_slot_that_is_its_own_transposition_partner_keeps_its_atom_fixed():
