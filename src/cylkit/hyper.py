@@ -236,22 +236,6 @@ def enumerate_hypernetworks(
     return tuple(out)
 
 
-def _agrees_off(a: HyperNetwork, b: HyperNetwork, excluded: frozenset[int]) -> bool:
-    m = a.m
-    for x in range(m):
-        for y in range(m):
-            if x in excluded or y in excluded:
-                continue
-            if a.pair(x, y) != b.pair(x, y):
-                return False
-    for t, v in a.hyper:
-        if any(node in excluded for node in t):
-            continue
-        if b.hyper_label(t) != v:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class HyperbasisReport:
     passed: bool

@@ -1,19 +1,21 @@
 """Term AST over the cylindric/polyadic signature, evaluation, and checking.
 
-Terms are frozen dataclass trees with integer-indexed variables.  One
-evaluator, `_eval_masks`, interprets them in the complex algebra of a
-structure over raw masks: a variable maps to an int mask or to a uint32
-array of masks, and each cylindrifier or substitution node applies the
-structure's `AdditiveOperator`, through `apply` or `apply_vec` by the type
-of its argument.  `eval_term` is its Element-level entry point.
+Terms are frozen dataclass trees with integer-indexed variables.  A term
+is evaluated in the complex algebra of a structure over raw masks through
+one lowering into closures, `_lower`: index ranges, constant masks and the
+structure's `AdditiveOperator`s are resolved once, and the closures map an
+environment (a variable to an int mask, or to a uint32 array of masks) to
+the term's mask, applying each operator through `apply` or `apply_vec` by
+the type of its argument.  `eval_term` is its Element-level entry point and
+keeps the lowering per term for its last structure.
 
 The equation checker compiles both sides into one post-order program in
-which shared subterms are evaluated once, and decides equations and
-inequalities in three modes: exhaustive (all element assignments, a
-decision procedure for the finite complex algebra; the last variable
-sweeps all masks as one array, and steps that do not read the first of two
-variables run once per check), atoms (singleton assignments), and seeded
-sampling.
+which shared subterms are evaluated once, lowers each step once per check,
+and decides equations and inequalities in three modes: exhaustive (all
+element assignments, a decision procedure for the finite complex algebra;
+the last variable sweeps all masks as one array, and steps that do not
+read the first of two variables run once per check), atoms (singleton
+assignments), and seeded sampling.
 
 The sc-word calculus turns a string of replacement-substitution and
 cylindrifier tokens into the partial self-map of indices it induces.
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -30,9 +32,17 @@ from .bao import AdditiveOperator, CaAtomStructure, Element
 
 
 class Term:
-    """Base class for AST nodes."""
+    """Base class for AST nodes.
+
+    `eval_term` keeps a node's lowered form in the node's `__dict__`, outside
+    its dataclass fields, so equality, hashing and repr never see it; a
+    pickled or copied node leaves it behind.
+    """
 
     __slots__ = ()
+
+    def __getstate__(self) -> dict[str, object]:
+        return {k: v for k, v in self.__dict__.items() if k != "_lowered"}
 
 
 @dataclass(frozen=True)
@@ -130,87 +140,127 @@ def variables(t: Term) -> frozenset[int]:
 
 
 Mask = Union[int, np.ndarray]
+# A lowered term: env -> mask, env mapping each variable to its mask.
+Lowered = Callable[[Mapping[int, Mask]], Mask]
 
 
-def _apply(op: AdditiveOperator, x: Mask) -> Mask:
-    return op.apply_vec(x) if isinstance(x, np.ndarray) else op.apply(x)
+def _applied(op: AdditiveOperator, arg: Lowered) -> Lowered:
+    """op applied to arg's value: `apply` to an int, `apply_vec` to an array."""
+    apply, apply_vec = op.apply, op.apply_vec
+
+    def fn(env: Mapping[int, Mask]) -> Mask:
+        x = arg(env)
+        return apply_vec(x) if isinstance(x, np.ndarray) else apply(x)
+
+    return fn
+
+
+def _lower(structure: CaAtomStructure, t: Term) -> Lowered:
+    """Lower t, once, into nested closures env -> mask over the structure.
+
+    A variable maps to a mask: an int, or a uint32 array of masks, one per
+    assignment; the value is an array as soon as an array variable reaches
+    it.  Index ranges are checked, and each node's operator or constant
+    mask is looked up, here rather than per evaluation.
+    """
+    if isinstance(t, Var):
+        k = t.k
+
+        def var(env: Mapping[int, Mask]) -> Mask:
+            try:
+                return env[k]
+            except KeyError:
+                raise ValueError(f"unbound variable {k}") from None
+
+        return var
+    if isinstance(t, (Zero, One, Diag)):
+        if isinstance(t, Zero):
+            value = 0
+        elif isinstance(t, One):
+            value = structure.full_mask
+        else:
+            value = structure.diag_mask(t.i, t.j)
+        return lambda env: value
+    if isinstance(t, (Meet, Join)):
+        left, right = _lower(structure, t.left), _lower(structure, t.right)
+        if isinstance(t, Meet):
+            return lambda env: left(env) & right(env)
+        return lambda env: left(env) | right(env)
+    if isinstance(t, SwapMacro):
+        return _lower(structure, expand_swap(t))
+    if not isinstance(t, (Complement, Cyl, DualCyl, SubstRepl, SubstTransp)):
+        raise TypeError(f"unknown term node {t!r}")
+    arg = _lower(structure, t.arg)
+    full = structure.full_mask
+    if isinstance(t, Complement):
+        return lambda env: arg(env) ^ full
+    if isinstance(t, Cyl):
+        return _applied(structure.cyl_op(t.i), arg)
+    if isinstance(t, DualCyl):
+        cyl = _applied(structure.cyl_op(t.i), lambda env: arg(env) ^ full)
+        return lambda env: cyl(env) ^ full
+    if isinstance(t, SubstRepl):
+        dmask = structure.diag_mask(t.i, t.j)
+        if t.i == t.j:
+            return arg
+        return _applied(structure.cyl_op(t.i), lambda env: arg(env) & dmask)
+    structure._check_index(t.i)
+    structure._check_index(t.j)
+    return arg if t.i == t.j else _applied(structure.transp_op(t.i, t.j), arg)
 
 
 def _eval_masks(structure: CaAtomStructure, t: Term, env: Mapping[int, Mask]) -> Mask:
-    """Denotation of t where each variable maps to a mask: an int, or a
-    uint32 array of masks, one per assignment.
-
-    Operators apply to ints one mask at a time and to arrays through
-    `AdditiveOperator.apply_vec`; the result is an array as soon as an array
-    variable reaches it.  Index ranges are checked at every node.
-    """
-    if isinstance(t, Cyl):
-        return _apply(structure.cyl_op(t.i), _eval_masks(structure, t.arg, env))
-    if isinstance(t, Var):
-        if t.k not in env:
-            raise ValueError(f"unbound variable {t.k}")
-        return env[t.k]
-    if isinstance(t, Meet):
-        return _eval_masks(structure, t.left, env) & _eval_masks(structure, t.right, env)
-    if isinstance(t, Join):
-        return _eval_masks(structure, t.left, env) | _eval_masks(structure, t.right, env)
-    if isinstance(t, Complement):
-        return _eval_masks(structure, t.arg, env) ^ structure.full_mask
-    if isinstance(t, DualCyl):
-        full = structure.full_mask
-        inner = _eval_masks(structure, t.arg, env) ^ full
-        return _apply(structure.cyl_op(t.i), inner) ^ full
-    if isinstance(t, SubstRepl):
-        inner = _eval_masks(structure, t.arg, env)
-        dmask = structure.diag_mask(t.i, t.j)
-        return inner if t.i == t.j else _apply(structure.cyl_op(t.i), inner & dmask)
-    if isinstance(t, SubstTransp):
-        inner = _eval_masks(structure, t.arg, env)
-        structure._check_index(t.i)
-        structure._check_index(t.j)
-        return inner if t.i == t.j else _apply(structure.transp_op(t.i, t.j), inner)
-    if isinstance(t, SwapMacro):
-        return _eval_masks(structure, expand_swap(t), env)
-    if isinstance(t, Zero):
-        return 0
-    if isinstance(t, One):
-        return structure.full_mask
-    if isinstance(t, Diag):
-        return structure.diag_mask(t.i, t.j)
-    raise TypeError(f"unknown term node {t!r}")
+    """Denotation of t where each variable maps to a mask (see `_lower`)."""
+    return _lower(structure, t)(env)
 
 
 def eval_term(structure: CaAtomStructure, t: Term, env: Mapping[int, Element]) -> Element:
-    """Denotation of t under env in the complex algebra of the structure."""
+    """Denotation of t under env in the complex algebra of the structure.
+
+    The lowered term is kept on the term node for the last structure it
+    was evaluated in, outside its dataclass fields.
+    """
     masks = {}
     for k, x in env.items():
         if not (x.structure is structure or x.structure == structure):
             raise ValueError("environment element belongs to a different structure")
         masks[k] = x.mask
-    return Element(structure, _eval_masks(structure, t, masks))
+    memo = t.__dict__.get("_lowered")
+    if memo is None or memo[0] is not structure:
+        memo = structure, _lower(structure, t)
+        object.__setattr__(t, "_lowered", memo)
+    return Element(structure, memo[1](masks))
 
 
-# One step of a compiled program: (slot, node, variables).  The node is one
-# operation whose compound children are read from Var(slot) of earlier steps.
-_Step = tuple[int, Term, frozenset[int]]
+# One step of a compiled program: (slot, lowered node, variables).  The node
+# is one operation whose compound children are read from Var(slot) of
+# earlier steps.
+_Step = tuple[int, Lowered, frozenset[int]]
 
 
-def _compile(sides: Sequence[Term], vs: Sequence[int]) -> tuple[list[_Step], list[Term]]:
-    """Compile terms into one post-order program with shared subterms.
+def _compile(
+    structure: CaAtomStructure, sides: Sequence[Term], vs: Sequence[int]
+) -> tuple[list[_Step], list[Lowered]]:
+    """Compile terms into one lowered post-order program with shared subterms.
 
     Every compound subterm, identical ones once, becomes a step that stores
     its mask in a slot variable numbered above every variable in `vs`.
-    Returns the steps and, per side, the term that reads its value: a slot
-    variable, or the side itself when it is a leaf.
+    Returns the steps and, per side, the lowered term that reads its value:
+    a slot variable, or the side itself when it is a leaf.
     """
     base = max(vs, default=-1) + 1
     seen: dict[Term, tuple[Term, frozenset[int]]] = {}
     steps: list[_Step] = []
-    return steps, [_visit(t, base, seen, steps)[0] for t in sides]
+    refs = [_visit(structure, t, base, seen, steps)[0] for t in sides]
+    return steps, [_lower(structure, ref) for ref in refs]
 
 
 def _visit(
-    t: Term, base: int, seen: dict[Term, tuple[Term, frozenset[int]]], steps: list[_Step]
+    structure: CaAtomStructure,
+    t: Term,
+    base: int,
+    seen: dict[Term, tuple[Term, frozenset[int]]],
+    steps: list[_Step],
 ) -> tuple[Term, frozenset[int]]:
     """The term that reads t's value after the steps, and t's variables."""
     if isinstance(t, SwapMacro):
@@ -222,24 +272,24 @@ def _visit(
     if t in seen:
         return seen[t]
     if isinstance(t, (Meet, Join)):
-        left, lvars = _visit(t.left, base, seen, steps)
-        right, rvars = _visit(t.right, base, seen, steps)
+        left, lvars = _visit(structure, t.left, base, seen, steps)
+        right, rvars = _visit(structure, t.right, base, seen, steps)
         node, tvars = replace(t, left=left, right=right), lvars | rvars
     elif isinstance(t, (Complement, Cyl, DualCyl, SubstRepl, SubstTransp)):
-        arg, tvars = _visit(t.arg, base, seen, steps)
+        arg, tvars = _visit(structure, t.arg, base, seen, steps)
         node = replace(t, arg=arg)
     else:
         raise TypeError(f"unknown term node {t!r}")
     slot = base + len(steps)
-    steps.append((slot, node, tvars))
+    steps.append((slot, _lower(structure, node), tvars))
     seen[t] = Var(slot), tvars
     return seen[t]
 
 
-def _run(structure: CaAtomStructure, steps: Sequence[_Step], env: dict[int, Mask]) -> None:
+def _run(steps: Sequence[_Step], env: dict[int, Mask]) -> None:
     """Evaluate the steps in order, storing each mask in env under its slot."""
-    for slot, node, _ in steps:
-        env[slot] = _eval_masks(structure, node, env)
+    for slot, fn, _ in steps:
+        env[slot] = fn(env)
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +382,13 @@ def check_equation(
     else:
         raise TypeError(f"unknown mode {mode!r}")
 
-    steps, (lref, rref) = _compile((lhs, rhs), vs)
+    steps, (lref, rref) = _compile(structure, (lhs, rhs), vs)
     count = 0
     for masks in assignments:
         count += 1
         env = dict(masks)
-        _run(structure, steps, env)
-        lv = _eval_masks(structure, lref, env)
-        rv = _eval_masks(structure, rref, env)
-        if _violates(relation, lv, rv):
+        _run(steps, env)
+        if _violates(relation, lref(env), rref(env)):
             return EquationReport(
                 False, _counterexample(structure, masks), count, label, relation
             )
@@ -365,13 +413,11 @@ def _check_exhaustive(
 ) -> EquationReport:
     n = structure.natoms
     total = 1 << n
-    steps, (lref, rref) = _compile((lhs, rhs), vs)
+    steps, (lref, rref) = _compile(structure, (lhs, rhs), vs)
     if not vs:
         env: dict[int, Mask] = {}
-        _run(structure, steps, env)
-        bad = _violates(
-            relation, _eval_masks(structure, lref, env), _eval_masks(structure, rref, env)
-        )
+        _run(steps, env)
+        bad = _violates(relation, lref(env), rref(env))
         return EquationReport(not bad, () if bad else None, 1, "exhaustive", relation)
 
     # The last variable sweeps all its masks at once, as one array.  With two
@@ -381,17 +427,13 @@ def _check_exhaustive(
     full = np.uint32(structure.full_mask)
     outer = vs[0] if len(vs) == 2 else None
     fixed: dict[int, Mask] = {vs[-1]: all_masks}
-    _run(structure, [s for s in steps if outer not in s[2]], fixed)
+    _run([s for s in steps if outer not in s[2]], fixed)
     varying = [s for s in steps if outer in s[2]]
     for xmask in range(total if outer is not None else 1):
         env = fixed if outer is None else {**fixed, outer: xmask}
-        _run(structure, varying, env)
-        lv = np.broadcast_to(
-            np.asarray(_eval_masks(structure, lref, env), dtype=np.uint32), (total,)
-        )
-        rv = np.broadcast_to(
-            np.asarray(_eval_masks(structure, rref, env), dtype=np.uint32), (total,)
-        )
+        _run(varying, env)
+        lv = np.broadcast_to(np.asarray(lref(env), dtype=np.uint32), (total,))
+        rv = np.broadcast_to(np.asarray(rref(env), dtype=np.uint32), (total,))
         viol = (lv != rv) if relation == "eq" else (lv & ~rv & full) != 0
         if viol.any():
             found = {vs[-1]: int(viol.argmax())}
@@ -583,9 +625,6 @@ class PartialMap:
     @classmethod
     def identity(cls, n: int) -> "PartialMap":
         return cls(n, tuple(range(n)))
-
-    def defined_at(self, k: int) -> bool:
-        return self.images[k] is not None
 
     def domain(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.n) if self.images[k] is not None)

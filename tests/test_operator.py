@@ -10,8 +10,10 @@ evaluator `_eval_vec`, the Element-level `eval_term` and `check_equation`,
 `equivalence_defects`.
 """
 
+import copy
 import dataclasses
 import functools
+import pickle
 import random
 
 import numpy as np
@@ -614,6 +616,88 @@ def test_evaluator_covers_every_node_kind():
             assert np.array_equal(got, _as_array(seed_eval_vec(s, t, env), every.size)), t
             scalar = {0: x_mask, 1: 0b01100011}
             assert _eval_masks(s, t, scalar) == int(seed_eval_vec(s, t, scalar)), t
+
+
+def _every_kind():
+    """One term holding every node kind, valid in dimension 3."""
+    x, y = Var(0), Var(1)
+    return Join(
+        Meet(DualCyl(1, x), Complement(SubstTransp(2, 0, Join(y, Diag(0, 2))))),
+        Meet(
+            SubstRepl(2, 1, Cyl(0, x)),
+            SwapMacro(2, 0, 1, Join(Meet(x, One()), Meet(Zero(), Cyl(2, y)))),
+        ),
+    )
+
+
+def test_kept_lowering_follows_the_structure():
+    # one term object, evaluated alternately in two structures of dimension 3
+    t = _every_kind()
+    rng = random.Random(3)
+    structures = [full_set_algebra(3, 2), three_cube()]
+    for _ in range(3):
+        for s in structures:
+            for _ in range(4):
+                masks = {0: rng.getrandbits(s.natoms), 1: rng.getrandbits(s.natoms)}
+                env = {k: Element(s, m) for k, m in masks.items()}
+                got = eval_term(s, t, env)
+                assert got == seed_eval_term(s, t, env)
+                assert got.mask == int(seed_eval_vec(s, t, masks))
+
+
+def test_kept_lowering_is_outside_equality_hash_repr_and_fields():
+    t, twin = _every_kind(), _every_kind()
+    before = (hash(t), repr(t), dataclasses.fields(t))
+    s = full_set_algebra(3, 2)
+    eval_term(s, t, {0: Element(s, 5), 1: Element(s, 9)})
+    assert "_lowered" in vars(t) and "_lowered" not in vars(twin)
+    assert t == twin and twin == t
+    assert (hash(t), repr(t), dataclasses.fields(t)) == before
+    assert hash(t) == hash(twin) and repr(t) == repr(twin)
+    assert len({t, twin}) == 1
+    # a pickled or copied term leaves the lowering behind
+    for other in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+        assert other == t and "_lowered" not in vars(other)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        Cyl(3, Var(0)),
+        DualCyl(3, Var(0)),
+        Meet(Var(0), Diag(0, 3)),
+        SubstRepl(3, 0, Var(0)),
+        SubstTransp(0, 3, Var(0)),
+        SwapMacro(3, 0, 1, Var(0)),
+    ],
+)
+def test_out_of_range_index_raises_the_same_text_on_every_call(t):
+    s = full_set_algebra(3, 2)
+    env = {0: Element(s, 3)}
+    for _ in range(2):
+        with pytest.raises(ValueError) as exc:
+            eval_term(s, t, env)
+        assert str(exc.value) == "index 3 out of range for dimension 3"
+    # a lowering kept for a structure where the index is in range is not reused
+    big = full_set_algebra(4, 2)
+    eval_term(big, t, {0: Element(big, 3)})
+    with pytest.raises(ValueError, match="^index 3 out of range for dimension 3$"):
+        eval_term(s, t, env)
+
+
+def test_unbound_variable_raises_value_error_after_a_bound_call():
+    s = full_set_algebra(3, 2)
+    t = Meet(Cyl(0, Var(0)), Var(1))
+    with pytest.raises(ValueError, match="^unbound variable 1$"):
+        eval_term(s, t, {0: Element(s, 1)})
+    env = {0: Element(s, 6), 1: Element(s, 7)}
+    assert eval_term(s, t, env) == seed_eval_term(s, t, env)
+    for bound in ({0: Element(s, 1)}, {}):
+        with pytest.raises(ValueError, match="^unbound variable") as exc:
+            eval_term(s, t, bound)
+        assert not isinstance(exc.value, KeyError)
+    with pytest.raises(ValueError, match="^unbound variable 1$"):
+        _eval_masks(s, t, {0: 1})
 
 
 # ---------------------------------------------------------------------------
