@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +57,50 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _label_search(
+    lab: list[int],
+    free: Sequence[int],
+    mirror: Sequence[int],
+    conv: Sequence[int],
+    candidates: Callable[[int], int],
+    tick: Callable[[], None],
+) -> Iterator[None]:
+    """Backtracking over the slots ``free`` in order, lowest atom first.
+
+    ``lab`` is the flat labelling, -1 where unlabelled; ``candidates(at)``
+    is the atom mask of ``free[at]`` given the slots before it.  Placing
+    atom a at ``free[at]`` also writes ``conv[a]`` at ``mirror[at]``.  One
+    ``tick()`` per slot visited and one per atom placed; yields whenever
+    ``lab`` is total.
+    """
+    n = len(free)
+    if not n:
+        yield
+        return
+    masks = [0] * n
+    at = 0
+    tick()
+    masks[0] = candidates(0)
+    while at >= 0:
+        mask = masks[at]
+        if not mask:
+            lab[free[at]] = lab[mirror[at]] = -1
+            at -= 1
+            continue
+        low = mask & -mask
+        masks[at] = mask ^ low
+        a = low.bit_length() - 1
+        tick()
+        lab[free[at]] = a
+        lab[mirror[at]] = conv[a]
+        if at + 1 == n:
+            yield
+        else:
+            at += 1
+            tick()
+            masks[at] = candidates(at)
 
 
 # Above this many atoms an operator keeps to the bit loop: byte-sliced

@@ -14,7 +14,7 @@ from itertools import combinations, product
 from typing import Callable, Iterator, Sequence, Union
 
 from .bao import AdditiveOperator, CaAtomStructure, Element, Pair, class_columns, element
-from .ra import RaAtomStructure, Triple
+from .ra import RaAtomStructure, Triple, _network_labellings
 
 # ---------------------------------------------------------------------------
 # pair-partition structures
@@ -354,59 +354,35 @@ def _matrix_side(nslots: int) -> int:
     return m
 
 
+def _slot_index(m: int) -> list[list[int]]:
+    """Entry (x, y), x != y, is the position of the slot {x, y} in the
+    upper-triangle order of `_slot_pairs`; the diagonal holds -1."""
+    index = [[-1] * m for _ in range(m)]
+    for k, (x, y) in enumerate(_slot_pairs(m)):
+        index[x][y] = index[y][x] = k
+    return index
+
+
 def enumerate_matrices(m: int, bin_ra: RaAtomStructure) -> tuple[tuple[int, ...], ...]:
     """All symmetric Id-diagonal matrices avoiding forbidden triangles.
 
-    Matrices are returned as upper-triangle value tuples over the slot
-    order (0,1),(0,2),...,(m-2,m-1); enumeration backtracks slot by slot,
-    pruning on every completed triangle.
+    These are the atom networks on m nodes, and the structure must have a
+    single identity atom and every atom its own converse: then the
+    networks are exactly the symmetric matrices, each read off once from
+    its upper triangle.  Matrices are returned as upper-triangle value
+    tuples over the slot order (0,1),(0,2),...,(m-2,m-1), in
+    lexicographic order; they come from the network search
+    `ra._network_labellings`.
     """
     if len(bin_ra.identity) != 1:
         raise ValueError("matrix enumeration needs a single identity atom")
-    (id_atom,) = bin_ra.identity
-    slots = _slot_pairs(m)
-    slot_index = {p: s for s, p in enumerate(slots)}
-    na = bin_ra.natoms
-    out: list[tuple[int, ...]] = []
-    values: list[int] = []
-
-    def entry(x: int, y: int) -> int | None:
-        if x == y:
-            return id_atom
-        s = slot_index[(min(x, y), max(x, y))]
-        return values[s] if s < len(values) else None
-
-    def triangles_ok(last_slot: int) -> bool:
-        x0, y0 = slots[last_slot]
-        for z in range(m):
-            exy, eyz, exz = entry(x0, y0), entry(y0, z), entry(x0, z)
-            if eyz is None or exz is None:
-                continue
-            # all six vertex orders of the completed triangle
-            for a, b, c in (
-                (exy, eyz, exz),
-                (exy, exz, eyz),
-                (eyz, exy, exz),
-                (eyz, exz, exy),
-                (exz, exy, eyz),
-                (exz, eyz, exy),
-            ):
-                if not bin_ra.consistent(a, b, c):
-                    return False
-        return True
-
-    def rec(slot: int) -> None:
-        if slot == len(slots):
-            out.append(tuple(values))
-            return
-        for v in range(na):
-            values.append(v)
-            if triangles_ok(slot):
-                rec(slot + 1)
-            values.pop()
-
-    rec(0)
-    return tuple(out)
+    if any(b != a for a, b in enumerate(bin_ra.converse)):
+        raise ValueError("matrix enumeration needs every atom to be its own converse")
+    upper = [x * m + y for x, y in _slot_pairs(m)]
+    return tuple(
+        tuple(labels[k] for k in upper)
+        for labels in _network_labellings(bin_ra, m, {}, lambda: None)
+    )
 
 
 def matrix_label(bin_ra: RaAtomStructure, values: Sequence[int]) -> str:
@@ -438,6 +414,7 @@ def _basic_matrices(
             raise AssertionError("enumerated matrix fails the triangle condition")
     labels = tuple(matrix_label(bin_ra, v) for v in mats)
     slots = _slot_pairs(m)
+    slot_index = _slot_index(m)
     index = {v: i for i, v in enumerate(mats)}
     (id_atom,) = bin_ra.identity
 
@@ -457,7 +434,7 @@ def _basic_matrices(
             if x == y:
                 row.append(full)
             else:
-                s = slots.index((min(x, y), max(x, y)))
+                s = slot_index[x][y]
                 row.append(frozenset(i for i, v in enumerate(mats) if v[s] == id_atom))
         diag.append(tuple(row))
 
@@ -465,21 +442,8 @@ def _basic_matrices(
     for x in range(m):
         for y in range(x + 1, m):
             swap = {x: y, y: x}
-            cols = []
-            for v in mats:
-                conj = tuple(
-                    v[
-                        slots.index(
-                            (
-                                min(swap.get(a, a), swap.get(b, b)),
-                                max(swap.get(a, a), swap.get(b, b)),
-                            )
-                        )
-                    ]
-                    for a, b in slots
-                )
-                cols.append(1 << index[conj])
-            transp.append(tuple(cols))
+            conj = [slot_index[swap.get(a, a)][swap.get(b, b)] for a, b in slots]
+            transp.append(tuple(1 << index[tuple(v[k] for k in conj)] for v in mats))
 
     return (
         CaAtomStructure(

@@ -8,7 +8,11 @@ over a relation-algebra one (identity, converse and triangle rules).
 Over such networks two players fight: the challenger demands a new
 labelled node and the atoms of one or two slots through it, the
 responder must extend the network legally.  Only validity, completion
-enumeration and the legal demands depend on the arity.  Three variants:
+enumeration and the legal demands depend on the arity.  Both completion
+enumerators backtrack with `bao._label_search`; the relation-algebra one
+is the network search of `ra._network_labellings`, whose candidates cover
+every triangle `validate_network` checks, including those with repeated
+nodes.  Three variants:
 
 * ``fresh``    -- every demanded node is brand new; play is bounded by the
                   round count alone (the node set grows by one per round).
@@ -48,8 +52,8 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from typing import ClassVar, NoReturn
 
-from .bao import BudgetExceededError, CaAtomStructure, transpose
-from .ra import RaAtomStructure
+from .bao import BudgetExceededError, CaAtomStructure, _label_search, transpose
+from .ra import RaAtomStructure, _network_labellings
 
 VARIANT_FRESH = "fresh"
 VARIANT_REUSE = "reuse"
@@ -644,51 +648,6 @@ def _diag_masks(structure: CaAtomStructure) -> tuple[tuple[int, ...], ...]:
     return got
 
 
-def _label_search(
-    lab: list[int],
-    free: Sequence[int],
-    mirror: Sequence[int],
-    conv: Sequence[int],
-    candidates: Callable[[int], int],
-    counter: _Counter,
-) -> Iterator[None]:
-    """Backtracking over the slots ``free`` in order, lowest atom first.
-
-    ``lab`` is the flat labelling, -1 where unlabelled; ``candidates(at)``
-    is the atom mask of ``free[at]`` given the slots before it.  Placing
-    atom a at ``free[at]`` also writes ``conv[a]`` at ``mirror[at]``.  One
-    tick per slot visited and one per atom placed; yields whenever ``lab``
-    is total.
-    """
-    n = len(free)
-    if not n:
-        yield
-        return
-    tick = counter.tick
-    masks = [0] * n
-    at = 0
-    tick()
-    masks[0] = candidates(0)
-    while at >= 0:
-        mask = masks[at]
-        if not mask:
-            lab[free[at]] = lab[mirror[at]] = -1
-            at -= 1
-            continue
-        low = mask & -mask
-        masks[at] = mask ^ low
-        a = low.bit_length() - 1
-        tick()
-        lab[free[at]] = a
-        lab[mirror[at]] = conv[a]
-        if at + 1 == n:
-            yield
-        else:
-            at += 1
-            tick()
-            masks[at] = candidates(at)
-
-
 def _ca_completions(
     structure: CaAtomStructure,
     nodes: tuple[int, ...],
@@ -736,23 +695,9 @@ def _ca_completions(
 
     # a slot has no mirror: it is its own, under the identity map
     for _ in _label_search(
-        lab, free, free, range(structure.natoms), candidates, counter
+        lab, free, free, range(structure.natoms), candidates, counter.tick
     ):
         yield CaNetwork(structure, nodes, tuple(lab))
-
-
-def _comp_table(structure: RaAtomStructure) -> list[int]:
-    """Flat ``natoms * natoms`` table: entry b * natoms + c is
-    ``comp_row(b, c)``, the mask of {a : (a,b,c) consistent}.  Cached on
-    the structure."""
-    got = getattr(structure, "_game_comp_table", None)
-    if got is None:
-        n = structure.natoms
-        got = [structure.full_mask] * (n * n)
-        for a, b, c in structure.forbidden:
-            got[b * n + c] &= ~(1 << a)
-        object.__setattr__(structure, "_game_comp_table", got)
-    return got
 
 
 def _ra_completions(
@@ -761,52 +706,10 @@ def _ra_completions(
     fixed: Mapping[int, int],
     counter: _Counter,
 ) -> Iterator[RaNetwork]:
-    """All valid edge labellings over ``nodes`` extending ``fixed``;
-    assigning (p,q) forces (q,p) to the converse label, and candidates
-    are narrowed through the composition rows of every labelled triangle.
-
-    Every labelled edge carries the converse of its mirror, so the three
-    orientations of a triangle p, w, q narrow (p,q) by the same mask,
-    ``comp_row(M(p,w), M(w,q))``; it is taken once per apex w.
-    """
-    s = len(nodes)
-    n = structure.natoms
-    comp = _comp_table(structure)
-    conv = structure.converse
-    lab = [-1] * (s * s)
-    for idx, a in fixed.items():
-        p, q = divmod(idx, s)
-        ridx = q * s + p
-        other = fixed.get(ridx)
-        if other is not None and other != conv[a]:
-            return
-        lab[idx] = a
-        lab[ridx] = conv[a]
-    decide = [
-        (p, q) for p in range(s) for q in range(p, s) if lab[p * s + q] < 0
-    ]
-    full = structure.full_mask
-    identity_mask = 0
-    for a in structure.identity:
-        identity_mask |= 1 << a
-
-    def candidates(at: int) -> int:
-        p, q = decide[at]
-        cand = identity_mask if p == q else full
-        ps = p * s
-        for w in range(s):
-            e2 = lab[ps + w]
-            e3 = lab[w * s + q]
-            if e2 >= 0 and e3 >= 0:
-                cand &= comp[e2 * n + e3]
-                if not cand:
-                    return 0
-        return cand
-
-    free = [p * s + q for p, q in decide]
-    mirror = [q * s + p for p, q in decide]
-    for _ in _label_search(lab, free, mirror, conv, candidates, counter):
-        yield RaNetwork(structure, nodes, tuple(lab))
+    """All valid edge labellings over ``nodes`` extending ``fixed``: the
+    networks of `ra._network_labellings`, in its order."""
+    for labels in _network_labellings(structure, len(nodes), fixed, counter.tick):
+        yield RaNetwork(structure, nodes, labels)
 
 
 def _retained_task(
@@ -1075,16 +978,15 @@ class _Solver:
     one state counter, shared by every opening, by strategy extraction and
     verification, and by interactive play."""
 
-    def __init__(self, spec: GameSpec, counter: _Counter, canonical: bool) -> None:
+    def __init__(self, spec: GameSpec, counter: _Counter) -> None:
         self.spec = spec
         self.counter = counter
-        self.canonical = canonical
         # the kind-specific halves of the game
         triangle = spec.variant == VARIANT_TRIANGLE
         self.network_type = RaNetwork if triangle else CaNetwork
         self.move_type = RaMove if triangle else CaMove
         self.complete = _ra_completions if triangle else _ca_completions
-        self.memo: dict[tuple[object, int], int] = {}
+        self.memo: dict[tuple[str, int], int] = {}
         self.succ: dict[object, list[_MoveClass]] = {}
         self.canon_cache: dict[
             tuple[tuple[int, ...], tuple[int, ...]], tuple[str, dict[int, int]]
@@ -1099,11 +1001,6 @@ class _Solver:
             got = _canon_encoding(net.nodes, net.labels, net.arity)
             self.canon_cache[key] = got
         return got
-
-    def position_key(self, net: Network) -> object:
-        if self.canonical:
-            return self.canon(net)[0]
-        return (net.nodes, net.labels)
 
     def openings(self, initial_atom: int) -> list[Network]:
         """Legal opening networks on prefix node sets of size 1..arity, in
@@ -1207,7 +1104,7 @@ class _Solver:
         """Rounds the responder can still survive from this position, in 0..r."""
         if r == 0:
             return 0
-        key = (self.position_key(net), r)
+        key = (self.canon(net)[0], r)
         got = self.memo.get(key)
         if got is not None:
             self.memo_hits += 1
@@ -1458,7 +1355,7 @@ def solve(
             f"limit of {MAX_GAME_ATOMS}; state-space bound {_bound_text(spec)}"
         )
 
-    solver = _Solver(spec, _Counter(budget, _bound_text(spec)), True)
+    solver = _Solver(spec, _Counter(budget, _bound_text(spec)))
     openings: list[Network] = []
     seen_classes: set[str] = set()
     for net in solver.openings(initial_atom):
@@ -1577,7 +1474,7 @@ class _Session:
         self.initial_atom = initial_atom
         self.agent = agent
         self.emit = emit
-        self.solver = _Solver(spec, _Counter(budget, _bound_text(spec)), True)
+        self.solver = _Solver(spec, _Counter(budget, _bound_text(spec)))
         self.events: list[dict] = []
         self.net: Network | None = None
         self.winner: str | None = None

@@ -26,7 +26,7 @@ from .bao import (
     subst_transp,
     transpose,
 )
-from .constructions import _basic_matrices, _slot_pairs
+from .constructions import _basic_matrices, _slot_index, _slot_pairs
 from .ra import RaAtomStructure, RaAxiomReport, check_ra_axioms
 
 EXHAUSTIVE_CLASS_LIMIT = 12
@@ -477,8 +477,8 @@ def restriction_iso(msmall: int, mbig: int, bin_ra: RaAtomStructure) -> IsoRepor
         raise ValueError("need 3 <= msmall < mbig <= 4")
     small, small_vals = _basic_matrices(msmall, bin_ra)
     big, big_vals = _basic_matrices(mbig, bin_ra)
-    slots_big = _slot_pairs(mbig)
-    keep = [slots_big.index(p) for p in _slot_pairs(msmall)]
+    big_slot = _slot_index(mbig)
+    keep = [big_slot[row][col] for row, col in _slot_pairs(msmall)]
 
     details: list[str] = []
     counterexample: str | None = None
@@ -601,16 +601,13 @@ def rl_x_witness(
         raise ValueError("need 3 <= msmall < mbig <= 4")
     big, big_vals = _basic_matrices(mbig, bin_ra)
     small, small_vals = _basic_matrices(msmall, bin_ra)
-    slots_big = _slot_pairs(mbig)
+    big_slot = _slot_index(mbig)
     (id_atom,) = bin_ra.identity
     details: list[str] = []
 
     def in_x(values: tuple[int, ...]) -> bool:
         for col in range(msmall, mbig):
-            if not any(
-                values[slots_big.index((row, col))] == id_atom
-                for row in range(msmall)
-            ):
+            if not any(values[big_slot[row][col]] == id_atom for row in range(msmall)):
                 return False
         return True
 
@@ -629,7 +626,7 @@ def rl_x_witness(
     rl = rl_x(rd, x)
     sub = rl.structure
     pos_in_sub = {a: p for p, a in enumerate(rl.kept)}
-    keep = [slots_big.index(p) for p in _slot_pairs(msmall)]
+    keep = [big_slot[row][col] for row, col in _slot_pairs(msmall)]
 
     fibres: list[list[int]] = [[] for _ in small_vals]
     index_small = {v: i for i, v in enumerate(small_vals)}

@@ -8,14 +8,20 @@ queries are O(1) membership tests.
 
 Composition, converse and identity act on Elements (bitmasks) by additive
 lifting from atoms.
+
+The one search for atom networks lives here too: `_network_labellings`.
+Its candidate masks cover every triangle the network validator checks,
+including those with repeated nodes, so it yields exactly the valid
+networks, with several identity atoms too.  The triangle game's
+completions and the basic matrices of `constructions` are read off it.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .bao import MAX_ATOMS, BudgetExceededError, Element, _bits
+from .bao import MAX_ATOMS, BudgetExceededError, Element, _bits, _label_search
 
 Triple = tuple[int, int, int]
 
@@ -144,6 +150,89 @@ def compose(structure: RaAtomStructure, x: Element, y: Element) -> Element:
         for c in _bits(y.mask):
             out |= structure.comp_row(b, c)
     return Element(structure, out)
+
+
+# ---------------------------------------------------------------------------
+# atom networks
+
+
+def _network_labellings(
+    structure: RaAtomStructure,
+    s: int,
+    fixed: Mapping[int, int],
+    tick: Callable[[], None],
+) -> Iterator[tuple[int, ...]]:
+    """Every valid labelling of the pairs over ``s`` nodes that extends
+    ``fixed`` (flat row-major slot index -> atom), as a flat row-major
+    tuple, in lexicographic order of the slots (p, q), p <= q.
+
+    Assigning (p,q) forces (q,p) to the converse label, and a fixed slot
+    whose mirror is fixed to another atom than its converse leaves nothing
+    to yield; fixed slots are otherwise assumed mutually valid.  Every
+    labelled edge carries the converse of its mirror, so by Peircean
+    closure the orientations of a triangle p, w, q narrow (p,q) by one
+    mask, ``comp_row(M(p,w), M(w,q))``, taken once per apex w whose two
+    sides are labelled.  A triangle with a repeated node has the free slot
+    on two sides, so it gets a mask of its own: (p,q) over (p,p),(p,q) and
+    over (p,q),(q,q), and (p,p) over itself.  The tables are cached on the
+    structure; ``tick`` is called as `_label_search` describes.
+    """
+    n = structure.natoms
+    tables = getattr(structure, "_network_tables", None)
+    if tables is None:
+        full = structure.full_mask
+        comp = [full] * (n * n)
+        for a, b, c in structure.forbidden:
+            comp[b * n + c] &= ~(1 << a)
+        # per identity atom e: {a : (a,e,a) consistent} and {a : (a,a,e)
+        # consistent}; the diagonal keeps the e with (e,e,e) consistent
+        over_left = [full] * n
+        over_right = [full] * n
+        diag = 0
+        for e in structure.identity:
+            over_left[e] = sum(1 << a for a in range(n) if comp[e * n + a] >> a & 1)
+            over_right[e] = sum(1 << a for a in range(n) if comp[a * n + e] >> a & 1)
+            diag |= (comp[e * n + e] >> e & 1) << e
+        tables = (comp, over_left, over_right, diag)
+        object.__setattr__(structure, "_network_tables", tables)
+    comp, over_left, over_right, diag = tables
+    conv = structure.converse
+    lab = [-1] * (s * s)
+    for idx, a in fixed.items():
+        p, q = divmod(idx, s)
+        ridx = q * s + p
+        other = fixed.get(ridx)
+        if other is not None and other != conv[a]:
+            return
+        lab[idx] = a
+        lab[ridx] = conv[a]
+    decide = [(p, q) for p in range(s) for q in range(p, s) if lab[p * s + q] < 0]
+
+    def candidates(at: int) -> int:
+        p, q = decide[at]
+        if p == q:
+            cand = diag
+        else:
+            # (p,p) precedes (p,q), so it is labelled; (q,q) may not be yet,
+            # and then its own candidates check this triangle
+            cand = over_left[lab[p * s + p]]
+            e = lab[q * s + q]
+            if e >= 0:
+                cand &= over_right[e]
+        ps = p * s
+        for w in range(s):
+            e2 = lab[ps + w]
+            e3 = lab[w * s + q]
+            if e2 >= 0 and e3 >= 0:
+                cand &= comp[e2 * n + e3]
+                if not cand:
+                    return 0
+        return cand
+
+    free = [p * s + q for p, q in decide]
+    mirror = [q * s + p for p, q in decide]
+    for _ in _label_search(lab, free, mirror, conv, candidates, tick):
+        yield tuple(lab)
 
 
 # ---------------------------------------------------------------------------

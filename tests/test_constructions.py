@@ -33,7 +33,8 @@ from cylkit.constructions import (
     monk_label,
     parse_monk_label,
 )
-from cylkit.ra import compose
+from cylkit.neat import ra_reduct
+from cylkit.ra import RaAtomStructure, compose
 from cylkit.bao import Element, column_pairs, cyl, diag
 
 
@@ -291,18 +292,43 @@ def test_bin_same_column_triangles_forbidden():
 
 
 def test_enumerate_matches_validate_filter():
+    # the brute-force filter runs in lexicographic order, as the
+    # enumeration must
+    for b, ms in (
+        (bin_forb(3, 1, 2), (3, 4)),
+        (hh_ra(3, 1, 3), (3,)),
+        (bin_forb(2, 1, 3), (3, 4)),
+    ):
+        for m in ms:
+            filtered = tuple(
+                v
+                for v in product(range(b.natoms), repeat=m * (m - 1) // 2)
+                if validate_matrix(b, v)
+            )
+            assert enumerate_matrices(m, b) == filtered
     b = bin_forb(3, 1, 2)
-    for m in (3, 4):
-        enumerated = set(enumerate_matrices(m, b))
-        slots = m * (m - 1) // 2
-        filtered = {
-            v
-            for v in product(range(b.natoms), repeat=slots)
-            if validate_matrix(b, v)
-        }
-        assert enumerated == filtered
     assert len(enumerate_matrices(3, b)) == 61
-    assert len(enumerate_matrices(4, b)) == 1469
+    mats = enumerate_matrices(4, b)
+    assert len(mats) == 1469
+    assert mats[0] == (0, 0, 0, 0, 0, 0)
+    assert mats[-1] == (4, 4, 4, 2, 2, 0)
+
+
+def test_enumerate_matrices_needs_one_self_converse_identity():
+    # the cyclic group Z4: g1 and g3 are each other's converse
+    z4 = RaAtomStructure.build(
+        ("e", "g1", "g2", "g3"),
+        [0],
+        (0, 3, 2, 1),
+        [(a, b, c) for a, b, c in product(range(4), repeat=3) if a != (b + c) % 4],
+    )
+    with pytest.raises(ValueError, match="its own converse"):
+        enumerate_matrices(3, z4)
+    # the full relation algebra on two points has two identity atoms
+    two_points = ra_reduct(full_set_algebra(3, 2)).ra
+    assert len(two_points.identity) == 2
+    with pytest.raises(ValueError, match="single identity atom"):
+        enumerate_matrices(3, two_points)
 
 
 def test_basic_matrices_atoms_and_frame():

@@ -50,6 +50,7 @@ from cylkit.games import (
     _position_tuples,
     _tuple_index,
 )
+from cylkit.neat import ra_reduct
 from cylkit.ra import RaAtomStructure
 
 CS3 = full_set_algebra(3, 2)
@@ -369,23 +370,38 @@ def test_each_representative_disagreement_is_counted_once():
     assert res.stats.representative_disagreements == 3
 
 
+def _plain_value(solver, memo, net, r):
+    """Rounds the responder can survive, by the recursion over the one
+    successor generator, memoised by the raw labelling."""
+    if r == 0:
+        return 0
+    key = (net.nodes, net.labels, r)
+    if key not in memo:
+        memo[key] = min(
+            [r]
+            + [
+                1 + max((_plain_value(solver, memo, m, r - 1) for m in responses), default=-1)
+                for _, responses in solver.successors(net)
+            ]
+        )
+    return memo[key]
+
+
 def test_plain_memo_agrees_with_the_canonical_memo():
-    # the plain memo keys positions by their raw labelling; it stays as the
-    # oracle for the memo keyed up to node renaming
+    # the plain memo keys positions by their raw labelling; it is the
+    # oracle for the solver's memo keyed up to node renaming
     for spec in (
         GameSpec(VARIANT_FRESH, CS3, 2),
         GameSpec(VARIANT_REUSE, CS3, 2, pebbles=4),
         GameSpec(VARIANT_TRIANGLE, HH313, 2, pebbles=3),
     ):
-        best = {}
-        for canonical in (True, False):
-            solver = games._Solver(spec, _Counter(10**12, ""), canonical)
-            openings = solver.openings(0)
-            best[canonical] = [
-                max(solver.value(net, r) for net in openings)
-                for r in range(1, spec.rounds + 1)
+        solver = games._Solver(spec, _Counter(10**12, ""))
+        openings = solver.openings(0)
+        memo = {}
+        for r in range(1, spec.rounds + 1):
+            assert [solver.value(net, r) for net in openings] == [
+                _plain_value(solver, memo, net, r) for net in openings
             ]
-        assert best[True] == best[False]
 
 
 def test_solver_refuses_to_blow_the_budget():
@@ -503,7 +519,7 @@ def test_check_move_legal_enforces_the_node_budget():
     with pytest.raises(RuntimeError, match="must demand the least fresh node"):
         games._check_move_legal(fresh, net, CaMove((0, 1), 0, 5, b))
     tri = GameSpec(VARIANT_TRIANGLE, BIN312, 1, pebbles=3)
-    solver = games._Solver(tri, _Counter(10**12, ""), True)
+    solver = games._Solver(tri, _Counter(10**12, ""))
     three = next(
         m
         for opening in solver.openings(0)
@@ -676,6 +692,11 @@ def _check_fixed_slot(
     return True
 
 
+# This oracle never checks a triangle with a repeated node: (p,q) over
+# (p,p),(p,q) or over (p,q),(q,q), and (p,p) over itself.  With a single
+# identity atom those triangles never forbid a label on the fixtures here,
+# so its differential test stays on single-identity structures; the
+# several-identity case is checked against validate_network instead.
 def _ra_completions(
     structure: RaAtomStructure,
     nodes: tuple[int, ...],
@@ -939,7 +960,7 @@ def _task_moves(spec):
     """(position, move) of every responder task one round from every
     opening, each move demanding atom 0."""
     st = spec.structure
-    solver = games._Solver(spec, _Counter(10**12, ""), True)
+    solver = games._Solver(spec, _Counter(10**12, ""))
     for net in solver.openings(0):
         if spec.variant == VARIANT_TRIANGLE:
             for x, y in itertools.product(net.nodes, repeat=2):
@@ -1018,6 +1039,64 @@ def test_ra_completions_match_the_original(structure):
     assert tasks > 0
 
 
+# two identity atoms: the full relation algebra on two points, as the
+# relation-algebra reduct of cs3, and the complex algebra of the groupoid
+# with two objects, one with isotropy group Z2 and one alone (atoms e0, g0
+# at the first object, e1 at the second; a in b;c iff a = b c)
+TWO_POINTS = ra_reduct(CS3).ra
+_GROUPOID_PRODUCT = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0, (2, 2): 2}
+GROUPOID = RaAtomStructure.build(
+    ("e0", "g0", "e1"),
+    [0, 2],
+    (0, 1, 2),
+    [
+        (a, b, c)
+        for a, b, c in itertools.product(range(3), repeat=3)
+        if _GROUPOID_PRODUCT.get((b, c)) != a
+    ],
+)
+# no relation algebra: a node labelled e1 breaks the triangle rule alone
+E1_NOT_IDEMPOTENT = RaAtomStructure.build(("e0", "e1", "a"), [0, 1], (0, 1, 2), [(1, 1, 1)])
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [TWO_POINTS, GROUPOID, E1_NOT_IDEMPOTENT],
+    ids=["two-points", "groupoid", "e1-not-idempotent"],
+)
+def test_ra_completions_with_several_identities_are_the_valid_networks(structure):
+    assert len(structure.identity) == 2
+    n, conv = structure.natoms, structure.converse
+    for s in (1, 2, 3):
+        nodes = tuple(range(s))
+        got = [
+            m.labels
+            for m in games._ra_completions(structure, nodes, {}, _Counter(10**12, ""))
+        ]
+        # every labelling, in lexicographic order; the converse test only
+        # skips labellings the validator rejects, to keep the scan short
+        brute = [
+            labels
+            for labels in itertools.product(range(n), repeat=s * s)
+            if all(
+                labels[q * s + p] == conv[labels[p * s + q]]
+                for p in range(s)
+                for q in range(p, s)
+            )
+            and validate_network(RaNetwork(structure, nodes, labels)).passed
+        ]
+        assert got == brute and got
+
+
+@pytest.mark.parametrize("structure", [TWO_POINTS, GROUPOID], ids=["two-points", "groupoid"])
+def test_triangle_games_with_several_identities_are_solved(structure):
+    # both algebras are representable, and solve replays the strategy it
+    # returns as a structural check
+    for a in range(structure.natoms):
+        res = solve(GameSpec(VARIANT_TRIANGLE, structure, 2, pebbles=3), a)
+        assert (res.winner, res.rounds_used) == (EXISTS, 2)
+
+
 def test_completions_match_the_original_on_conflicting_fixed_slots():
     # a valid two-node network with one label swapped for an atom that
     # breaks the diagonal and cylindrifier rules, extended by a free node
@@ -1089,7 +1168,7 @@ def test_successors_match_the_original_moves_and_responses(spec):
     # round from the openings: the same demands in the same order, and
     # each bucket is the original response list, in order
     counter = _Counter(10**12, "")
-    solver = games._Solver(spec, counter, True)
+    solver = games._Solver(spec, counter)
     if spec.variant == VARIANT_TRIANGLE:
         moves, responses = _ra_moves, _ra_responses
     else:
@@ -1114,14 +1193,14 @@ def test_successors_match_the_original_moves_and_responses(spec):
 def test_move_classes_enumerate_once_per_demanded_node(spec):
     # every position the search expands, expanded again by a fresh solver
     # whose completion enumerator counts its calls
-    searched = games._Solver(spec, _Counter(10**12, ""), True)
+    searched = games._Solver(spec, _Counter(10**12, ""))
     for net in searched.openings(0):
         searched.value(net, spec.rounds)
     positions = [
         searched.network_type(spec.structure, nodes, labels)
         for nodes, labels in searched.succ
     ]
-    solver = games._Solver(spec, _Counter(10**12, ""), True)
+    solver = games._Solver(spec, _Counter(10**12, ""))
     enumerate_ = solver.complete
     calls = []
 
@@ -1199,7 +1278,7 @@ CORRUPTION_ERRORS = {
 
 @SUCCESSOR_SPECS
 def test_check_response_matches_agrees_with_the_seed(spec):
-    solver = games._Solver(spec, _Counter(10**12, ""), True)
+    solver = games._Solver(spec, _Counter(10**12, ""))
     corrupted = {"retained": 0, "demanded": 0, "nodes": 0}
     for net in _opening_and_next_positions(solver):
         for move, bucket in solver.successors(net):
@@ -1305,7 +1384,7 @@ def test_verification_validates_each_network_once_and_checks_every_entry(
 ):
     res = solve(spec, 0)
     assert res.winner == EXISTS
-    solver = games._Solver(spec, _Counter(10**12, ""), True)
+    solver = games._Solver(spec, _Counter(10**12, ""))
     entries = _strategy_entries(solver, res.strategy, spec.rounds)
     decoded = {
         (m.nodes, m.labels)
@@ -1340,7 +1419,7 @@ def test_a_slot_that_is_its_own_transposition_partner_keeps_its_atom_fixed():
     swapped = dataclasses.replace(CS3, transp=tuple(transp))
     spec = GameSpec(VARIANT_FRESH, swapped, 1)
     counter = _Counter(10**12, "")
-    solver = games._Solver(spec, counter, True)
+    solver = games._Solver(spec, counter)
     openings = solver.openings(CS3.atoms.index(repr((1, 1, 1))))
     assert openings
     for net in openings:
@@ -1355,7 +1434,7 @@ def test_a_slot_that_is_its_own_transposition_partner_keeps_its_atom_fixed():
 
 def test_responses_to_a_move_that_is_no_demand_raise():
     spec = GameSpec(VARIANT_FRESH, CS3, 1)
-    solver = games._Solver(spec, _Counter(10**12, ""), True)
+    solver = games._Solver(spec, _Counter(10**12, ""))
     net = semantic_network(CS3, {0: 0, 1: 1, 2: 0})
     move, bucket = next(solver.successors(net))
     assert solver.responses(net, move) is bucket
