@@ -11,7 +11,10 @@ Elements are dense bitmasks over atom indices, and a relation R is stored
 once, as its column table: column b is the mask of {a : (a, b) in R}.
 Cylindrification and transposition are both the image map of one relation,
 x -> {a : exists b in x with (a, b) in R}; each is an `AdditiveOperator`
-over the stored table (`cyl_op`, `transp_op`).  An operator applies to one
+over the stored table (`cyl_op`, `transp_op`).  The other modules use the
+same primitive for every atom-wise image map: the quotient maps of `neat`,
+the copy map of atom splitting in `constructions`, and converse and
+composition in `ra`.  An operator applies to one
 mask (`apply`) or to a uint32 array of masks (`apply_vec`); on structures
 of at most 32 atoms both read byte-sliced lookup tables built on first use.
 (a, b) pairs appear only as input to `CaAtomStructure.build` and in JSON
@@ -656,7 +659,8 @@ def structure_to_dict(structure: CaAtomStructure) -> dict:
     dim = structure.dim
 
     def pairs(cols: tuple[int, ...]) -> list[list[int]]:
-        return [[a, b] for a, b in sorted(column_pairs(cols))]
+        # the converse's columns are the rows, so its pairs come in (a, b) order
+        return [[a, b] for b, a in column_pairs(transpose(cols))]
 
     out: dict = {
         "dim": dim,

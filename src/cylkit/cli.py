@@ -23,6 +23,7 @@ from .bao import (
     element,
     structure_from_dict,
     structure_to_dict,
+    transpose,
 )
 from .constructions import (
     SplitPolicy,
@@ -306,7 +307,7 @@ def _structure_dot(s: CaAtomStructure | RaAtomStructure) -> str:
             lines.append(f'  a{a} [label="{label}"];')
         for i in range(s.dim):
             colour = _DOT_COLOURS[i % len(_DOT_COLOURS)]
-            for a, b in sorted(column_pairs(s.cyl[i])):
+            for b, a in column_pairs(transpose(s.cyl[i])):
                 if a < b:
                     lines.append(f'  a{a} -- a{b} [color={colour}, label="T{i}"];')
     else:

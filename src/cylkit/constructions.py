@@ -9,11 +9,11 @@ triples, atom splitting, and (in `hyper`) hypernetwork machinery.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations, product
 from typing import Callable, Iterator, Sequence, Union
 
-from .bao import AdditiveOperator, CaAtomStructure, Element, Pair, class_columns, element
+from .bao import AdditiveOperator, CaAtomStructure, Element, Pair, class_columns
 from .ra import RaAtomStructure, Triple, _network_labellings
 
 # ---------------------------------------------------------------------------
@@ -526,20 +526,20 @@ class SplitPolicy:
 
 @dataclass(frozen=True)
 class SplitResult:
+    """The split structure, the copies of each old atom (`copy_map`, and as
+    an operator, `lift`), and the split atom."""
+
     structure: object
     copy_map: tuple[tuple[int, ...], ...]
     split_atom: int
+    lift: AdditiveOperator = field(compare=False, repr=False)
 
     def embed(self, x: Element) -> Element:
         """Additive extension of the atom embedding to an old element."""
-        mask = 0
-        for a in x:
-            for b in self.copy_map[a]:
-                mask |= 1 << b
-        return Element(self.structure, mask)
+        return Element(self.structure, self.lift.apply(x.mask))
 
     def embed_atom(self, a: int) -> Element:
-        return element(self.structure, self.copy_map[a])
+        return Element(self.structure, self.lift.cols[a])
 
 
 def split_atom(structure, a: int, policy: SplitPolicy) -> SplitResult:
@@ -560,6 +560,8 @@ def split_atom(structure, a: int, policy: SplitPolicy) -> SplitResult:
 
 
 def _split_indexing(n: int, a: int, k: int):
+    """The copies of each old atom, the old atom of each new one, and the
+    copy map as an operator."""
     if not 0 <= a < n:
         raise ValueError(f"atom index {a} out of range")
     copy_map: list[tuple[int, ...]] = []
@@ -574,7 +576,8 @@ def _split_indexing(n: int, a: int, k: int):
     for old, news in enumerate(copy_map):
         for new in news:
             proj[new] = old
-    return tuple(copy_map), tuple(proj)
+    lift = AdditiveOperator(tuple(sum(1 << new for new in news) for news in copy_map))
+    return tuple(copy_map), tuple(proj), lift
 
 
 def _split_labels(labels: Sequence[str], a: int, k: int) -> list[str]:
@@ -589,15 +592,14 @@ def _split_labels(labels: Sequence[str], a: int, k: int) -> list[str]:
 
 def _split_ca(structure: CaAtomStructure, a: int, policy: SplitPolicy) -> SplitResult:
     k = policy.copies
-    copy_map, proj = _split_indexing(structure.natoms, a, k)
+    copy_map, proj, lift = _split_indexing(structure.natoms, a, k)
     labels = _split_labels(structure.atoms, a, k)
     nn = len(labels)
-    # column of a new atom: the column of its source atom, with every atom
-    # replaced by its copies
-    lift = AdditiveOperator(tuple(sum(1 << new for new in news) for news in copy_map))
     copies = lift.cols[a]
 
     def lift_cols(cols: tuple[int, ...]) -> tuple[int, ...]:
+        # column of a new atom: the column of its source atom, with every
+        # atom replaced by its copies
         out = [lift.apply(cols[proj[new]]) for new in range(nn)]
         if callable(policy.intra) and cols[a] >> a & 1:
             for yn in copy_map[a]:
@@ -628,12 +630,12 @@ def _split_ca(structure: CaAtomStructure, a: int, policy: SplitPolicy) -> SplitR
         diag=diag,
         transp=transp,
     )
-    return SplitResult(new_structure, copy_map, a)
+    return SplitResult(new_structure, copy_map, a, lift)
 
 
 def _split_ra(structure: RaAtomStructure, a: int, policy: SplitPolicy) -> SplitResult:
     k = policy.copies
-    copy_map, proj = _split_indexing(structure.natoms, a, k)
+    copy_map, proj, lift = _split_indexing(structure.natoms, a, k)
     labels = _split_labels(structure.atoms, a, k)
     nn = len(labels)
 
@@ -673,4 +675,4 @@ def _split_ra(structure: RaAtomStructure, a: int, policy: SplitPolicy) -> SplitR
         converse=tuple(converse),
         forbidden=frozenset(forbidden),
     )
-    return SplitResult(new_structure, copy_map, a)
+    return SplitResult(new_structure, copy_map, a, lift)

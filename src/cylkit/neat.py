@@ -5,11 +5,16 @@ matrices.
 Every transform returns both the derived object and a verification report;
 agreement between quotient operators and the source algebra is checked, not
 assumed.
+
+The atom-wise maps are `AdditiveOperator`s (a quotient frame's `to_class`
+and `members`, the relativization's squeeze, the witness's embedding), and
+the checks compare their images, or the column tables of their composites
+(`AdditiveOperator.after`), as masks.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .bao import (
@@ -20,10 +25,8 @@ from .bao import (
     cyl,
     diag,
     element,
-    empty,
     equivalence_defects,
     subst_repl,
-    subst_transp,
     transpose,
 )
 from .constructions import _basic_matrices, _slot_index, _slot_pairs
@@ -56,27 +59,26 @@ def _join_classes(structure: CaAtomStructure, indices: Iterable[int]) -> list[in
 
 @dataclass(frozen=True)
 class QuotientFrame:
-    """Atoms of a source structure collapsed along the dropped indices."""
+    """Atoms of a source structure collapsed along the dropped indices:
+    `to_class` sends an atom to its class bit, `members` a class to its atoms."""
 
     source: CaAtomStructure
     gamma: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
+    to_class: AdditiveOperator = field(compare=False)
+    members: AdditiveOperator = field(compare=False)
     structure: CaAtomStructure | None
 
     def class_element(self, idx: int) -> Element:
-        return element(self.source, self.classes[idx])
+        return Element(self.source, self.members.cols[idx])
 
     def lift(self, x: Element) -> frozenset[int]:
         """Class indices met by a source element."""
-        return frozenset(self.class_of[a] for a in x)
+        return frozenset(_bits(self.to_class.apply(x.mask)))
 
     def closure(self, x: Element) -> Element:
-        mask = 0
-        for ci in self.lift(x):
-            for a in self.classes[ci]:
-                mask |= 1 << a
-        return Element(self.source, mask)
+        """The union of the classes met by x."""
+        return Element(self.source, self.members.apply(self.to_class.apply(x.mask)))
 
 
 @dataclass(frozen=True)
@@ -111,12 +113,13 @@ def nr(
                 raise ValueError(f"dropped relation is not an equivalence: {why}")
             details.append(f"forced past non-equivalence: {why}")
 
-    cls_masks = _join_classes(structure, dropped)
-    classes = tuple(tuple(_bits(mask)) for mask in cls_masks)
-    class_of = [0] * structure.natoms
+    members = AdditiveOperator(tuple(_join_classes(structure, dropped)))
+    classes = tuple(tuple(_bits(mask)) for mask in members.cols)
+    class_bit = [0] * structure.natoms
     for ci, cls in enumerate(classes):
         for a in cls:
-            class_of[a] = ci
+            class_bit[a] = 1 << ci
+    to_class = AdditiveOperator(tuple(class_bit))
     nclasses = len(classes)
     passed = True
     counterexample: str | None = None
@@ -133,7 +136,7 @@ def nr(
         for j in gamma:
             dmask = structure.diag_mask(i, j)
             for ci, cls in enumerate(classes):
-                hits = sum(1 for a in cls if (dmask >> a) & 1)
+                hits = (dmask & members.cols[ci]).bit_count()
                 if hits not in (0, len(cls)):
                     note_fail(
                         f"diagonal ({i},{j}) splits class {ci}: "
@@ -146,10 +149,8 @@ def nr(
         labels = tuple(f"c{ci}|{structure.atoms[cls[0]]}" for ci, cls in enumerate(classes))
         # column c of a quotient relation: the classes met by the source
         # operator's image of class c
-        to_class = AdditiveOperator(tuple(1 << ci for ci in class_of))
-
         def quotient_cols(op: AdditiveOperator) -> tuple[int, ...]:
-            return tuple(to_class.apply(op.apply(mask)) for mask in cls_masks)
+            return tuple(to_class.apply(op.apply(mask)) for mask in members.cols)
 
         q_cyl = tuple(quotient_cols(structure.cyl_op(i)) for i in gamma)
         q_diag = []
@@ -182,7 +183,7 @@ def nr(
     else:
         details.append("fewer than two retained indices; no quotient structure built")
 
-    frame = QuotientFrame(structure, gamma, classes, tuple(class_of), quotient)
+    frame = QuotientFrame(structure, gamma, classes, to_class, members, quotient)
 
     # operator agreement on closed sets
     if nclasses <= EXHAUSTIVE_CLASS_LIMIT:
@@ -194,20 +195,15 @@ def nr(
         subsets = [rng.getrandbits(nclasses) for _ in range(SAMPLE_COUNT)]
 
     for sub in subsets:
-        src_mask = 0
-        for ci in range(nclasses):
-            if (sub >> ci) & 1:
-                src_mask |= cls_masks[ci]
-        x = Element(structure, src_mask)
+        src_mask = members.apply(sub)
         for p, i in enumerate(gamma):
-            image = cyl(structure, i, x)
-            lifted = frame.lift(image)
-            if frame.closure(image).mask != image.mask:
+            image = structure.cyl_op(i).apply(src_mask)
+            lifted = to_class.apply(image)
+            if members.apply(lifted) != image:
                 note_fail(f"c_{i} image of a closed set is not closed (subset {sub})")
                 continue
             if quotient is not None:
-                q_img = quotient.cyl_op(p).apply(sub)
-                if frozenset(_bits(q_img)) != lifted:
+                if quotient.cyl_op(p).apply(sub) != lifted:
                     note_fail(
                         f"quotient c at position {p} disagrees with source c_{i} "
                         f"on subset {sub}"
@@ -218,30 +214,23 @@ def nr(
     # diagonal agreement
     for p, i in enumerate(gamma):
         for q, j in enumerate(gamma):
-            dsrc = Element(structure, structure.diag_mask(i, j))
-            if frame.closure(dsrc).mask != dsrc.mask:
+            dmask = structure.diag_mask(i, j)
+            lifted = to_class.apply(dmask)
+            if members.apply(lifted) != dmask:
                 note_fail(f"diagonal ({i},{j}) is not a union of classes")
             elif quotient is not None:
-                if frame.lift(dsrc) != frozenset(_bits(quotient.diag_mask(p, q))):
+                if lifted != quotient.diag_mask(p, q):
                     note_fail(f"quotient diagonal ({p},{q}) disagrees with source")
 
-    # transposition agreement on atoms
+    # transposition agreement on atoms: column a of either composite is the
+    # class bits of s_ij{a}
     if quotient is not None and q_transp_ok and structure.transp is not None:
         for p, i in enumerate(gamma):
-            for q, j in enumerate(gamma):
-                if p >= q:
-                    continue
+            for q, j in enumerate(gamma[p + 1 :], p + 1):
+                got = to_class.after(structure.transp_op(i, j))
+                want = quotient.transp_op(p, q).after(to_class)
                 for a in range(structure.natoms):
-                    src = subst_transp(structure, i, j, Element(structure, 1 << a))
-                    got = frame.lift(src)
-                    want = frozenset(
-                        _bits(
-                            subst_transp(
-                                quotient, p, q, Element(quotient, 1 << class_of[a])
-                            ).mask
-                        )
-                    )
-                    if got != want:
+                    if got[a] != want[a]:
                         note_fail(
                             f"quotient transposition ({p},{q}) disagrees at atom {a}"
                         )
@@ -377,19 +366,25 @@ class RaReduct:
         return diag(self.source, n - 2, n - 1)
 
     def converse_element(self, x: Element) -> Element:
-        s, n = self.source, self.source.dim
-        return subst_repl(
-            s, 0, n - 1, subst_repl(s, n - 1, n - 2, subst_repl(s, n - 2, 0, x))
-        )
+        return _converse_term(self.source, x)
 
     def compose_elements(self, x: Element, y: Element) -> Element:
-        s, n = self.source, self.source.dim
-        return cyl(
-            s, 0, subst_repl(s, n - 1, 0, x) & subst_repl(s, n - 2, 0, y)
-        )
+        return _compose_term(self.source, x, y)
 
     def class_element(self, idx: int) -> Element:
         return self.frame.class_element(idx)
+
+
+def _converse_term(s: CaAtomStructure, x: Element) -> Element:
+    """Converse on the last two indices, through index 0 as the spare."""
+    n = s.dim
+    return subst_repl(s, 0, n - 1, subst_repl(s, n - 1, n - 2, subst_repl(s, n - 2, 0, x)))
+
+
+def _compose_term(s: CaAtomStructure, x: Element, y: Element) -> Element:
+    """Composition on the last two indices, through index 0 as the spare."""
+    n = s.dim
+    return cyl(s, 0, subst_repl(s, n - 1, 0, x) & subst_repl(s, n - 2, 0, y))
 
 
 def ra_reduct(structure: CaAtomStructure, bound: int = 50_000_000) -> RaReduct:
@@ -400,44 +395,41 @@ def ra_reduct(structure: CaAtomStructure, bound: int = 50_000_000) -> RaReduct:
     frame, cert = nr(structure, (n - 2, n - 1))
     classes = frame.classes
     nclasses = len(classes)
+    to_class, members = frame.to_class, frame.members
 
-    ident = diag(structure, n - 2, n - 1)
-    if frame.closure(ident).mask != ident.mask:
+    ident = structure.diag_mask(n - 2, n - 1)
+    identity = to_class.apply(ident)
+    if members.apply(identity) != ident:
         raise ValueError("identity element is not a union of reduct atoms")
-    identity = sorted(frame.lift(ident))
-
-    helper = RaReduct.__new__(RaReduct)  # ops only need source; fill later
-    object.__setattr__(helper, "source", structure)
 
     converse = []
     for ci in range(nclasses):
-        img = RaReduct.converse_element(helper, frame.class_element(ci))
-        hit = frame.lift(img)
-        if len(hit) != 1 or frame.closure(img).mask != img.mask:
+        img = _converse_term(structure, frame.class_element(ci)).mask
+        hit = to_class.apply(img)
+        if hit.bit_count() != 1 or members.apply(hit) != img:
             raise ValueError(
                 f"converse of reduct atom {ci} is not a single reduct atom"
             )
-        converse.append(next(iter(hit)))
+        converse.append(hit.bit_length() - 1)
 
     forbidden = []
+    all_classes = (1 << nclasses) - 1
     for cb in range(nclasses):
         for cc in range(nclasses):
-            comp = RaReduct.compose_elements(
-                helper, frame.class_element(cb), frame.class_element(cc)
-            )
-            if frame.closure(comp).mask != comp.mask:
+            comp = _compose_term(
+                structure, frame.class_element(cb), frame.class_element(cc)
+            ).mask
+            covered = to_class.apply(comp)
+            if members.apply(covered) != comp:
                 raise ValueError(
                     f"composition of reduct atoms {cb},{cc} is not a union of atoms"
                 )
-            covered = frame.lift(comp)
-            for ca in range(nclasses):
-                if ca not in covered:
-                    forbidden.append((ca, cb, cc))
+            forbidden.extend((ca, cb, cc) for ca in _bits(all_classes & ~covered))
 
     try:
         ra = RaAtomStructure(
             atoms=tuple(f"r{ci}|{structure.atoms[cls[0]]}" for ci, cls in enumerate(classes)),
-            identity=frozenset(identity),
+            identity=frozenset(_bits(identity)),
             converse=tuple(converse),
             forbidden=frozenset(forbidden),
         )
@@ -637,45 +629,36 @@ def rl_x_witness(
             continue
         fibres[gi].append(pos_in_sub[a])
 
-    embedding_ok = all(fibres[gi] for gi in range(len(small_vals)))
+    embedding_ok = all(fibres)
     if not embedding_ok:
         details.append("some small matrix has no extension inside x")
 
-    def embed_mask(small_mask: int) -> int:
-        out = 0
-        for gi in _bits(small_mask):
-            for p in fibres[gi]:
-                out |= 1 << p
-        return out
+    # the restriction's inverse image, and through it each operator of small
+    # against the same operator of sub: column gi of either composite is the
+    # image of atom gi
+    embed = AdditiveOperator(tuple(sum(1 << p for p in fib) for fib in fibres))
+
+    def through(small_op: AdditiveOperator, sub_op: AdditiveOperator) -> list[int]:
+        """The atoms of small at which the two composites differ."""
+        lhs, rhs = embed.after(small_op), sub_op.after(embed)
+        return [gi for gi in range(small.natoms) if lhs[gi] != rhs[gi]]
 
     if embedding_ok:
-        for gi in range(small.natoms):
-            g_el = Element(small, 1 << gi)
-            im = Element(sub, embed_mask(1 << gi))
-            for i in range(msmall):
-                lhs = embed_mask(cyl(small, i, g_el).mask)
-                rhs = cyl(sub, i, im).mask
-                if lhs != rhs:
-                    embedding_ok = False
-                    details.append(f"c_{i} disagrees through the embedding at atom {gi}")
+        bad = [(gi, i) for i in range(msmall) for gi in through(small.cyl_op(i), sub.cyl_op(i))]
+        for gi, i in sorted(bad):
+            embedding_ok = False
+            details.append(f"c_{i} disagrees through the embedding at atom {gi}")
         for i in range(msmall):
             for j in range(msmall):
-                if embed_mask(diag(small, i, j).mask) != sub.diag_mask(i, j):
+                if embed.apply(small.diag_mask(i, j)) != sub.diag_mask(i, j):
                     embedding_ok = False
                     details.append(f"diagonal ({i},{j}) disagrees through the embedding")
         if sub.transp is not None:
             for i in range(msmall):
                 for j in range(i + 1, msmall):
-                    for gi in range(small.natoms):
-                        lhs = embed_mask(
-                            subst_transp(small, i, j, Element(small, 1 << gi)).mask
-                        )
-                        rhs = subst_transp(sub, i, j, Element(sub, embed_mask(1 << gi))).mask
-                        if lhs != rhs:
-                            embedding_ok = False
-                            details.append(
-                                f"transposition ({i},{j}) disagrees at atom {gi}"
-                            )
+                    for gi in through(small.transp_op(i, j), sub.transp_op(i, j)):
+                        embedding_ok = False
+                        details.append(f"transposition ({i},{j}) disagrees at atom {gi}")
         else:
             details.append("relativized structure lost its transpositions")
 

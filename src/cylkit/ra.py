@@ -7,21 +7,25 @@ under the six Peircean images at construction time so that consistency
 queries are O(1) membership tests.
 
 Composition, converse and identity act on Elements (bitmasks) by additive
-lifting from atoms.
+lifting from atoms.  A structure has one composition table, built on first
+use: entry (b, c) is the mask of {a : (a,b,c) consistent}.  Converse is the
+`AdditiveOperator` of the converse permutation; composition ORs, per atom b
+of x, the operator of table row b applied to y.
 
-The one search for atom networks lives here too: `_network_labellings`.
-Its candidate masks cover every triangle the network validator checks,
-including those with repeated nodes, so it yields exactly the valid
-networks, with several identity atoms too.  The triangle game's
-completions and the basic matrices of `constructions` are read off it.
+The one search for atom networks lives here too: `_network_labellings`,
+which reads the same table.  Its candidate masks cover every triangle the
+network validator checks, including those with repeated nodes, so it yields
+exactly the valid networks, with several identity atoms too.  The triangle
+game's completions and the basic matrices of `constructions` are read off it.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .bao import MAX_ATOMS, BudgetExceededError, Element, _bits, _label_search
+from .bao import MAX_ATOMS, AdditiveOperator, BudgetExceededError, Element, _bits, _label_search
 
 Triple = tuple[int, int, int]
 
@@ -71,7 +75,6 @@ class RaAtomStructure:
             if not peircean_orbit(t, self.converse) <= self.forbidden:
                 raise ValueError(f"forbidden set not Peircean-closed at {t}")
         object.__setattr__(self, "_full_mask", (1 << n) - 1)
-        object.__setattr__(self, "_comp_rows", {})
 
     @property
     def natoms(self) -> int:
@@ -84,18 +87,44 @@ class RaAtomStructure:
     def consistent(self, a: int, b: int, c: int) -> bool:
         return (a, b, c) not in self.forbidden
 
+    @cached_property
+    def _comp_table(self) -> list[int]:
+        """The composition table, flat: entry b * n + c is the mask of
+        {a : (a,b,c) consistent}."""
+        n = self.natoms
+        table = [self.full_mask] * (n * n)
+        for a, b, c in self.forbidden:
+            table[b * n + c] &= ~(1 << a)
+        return table
+
+    @cached_property
+    def _comp_ops(self) -> tuple[AdditiveOperator, ...]:
+        """Per atom b, the operator y -> x;y for x = {b}: row b of the table."""
+        n, table = self.natoms, self._comp_table
+        return tuple(AdditiveOperator(tuple(table[b * n : b * n + n])) for b in range(n))
+
+    @cached_property
+    def _converse_op(self) -> AdditiveOperator:
+        return AdditiveOperator(tuple(1 << c for c in self.converse))
+
+    @cached_property
+    def _network_tables(self) -> tuple[list[int], list[int], int]:
+        """The identity masks of `_network_labellings`: per identity atom e,
+        {a : (a,e,a) consistent} and {a : (a,a,e) consistent} (the full
+        mask at other atoms), and the e with (e,e,e) consistent."""
+        n, comp, full = self.natoms, self._comp_table, self.full_mask
+        over_left = [full] * n
+        over_right = [full] * n
+        diag = 0
+        for e in self.identity:
+            over_left[e] = sum(1 << a for a in range(n) if comp[e * n + a] >> a & 1)
+            over_right[e] = sum(1 << a for a in range(n) if comp[a * n + e] >> a & 1)
+            diag |= (comp[e * n + e] >> e & 1) << e
+        return over_left, over_right, diag
+
     def comp_row(self, b: int, c: int) -> int:
-        """Mask of {a : (a,b,c) consistent}; cached per pair."""
-        rows: dict[tuple[int, int], int] = self._comp_rows  # type: ignore[attr-defined]
-        key = (b, c)
-        got = rows.get(key)
-        if got is None:
-            got = 0
-            for a in range(self.natoms):
-                if (a, b, c) not in self.forbidden:
-                    got |= 1 << a
-            rows[key] = got
-        return got
+        """Mask of {a : (a,b,c) consistent}, read off the composition table."""
+        return self._comp_table[b * self.natoms + c]
 
     @classmethod
     def build(
@@ -127,28 +156,22 @@ def _owned(structure: RaAtomStructure, x: Element) -> None:
 
 
 def identity_el(structure: RaAtomStructure) -> Element:
-    mask = 0
-    for a in structure.identity:
-        mask |= 1 << a
-    return Element(structure, mask)
+    return Element(structure, sum(1 << a for a in structure.identity))
 
 
 def converse_el(structure: RaAtomStructure, x: Element) -> Element:
     _owned(structure, x)
-    out = 0
-    for a in _bits(x.mask):
-        out |= 1 << structure.converse[a]
-    return Element(structure, out)
+    return Element(structure, structure._converse_op.apply(x.mask))
 
 
 def compose(structure: RaAtomStructure, x: Element, y: Element) -> Element:
     """{a : exists b in x, c in y with (a,b,c) consistent}."""
     _owned(structure, x)
     _owned(structure, y)
+    ops = structure._comp_ops
     out = 0
     for b in _bits(x.mask):
-        for c in _bits(y.mask):
-            out |= structure.comp_row(b, c)
+        out |= ops[b].apply(y.mask)
     return Element(structure, out)
 
 
@@ -174,28 +197,13 @@ def _network_labellings(
     mask, ``comp_row(M(p,w), M(w,q))``, taken once per apex w whose two
     sides are labelled.  A triangle with a repeated node has the free slot
     on two sides, so it gets a mask of its own: (p,q) over (p,p),(p,q) and
-    over (p,q),(q,q), and (p,p) over itself.  The tables are cached on the
-    structure; ``tick`` is called as `_label_search` describes.
+    over (p,q),(q,q), and (p,p) over itself.  The tables are the
+    structure's composition table and `_network_tables`; ``tick`` is called
+    as `_label_search` describes.
     """
     n = structure.natoms
-    tables = getattr(structure, "_network_tables", None)
-    if tables is None:
-        full = structure.full_mask
-        comp = [full] * (n * n)
-        for a, b, c in structure.forbidden:
-            comp[b * n + c] &= ~(1 << a)
-        # per identity atom e: {a : (a,e,a) consistent} and {a : (a,a,e)
-        # consistent}; the diagonal keeps the e with (e,e,e) consistent
-        over_left = [full] * n
-        over_right = [full] * n
-        diag = 0
-        for e in structure.identity:
-            over_left[e] = sum(1 << a for a in range(n) if comp[e * n + a] >> a & 1)
-            over_right[e] = sum(1 << a for a in range(n) if comp[a * n + e] >> a & 1)
-            diag |= (comp[e * n + e] >> e & 1) << e
-        tables = (comp, over_left, over_right, diag)
-        object.__setattr__(structure, "_network_tables", tables)
-    comp, over_left, over_right, diag = tables
+    comp = structure._comp_table
+    over_left, over_right, diag = structure._network_tables
     conv = structure.converse
     lab = [-1] * (s * s)
     for idx, a in fixed.items():

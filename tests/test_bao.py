@@ -1,6 +1,7 @@
 """Atom structures, element algebra, frame checking, serialization."""
 
 import ast
+import json
 import re
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from cylkit import (
     CaAtomStructure,
     Element,
+    SplitPolicy,
     check_ca_frame,
     cyl,
     delta,
@@ -18,7 +20,10 @@ from cylkit import (
     element,
     empty,
     full_set_algebra,
+    johnson_extend,
+    monk_atoms,
     singleton,
+    split_atom,
     structure_from_dict,
     structure_from_json,
     structure_to_dict,
@@ -29,6 +34,8 @@ from cylkit import (
     top,
 )
 from cylkit.bao import StructureMismatchError, class_columns, column_pairs, transpose
+
+import seed_operators
 
 
 def diagonal_free(dim: int, n: int, cyl_rels) -> CaAtomStructure:
@@ -363,6 +370,24 @@ def test_json_is_canonical(cube):
     import json
 
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: monk_atoms(3, 3),
+        lambda: johnson_extend(monk_atoms(3, 3)),
+        lambda: full_set_algebra(3, 2),
+        lambda: split_atom(monk_atoms(3, 3), 5, SplitPolicy(3)).structure,
+    ],
+    ids=["monk", "johnson", "full_set", "split"],
+)
+def test_json_pairs_match_the_sorted_listing(build):
+    # pairs listed row by row from the transposed table, against the seed's
+    # sort of the column-order listing
+    s = build()
+    seed = json.dumps(seed_operators.structure_to_dict(s), sort_keys=True, indent=2) + "\n"
+    assert structure_to_json(s) == seed
 
 
 @st.composite

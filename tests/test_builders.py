@@ -200,7 +200,7 @@ def seed_full_set_algebra(n, base_size):
 
 def seed_split_ca(structure, a, policy):
     k = policy.copies
-    copy_map, proj = _split_indexing(structure.natoms, a, k)
+    copy_map, proj, _ = _split_indexing(structure.natoms, a, k)
     labels = _split_labels(structure.atoms, a, k)
     nn = len(labels)
 

@@ -2,6 +2,7 @@
 matrix structures, full tuple algebras, atom splitting."""
 
 import ast
+import random
 from itertools import combinations, product
 
 import pytest
@@ -36,6 +37,8 @@ from cylkit.constructions import (
 from cylkit.neat import ra_reduct
 from cylkit.ra import RaAtomStructure, compose
 from cylkit.bao import Element, column_pairs, cyl, diag
+
+import seed_operators
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +438,21 @@ def test_split_embed_is_additive():
     y = Element(base, 0b0110)
     assert res.embed(x | y) == res.embed(x) | res.embed(y)
     assert res.embed_atom(5).mask == res.embed(singleton(base, 5)).mask
+
+
+@pytest.mark.parametrize("a", [0, 5])
+@pytest.mark.parametrize("k", [2, 3])
+def test_split_embed_matches_the_seed_loop(a, k):
+    base = monk_atoms(3, 3)
+    res = split_atom(base, a, SplitPolicy(k))
+    rng = random.Random(a * 10 + k)
+    xs = [singleton(base, b) for b in range(base.natoms)]
+    xs += [cyl(base, i, x) for i in range(base.dim) for x in xs]
+    xs += [Element(base, rng.getrandbits(base.natoms)) for _ in range(50)]
+    for x in xs:
+        assert res.embed(x) == seed_operators.embed(res, x)
+    for b in range(base.natoms):
+        assert res.embed_atom(b) == seed_operators.embed(res, singleton(base, b))
 
 
 def test_split_ra_self_converse_atom():

@@ -9,13 +9,18 @@ import pytest
 from cylkit import (
     BudgetExceededError,
     RaAtomStructure,
+    bin_forb,
     check_ca_frame,
     enumerate_hypernetworks,
+    full_set_algebra,
+    hh_ra,
     is_hyperbasis,
+    ra_reduct,
     validate_hypernetwork,
 )
 from cylkit import hyper
 from cylkit.hyper import HyperNetwork, ca_over_hyperbasis
+from cylkit.ra import _network_labellings
 
 import seed_hyper
 
@@ -135,6 +140,27 @@ def test_substitution_coherence_rejected():
 def test_enumeration_counts(z4, z4_nets):
     assert len(z4_nets) == 16
     assert len(enumerate_hypernetworks(z4, 2, 2, 1)) == 4
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        group_z4,
+        lambda: hh_ra(3, 1, 3),
+        lambda: bin_forb(3, 1, 2),
+        lambda: bin_forb(2, 1, 3),
+        lambda: ra_reduct(full_set_algebra(3, 2)).ra,
+    ],
+    ids=["z4", "hh_ra(3,1,3)", "bin_forb(3,1,2)", "bin_forb(2,1,3)", "ra_reduct"],
+)
+def test_pair_labellings_are_the_network_search(build):
+    # the hypernetwork enumeration keeps its own backtracker over ordered
+    # slots; on these structures it finds the same pair labellings as the
+    # network search of cylkit.ra, in the same order
+    ra = build()
+    for m in (1, 2, 3):
+        pairs = dict.fromkeys(h.pairs for h in enumerate_hypernetworks(ra, m, 2, 1))
+        assert list(pairs) == list(_network_labellings(ra, m, {}, lambda: None))
 
 
 def test_enumeration_is_duplicate_free_and_complete(z4, z4_nets):

@@ -1,9 +1,15 @@
 """Reducts and relativizations: index quotients, renamings, restriction to
 an element, the relation-algebra view, and the matrix correspondences."""
 
+import ast
+import hashlib
+import random
+
 import pytest
 
 from cylkit import (
+    NrCertificate,
+    basic_matrices,
     bin_forb,
     ca_find_isomorphism,
     check_ca_frame,
@@ -23,7 +29,10 @@ from cylkit import (
     three_cube,
     top,
 )
+from cylkit.bao import AdditiveOperator, Element, cyl, structure_to_json
 from cylkit.ra import compose
+
+import seed_operators
 
 
 @pytest.fixture(scope="module")
@@ -282,3 +291,123 @@ def test_monk_nr_certificate():
     assert cert.passed
     assert frame.structure is not None
     assert frame.structure.dim == 2
+
+
+# ---------------------------------------------------------------------------
+# the quotient and embedding operators against the loops they replaced,
+# and the reports against the ones recorded before the change
+
+_SAMPLED_FAIL = "c_1 image of a closed set is not closed (subset 215070276954111144)"
+# name: (structure, gamma, force, class count, and the recorded passed,
+# certificate level and details)
+NR_CASES = {
+    "full_set(4,2) keep 0,1": (
+        lambda: full_set_algebra(4, 2), (0, 1), False, 4, True, "exhaustive", ()
+    ),
+    "full_set(4,2) keep 2,3": (
+        lambda: full_set_algebra(4, 2), (2, 3), False, 4, True, "exhaustive", ()
+    ),
+    "basic_matrices(4) keep 0,1,2": (
+        lambda: basic_matrices(4, bin_forb(3, 1, 2)),
+        range(3),
+        False,
+        61,
+        False,
+        "sampled",
+        (_SAMPLED_FAIL,),
+    ),
+    "forced": (
+        lambda: drop_cyl_pair(three_cube(), 2, 0, 1),
+        (0, 1),
+        True,
+        9,
+        True,
+        "exhaustive",
+        ("forced past non-equivalence: T2 not symmetric at (1,0)",),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NR_CASES))
+def test_nr_certificate_and_lift_match_the_recorded_and_seed(name):
+    build, gamma, force, nclasses, passed, level, details = NR_CASES[name]
+    structure = build()
+    frame, cert = nr(structure, gamma, force=force)
+    counterexample = next((d for d in details if not d.startswith("forced")), None)
+    assert cert == NrCertificate(passed, level, details, counterexample)
+    assert len(frame.classes) == nclasses
+
+    view = seed_operators.frame_view(structure, frame.classes)
+    rng = random.Random(0)
+    xs = [Element(structure, 1 << a) for a in range(structure.natoms)]
+    xs += [frame.class_element(ci) for ci in range(nclasses)]
+    xs += [cyl(structure, i, x) for i in range(structure.dim) for x in xs[-nclasses:]]
+    xs += [Element(structure, rng.getrandbits(structure.natoms)) for _ in range(50)]
+    for x in xs:
+        assert frame.lift(x) == seed_operators.lift(view, x)
+        assert frame.closure(x) == seed_operators.closure(view, x)
+
+
+def _c_lines(pairs):
+    return tuple(f"c_{i} disagrees through the embedding at atom {gi}" for gi, i in pairs)
+
+
+_MEET_LINES = tuple(
+    f"c_{i} x * c_{j} x differs from x" for i, j in ((0, 1), (0, 2), (1, 2))
+)
+WITNESS_CASES = {
+    "bin_forb(3,1,2)": (
+        lambda: bin_forb(3, 1, 2),
+        "3715d6ffec0b42c2c322d8978a0c9d2a49231625df169a775eb4ae9d49765c77",
+        (1,) + (2,) * 6 + (3,) * 12 + (2, 3, 3, 2) + (3,) * 10 + (2,) + (3,) * 8 + (2,)
+        + (3,) * 4 + (2,) + (3,) * 10 + (2, 3, 3),
+        (
+            "80925e920ede85fdae6237faa41b6cc21b5bc2c0c219caba8818dd337ed26788",
+            "e37645e4d547b1608c321b1db5a5916962ab1cab8cb226a5704272be8606d345",
+            "fc08bdd7fd25f91b8bb7110c4e5acb4dc7d38d812e6af62bee996d481d24b021",
+        ),
+        _MEET_LINES + _c_lines((gi, i) for gi in range(61) for i in range(3)),
+    ),
+    "bin_forb(2,1,3)": (
+        lambda: bin_forb(2, 1, 3),
+        hashlib.sha256(b"4194289").hexdigest(),
+        (1,) + (2,) * 9,
+        None,
+        _MEET_LINES
+        + _c_lines(
+            [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (3, 2), (4, 1)]
+            + [(5, 0), (6, 1), (7, 0), (8, 1), (9, 0)]
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_CASES))
+def test_rl_witness_matches_the_recorded_report(name):
+    build, x_sha, fibre_sizes, structure_shas, details = WITNESS_CASES[name]
+    rep = rl_x_witness(4, 3, 1, build())
+    assert hashlib.sha256(str(rep.x.mask).encode()).hexdigest() == x_sha
+    assert rep.fibre_sizes == fibre_sizes
+    assert (rep.meet_ok, rep.embedding_ok, rep.passed) == (False, False, False)
+    assert rep.details == details
+    if structure_shas is not None:
+        got = tuple(
+            hashlib.sha256(structure_to_json(s).encode()).hexdigest()
+            for s in (rep.big, rep.small, rep.relativized)
+        )
+        assert got == structure_shas
+
+    # the embedding as one operator against the seed's loop, on the fibres
+    # read back from the matrix labels: slots (0,1), (0,2), (1,2) of four
+    # nodes are the first, second and fourth
+    small_of = {label: gi for gi, label in enumerate(rep.small.atoms)}
+    fibres: list[list[int]] = [[] for _ in rep.small.atoms]
+    for p, label in enumerate(rep.relativized.atoms):
+        names = ast.literal_eval(label)
+        fibres[small_of[repr((names[0], names[1], names[3]))]].append(p)
+    assert tuple(map(len, fibres)) == fibre_sizes
+    embed = AdditiveOperator(tuple(sum(1 << p for p in fib) for fib in fibres))
+    rng = random.Random(0)
+    n = rep.small.natoms
+    for mask in [1 << gi for gi in range(n)] + [rng.getrandbits(n) for _ in range(50)]:
+        assert embed.apply(mask) == seed_operators.embed_mask(fibres, mask)

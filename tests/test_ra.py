@@ -18,6 +18,8 @@ from cylkit import (
 )
 from cylkit.ra import compose, converse_el, identity_el, peircean_orbit
 
+import seed_operators
+
 
 def pair_algebra(forbid_diversity_triangle: bool) -> RaAtomStructure:
     """Two atoms: identity and a symmetric diversity atom.
@@ -280,7 +282,6 @@ def _unchecked(atoms, identity, converse, forbidden):
         "converse": tuple(converse),
         "forbidden": frozenset(forbidden),
         "_full_mask": (1 << len(atoms)) - 1,
-        "_comp_rows": {},
     }
     for name, value in fields.items():
         object.__setattr__(s, name, value)
@@ -328,3 +329,30 @@ def test_law_reports_match_the_recorded_ones(name):
     assert not rep.passed
     for law in rep.laws:
         assert (law.passed, law.detail) == (law.name not in failed, failed.get(law.name, ""))
+
+
+def _matches_the_seed_loops(s):
+    """comp_row, converse_el and compose against the loops they replaced,
+    on every atom pair and every pair of elements."""
+    n = s.natoms
+    for b in range(n):
+        for c in range(n):
+            assert s.comp_row(b, c) == seed_operators.comp_row(s, b, c)
+    els = [Element(s, mask) for mask in range(1 << n)]
+    for x in els:
+        assert converse_el(s, x) == seed_operators.converse_el(s, x)
+        for y in els:
+            assert compose(s, x, y) == seed_operators.compose(s, x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_ras())
+def test_operators_match_the_seed_loops_on_random(s):
+    _matches_the_seed_loops(s)
+
+
+@pytest.mark.parametrize("name", ["cycle", "open"])
+def test_operators_match_the_seed_loops_past_the_checks(name):
+    # a converse that is not an involution, and a forbidden set that is not
+    # Peircean-closed
+    _matches_the_seed_loops(RECORDED_LAWS[name][0])
