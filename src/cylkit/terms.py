@@ -1,21 +1,23 @@
 """Term AST over the cylindric/polyadic signature, evaluation, and checking.
 
 Terms are frozen dataclass trees with integer-indexed variables.  A term
-is evaluated in the complex algebra of a structure over raw masks through
-one lowering into closures, `_lower`: index ranges, constant masks and the
-structure's `AdditiveOperator`s are resolved once, and the closures map an
-environment (a variable to an int mask, or to a uint32 array of masks) to
-the term's mask, applying each operator through `apply` or `apply_vec` by
-the type of its argument.  `eval_term` is its Element-level entry point and
-keeps the lowering per term for its last structure.
+is evaluated in the complex algebra of a structure over raw masks by one
+generated function.  `_compile` emits straight-line Python source in which
+each compound subterm, identical ones once, is one assignment, and compiles
+it once.  Index ranges are checked, constant masks and the structure's
+`AdditiveOperator`s looked up, and each operator application given its form
+while the source is emitted: the operator's byte rows indexed inline on an
+int mask, `apply` above 32 atoms, `apply_vec` on a uint32 array of masks.
+Term fields, masks and operators are bound in the function's namespace, so
+the source holds only generated names.  `eval_term` is the Element-level
+entry point and keeps the program for the last structure on the term node.
 
-The equation checker compiles both sides into one post-order program in
-which shared subterms are evaluated once, lowers each step once per check,
-and decides equations and inequalities in three modes: exhaustive (all
-element assignments, a decision procedure for the finite complex algebra;
-the last variable sweeps all masks as one array, and steps that do not
-read the first of two variables run once per check), atoms (singleton
-assignments), and seeded sampling.
+The equation checker compiles both sides into one program per check and
+decides equations and inequalities in three modes: exhaustive (all element
+assignments, a decision procedure for the finite complex algebra; the last
+variable sweeps all masks as one array, and a first of two variables is
+the program's loop variable, so the steps that do not read it run once,
+before the loop), atoms (singleton assignments), and seeded sampling.
 
 The sc-word calculus turns a string of replacement-substitution and
 cylindrifier tokens into the partial self-map of indices it induces.
@@ -23,8 +25,8 @@ cylindrifier tokens into the partial self-map of indices it induces.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -34,9 +36,10 @@ from .bao import AdditiveOperator, CaAtomStructure, Element
 class Term:
     """Base class for AST nodes.
 
-    `eval_term` keeps a node's lowered form in the node's `__dict__`, outside
-    its dataclass fields, so equality, hashing and repr never see it; a
-    pickled or copied node leaves it behind.
+    `eval_term` keeps a node's compiled program, with the structure it was
+    compiled for, in the node's `__dict__` under `_lowered`, outside its
+    dataclass fields, so equality, hashing and repr never see it; a pickled
+    or copied node leaves it behind.
     """
 
     __slots__ = ()
@@ -140,85 +143,193 @@ def variables(t: Term) -> frozenset[int]:
 
 
 Mask = Union[int, np.ndarray]
-# A lowered term: env -> mask, env mapping each variable to its mask.
-Lowered = Callable[[Mapping[int, Mask]], Mask]
 
 
-def _applied(op: AdditiveOperator, arg: Lowered) -> Lowered:
-    """op applied to arg's value: `apply` to an int, `apply_vec` to an array."""
-    apply, apply_vec = op.apply, op.apply_vec
+class _Ref(NamedTuple):
+    """A value in a term program: its expression (a generated name or the
+    literal 0), whether it is a uint32 array of masks, and whether it reads
+    the loop variable."""
 
-    def fn(env: Mapping[int, Mask]) -> Mask:
-        x = arg(env)
-        return apply_vec(x) if isinstance(x, np.ndarray) else apply(x)
-
-    return fn
+    expr: str
+    array: bool
+    varying: bool
 
 
-def _lower(structure: CaAtomStructure, t: Term) -> Lowered:
-    """Lower t, once, into nested closures env -> mask over the structure.
+class _Emitter:
+    """The source of one straight-line function evaluating terms over a
+    structure.
 
-    A variable maps to a mask: an int, or a uint32 array of masks, one per
-    assignment; the value is an array as soon as an array variable reaches
-    it.  Index ranges are checked, and each node's operator or constant
-    mask is looked up, here rather than per evaluation.
+    Every compound subterm, identical ones once, becomes one assignment.  A
+    variable is read from the environment where evaluation first needs it;
+    `arrays` names the variables bound to uint32 arrays of masks and `outer`
+    is the loop variable's key, if there is one.  The form of each operator application
+    is chosen here: `apply_vec` on an array, the operator's byte rows
+    indexed inline on an int (one row per 8 atoms, up to 32), `apply` above
+    that.  Everything the terms and the structure hold (variable keys,
+    masks, byte rows, operators, error texts) is bound in `namespace` under
+    a generated name, so the source holds only generated names, the literals
+    0, 8k and 255, and Python operators.
     """
-    if isinstance(t, Var):
-        k = t.k
 
-        def var(env: Mapping[int, Mask]) -> Mask:
-            try:
-                return env[k]
-            except KeyError:
-                raise ValueError(f"unbound variable {k}") from None
+    def __init__(
+        self, structure: CaAtomStructure, arrays: tuple[object, ...], outer: object | None
+    ) -> None:
+        self.structure = structure
+        self.arrays = arrays
+        self.outer = outer
+        self.namespace: dict[str, object] = {}
+        self._bound: dict[int, str] = {}
+        self._seen: dict[Term, _Ref] = {}
+        # tuples and a list, not sets: a variable key is only compared here;
+        # the program's env lookup is the first to hash it
+        self._vars = [] if outer is None else [(outer, _Ref("x0", False, True))]
+        self._steps = 0
+        self.fixed: list[str] = []
+        self.varying: list[str] = []
+        self._full = self._bind(structure.full_mask, "f")
 
-        return var
-    if isinstance(t, (Zero, One, Diag)):
-        if isinstance(t, Zero):
-            value = 0
-        elif isinstance(t, One):
-            value = structure.full_mask
+    def _bind(self, value: object, prefix: str) -> str:
+        """A generated name for value in the namespace, one per object."""
+        name = self._bound.get(id(value))
+        if name is None:
+            name = self._bound[id(value)] = f"{prefix}{len(self._bound)}"
+            self.namespace[name] = value
+        return name
+
+    def _assign(self, expr: str, array: bool, varying: bool) -> _Ref:
+        name = f"t{self._steps}"
+        self._steps += 1
+        (self.varying if varying else self.fixed).append(f"{name} = {expr}")
+        return _Ref(name, array, varying)
+
+    def _var(self, k: object) -> _Ref:
+        for key, ref in self._vars:
+            if key == k:
+                return ref
+        ref = _Ref(f"x{len(self._vars)}", k in self.arrays, False)
+        self._vars.append((k, ref))
+        key, text = self._bind(k, "k"), self._bind(f"unbound variable {k}", "u")
+        self.fixed += [
+            "try:",
+            f"    {ref.expr} = env[{key}]",
+            "except KeyError:",
+            f"    raise ValueError({text}) from None",
+        ]
+        return ref
+
+    def _apply(self, op: AdditiveOperator, arg: str, of: _Ref, after: str = "") -> _Ref:
+        """One assignment: op applied to the expression arg, whose value is
+        an array or reads the loop variable as `of` does."""
+        if of.array:
+            expr = f"{self._bind(op.apply_vec, 'v')}({arg})"
+        elif not op._tabled:
+            expr = f"{self._bind(op.apply, 'a')}({arg})"
         else:
-            value = structure.diag_mask(t.i, t.j)
-        return lambda env: value
-    if isinstance(t, (Meet, Join)):
-        left, right = _lower(structure, t.left), _lower(structure, t.right)
-        if isinstance(t, Meet):
-            return lambda env: left(env) & right(env)
-        return lambda env: left(env) | right(env)
-    if isinstance(t, SwapMacro):
-        return _lower(structure, expand_swap(t))
-    if not isinstance(t, (Complement, Cyl, DualCyl, SubstRepl, SubstTransp)):
-        raise TypeError(f"unknown term node {t!r}")
-    arg = _lower(structure, t.arg)
-    full = structure.full_mask
-    if isinstance(t, Complement):
-        return lambda env: arg(env) ^ full
-    if isinstance(t, Cyl):
-        return _applied(structure.cyl_op(t.i), arg)
-    if isinstance(t, DualCyl):
-        cyl = _applied(structure.cyl_op(t.i), lambda env: arg(env) ^ full)
-        return lambda env: cyl(env) ^ full
-    if isinstance(t, SubstRepl):
-        dmask = structure.diag_mask(t.i, t.j)
-        if t.i == t.j:
-            return arg
-        return _applied(structure.cyl_op(t.i), lambda env: arg(env) & dmask)
-    structure._check_index(t.i)
-    structure._check_index(t.j)
-    return arg if t.i == t.j else _applied(structure.transp_op(t.i, t.j), arg)
+            rows = [self._bind(row, "r") for row in op._rows]
+            if len(rows) > 1 and not arg.isidentifier():
+                arg = self._assign(arg, False, of.varying).expr
+            last = len(rows) - 1
+            picks = [f"{arg} >> {8 * k} & 255" if k else f"{arg} & 255" for k in range(last)]
+            # every mask lies below 1 << natoms, so the last byte needs no & 255
+            picks.append(f"{arg} >> {8 * last}" if last else arg)
+            expr = " | ".join(f"{row}[{pick}]" for row, pick in zip(rows, picks))
+        if after:
+            expr = f"({expr}){after}"
+        return self._assign(expr, of.array, of.varying)
+
+    def visit(self, t: Term) -> _Ref:
+        """The value of t, emitting its steps once.
+
+        Index ranges are checked, and constants and operators looked up,
+        here: an ill-formed term raises while it is emitted.
+        """
+        if isinstance(t, SwapMacro):
+            t = expand_swap(t)
+        if isinstance(t, Var):
+            return self._var(t.k)
+        if isinstance(t, Zero):
+            return _Ref("0", False, False)
+        if isinstance(t, One):
+            return _Ref(self._full, False, False)
+        if isinstance(t, Diag):
+            return _Ref(self._bind(self.structure.diag_mask(t.i, t.j), "d"), False, False)
+        ref = self._seen.get(t)
+        if ref is None:
+            ref = self._seen[t] = self._compound(t)
+        return ref
+
+    def _compound(self, t: Term) -> _Ref:
+        structure, full = self.structure, self._full
+        if isinstance(t, (Meet, Join)):
+            left, right = self.visit(t.left), self.visit(t.right)
+            op = "&" if isinstance(t, Meet) else "|"
+            return self._assign(
+                f"{left.expr} {op} {right.expr}",
+                left.array or right.array,
+                left.varying or right.varying,
+            )
+        if not isinstance(t, (Complement, Cyl, DualCyl, SubstRepl, SubstTransp)):
+            raise TypeError(f"unknown term node {t!r}")
+        arg = self.visit(t.arg)
+        if isinstance(t, Complement):
+            return self._assign(f"{arg.expr} ^ {full}", arg.array, arg.varying)
+        if isinstance(t, Cyl):
+            return self._apply(structure.cyl_op(t.i), arg.expr, arg)
+        if isinstance(t, DualCyl):
+            return self._apply(structure.cyl_op(t.i), f"{arg.expr} ^ {full}", arg, f" ^ {full}")
+        if isinstance(t, SubstRepl):
+            dmask = self._bind(structure.diag_mask(t.i, t.j), "d")
+            if t.i == t.j:
+                return arg
+            return self._apply(structure.cyl_op(t.i), f"{arg.expr} & {dmask}", arg)
+        structure._check_index(t.i)
+        structure._check_index(t.j)
+        return arg if t.i == t.j else self._apply(structure.transp_op(t.i, t.j), arg.expr, arg)
+
+    def source(self, sides: Sequence[Term]) -> str:
+        """`_program(env)` returning the sides' values (one value for one
+        side); with a loop variable, `_program(env, outer_masks)` runs the
+        steps that do not read it once and yields the values per mask."""
+        values = ", ".join([self.visit(t).expr for t in sides])
+        looped = self.outer is not None
+        head = "def _program(env, outer_masks):" if looped else "def _program(env):"
+        lines = [head, *("    " + line for line in self.fixed)]
+        if looped:
+            lines.append("    for x0 in outer_masks:")
+            lines += ["        " + line for line in self.varying]
+            lines.append(f"        yield {values}")
+        else:
+            lines.append(f"    return {values}")
+        return "\n".join(lines) + "\n"
 
 
-def _eval_masks(structure: CaAtomStructure, t: Term, env: Mapping[int, Mask]) -> Mask:
-    """Denotation of t where each variable maps to a mask (see `_lower`)."""
-    return _lower(structure, t)(env)
+def _compile(
+    structure: CaAtomStructure,
+    sides: Sequence[Term],
+    arrays: tuple[object, ...] = (),
+    outer: object | None = None,
+) -> Callable[..., object]:
+    """Compile the terms, once, into one program over the structure (see
+    `_Emitter.source`); identical subterms are evaluated once."""
+    emitter = _Emitter(structure, arrays, outer)
+    source = emitter.source(sides)
+    exec(compile(source, "<cylkit term program>", "exec"), emitter.namespace)
+    return emitter.namespace["_program"]  # type: ignore[return-value]
+
+
+def _eval_masks(structure: CaAtomStructure, t: Term, env: Mapping[object, Mask]) -> Mask:
+    """Denotation of t where each variable maps to a mask: an int, or a
+    uint32 array of masks, one per assignment."""
+    arrays = tuple(k for k, v in env.items() if isinstance(v, np.ndarray))
+    return _compile(structure, (t,), arrays)(env)  # type: ignore[no-any-return]
 
 
 def eval_term(structure: CaAtomStructure, t: Term, env: Mapping[int, Element]) -> Element:
     """Denotation of t under env in the complex algebra of the structure.
 
-    The lowered term is kept on the term node for the last structure it
-    was evaluated in, outside its dataclass fields.
+    t is compiled once, and the program kept on the term node, outside its
+    dataclass fields, for the structure it was compiled for; evaluating t
+    in another structure compiles it again.
     """
     masks = {}
     for k, x in env.items():
@@ -227,69 +338,9 @@ def eval_term(structure: CaAtomStructure, t: Term, env: Mapping[int, Element]) -
         masks[k] = x.mask
     memo = t.__dict__.get("_lowered")
     if memo is None or memo[0] is not structure:
-        memo = structure, _lower(structure, t)
+        memo = structure, _compile(structure, (t,))
         object.__setattr__(t, "_lowered", memo)
     return Element(structure, memo[1](masks))
-
-
-# One step of a compiled program: (slot, lowered node, variables).  The node
-# is one operation whose compound children are read from Var(slot) of
-# earlier steps.
-_Step = tuple[int, Lowered, frozenset[int]]
-
-
-def _compile(
-    structure: CaAtomStructure, sides: Sequence[Term], vs: Sequence[int]
-) -> tuple[list[_Step], list[Lowered]]:
-    """Compile terms into one lowered post-order program with shared subterms.
-
-    Every compound subterm, identical ones once, becomes a step that stores
-    its mask in a slot variable numbered above every variable in `vs`.
-    Returns the steps and, per side, the lowered term that reads its value:
-    a slot variable, or the side itself when it is a leaf.
-    """
-    base = max(vs, default=-1) + 1
-    seen: dict[Term, tuple[Term, frozenset[int]]] = {}
-    steps: list[_Step] = []
-    refs = [_visit(structure, t, base, seen, steps)[0] for t in sides]
-    return steps, [_lower(structure, ref) for ref in refs]
-
-
-def _visit(
-    structure: CaAtomStructure,
-    t: Term,
-    base: int,
-    seen: dict[Term, tuple[Term, frozenset[int]]],
-    steps: list[_Step],
-) -> tuple[Term, frozenset[int]]:
-    """The term that reads t's value after the steps, and t's variables."""
-    if isinstance(t, SwapMacro):
-        t = expand_swap(t)
-    if isinstance(t, Var):
-        return t, frozenset({t.k})
-    if isinstance(t, (Zero, One, Diag)):
-        return t, frozenset()
-    if t in seen:
-        return seen[t]
-    if isinstance(t, (Meet, Join)):
-        left, lvars = _visit(structure, t.left, base, seen, steps)
-        right, rvars = _visit(structure, t.right, base, seen, steps)
-        node, tvars = replace(t, left=left, right=right), lvars | rvars
-    elif isinstance(t, (Complement, Cyl, DualCyl, SubstRepl, SubstTransp)):
-        arg, tvars = _visit(structure, t.arg, base, seen, steps)
-        node = replace(t, arg=arg)
-    else:
-        raise TypeError(f"unknown term node {t!r}")
-    slot = base + len(steps)
-    steps.append((slot, _lower(structure, node), tvars))
-    seen[t] = Var(slot), tvars
-    return seen[t]
-
-
-def _run(steps: Sequence[_Step], env: dict[int, Mask]) -> None:
-    """Evaluate the steps in order, storing each mask in env under its slot."""
-    for slot, fn, _ in steps:
-        env[slot] = fn(env)
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +433,12 @@ def check_equation(
     else:
         raise TypeError(f"unknown mode {mode!r}")
 
-    steps, (lref, rref) = _compile(structure, (lhs, rhs), vs)
+    program = _compile(structure, (lhs, rhs))
     count = 0
     for masks in assignments:
         count += 1
-        env = dict(masks)
-        _run(steps, env)
-        if _violates(relation, lref(env), rref(env)):
+        lv, rv = program(masks)
+        if _violates(relation, lv, rv):
             return EquationReport(
                 False, _counterexample(structure, masks), count, label, relation
             )
@@ -411,34 +461,29 @@ def _check_exhaustive(
     relation: str,
     vs: list[int],
 ) -> EquationReport:
-    n = structure.natoms
-    total = 1 << n
-    steps, (lref, rref) = _compile(structure, (lhs, rhs), vs)
+    total = 1 << structure.natoms
     if not vs:
-        env: dict[int, Mask] = {}
-        _run(steps, env)
-        bad = _violates(relation, lref(env), rref(env))
+        lv, rv = _compile(structure, (lhs, rhs))({})
+        bad = _violates(relation, lv, rv)
         return EquationReport(not bad, () if bad else None, 1, "exhaustive", relation)
 
     # The last variable sweeps all its masks at once, as one array.  With two
-    # variables the first runs over its masks one at a time, and the steps
-    # that do not read it are evaluated once, before that loop.
-    all_masks = np.arange(total, dtype=np.uint32)
-    full = np.uint32(structure.full_mask)
-    outer = vs[0] if len(vs) == 2 else None
-    fixed: dict[int, Mask] = {vs[-1]: all_masks}
-    _run([s for s in steps if outer not in s[2]], fixed)
-    varying = [s for s in steps if outer in s[2]]
-    for xmask in range(total if outer is not None else 1):
-        env = fixed if outer is None else {**fixed, outer: xmask}
-        _run(varying, env)
-        lv = np.broadcast_to(np.asarray(lref(env), dtype=np.uint32), (total,))
-        rv = np.broadcast_to(np.asarray(rref(env), dtype=np.uint32), (total,))
-        viol = (lv != rv) if relation == "eq" else (lv & ~rv & full) != 0
+    # variables the first is the program's loop variable: the steps that do
+    # not read it run once, before the loop.
+    env = {vs[-1]: np.arange(total, dtype=np.uint32)}
+    if len(vs) == 1:
+        sweeps = [_compile(structure, (lhs, rhs), arrays=(vs[0],))(env)]
+    else:
+        program = _compile(structure, (lhs, rhs), arrays=(vs[1],), outer=vs[0])
+        sweeps = program(env, range(total))
+    for xmask, (lv, rv) in enumerate(sweeps):
+        # at least one side reads the array, and numpy broadcasts the other;
+        # every mask lies in the full mask, so lv <= rv iff lv | rv == rv
+        viol = lv != rv if relation == "eq" else lv | rv != rv
         if viol.any():
             found = {vs[-1]: int(viol.argmax())}
-            if outer is not None:
-                found[outer] = xmask
+            if len(vs) == 2:
+                found[vs[0]] = xmask
             return EquationReport(
                 False,
                 _counterexample(structure, found),

@@ -10,11 +10,15 @@ evaluator `_eval_vec`, the Element-level `eval_term` and `check_equation`,
 `equivalence_defects`.
 """
 
+import builtins
 import copy
 import dataclasses
 import functools
+import io
 import pickle
 import random
+import re
+import tokenize
 
 import numpy as np
 import pytest
@@ -48,6 +52,7 @@ from cylkit.bao import (
 )
 from cylkit.constructions import SplitPolicy, johnson_extend, split_atom
 from cylkit.games import drop_cyl_pair
+from cylkit import terms as terms_module
 from cylkit.neat import nr
 from cylkit.terms import (
     Complement,
@@ -60,8 +65,10 @@ from cylkit.terms import (
     SubstRepl,
     SubstTransp,
     SwapMacro,
+    Term,
     Var,
     Zero,
+    _Emitter,
     _eval_masks,
     _product_indices,
     _violates,
@@ -733,6 +740,224 @@ def test_check_equation_matches_the_seed_on_criterion_1_fixtures(name):
             failures += not got.holds
     if name.startswith("violator"):
         assert failures
+
+
+# ---------------------------------------------------------------------------
+# term programs: every operator form, the source text, compile counts
+
+
+# name: (structure, byte rows per operator; 0 for the bit loop above 32 atoms)
+FORMS = {
+    "cs3": (lambda: full_set_algebra(3, 2), 1),
+    "fs42": (lambda: full_set_algebra(4, 2), 2),
+    "cube": (three_cube, 4),
+    "monk_atoms(3,3)": (lambda: monk_atoms(3, 3), 0),
+}
+
+
+def _source(structure, sides, arrays=(), outer=None):
+    return _Emitter(structure, arrays, outer).source(sides)
+
+
+@functools.cache
+def _form(name):
+    make, rows = FORMS[name]
+    return make(), rows
+
+
+def _form_sides(s):
+    """C1-C7 (+PEA) sides, plus every node kind in dimension 3 with
+    transpositions, or the spare witnesses in dimension 4."""
+    sides = _battery(s)
+    if s.dim == 4:
+        sides += _sides("fs42", s)
+    elif s.transp is not None:
+        sides.append(_every_kind())
+    return sides
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_programs_pick_the_operator_form_when_emitted(name):
+    s, rows = _form(name)
+    scalar = _source(s, (Cyl(0, Var(0)),))
+    want = {
+        0: r"a\d+\(x0\)",
+        1: r"r\d+\[x0\]",
+        2: r"r\d+\[x0 & 255\] \| r\d+\[x0 >> 8\]",
+        4: r"r\d+\[x0 & 255\] \| r\d+\[x0 >> 8 & 255\] \| r\d+\[x0 >> 16 & 255\] "
+        r"\| r\d+\[x0 >> 24\]",
+    }[rows]
+    assert re.search(rf"\n    t0 = {want}\n", scalar), scalar
+    vector = _source(s, (Cyl(0, Var(0)),), arrays=(0,))
+    assert re.search(r"\n    t0 = v\d+\(x0\)\n", vector), vector
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_programs_match_the_seed_evaluators_in_every_operator_form(name):
+    s, rows = _form(name)
+    n = s.natoms
+    rng = random.Random(n)
+    pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(12)]
+    masks = [[rng.getrandbits(n) for _ in range(64)] for _ in range(2)]
+    for t in _form_sides(s):
+        for x, y in pairs:
+            env = {0: Element(s, x), 1: Element(s, y)}
+            want = seed_eval_term(s, t, env)
+            assert eval_term(s, t, env) == want, t
+            assert _eval_masks(s, t, {0: x, 1: y}) == want.mask, t
+        if rows:  # arrays need byte rows
+            xs, ys = (np.array(m, dtype=np.uint32) for m in masks)
+            for env in ({0: pairs[0][0], 1: ys}, {0: xs, 1: ys}):
+                got = _as_array(_eval_masks(s, t, env), 64)
+                assert np.array_equal(got, _as_array(seed_eval_vec(s, t, env), 64)), t
+
+
+@pytest.mark.parametrize("name", ["cube", "monk_atoms(3,3)"])
+def test_check_equation_matches_the_seed_in_every_operator_form(name):
+    s, _ = _form(name)
+    eqs = list(ca_axioms(s.dim))
+    if s.transp is not None:
+        eqs += pea_axioms(s.dim)
+    cases = [(e.lhs, e.rhs, e.relation) for e in eqs] + [(e.rhs, e.lhs, "leq") for e in eqs]
+    failures = 0
+    for mode in (AtomsMode(), Sample(seed=3, count=25)):
+        for lhs, rhs, relation in cases:
+            got = check_equation(s, lhs, rhs, mode, relation)
+            assert got == seed_check_equation(s, lhs, rhs, mode, relation), (lhs, rhs, mode)
+            failures += not got.holds
+    assert failures  # the reversed inequalities fail, so counterexamples are compared
+
+
+# Pasted into the source as `env[{k}]`, this key would run its call.
+_PAYLOAD = "0] if __import__('builtins').__setattr__('cylkit_injected', 1) else env[0"
+
+
+class _Loud(int):
+    """An int whose text is the payload, wherever it is printed."""
+
+    def __repr__(self):
+        return _PAYLOAD
+
+    __str__ = __repr__
+
+    def __format__(self, spec):
+        return _PAYLOAD
+
+
+def _loud(t):
+    """t with every index and variable key a `_Loud` of the same value."""
+    if isinstance(t, (Zero, One)):
+        return t
+    fields = {
+        f.name: _loud(v) if isinstance(v, Term) else _Loud(v)
+        for f in dataclasses.fields(t)
+        for v in [getattr(t, f.name)]
+    }
+    return type(t)(**fields)
+
+
+_ALLOWED_NAMES = {
+    "def", "try", "except", "raise", "from", "None", "for", "in", "yield", "return",
+    "ValueError", "KeyError", "_program", "env", "outer_masks",
+}  # fmt: skip
+
+
+def _assert_generated_only(source):
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            assert tok.string in _ALLOWED_NAMES or re.fullmatch(r"[a-z]\d+", tok.string), tok
+        elif tok.type == tokenize.NUMBER:
+            assert tok.string == "255" or int(tok.string) % 8 == 0, tok
+        else:
+            assert tok.type not in (tokenize.STRING, tokenize.COMMENT), tok
+
+
+def test_term_fields_never_reach_the_source():
+    s = full_set_algebra(3, 2)
+    x, y = Var(_PAYLOAD), Var(1)
+    loud = [_loud(t) for t in _form_sides(s)]
+    for t in _form_sides(s) + loud + [Meet(x, Cyl(2, y)), Var("0]; import os")]:
+        for arrays, outer in (((), None), ((1,), None), ((1,), 0)):
+            _assert_generated_only(_source(s, (t, Complement(t)), arrays, outer))
+    # the loud terms evaluate as their plain twins do
+    rng = random.Random(0)
+    for plain, t in zip(_form_sides(s), loud):
+        env = {0: Element(s, rng.getrandbits(8)), 1: Element(s, rng.getrandbits(8))}
+        assert eval_term(s, t, env) == seed_eval_term(s, plain, env), plain
+    for k in ("0]; import os", _PAYLOAD):
+        with pytest.raises(ValueError) as exc:
+            eval_term(s, Meet(Var(k), One()), {0: Element(s, 1)})
+        assert str(exc.value) == f"unbound variable {k}"
+        assert check_equation(s, Var(k), Cyl(0, Var(k)), AtomsMode(), "leq").holds
+    eq = ca_axioms(3)[2]
+    assert check_equation(s, _loud(eq.lhs), _loud(eq.rhs)) == check_equation(s, eq.lhs, eq.rhs)
+    assert not hasattr(builtins, "cylkit_injected")
+
+
+@pytest.mark.parametrize(
+    "t, text",
+    [
+        (Cyl("0", Var(0)), "'<=' not supported between instances of 'int' and 'str'"),
+        (Cyl(1.0, Var(0)), "tuple indices must be integers or slices, not float"),
+        (Diag("a", 0), "'<=' not supported between instances of 'int' and 'str'"),
+    ],
+)
+def test_ill_typed_fields_raise_the_same_type_error(t, text):
+    s = full_set_algebra(3, 2)
+    calls = [
+        lambda: eval_term(s, t, {0: Element(s, 3)}),
+        lambda: _eval_masks(s, t, {0: np.arange(4, dtype=np.uint32)}),
+    ]
+    calls += [lambda m=m: check_equation(s, t, Var(0), m) for m in (Exhaustive(), AtomsMode())]
+    for call in calls:
+        with pytest.raises(TypeError) as exc:
+            call()
+        assert str(exc.value) == text
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The (structure, sides) of every term program compiled."""
+    calls = []
+    compile_program = terms_module._compile
+
+    def counted(structure, sides, *args, **kwargs):
+        calls.append((structure, tuple(sides)))
+        return compile_program(structure, sides, *args, **kwargs)
+
+    monkeypatch.setattr(terms_module, "_compile", counted)
+    return calls
+
+
+def test_eval_term_compiles_once_per_term_and_structure(compiles):
+    a, b = full_set_algebra(3, 2), three_cube()
+    t, twin = _every_kind(), _every_kind()
+    rng = random.Random(2)
+    for s in (a, b):
+        for term in (t, twin):
+            for _ in range(3):
+                env = {0: Element(s, rng.getrandbits(s.natoms)), 1: Element(s, 0)}
+                assert eval_term(s, term, env) == seed_eval_term(s, term, env)
+    # one compile per (node, structure): equal nodes keep their own programs
+    assert [(s, sides[0] is t) for s, sides in compiles] == [(a, True), (a, False), (b, True), (b, False)]
+
+
+@pytest.mark.parametrize(
+    "mode", [Exhaustive(), AtomsMode(), Sample(seed=1, count=0), Sample(seed=1, count=300)]
+)
+def test_check_equation_compiles_once_per_call(compiles, mode):
+    s = full_set_algebra(3, 2)
+    x, y = Var(0), Var(1)
+    cases = [
+        (Cyl(0, Zero()), Zero(), "eq"),  # no variable
+        (x, Cyl(0, x), "leq"),  # one
+        (Cyl(0, Meet(x, Cyl(0, y))), Meet(Cyl(0, x), Cyl(0, y)), "eq"),  # two, holds
+        (Cyl(0, Meet(x, y)), Meet(Cyl(0, x), Cyl(0, y)), "eq"),  # two, fails
+    ]
+    for k, (lhs, rhs, relation) in enumerate(cases, 1):
+        check_equation(s, lhs, rhs, mode, relation)
+        assert len(compiles) == k
+        assert compiles[-1] == (s, (lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
