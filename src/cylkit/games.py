@@ -46,6 +46,7 @@ import ast
 import functools
 import itertools
 import json
+import math
 import operator
 import os
 from collections.abc import Callable, Iterator, Mapping, Sequence
@@ -104,8 +105,29 @@ def _tuple_index(positions: Sequence[int], s: int) -> int:
     return idx
 
 
-def _position_tuples(s: int, arity: int) -> list[tuple[int, ...]]:
-    return list(itertools.product(range(s), repeat=arity))
+@functools.lru_cache(maxsize=None)
+def _position_tuples(s: int, arity: int) -> tuple[tuple[int, ...], ...]:
+    """The ``arity``-tuples over positions 0..s-1 in slot order (row-major,
+    lexicographic), built once per (s, arity) and shared by every caller."""
+    return tuple(itertools.product(range(s), repeat=arity))
+
+
+@functools.lru_cache(maxsize=1024)
+def _renaming(s: int, arity: int, inv: tuple[int, ...]) -> tuple[int, ...]:
+    """Per slot of a labelling renamed by ``inv`` (new position -> old
+    position, a permutation of 0..s-1), the slot of the original labelling
+    it reads: renamed labels are ``map(labels.__getitem__, table)``.
+
+    The key space is s! per (s, arity), so the cache is bounded: 1024
+    tables hold every renaming of up to 6 nodes at one arity (873), and
+    larger node sets (up to dim + MAX_ROUNDS in the fresh game, each table
+    s**arity slots long) evict the oldest tables instead of keeping one
+    per permutation met.
+    """
+    weights = [s**e for e in range(arity - 1, -1, -1)]
+    return tuple(
+        map(sum, itertools.product(*([inv[q] * w for q in range(s)] for w in weights)))
+    )
 
 
 @dataclass(frozen=True)
@@ -129,27 +151,30 @@ class Network:
     _map_error: ClassVar[str]
 
     def __post_init__(self) -> None:
-        if not self.nodes:
+        nodes = self.nodes
+        if not nodes:
             raise ValueError("a network needs at least one node")
-        if list(self.nodes) != sorted(set(self.nodes)):
+        if not all(map(operator.lt, nodes, nodes[1:])):
             raise ValueError("nodes must be strictly increasing")
-        if self.nodes[0] < 0:
+        if nodes[0] < 0:
             raise ValueError("nodes must be naturals")
-        s = len(self.nodes)
-        if len(self.labels) != s ** self._arity(self.structure):
+        if len(self.labels) != len(nodes) ** self._arity(self.structure):
             raise ValueError(self._cover_error)
         if min(self.labels) < 0 or max(self.labels) >= self.structure.natoms:
             raise ValueError("label out of range")
-        object.__setattr__(
-            self, "_pos", {v: p for p, v in enumerate(self.nodes)}
-        )
 
     @property
     def arity(self) -> int:
         return self._arity(self.structure)
 
+    @functools.cached_property
+    def _pos(self) -> dict[int, int]:
+        # built on the first lookup: most networks (enumerated completions)
+        # are only canonicalized and bucketed by slot, never looked up
+        return {v: p for p, v in enumerate(self.nodes)}
+
     def label(self, tup: Sequence[int]) -> int:
-        pos = self._pos  # type: ignore[attr-defined]
+        pos = self._pos
         return self.labels[_tuple_index([pos[v] for v in tup], len(self.nodes))]
 
     def tuples(self) -> Iterator[tuple[int, ...]]:
@@ -726,16 +751,29 @@ def _retained_task(
     """
     nodes = net.nodes
     new_nodes = nodes if k in nodes else tuple(sorted(nodes + (k,)))
-    s_new = len(new_nodes)
     pos = {v: p for p, v in enumerate(new_nodes)}
-    shift = [pos[v] for v in nodes]
-    kp = pos[k]
-    fixed: dict[int, int] = {}
-    for t, a in zip(_position_tuples(len(nodes), net.arity), net.labels):
+    shift = tuple(pos[v] for v in nodes)
+    labels = net.labels
+    fixed = {
+        new: labels[old]
+        for old, new in _retained_slots(len(new_nodes), net.arity, shift, pos[k])
+    }
+    return new_nodes, pos, fixed
+
+
+@functools.lru_cache(maxsize=None)
+def _retained_slots(
+    s_new: int, arity: int, shift: tuple[int, ...], kp: int
+) -> tuple[tuple[int, int], ...]:
+    """(old slot, new slot) of every tuple of a labelling whose positions,
+    moved by ``shift`` (old position -> new position among ``s_new``),
+    avoid position ``kp``, in old slot order."""
+    out = []
+    for old, t in enumerate(_position_tuples(len(shift), arity)):
         u = [shift[p] for p in t]
         if kp not in u:
-            fixed[_tuple_index(u, s_new)] = a
-    return new_nodes, pos, fixed
+            out.append((old, _tuple_index(u, s_new)))
+    return tuple(out)
 
 
 def _response_task(
@@ -766,37 +804,56 @@ def _response_task(
 # canonicalization
 
 
+@functools.lru_cache(maxsize=None)
+def _incidence(
+    s: int, arity: int
+) -> tuple[tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...], ...]:
+    """Per position p of ``s``, every tuple containing it in slot order,
+    with its slot and the places at which p occurs: colour refinement's
+    incidence lists, built once per (s, arity)."""
+    return tuple(
+        tuple(
+            (t, idx, tuple(i for i, q in enumerate(t) if q == p))
+            for idx, t in enumerate(_position_tuples(s, arity))
+            if p in t
+        )
+        for p in range(s)
+    )
+
+
 def _canon_encoding(
     nodes: tuple[int, ...], labels: tuple[int, ...], arity: int
 ) -> tuple[str, dict[int, int]]:
     """Deterministic renaming of the nodes to 0..s-1 plus the resulting
     label string.  Colour refinement orders the nodes; remaining ties are
-    resolved by minimizing the encoding when the tie group is small, else
-    by stable order.  Equal encodings imply isomorphic networks either way.
+    resolved by minimizing the encoding over the tie group's renamings
+    when their count is at most ``_CANON_TIE_CAP``, else by stable order.
+    Equal encodings imply isomorphic networks either way.  Refinement reads
+    the cached incidence lists of ``_incidence`` and every candidate
+    encoding reads the labels through a cached ``_renaming`` table.
     """
     s = len(nodes)
-    tuples = _position_tuples(s, arity)
     if s == 1:
         return f"1:{','.join(map(str, labels))}", {nodes[0]: 0}
 
+    incidence = _incidence(s, arity)
     colour = [0] * s
     for _ in range(s):
-        sigs = []
-        for p in range(s):
-            sig = []
-            for idx, t in enumerate(tuples):
-                if p in t:
-                    sig.append(
-                        (
-                            tuple(colour[q] for q in t),
-                            tuple(i for i, q in enumerate(t) if q == p),
-                            labels[idx],
-                        )
+        get = colour.__getitem__
+        sigs = [
+            (
+                colour[p],
+                tuple(
+                    sorted(
+                        (tuple(map(get, t)), places, labels[idx])
+                        for t, idx, places in incidence[p]
                     )
-            sig.sort()
-            sigs.append((colour[p], tuple(sig)))
-        ranked = sorted(set(sigs))
-        new_colour = [ranked.index(sigs[p]) for p in range(s)]
+                ),
+            )
+            for p in range(s)
+        ]
+        rank = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
+        new_colour = [rank[sig] for sig in sigs]
         if new_colour == colour:
             break
         colour = new_colour
@@ -809,49 +866,24 @@ def _canon_encoding(
         else:
             groups.append([p])
 
-    def encode_for(sigma_pos: Sequence[int]) -> tuple[int, ...]:
-        # sigma_pos[old position] = new position
-        inv = [0] * s
-        for old, new in enumerate(sigma_pos):
-            inv[new] = old
-        enc = []
-        for t in tuples:
-            old_t = tuple(inv[q] for q in t)
-            enc.append(labels[_tuple_index(old_t, s)])
-        return tuple(enc)
+    def encode_for(inv: tuple[int, ...]) -> tuple[int, ...]:
+        # inv[new position] = old position
+        return tuple(map(labels.__getitem__, _renaming(s, arity, inv)))
 
-    tie_size = 1
-    for g in groups:
-        for f in range(2, len(g) + 1):
-            tie_size *= f
-    base_sigma = [0] * s
-    for new, old in enumerate(order):
-        base_sigma[old] = new
-    if tie_size == 1 or tie_size > _CANON_TIE_CAP:
-        best_sigma = base_sigma
-        best_enc = encode_for(base_sigma)
-    else:
-        best_sigma = None
-        best_enc = None
-        offsets = []
-        at = 0
-        for g in groups:
-            offsets.append((at, g))
-            at += len(g)
-        for perms in itertools.product(
-            *(itertools.permutations(g) for g in groups)
-        ):
-            sigma = [0] * s
-            for (start, _g), perm in zip(offsets, perms):
-                for off, old in enumerate(perm):
-                    sigma[old] = start + off
-            enc = encode_for(sigma)
-            if best_enc is None or enc < best_enc:
-                best_enc = enc
-                best_sigma = sigma
-        assert best_sigma is not None and best_enc is not None
+    best_inv = tuple(order)
+    best_enc = encode_for(best_inv)
+    if 1 < math.prod(math.factorial(len(g)) for g in groups) <= _CANON_TIE_CAP:
+        # every order of every tie group; the first is ``order`` itself
+        for perms in itertools.product(*map(itertools.permutations, groups)):
+            inv = tuple(itertools.chain.from_iterable(perms))
+            enc = encode_for(inv)
+            if enc < best_enc:
+                best_enc, best_inv = enc, inv
 
-    pi = {nodes[p]: best_sigma[p] for p in range(s)}
+    sigma = [0] * s
+    for new, old in enumerate(best_inv):
+        sigma[old] = new
+    pi = dict(zip(nodes, sigma))
     return f"{s}:{','.join(map(str, best_enc))}", pi
 
 
@@ -895,12 +927,10 @@ def _encode_response(net: Network, response: Network, pi: Mapping[int, int]) -> 
         if v not in ext:
             ext[v] = len(ext)
     s_new = len(response.nodes)
-    order = sorted(response.nodes, key=lambda v: ext[v])
-    pos = {v: p for p, v in enumerate(response.nodes)}
-    enc = []
-    for t in itertools.product(order, repeat=response.arity):
-        enc.append(response.labels[_tuple_index([pos[v] for v in t], s_new)])
-    return f"{s_new}:{','.join(map(str, enc))}"
+    # canonical position -> real position of the response's nodes
+    inv = sorted(range(s_new), key=lambda p: ext[response.nodes[p]])
+    table = _renaming(s_new, response.arity, tuple(inv))
+    return f"{s_new}:{','.join(map(str, map(response.labels.__getitem__, table)))}"
 
 
 def _decode_response(
@@ -912,15 +942,12 @@ def _decode_response(
     ext = dict(pi)
     if s_new == len(ext) + 1:
         ext[_least_fresh(net.nodes)] = len(ext)
-    if len(ext) != s_new:
+    if len(ext) != s_new or len(labels) != s_new**net.arity:
         raise ValueError("response encoding does not fit the position")
-    order = sorted(ext, key=lambda v: ext[v])
-    real_nodes = tuple(sorted(order))
-    pos_real = {v: p for p, v in enumerate(real_nodes)}
-    new_labels = [0] * (s_new ** net.arity)
-    for abstract_t, a in zip(itertools.product(order, repeat=net.arity), labels):
-        new_labels[_tuple_index([pos_real[v] for v in abstract_t], s_new)] = a
-    return type(net)(net.structure, real_nodes, tuple(new_labels))
+    real_nodes = tuple(sorted(ext))
+    # real position -> canonical position
+    table = _renaming(s_new, net.arity, tuple(ext[v] for v in real_nodes))
+    return type(net)(net.structure, real_nodes, tuple(map(labels.__getitem__, table)))
 
 
 # ---------------------------------------------------------------------------

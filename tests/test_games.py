@@ -8,10 +8,13 @@ import dataclasses
 import io
 import itertools
 import json
+import math
+import random
 import re
 from collections.abc import Iterator, Mapping
 
 import pytest
+import seed_games
 
 from cylkit import games
 from cylkit.bao import BudgetExceededError, CaAtomStructure, _pair_rank, column_pairs
@@ -146,14 +149,31 @@ def test_ca_network_construction_rules():
     good = semantic_network(CS3, {0: 0, 1: 1})
     with pytest.raises(ValueError, match="at least one node"):
         CaNetwork(CS3, (), ())
+    for nodes in ((1, 0), (1, 1)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            CaNetwork(CS3, nodes, good.labels)
     with pytest.raises(ValueError, match="strictly increasing"):
-        CaNetwork(CS3, (1, 0), good.labels)
+        CaNetwork(CS3, (0, 2, 1), good.labels)
     with pytest.raises(ValueError, match="naturals"):
         CaNetwork(CS3, (-1, 0), good.labels)
     with pytest.raises(ValueError, match="cover every node tuple"):
         CaNetwork(CS3, (0, 1), good.labels[:-1])
-    with pytest.raises(ValueError, match="label out of range"):
-        CaNetwork(CS3, (0, 1), (CS3.natoms,) + good.labels[1:])
+    for bad in (CS3.natoms, -1):
+        with pytest.raises(ValueError, match="label out of range"):
+            CaNetwork(CS3, (0, 1), (bad,) + good.labels[1:])
+    # a copy made by dataclasses.replace is checked like any network
+    with pytest.raises(ValueError, match="strictly increasing"):
+        dataclasses.replace(good, nodes=(1, 0))
+
+
+def test_label_reads_the_node_positions_of_its_own_network():
+    net = semantic_network(CS3, {0: 0, 1: 1})
+    assert net.label((0, 1, 1)) != net.label((1, 0, 0))
+    moved = dataclasses.replace(net, nodes=(3, 5))
+    for t in net.tuples():
+        assert moved.label(tuple((3, 5)[v] for v in t)) == net.label(t)
+    with pytest.raises(KeyError):
+        moved.label((0, 1, 1))
 
 
 def test_ca_network_accessors_and_from_map():
@@ -1321,9 +1341,18 @@ def _strategy_entries(solver, strategy, rounds):
 
 
 def _corrupted_strategies(solver, strategy, entries):
-    """(strategy with one entry corrupted, the error verification must
-    raise): an invalid network, a valid one that rewrites a retained label,
+    """(strategy with one entry corrupted, the error type and text
+    verification must raise): an encoding with one label too many or too
+    few, an invalid network, a valid one that rewrites a retained label,
     and another demand's valid answer, which misses the demanded label."""
+    # a label too many, and one too few where the dropped label is atom 0,
+    # which a decoder padding with atom 0 would restore
+    misfit = (ValueError, "response encoding does not fit the position")
+    key = entries[0][3]
+    yield {**strategy, key: strategy[key] + ",0"}, *misfit
+    key = next(key for *_, key in entries if strategy[key].endswith(",0"))
+    yield {**strategy, key: strategy[key][: -len(",0")]}, *misfit
+
     # the last entry's answer with the first label change that breaks it
     net, pi, _, key = entries[-1]
     response = games._decode_response(net, strategy[key], pi)
@@ -1336,7 +1365,7 @@ def _corrupted_strategies(solver, strategy, entries):
         if not report.passed:
             break
     text = f"strategy response is invalid: {report.violations[0]}"
-    yield {**strategy, key: games._encode_response(net, bad, pi)}, text
+    yield {**strategy, key: games._encode_response(net, bad, pi)}, RuntimeError, text
 
     counter = _Counter(10**12, "")
     for net, pi, move, key in entries:
@@ -1352,7 +1381,7 @@ def _corrupted_strategies(solver, strategy, entries):
         ]
         if rewritten:
             enc = games._encode_response(net, rewritten[0], pi)
-            yield {**strategy, key: enc}, "response rewrites a retained label"
+            yield {**strategy, key: enc}, RuntimeError, "response rewrites a retained label"
             break
     else:
         raise AssertionError("no entry has a valid answer rewriting a retained label")
@@ -1368,7 +1397,7 @@ def _corrupted_strategies(solver, strategy, entries):
     key1, key2 = entries[i - 1][3], entries[i][3]
     plural = "s" if len(slots[i]) > 1 else ""
     text = f"response does not deliver the demanded label{plural}"
-    yield {**strategy, key2: strategy[key1]}, text
+    yield {**strategy, key2: strategy[key1]}, RuntimeError, text
 
 
 @pytest.mark.parametrize(
@@ -1401,8 +1430,8 @@ def test_verification_validates_each_network_once_and_checks_every_entry(
     games._verify_exists(solver, res.strategy, 0, spec.rounds)
     # the opening, then each distinct decoded network once
     assert len(validated) == 1 + len(decoded)
-    for broken, text in _corrupted_strategies(solver, res.strategy, entries):
-        with pytest.raises(RuntimeError) as info:
+    for broken, error, text in _corrupted_strategies(solver, res.strategy, entries):
+        with pytest.raises(error) as info:
             games._verify_exists(solver, broken, 0, spec.rounds)
         assert str(info.value) == text
 
@@ -1481,6 +1510,86 @@ def test_slot_table_matches_tuple_index():
         ((0, 6), (1, 0), (2, 3)),
         ((0, 4), (1, 2), (2, 1)),
     )
+
+
+# ---------------------------------------------------------------------------
+# canonical form and strategy coding against the earlier code (seed_games)
+
+_SEEDED = ("_canon_encoding", "_retained_task", "_encode_response", "_decode_response")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GameSpec(VARIANT_FRESH, CS3, r) for r in range(3)]
+    + [GameSpec(VARIANT_REUSE, CS3, r, pebbles=4) for r in range(3)]
+    + [GameSpec(VARIANT_TRIANGLE, BIN312, 2, pebbles=3)],
+    ids=[f"fresh-cs3-r{r}" for r in range(3)]
+    + [f"reuse-cs3-r{r}" for r in range(3)]
+    + ["bin_forb(3,1,2)"],
+)
+def test_cached_renamings_match_the_earlier_code_on_every_solver_call(
+    spec, monkeypatch
+):
+    # every call a pinned solve makes (search, extraction, verification)
+    # is answered by both implementations, which must agree exactly
+    calls = dict.fromkeys(_SEEDED, 0)
+    for name in _SEEDED:
+
+        def both(
+            *args, name=name, new=getattr(games, name), old=getattr(seed_games, name)
+        ):
+            got = new(*args)
+            assert got == old(*args)
+            calls[name] += 1
+            return got
+
+        monkeypatch.setattr(games, name, both)
+    res = solve(spec, 0)
+    assert res.winner == EXISTS
+    assert calls["_canon_encoding"] > 0
+    assert all(calls.values()) == (spec.rounds > 0)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_cached_renamings_match_the_earlier_code_on_random_labellings(arity):
+    structure, network_type = (BIN312, RaNetwork) if arity == 2 else (CS3, CaNetwork)
+    rng = random.Random(arity)
+    for s in range(1, 6):
+        for _ in range(12):
+            nodes = tuple(sorted(rng.sample(range(8), s)))
+            natoms = rng.randint(1, 3)  # few atoms: large tie groups
+            labels = tuple(rng.randrange(natoms) for _ in range(s**arity))
+            got = games._canon_encoding(nodes, labels, arity)
+            assert got == seed_games._canon_encoding(nodes, labels, arity)
+            net = network_type(structure, nodes, labels)
+            pi = got[1]
+            for k in nodes + (games._least_fresh(nodes),):
+                task = games._retained_task(net, k)
+                assert task == seed_games._retained_task(net, k)
+                new_nodes = task[0]
+                response = network_type(
+                    structure,
+                    new_nodes,
+                    tuple(rng.randrange(natoms) for _ in range(len(new_nodes) ** arity)),
+                )
+                enc = games._encode_response(net, response, pi)
+                assert enc == seed_games._encode_response(net, response, pi)
+                decoded = games._decode_response(net, enc, pi)
+                assert decoded == seed_games._decode_response(net, enc, pi) == response
+
+
+@pytest.mark.parametrize("s", [5, 7])
+def test_cached_renamings_match_the_earlier_code_on_a_cycle(s):
+    # the distance labelling of an s-cycle: refinement leaves all s nodes
+    # in one colour class.  The 5! renamings of a 5-cycle are searched and
+    # the least encoding is not the stable order; the 7! of a 7-cycle
+    # exceed the cap, so those nodes keep their stable order
+    labels = tuple(min((q - p) % s, (p - q) % s) for p in range(s) for q in range(s))
+    nodes = (0, 2, 3, 5, 8, 9, 11)[:s]
+    got = games._canon_encoding(nodes, labels, 2)
+    assert got == seed_games._canon_encoding(nodes, labels, 2)
+    stable = (f"{s}:{','.join(map(str, labels))}", {v: p for p, v in enumerate(nodes)})
+    assert (got == stable) == (math.factorial(s) > games._CANON_TIE_CAP)
 
 
 # ---------------------------------------------------------------------------
