@@ -16,7 +16,9 @@ same primitive for every atom-wise image map: the quotient maps of `neat`,
 the copy map of atom splitting in `constructions`, and converse and
 composition in `ra`.  An operator applies to one
 mask (`apply`) or to a uint32 array of masks (`apply_vec`); on structures
-of at most 32 atoms both read byte-sliced lookup tables built on first use.
+of at most 32 atoms both read lookup tables built on first use, one per
+chunk of at most 16 bits of the mask: one table, and one read per
+application, up to 16 atoms, two up to 32 (see `AdditiveOperator`).
 (a, b) pairs appear only as input to `CaAtomStructure.build` and in JSON
 output.  Everything else is immutable after construction; operations are
 pure and freely shareable across tasks.
@@ -106,11 +108,12 @@ def _label_search(
             masks[at] = candidates(at)
 
 
-# Above this many atoms an operator keeps to the bit loop: byte-sliced
-# tables hold ceil(n/8) * 256 masks of n bits, about 53 MB per operator at
-# the 3,545 atoms of monk_atoms(4, 4), and apply_vec needs masks that fit
-# a uint32.
+# Above this many atoms an operator keeps to the bit loop: its tables would
+# hold 2 * 2^16 masks of n bits at 32 atoms (512 KiB) and grow with n above
+# that, and apply_vec needs masks that fit a uint32.
 _TABLE_ATOMS = 32
+# The widest chunk of a mask one table covers: 2^16 uint32 entries, 256 KiB.
+_CHUNK_BITS = 16
 
 
 class AdditiveOperator:
@@ -118,25 +121,32 @@ class AdditiveOperator:
 
     `cols[b]` is the mask of {a : (a, b) in R} for one relation R, so this
     is the complete additive operator of R.  On at most 32 atoms in and out
-    `apply` and `apply_vec` read one 256-entry table per byte of the mask
-    (the "Four Russians" chunking of Arlazarov et al., 1970), built on first
-    use; otherwise `apply` runs over the set bits and `apply_vec` raises.
+    `apply` and `apply_vec` read lookup tables, built on first use: the n
+    input bits are cut into the fewest chunks of at most 16 bits, all of
+    equal width (one n-bit chunk up to 16 atoms, two of ceil(n/2) bits
+    up to 32), and one table per chunk holds the image of every value of
+    that chunk (the "Four Russians" scheme of Arlazarov et al., 1970).  So
+    an application is one table read up to 16 atoms and two above, and the
+    tables of one operator take at most 256 KiB up to 16 atoms and 512 KiB
+    at 32.  Otherwise `apply` runs over the set bits and `apply_vec` raises.
     """
 
     def __init__(self, cols: tuple[int, ...]) -> None:
         self.cols = cols
         self._tabled = len(cols) <= _TABLE_ATOMS and not max(cols, default=0) >> _TABLE_ATOMS
+        self._chunks = -(-len(cols) // _CHUNK_BITS) or 1
+        self._width = -(-len(cols) // self._chunks)
 
     @cached_property
     def _tables(self) -> np.ndarray:
-        """Row k, entry m: the image of the mask m << 8k."""
+        """Row k, entry m: the image of the mask m << (k * _width)."""
         if not self._tabled:
             raise ValueError(f"lookup tables need at most {_TABLE_ATOMS} atoms in and out")
-        cols = self.cols + (0,) * (-len(self.cols) % 8)
-        tables = np.zeros((len(cols) // 8, 256), dtype=np.uint32)
-        for b, col in enumerate(cols):
-            row, half = tables[b // 8], 1 << (b % 8)
-            # the bytes whose top bit is b: the bytes below it, joined with col
+        w = self._width
+        tables = np.zeros((self._chunks, 1 << w), dtype=np.uint32)
+        for b, col in enumerate(self.cols):
+            row, half = tables[b // w], 1 << (b % w)
+            # the chunk values whose top bit is b: the values below it, joined with col
             row[half : 2 * half] = row[:half] | np.uint32(col)
         return tables
 
@@ -147,12 +157,13 @@ class AdditiveOperator:
 
     def apply(self, mask: int) -> int:
         """Image of one mask."""
-        out = 0
         if self._tabled:
-            for row in self._rows:
-                out |= row[mask & 0xFF]
-                mask >>= 8
-            return out
+            rows = self._rows
+            if len(rows) == 1:
+                return rows[0][mask]
+            w = self._width
+            return rows[0][mask & (1 << w) - 1] | rows[1][mask >> w]
+        out = 0
         cols = self.cols
         while mask:
             low = mask & -mask
@@ -161,13 +172,12 @@ class AdditiveOperator:
         return out
 
     def apply_vec(self, masks: np.ndarray) -> np.ndarray:
-        """Images of a uint32 array of masks, one gather per byte."""
+        """Images of a uint32 array of masks, one gather per chunk."""
         tables = self._tables
-        # the uint8 cast keeps the low byte; a uint8 index gathers fastest
-        out = tables[0].take(masks.astype(np.uint8))
-        for k in range(1, len(tables)):
-            out |= tables[k].take((masks >> (8 * k)).astype(np.uint8))
-        return out
+        if len(tables) == 1:
+            return tables[0].take(masks)
+        w = self._width
+        return tables[0].take(masks & np.uint32((1 << w) - 1)) | tables[1].take(masks >> w)
 
     def after(self, inner: "AdditiveOperator") -> tuple[int, ...]:
         """Column masks of the relational composite self after inner.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field, replace
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from typing import Callable, Iterator, Sequence, Union
 
 from .bao import AdditiveOperator, CaAtomStructure, Element, Pair, class_columns
@@ -327,21 +327,22 @@ def _slot_pairs(m: int) -> list[Pair]:
 
 
 def validate_matrix(bin_ra: RaAtomStructure, values: Sequence[int]) -> bool:
-    """Triangle condition for a symmetric matrix given by upper-triangle values."""
+    """Triangle condition for a symmetric matrix given by upper-triangle values.
+
+    The m x m entry table, the identity atom on its diagonal, is built once;
+    then each (x, y) tests the triples (xy, yz, xz) over every z against the
+    forbidden set in one pass.
+    """
     m = _matrix_side(len(values))
-    slots = {p: v for p, v in zip(_slot_pairs(m), values)}
     (id_atom,) = bin_ra.identity
-
-    def entry(x: int, y: int) -> int:
-        if x == y:
-            return id_atom
-        return slots[(min(x, y), max(x, y))]
-
-    for x in range(m):
-        for y in range(m):
-            for z in range(m):
-                if not bin_ra.consistent(entry(x, y), entry(y, z), entry(x, z)):
-                    return False
+    rows = [[id_atom] * m for _ in range(m)]
+    for (x, y), v in zip(_slot_pairs(m), values):
+        rows[x][y] = rows[y][x] = v
+    forbidden = bin_ra.forbidden
+    for row_x in rows:
+        for xy, row_y in zip(row_x, rows):
+            if not forbidden.isdisjoint(zip(repeat(xy), row_y, row_x)):
+                return False
     return True
 
 

@@ -1163,35 +1163,46 @@ class _Solver:
         return 1 + sub_best
 
 
+# The walks below are module functions that take the solver and their
+# state as arguments: a nested walk that called itself would form a
+# reference cycle through its closure, keeping the solver's memo and every
+# completion alive after `solve` returns, until the cyclic collector ran.
+
+
 def _extract_exists(solver: _Solver, opening: Network, rounds: int) -> dict[str, str]:
     strategy: dict[str, str] = {}
     enc0, _pi0 = solver.canon(opening)
     strategy["open"] = enc0
-    visited: set[tuple[str, int]] = set()
-
-    def walk(net: Network, r: int) -> None:
-        if r == 0:
-            return
-        enc, pi = solver.canon(net)
-        if (enc, r) in visited:
-            return
-        visited.add((enc, r))
-        for move, responses in solver.successors(net):
-            key = _strategy_key(enc, pi, r, move)
-            chosen = None
-            for response in responses:
-                if solver.value(response, r - 1) == r - 1:
-                    chosen = response
-                    break
-            if chosen is None:
-                raise RuntimeError(
-                    "strategy extraction found a demand with no surviving response"
-                )
-            strategy[key] = _encode_response(net, chosen, pi)
-            walk(chosen, r - 1)
-
-    walk(opening, rounds)
+    _extract_exists_walk(solver, strategy, set(), opening, rounds)
     return strategy
+
+
+def _extract_exists_walk(
+    solver: _Solver,
+    strategy: dict[str, str],
+    visited: set[tuple[str, int]],
+    net: Network,
+    r: int,
+) -> None:
+    if r == 0:
+        return
+    enc, pi = solver.canon(net)
+    if (enc, r) in visited:
+        return
+    visited.add((enc, r))
+    for move, responses in solver.successors(net):
+        key = _strategy_key(enc, pi, r, move)
+        chosen = None
+        for response in responses:
+            if solver.value(response, r - 1) == r - 1:
+                chosen = response
+                break
+        if chosen is None:
+            raise RuntimeError(
+                "strategy extraction found a demand with no surviving response"
+            )
+        strategy[key] = _encode_response(net, chosen, pi)
+        _extract_exists_walk(solver, strategy, visited, chosen, r - 1)
 
 
 def _extract_forall(
@@ -1201,33 +1212,38 @@ def _extract_forall(
     reach from this opening.  Keys are canonical, so openings can share
     positions; an already-recorded demand is reused rather than
     overwritten, keeping the merged strategy self-consistent."""
-    visited: set[tuple[str, int]] = set()
+    _extract_forall_walk(solver, strategy, set(), opening, rounds)
 
-    def walk(net: Network, r: int) -> None:
-        enc, pi = solver.canon(net)
-        if (enc, r) in visited:
-            return
-        visited.add((enc, r))
-        val = solver.value(net, r)
-        if val >= r:
-            raise RuntimeError("challenger extraction reached a surviving position")
-        key = _strategy_key(enc, pi, r)
-        recorded = strategy.get(key)
-        if recorded is not None:
-            move = _unrename_move(solver.move_type.decode(recorded), pi)
-            for response in solver.responses(net, move):
-                walk(response, r - 1)
-            return
-        for move, responses in solver.successors(net):
-            sub_best = max((solver.value(m, r - 1) for m in responses), default=-1)
-            if 1 + sub_best == val:
-                strategy[key] = _rename_move(move, pi).encode()
-                for response in responses:
-                    walk(response, r - 1)
-                return
-        raise RuntimeError("challenger extraction found no move achieving the value")
 
-    walk(opening, rounds)
+def _extract_forall_walk(
+    solver: _Solver,
+    strategy: dict[str, str],
+    visited: set[tuple[str, int]],
+    net: Network,
+    r: int,
+) -> None:
+    enc, pi = solver.canon(net)
+    if (enc, r) in visited:
+        return
+    visited.add((enc, r))
+    val = solver.value(net, r)
+    if val >= r:
+        raise RuntimeError("challenger extraction reached a surviving position")
+    key = _strategy_key(enc, pi, r)
+    recorded = strategy.get(key)
+    if recorded is not None:
+        move = _unrename_move(solver.move_type.decode(recorded), pi)
+        for response in solver.responses(net, move):
+            _extract_forall_walk(solver, strategy, visited, response, r - 1)
+        return
+    for move, responses in solver.successors(net):
+        sub_best = max((solver.value(m, r - 1) for m in responses), default=-1)
+        if 1 + sub_best == val:
+            strategy[key] = _rename_move(move, pi).encode()
+            for response in responses:
+                _extract_forall_walk(solver, strategy, visited, response, r - 1)
+            return
+    raise RuntimeError("challenger extraction found no move achieving the value")
 
 
 def _verify_exists(
@@ -1246,35 +1262,40 @@ def _verify_exists(
         raise RuntimeError(f"strategy opening is invalid: {report.violations[0]}")
     if initial_atom not in opening.labels:
         raise RuntimeError("strategy opening does not witness the demanded atom")
-    visited: set[tuple[str, int]] = set()
     # many entries decode to one network: validate each distinct one once
-    reports: dict[tuple[tuple[int, ...], tuple[int, ...]], NetworkReport] = {}
+    _verify_exists_walk(solver, strategy, set(), {}, opening, rounds)
 
-    def walk(net: Network, r: int) -> None:
-        if r == 0:
-            return
-        enc, pi = solver.canon(net)
-        if (enc, r) in visited:
-            return
-        visited.add((enc, r))
-        for move, _responses in solver.successors(net):
-            key = _strategy_key(enc, pi, r, move)
-            resp_enc = strategy.get(key)
-            if resp_enc is None:
-                raise RuntimeError(f"responder strategy has no answer at {key}")
-            response = _decode_response(net, resp_enc, pi)
-            report = reports.get((response.nodes, response.labels))
-            if report is None:
-                report = validate_network(response)
-                reports[response.nodes, response.labels] = report
-            if not report.passed:
-                raise RuntimeError(
-                    f"strategy response is invalid: {report.violations[0]}"
-                )
-            _check_response_matches(net, move, response)
-            walk(response, r - 1)
 
-    walk(opening, rounds)
+def _verify_exists_walk(
+    solver: _Solver,
+    strategy: Mapping[str, str],
+    visited: set[tuple[str, int]],
+    reports: dict[tuple[tuple[int, ...], tuple[int, ...]], NetworkReport],
+    net: Network,
+    r: int,
+) -> None:
+    if r == 0:
+        return
+    enc, pi = solver.canon(net)
+    if (enc, r) in visited:
+        return
+    visited.add((enc, r))
+    for move, _responses in solver.successors(net):
+        key = _strategy_key(enc, pi, r, move)
+        resp_enc = strategy.get(key)
+        if resp_enc is None:
+            raise RuntimeError(f"responder strategy has no answer at {key}")
+        response = _decode_response(net, resp_enc, pi)
+        report = reports.get((response.nodes, response.labels))
+        if report is None:
+            report = validate_network(response)
+            reports[response.nodes, response.labels] = report
+        if not report.passed:
+            raise RuntimeError(
+                f"strategy response is invalid: {report.violations[0]}"
+            )
+        _check_response_matches(net, move, response)
+        _verify_exists_walk(solver, strategy, visited, reports, response, r - 1)
 
 
 def _check_response_matches(net: Network, move: Move, response: Network) -> None:
@@ -1296,28 +1317,33 @@ def _verify_forall(
     rounds: int,
 ) -> None:
     for opening in openings:
-        visited: set[tuple[str, int]] = set()
+        _verify_forall_walk(solver, strategy, set(), opening, rounds)
 
-        def walk(net: Network, r: int) -> None:
-            enc, pi = solver.canon(net)
-            if (enc, r) in visited:
-                return
-            visited.add((enc, r))
-            key = _strategy_key(enc, pi, r)
-            move_enc = strategy.get(key)
-            if move_enc is None:
-                raise RuntimeError(f"challenger strategy has no demand at {key}")
-            move = _unrename_move(solver.move_type.decode(move_enc), pi)
-            _check_move_legal(solver.spec, net, move)
-            responses = solver.responses(net, move)
-            if responses and r == 1:
-                raise RuntimeError(
-                    "responder still alive when the round bound was reached"
-                )
-            for response in responses:
-                walk(response, r - 1)
 
-        walk(opening, rounds)
+def _verify_forall_walk(
+    solver: _Solver,
+    strategy: Mapping[str, str],
+    visited: set[tuple[str, int]],
+    net: Network,
+    r: int,
+) -> None:
+    enc, pi = solver.canon(net)
+    if (enc, r) in visited:
+        return
+    visited.add((enc, r))
+    key = _strategy_key(enc, pi, r)
+    move_enc = strategy.get(key)
+    if move_enc is None:
+        raise RuntimeError(f"challenger strategy has no demand at {key}")
+    move = _unrename_move(solver.move_type.decode(move_enc), pi)
+    _check_move_legal(solver.spec, net, move)
+    responses = solver.responses(net, move)
+    if responses and r == 1:
+        raise RuntimeError(
+            "responder still alive when the round bound was reached"
+        )
+    for response in responses:
+        _verify_forall_walk(solver, strategy, visited, response, r - 1)
 
 
 def _check_move_legal(spec: GameSpec, net: Network, move: Move) -> None:

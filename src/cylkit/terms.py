@@ -6,11 +6,13 @@ generated function.  `_compile` emits straight-line Python source in which
 each compound subterm, identical ones once, is one assignment, and compiles
 it once.  Index ranges are checked, constant masks and the structure's
 `AdditiveOperator`s looked up, and each operator application given its form
-while the source is emitted: the operator's byte rows indexed inline on an
-int mask, `apply` above 32 atoms, `apply_vec` on a uint32 array of masks.
-Term fields, masks and operators are bound in the function's namespace, so
-the source holds only generated names.  `eval_term` is the Element-level
-entry point and keeps the program for the last structure on the term node.
+while the source is emitted: on an int mask, the operator's lookup tables
+indexed inline (one table read up to 16 atoms, two up to 32), `apply`
+above 32 atoms; `apply_vec` on a uint32 array of masks.  Term fields,
+masks and operators are bound in the function's namespace, so the source
+holds only generated names.  `eval_term` is the Element-level entry point:
+its program reads the Elements' masks itself, and it keeps the program for
+the last structure on the term node.
 
 The equation checker compiles both sides into one program per check and
 decides equations and inequalities in three modes: exhaustive (all element
@@ -160,23 +162,30 @@ class _Emitter:
     structure.
 
     Every compound subterm, identical ones once, becomes one assignment.  A
-    variable is read from the environment where evaluation first needs it;
-    `arrays` names the variables bound to uint32 arrays of masks and `outer`
-    is the loop variable's key, if there is one.  The form of each operator application
-    is chosen here: `apply_vec` on an array, the operator's byte rows
-    indexed inline on an int (one row per 8 atoms, up to 32), `apply` above
-    that.  Everything the terms and the structure hold (variable keys,
-    masks, byte rows, operators, error texts) is bound in `namespace` under
-    a generated name, so the source holds only generated names, the literals
-    0, 8k and 255, and Python operators.
+    variable is read from the environment where evaluation first needs it,
+    as a mask or, with `elements`, as the mask of an Element; `arrays` names
+    the variables bound to uint32 arrays of masks and `outer` is the loop
+    variable's key, if there is one.  The form of each operator application
+    is chosen here: `apply_vec` on an array; on an int, the operator's
+    table rows indexed inline, one row up to 16 atoms and two of w bits
+    each up to 32 (`r0[x & 2^w - 1] | r1[x >> w]`); `apply` above that.
+    Everything the terms and the structure hold (variable keys, masks, table
+    rows, operators, error texts) is bound in `namespace` under a generated
+    name, so the source holds only generated names, the literals 0, w and
+    2^w - 1, and Python operators.
     """
 
     def __init__(
-        self, structure: CaAtomStructure, arrays: tuple[object, ...], outer: object | None
+        self,
+        structure: CaAtomStructure,
+        arrays: tuple[object, ...],
+        outer: object | None,
+        elements: bool = False,
     ) -> None:
         self.structure = structure
         self.arrays = arrays
         self.outer = outer
+        self._read = ".mask" if elements else ""
         self.namespace: dict[str, object] = {}
         self._bound: dict[int, str] = {}
         self._seen: dict[Term, _Ref] = {}
@@ -211,7 +220,7 @@ class _Emitter:
         key, text = self._bind(k, "k"), self._bind(f"unbound variable {k}", "u")
         self.fixed += [
             "try:",
-            f"    {ref.expr} = env[{key}]",
+            f"    {ref.expr} = env[{key}]{self._read}",
             "except KeyError:",
             f"    raise ValueError({text}) from None",
         ]
@@ -226,13 +235,14 @@ class _Emitter:
             expr = f"{self._bind(op.apply, 'a')}({arg})"
         else:
             rows = [self._bind(row, "r") for row in op._rows]
-            if len(rows) > 1 and not arg.isidentifier():
-                arg = self._assign(arg, False, of.varying).expr
-            last = len(rows) - 1
-            picks = [f"{arg} >> {8 * k} & 255" if k else f"{arg} & 255" for k in range(last)]
-            # every mask lies below 1 << natoms, so the last byte needs no & 255
-            picks.append(f"{arg} >> {8 * last}" if last else arg)
-            expr = " | ".join(f"{row}[{pick}]" for row, pick in zip(rows, picks))
+            if len(rows) == 1:
+                expr = f"{rows[0]}[{arg}]"
+            else:
+                if not arg.isidentifier():
+                    arg = self._assign(arg, False, of.varying).expr
+                w = op._width
+                # every mask lies below 1 << natoms, so the high chunk needs no mask
+                expr = f"{rows[0]}[{arg} & {(1 << w) - 1}] | {rows[1]}[{arg} >> {w}]"
         if after:
             expr = f"({expr}){after}"
         return self._assign(expr, of.array, of.varying)
@@ -308,10 +318,13 @@ def _compile(
     sides: Sequence[Term],
     arrays: tuple[object, ...] = (),
     outer: object | None = None,
+    elements: bool = False,
 ) -> Callable[..., object]:
     """Compile the terms, once, into one program over the structure (see
-    `_Emitter.source`); identical subterms are evaluated once."""
-    emitter = _Emitter(structure, arrays, outer)
+    `_Emitter.source`); identical subterms are evaluated once.  With
+    `elements`, the environment maps variables to Elements, whose masks
+    the program reads."""
+    emitter = _Emitter(structure, arrays, outer, elements)
     source = emitter.source(sides)
     exec(compile(source, "<cylkit term program>", "exec"), emitter.namespace)
     return emitter.namespace["_program"]  # type: ignore[return-value]
@@ -329,18 +342,18 @@ def eval_term(structure: CaAtomStructure, t: Term, env: Mapping[int, Element]) -
 
     t is compiled once, and the program kept on the term node, outside its
     dataclass fields, for the structure it was compiled for; evaluating t
-    in another structure compiles it again.
+    in another structure compiles it again.  The program reads the masks
+    of the Elements in env itself; every Element in env, read or not, must
+    belong to the structure.
     """
-    masks = {}
-    for k, x in env.items():
+    for x in env.values():
         if not (x.structure is structure or x.structure == structure):
             raise ValueError("environment element belongs to a different structure")
-        masks[k] = x.mask
     memo = t.__dict__.get("_lowered")
     if memo is None or memo[0] is not structure:
-        memo = structure, _compile(structure, (t,))
+        memo = structure, _compile(structure, (t,), elements=True)
         object.__setattr__(t, "_lowered", memo)
-    return Element(structure, memo[1](masks))
+    return Element(structure, memo[1](env))
 
 
 # ---------------------------------------------------------------------------

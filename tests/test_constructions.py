@@ -30,6 +30,8 @@ from cylkit import (
     validate_matrix,
 )
 from cylkit.constructions import (
+    _matrix_side,
+    _slot_pairs,
     monk_atom_listing,
     monk_label,
     parse_monk_label,
@@ -315,6 +317,43 @@ def test_enumerate_matches_validate_filter():
     assert len(mats) == 1469
     assert mats[0] == (0, 0, 0, 0, 0, 0)
     assert mats[-1] == (4, 4, 4, 2, 2, 0)
+
+
+def seed_validate_matrix(bin_ra, values):
+    """The earlier `validate_matrix`, kept as an oracle: one `entry` call
+    per matrix entry of every triple."""
+    m = _matrix_side(len(values))
+    slots = {p: v for p, v in zip(_slot_pairs(m), values)}
+    (id_atom,) = bin_ra.identity
+
+    def entry(x, y):
+        if x == y:
+            return id_atom
+        return slots[(min(x, y), max(x, y))]
+
+    for x in range(m):
+        for y in range(m):
+            for z in range(m):
+                if not bin_ra.consistent(entry(x, y), entry(y, z), entry(x, z)):
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_validate_matrix_matches_the_seed_loop(m):
+    # every valid matrix, and each of its single-slot corruptions
+    b = bin_forb(3, 1, 2)
+    verdicts = {True: 0, False: 0}
+    for values in enumerate_matrices(m, b):
+        assert validate_matrix(b, values) and seed_validate_matrix(b, values)
+        for k, v in enumerate(values):
+            for atom in range(b.natoms):
+                if atom != v:
+                    bad = values[:k] + (atom,) + values[k + 1 :]
+                    got = validate_matrix(b, bad)
+                    assert got == seed_validate_matrix(b, bad), bad
+                    verdicts[got] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_enumerate_matrices_needs_one_self_converse_identity():

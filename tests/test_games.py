@@ -5,6 +5,7 @@ transcripts, and replay."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import io
 import itertools
 import json
@@ -1724,3 +1725,27 @@ def test_network_to_dot_renders_nodes_and_edges():
     )
     ra_dot = network_to_dot(ra_net)
     assert "a^0(0,0)" in ra_dot and "// full labelling:" not in ra_dot
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GameSpec(VARIANT_FRESH, CS3, 2),
+        GameSpec(VARIANT_FRESH, games.drop_cyl_pair(CS3, 0, 0, 4), 2),
+        GameSpec(VARIANT_TRIANGLE, BIN312, 2, pebbles=3),
+    ],
+    ids=["fresh-cs3", "fresh-drop04", "triangle-bin312"],
+)
+def test_solve_leaves_no_garbage_for_the_cyclic_collector(spec):
+    # responder wins on cs3 and the triangle game, challenger on the damaged
+    # cs3: no reference cycle keeps the solver alive past its return
+    want = solve(spec, 0)  # fills the module caches
+    gc.collect()
+    gc.disable()
+    try:
+        got = solve(spec, 0)
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert freed == 0
+    assert got.to_dict() == want.to_dict()

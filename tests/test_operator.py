@@ -504,17 +504,22 @@ def _random_structure(n: int, seed: int, dim: int = 2) -> CaAtomStructure:
     )
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 31, 32, 33, 40])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 12, 15, 16, 17, 24, 27, 31, 32, 33, 40])
 def test_operator_on_every_chunk_boundary(n):
-    # tables up to 32 atoms, the last chunk partly filled; the bit loop above
+    # one table of 2^n entries up to 16 atoms, on every mask; two of
+    # ceil(n/2) bits up to 32, the high one partly filled at odd n, and the
+    # bit loop above, on seeded masks
     s = _random_structure(n, n)
     rng = random.Random(n)
-    masks = [0, s.full_mask] + [rng.getrandbits(n) for _ in range(200)]
-    for i in range(s.dim):
-        op, cols = s.cyl_op(i), s.cyl_image_masks(i)
+    if n <= 16:
+        masks = list(range(1 << n))
+    else:
+        masks = [0, s.full_mask] + [rng.getrandbits(n) for _ in range(2000)]
+    for op, cols in _operators(s):
         assert [op.apply(m) for m in masks] == [seed_bit_loop(cols, m) for m in masks]
         if n <= 32:
             arr = np.array(masks, dtype=np.uint32)
+            assert op.apply_vec(arr).tolist() == [seed_bit_loop(cols, m) for m in masks]
             assert np.array_equal(op.apply_vec(arr), seed_apply_tables(cols, arr, n))
         else:
             with pytest.raises(ValueError):
@@ -550,8 +555,18 @@ def test_tables_are_built_on_first_use():
     op = s.cyl_op(0)
     assert "_tables" not in vars(op)
     op.apply(5)
-    assert len(vars(op)["_tables"]) == 1  # 8 atoms: one byte, one table
+    assert vars(op)["_tables"].shape == (1, 256)  # 8 atoms: one table of 2^8 images
     assert s.cyl_op(0) is op
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 15, 16, 17, 18, 24, 27, 31, 32])
+def test_table_shapes(n):
+    # one table of 2^n entries up to 16 atoms, two of 2^ceil(n/2) up to 32
+    op = _random_structure(n, n).cyl_op(0)
+    want = (1, 1 << n) if n <= 16 else (2, 1 << -(-n // 2))
+    assert op._tables.shape == want
+    assert op._tables.dtype == np.uint32
+    assert op._tables.nbytes <= (256 if n <= 16 else 512) * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +722,29 @@ def test_unbound_variable_raises_value_error_after_a_bound_call():
         _eval_masks(s, t, {0: 1})
 
 
+def test_eval_term_checks_every_element_read_or_not():
+    s, other = full_set_algebra(3, 2), three_cube()
+    t = Cyl(0, Var(0))
+    env = {0: Element(s, 5)}
+    assert eval_term(s, t, env) == seed_eval_term(s, t, env)
+    # variable 1 is not read by t, and its element is still checked
+    with pytest.raises(ValueError, match="^environment element belongs to a different structure$"):
+        eval_term(s, t, {0: Element(s, 5), 1: Element(other, 1)})
+    with pytest.raises(ValueError, match="^environment element belongs to a different structure$"):
+        eval_term(s, t, {0: Element(other, 5)})
+
+
+def test_eval_term_raises_on_a_missing_variable():
+    s = full_set_algebra(3, 2)
+    t = Meet(Var(0), Cyl(1, Var(2)))
+    for env in ({}, {0: Element(s, 3)}, {2: Element(s, 3)}, {1: Element(s, 3)}):
+        with pytest.raises(ValueError, match="^unbound variable [02]$") as exc:
+            eval_term(s, t, env)
+        assert not isinstance(exc.value, KeyError)
+    env = {0: Element(s, 3), 2: Element(s, 6)}
+    assert eval_term(s, t, env) == seed_eval_term(s, t, env)
+
+
 # ---------------------------------------------------------------------------
 # check_equation
 
@@ -746,17 +784,17 @@ def test_check_equation_matches_the_seed_on_criterion_1_fixtures(name):
 # term programs: every operator form, the source text, compile counts
 
 
-# name: (structure, byte rows per operator; 0 for the bit loop above 32 atoms)
+# name: (structure, table rows per operator; 0 for the bit loop above 32 atoms)
 FORMS = {
     "cs3": (lambda: full_set_algebra(3, 2), 1),
-    "fs42": (lambda: full_set_algebra(4, 2), 2),
-    "cube": (three_cube, 4),
+    "fs42": (lambda: full_set_algebra(4, 2), 1),
+    "cube": (three_cube, 2),
     "monk_atoms(3,3)": (lambda: monk_atoms(3, 3), 0),
 }
 
 
-def _source(structure, sides, arrays=(), outer=None):
-    return _Emitter(structure, arrays, outer).source(sides)
+def _source(structure, sides, arrays=(), outer=None, elements=False):
+    return _Emitter(structure, arrays, outer, elements).source(sides)
 
 
 @functools.cache
@@ -783,9 +821,7 @@ def test_programs_pick_the_operator_form_when_emitted(name):
     want = {
         0: r"a\d+\(x0\)",
         1: r"r\d+\[x0\]",
-        2: r"r\d+\[x0 & 255\] \| r\d+\[x0 >> 8\]",
-        4: r"r\d+\[x0 & 255\] \| r\d+\[x0 >> 8 & 255\] \| r\d+\[x0 >> 16 & 255\] "
-        r"\| r\d+\[x0 >> 24\]",
+        2: r"r\d+\[x0 & 16383\] \| r\d+\[x0 >> 14\]",  # 27 atoms: two 14-bit chunks
     }[rows]
     assert re.search(rf"\n    t0 = {want}\n", scalar), scalar
     vector = _source(s, (Cyl(0, Var(0)),), arrays=(0,))
@@ -805,7 +841,7 @@ def test_programs_match_the_seed_evaluators_in_every_operator_form(name):
             want = seed_eval_term(s, t, env)
             assert eval_term(s, t, env) == want, t
             assert _eval_masks(s, t, {0: x, 1: y}) == want.mask, t
-        if rows:  # arrays need byte rows
+        if rows:  # arrays need tables
             xs, ys = (np.array(m, dtype=np.uint32) for m in masks)
             for env in ({0: pairs[0][0], 1: ys}, {0: xs, 1: ys}):
                 got = _as_array(_eval_masks(s, t, env), 64)
@@ -858,8 +894,11 @@ def _loud(t):
 
 _ALLOWED_NAMES = {
     "def", "try", "except", "raise", "from", "None", "for", "in", "yield", "return",
-    "ValueError", "KeyError", "_program", "env", "outer_masks",
+    "ValueError", "KeyError", "_program", "env", "outer_masks", "mask",
 }  # fmt: skip
+# the literals a program may hold: 0, and a chunk width w of a two-table
+# operator (9 to 16 bits) with its low mask 2^w - 1
+_ALLOWED_NUMBERS = {0} | {w for w in range(9, 17)} | {(1 << w) - 1 for w in range(9, 17)}
 
 
 def _assert_generated_only(source):
@@ -867,7 +906,7 @@ def _assert_generated_only(source):
         if tok.type == tokenize.NAME:
             assert tok.string in _ALLOWED_NAMES or re.fullmatch(r"[a-z]\d+", tok.string), tok
         elif tok.type == tokenize.NUMBER:
-            assert tok.string == "255" or int(tok.string) % 8 == 0, tok
+            assert int(tok.string) in _ALLOWED_NUMBERS, tok
         else:
             assert tok.type not in (tokenize.STRING, tokenize.COMMENT), tok
 
@@ -875,10 +914,14 @@ def _assert_generated_only(source):
 def test_term_fields_never_reach_the_source():
     s = full_set_algebra(3, 2)
     x, y = Var(_PAYLOAD), Var(1)
+    # cs3 has one table per operator, the cube two
+    for structure in (s, _form("cube")[0]):
+        loud = [_loud(t) for t in _form_sides(structure)]
+        for t in _form_sides(structure) + loud + [Meet(x, Cyl(2, y)), Var("0]; import os")]:
+            for arrays, outer in (((), None), ((1,), None), ((1,), 0)):
+                _assert_generated_only(_source(structure, (t, Complement(t)), arrays, outer))
+            _assert_generated_only(_source(structure, (t,), elements=True))
     loud = [_loud(t) for t in _form_sides(s)]
-    for t in _form_sides(s) + loud + [Meet(x, Cyl(2, y)), Var("0]; import os")]:
-        for arrays, outer in (((), None), ((1,), None), ((1,), 0)):
-            _assert_generated_only(_source(s, (t, Complement(t)), arrays, outer))
     # the loud terms evaluate as their plain twins do
     rng = random.Random(0)
     for plain, t in zip(_form_sides(s), loud):
