@@ -599,13 +599,6 @@ CRITERIA: tuple[tuple[int, Callable[[], CriterionResult]], ...] = (
 )
 
 
-def run_criterion(number: int) -> CriterionResult:
-    for num, fn in CRITERIA:
-        if num == number:
-            return fn()
-    raise ValueError(f"no criterion {number}")
-
-
 def run_all() -> tuple[CriterionResult, ...]:
     return tuple(fn() for _, fn in CRITERIA)
 

@@ -151,9 +151,20 @@ class AdditiveOperator:
         return tables
 
     @cached_property
+    def _chunk_tables(self) -> tuple[np.ndarray, ...]:
+        """The rows of `_tables`, the last cut to the values of its real
+        bits.  At odd atom counts from 17 to 31 the two chunks cover one
+        bit more than the atoms; a mask with that bit then reads past the
+        end of the cut row and raises IndexError, as every bit above the
+        atoms does."""
+        tables = self._tables
+        last = len(self.cols) - (len(tables) - 1) * self._width
+        return (*tables[:-1], tables[-1][: 1 << last])
+
+    @cached_property
     def _rows(self) -> tuple[memoryview, ...]:
         # the rows as memoryviews, whose items read back as Python ints
-        return tuple(memoryview(row) for row in self._tables)
+        return tuple(memoryview(row) for row in self._chunk_tables)
 
     def apply(self, mask: int) -> int:
         """Image of one mask."""
@@ -173,7 +184,7 @@ class AdditiveOperator:
 
     def apply_vec(self, masks: np.ndarray) -> np.ndarray:
         """Images of a uint32 array of masks, one gather per chunk."""
-        tables = self._tables
+        tables = self._chunk_tables
         if len(tables) == 1:
             return tables[0].take(masks)
         w = self._width

@@ -1100,13 +1100,7 @@ class _Solver:
             st = net.structure
             for x in net.nodes:
                 for y in net.nodes:
-                    lab = net.label((x, y))
-                    pairs = tuple(
-                        (a, b)
-                        for a in range(st.natoms)
-                        for b in range(st.natoms)
-                        if st.consistent(lab, a, b)
-                    )
+                    pairs = st._consistent_pairs[net.label((x, y))]
                     if not pairs:
                         continue
                     for z in _k_choices(self.spec, net, {x, y}):

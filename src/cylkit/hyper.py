@@ -6,6 +6,13 @@ and substitution coherence.  A set of them closed under witnessing,
 cylindrifier responses, amalgamation, and node maps induces a
 cylindric-style structure whose atoms are the hypernetworks themselves.
 
+`enumerate_hypernetworks` works over structures that satisfy the identity
+law and refuses the others.  Its pair labellings are the networks of
+`ra._network_labellings`, the one relation-algebra network search; its
+symbol classes are read off the classes of identity-linked nodes.
+`validate_hypernetwork` stays an independent check of all three
+coherence conditions.
+
 `is_hyperbasis` reads the networks through an index it builds once per
 call and drops on return.  Networks of one shape list their tuples in one
 order, so every label has a fixed position.  For each excluded node set S
@@ -24,7 +31,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .bao import BudgetExceededError, CaAtomStructure, class_columns
-from .ra import RaAtomStructure
+from .ra import RaAtomStructure, _network_labellings
 
 DEFAULT_ENUM_BUDGET = 200_000
 
@@ -127,12 +134,22 @@ def enumerate_hypernetworks(
     symbols: int,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> tuple[HyperNetwork, ...]:
-    """All hypernetworks on m nodes, width n_wide, over `symbols` symbols.
+    """All hypernetworks on m nodes, width n_wide, over `symbols` symbols,
+    sorted by (pairs, hyper).
 
-    Pair labellings are found by backtracking over ordered pair slots with
-    incremental triangle pruning; symbol labels then range freely over the
-    substitution classes of the remaining tuples.  Refuses when the output
-    would exceed the budget.
+    The structure must satisfy the identity law, 1';a = a;1' = a for every
+    atom a; one that breaks it is refused with a ValueError before any
+    search.  (`RaAtomStructure` enforces the converse and Peircean laws;
+    associativity is not needed.)  The pair labellings are those of
+    `ra._network_labellings`, which yields them sorted: it fills the slots
+    (p, q), p <= q, in row-major order, and each (q, p) is the converse of
+    (p, q), which comes before it.  Under the identity law, "the pair (x, y) is
+    labelled with an identity atom" is an equivalence on the nodes of each
+    of them, and linked nodes carry equal pair labels.  So pair
+    substitution holds, and two tuples must share a symbol iff they have
+    linked nodes at each place: a tuple's symbol class is the tuple of the
+    least nodes linked to its nodes.  The symbols range freely over the
+    classes.  Refuses when the output would exceed the budget.
     """
     if not 1 <= m <= 4:
         raise ValueError("m must be in 1..4")
@@ -140,99 +157,40 @@ def enumerate_hypernetworks(
         raise ValueError("n_wide must be in 2..m+1")
     if not 1 <= symbols <= 3:
         raise ValueError("symbol alphabet size must be in 1..3")
-    slots = [(x, y) for x in range(m) for y in range(m)]
-    id_mask = sum(1 << a for a in ra.identity)
-    values: list[int] = []
-
-    def entry(x: int, y: int) -> int | None:
-        s = x * m + y
-        return values[s] if s < len(values) else None
-
-    def ok_after(last: int) -> bool:
-        x0, y0 = slots[last]
-        for z in range(m):
-            for (px, py), (qx, qy), (rx, ry) in (
-                ((x0, y0), (x0, z), (z, y0)),
-                ((x0, z), (x0, y0), (y0, z)),
-                ((z, y0), (z, x0), (x0, y0)),
-            ):
-                a, b, c = entry(px, py), entry(qx, qy), entry(rx, ry)
-                if a is None or b is None or c is None:
-                    continue
-                if not ra.consistent(a, b, c):
-                    return False
-        return True
-
-    pair_sets: list[tuple[int, ...]] = []
-
-    def rec(slot: int) -> None:
-        if slot == len(slots):
-            pair_sets.append(tuple(values))
-            return
-        x, y = slots[slot]
-        for v in range(ra.natoms):
-            if x == y and not (id_mask >> v) & 1:
-                continue
-            values.append(v)
-            if ok_after(slot):
-                rec(slot + 1)
-            values.pop()
-
-    rec(0)
-
-    hyper_tuples = _hyper_tuples(m, n_wide)
+    # 1';a = a for every atom a; by Peircean closure a;1' = a follows
+    for a in range(ra.natoms):
+        left = 0
+        for e in ra.identity:
+            left |= ra.comp_row(e, a)
+        if left != 1 << a:
+            raise ValueError(
+                f"structure breaks the identity law 1';a = a;1' = a at atom {ra.atoms[a]}"
+            )
+    tuples = sorted(_hyper_tuples(m, n_wide))
+    # per node partition, given by the least node linked to each node: the
+    # number of symbol classes and the class of each tuple, classes in the
+    # order of their least tuples, so that `product` lists each labelling's
+    # networks in sorted order
+    classes: dict[tuple[int, ...], tuple[int, list[int]]] = {}
     out: list[HyperNetwork] = []
     total = 0
-    for pv in pair_sets:
-        net_pairs = pv
-
-        def pair(x: int, y: int) -> int:
-            return net_pairs[x * m + y]
-
-        # substitution coherence among pairs
-        ok = True
-        for x0 in range(m):
-            for y0 in range(m):
-                for x1 in range(m):
-                    for y1 in range(m):
-                        if (
-                            (id_mask >> pair(x0, x1)) & 1
-                            and (id_mask >> pair(y0, y1)) & 1
-                            and pair(x0, y0) != pair(x1, y1)
-                        ):
-                            ok = False
-        if not ok:
-            continue
-
-        # classes of tuples forced equal by pointwise identity links
-        parent = {t: t for t in hyper_tuples}
-
-        def find(t):
-            while parent[t] != t:
-                parent[t] = parent[parent[t]]
-                t = parent[t]
-            return t
-
-        for s in hyper_tuples:
-            for t in hyper_tuples:
-                if len(s) == len(t) and all(
-                    (id_mask >> pair(a, b)) & 1 for a, b in zip(s, t)
-                ):
-                    rs, rt = find(s), find(t)
-                    if rs != rt:
-                        parent[max(rs, rt)] = min(rs, rt)
-        roots = sorted({find(t) for t in hyper_tuples})
-        count = symbols ** len(roots)
-        total += count
+    for pairs in _network_labellings(ra, m, {}, lambda: None):
+        rep = tuple(
+            next(u for u in range(m) if pairs[v * m + u] in ra.identity) for v in range(m)
+        )
+        if rep not in classes:
+            keys = [tuple(rep[v] for v in t) for t in tuples]
+            where = {key: k for k, key in enumerate(sorted(set(keys)))}
+            classes[rep] = (len(where), [where[key] for key in keys])
+        count, of = classes[rep]
+        total += symbols**count
         if total > budget:
             raise BudgetExceededError(
                 f"hypernetwork enumeration needs more than {budget} networks"
             )
-        for assign in product(range(symbols), repeat=len(roots)):
-            sym = {root: v for root, v in zip(roots, assign)}
-            hyper = tuple(sorted((t, sym[find(t)]) for t in hyper_tuples))
-            out.append(HyperNetwork(m, n_wide, pv, hyper))
-    out.sort(key=lambda h: (h.pairs, h.hyper))
+        for assign in product(range(symbols), repeat=count):
+            hyper = tuple(zip(tuples, map(assign.__getitem__, of)))
+            out.append(HyperNetwork(m, n_wide, pairs, hyper))
     return tuple(out)
 
 
@@ -294,23 +252,15 @@ def _cylindrifier_defects(ra: RaAtomStructure, ix: _Index) -> Iterator[str]:
         for key, g in zip(keys, ix.flat):
             groups.setdefault(key, []).append(g)
         peers.append([groups[key] for key in keys])
-    consistent: dict[int, list[tuple[int, int]]] = {}
     for hi, h in enumerate(ix.flat):
         for x in range(m):
             for y in range(m):
-                c = h[x * m + y]
-                if c not in consistent:
-                    consistent[c] = [
-                        (a, b)
-                        for a in range(ra.natoms)
-                        for b in range(ra.natoms)
-                        if ra.consistent(c, a, b)
-                    ]
+                pairs = ra._consistent_pairs[h[x * m + y]]
                 for z in range(m):
                     if z in (x, y):
                         continue
                     witnessed = {(g[x * m + z], g[z * m + y]) for g in peers[z][hi]}
-                    for a, b in consistent[c]:
+                    for a, b in pairs:
                         if (a, b) not in witnessed:
                             yield f"no witness for ({x},{y}) via {z} with atoms ({a},{b})"
 

@@ -108,6 +108,16 @@ class RaAtomStructure:
         return AdditiveOperator(tuple(1 << c for c in self.converse))
 
     @cached_property
+    def _consistent_pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per atom c, the pairs (a, b) with (c, a, b) consistent, a then b
+        ascending: the witnesses a demand on an edge labelled c asks for."""
+        n, comp = self.natoms, self._comp_table
+        return tuple(
+            tuple((a, b) for a in range(n) for b in range(n) if comp[a * n + b] >> c & 1)
+            for c in range(n)
+        )
+
+    @cached_property
     def _network_tables(self) -> tuple[list[int], list[int], int]:
         """The identity masks of `_network_labellings`: per identity atom e,
         {a : (a,e,a) consistent} and {a : (a,a,e) consistent} (the full

@@ -6,13 +6,20 @@ every symbol lookup scans a network's `hyper` entries.  `rename` is the
 earlier `HyperNetwork.rename`, which the symmetry rule calls in place of the
 method.  `is_hyperbasis` runs the rules as `cylkit.hyper.is_hyperbasis` does.
 The indexed checker in `cylkit.hyper` must give the same reports.
+
+`enumerate_hypernetworks` is the earlier enumeration, unchanged: its own
+backtracker over ordered pair slots, a pair-substitution filter, and a
+union-find over the tuples for the symbol classes.  It accepts any
+structure; on those that satisfy the identity law `cylkit.hyper` must
+return the same networks in the same order.
 """
 from __future__ import annotations
 
 from itertools import product
 from typing import Iterator, Sequence
 
-from cylkit.hyper import HyperbasisReport, HyperNetwork, _hyper_tuples
+from cylkit.bao import BudgetExceededError
+from cylkit.hyper import DEFAULT_ENUM_BUDGET, HyperbasisReport, HyperNetwork, _hyper_tuples
 from cylkit.ra import RaAtomStructure
 
 
@@ -154,3 +161,119 @@ def is_hyperbasis(
         if (detail := next(defects, None)) is not None
     )
     return HyperbasisReport(not violations, violations)
+
+
+def enumerate_hypernetworks(
+    ra: RaAtomStructure,
+    m: int,
+    n_wide: int,
+    symbols: int,
+    budget: int = DEFAULT_ENUM_BUDGET,
+) -> tuple[HyperNetwork, ...]:
+    """All hypernetworks on m nodes, width n_wide, over `symbols` symbols.
+
+    Pair labellings are found by backtracking over ordered pair slots with
+    incremental triangle pruning; symbol labels then range freely over the
+    substitution classes of the remaining tuples.  Refuses when the output
+    would exceed the budget.
+    """
+    if not 1 <= m <= 4:
+        raise ValueError("m must be in 1..4")
+    if not 2 <= n_wide <= m + 1:
+        raise ValueError("n_wide must be in 2..m+1")
+    if not 1 <= symbols <= 3:
+        raise ValueError("symbol alphabet size must be in 1..3")
+    slots = [(x, y) for x in range(m) for y in range(m)]
+    id_mask = sum(1 << a for a in ra.identity)
+    values: list[int] = []
+
+    def entry(x: int, y: int) -> int | None:
+        s = x * m + y
+        return values[s] if s < len(values) else None
+
+    def ok_after(last: int) -> bool:
+        x0, y0 = slots[last]
+        for z in range(m):
+            for (px, py), (qx, qy), (rx, ry) in (
+                ((x0, y0), (x0, z), (z, y0)),
+                ((x0, z), (x0, y0), (y0, z)),
+                ((z, y0), (z, x0), (x0, y0)),
+            ):
+                a, b, c = entry(px, py), entry(qx, qy), entry(rx, ry)
+                if a is None or b is None or c is None:
+                    continue
+                if not ra.consistent(a, b, c):
+                    return False
+        return True
+
+    pair_sets: list[tuple[int, ...]] = []
+
+    def rec(slot: int) -> None:
+        if slot == len(slots):
+            pair_sets.append(tuple(values))
+            return
+        x, y = slots[slot]
+        for v in range(ra.natoms):
+            if x == y and not (id_mask >> v) & 1:
+                continue
+            values.append(v)
+            if ok_after(slot):
+                rec(slot + 1)
+            values.pop()
+
+    rec(0)
+
+    hyper_tuples = _hyper_tuples(m, n_wide)
+    out: list[HyperNetwork] = []
+    total = 0
+    for pv in pair_sets:
+        net_pairs = pv
+
+        def pair(x: int, y: int) -> int:
+            return net_pairs[x * m + y]
+
+        # substitution coherence among pairs
+        ok = True
+        for x0 in range(m):
+            for y0 in range(m):
+                for x1 in range(m):
+                    for y1 in range(m):
+                        if (
+                            (id_mask >> pair(x0, x1)) & 1
+                            and (id_mask >> pair(y0, y1)) & 1
+                            and pair(x0, y0) != pair(x1, y1)
+                        ):
+                            ok = False
+        if not ok:
+            continue
+
+        # classes of tuples forced equal by pointwise identity links
+        parent = {t: t for t in hyper_tuples}
+
+        def find(t):
+            while parent[t] != t:
+                parent[t] = parent[parent[t]]
+                t = parent[t]
+            return t
+
+        for s in hyper_tuples:
+            for t in hyper_tuples:
+                if len(s) == len(t) and all(
+                    (id_mask >> pair(a, b)) & 1 for a, b in zip(s, t)
+                ):
+                    rs, rt = find(s), find(t)
+                    if rs != rt:
+                        parent[max(rs, rt)] = min(rs, rt)
+        roots = sorted({find(t) for t in hyper_tuples})
+        count = symbols ** len(roots)
+        total += count
+        if total > budget:
+            raise BudgetExceededError(
+                f"hypernetwork enumeration needs more than {budget} networks"
+            )
+        for assign in product(range(symbols), repeat=len(roots)):
+            sym = {root: v for root, v in zip(roots, assign)}
+            hyper = tuple(sorted((t, sym[find(t)]) for t in hyper_tuples))
+            out.append(HyperNetwork(m, n_wide, pv, hyper))
+    out.sort(key=lambda h: (h.pairs, h.hyper))
+    return tuple(out)

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import pytest
 
 from cylkit import acceptance
-from cylkit.acceptance import CRITERIA, format_table, run_all, run_criterion
+from cylkit.acceptance import CRITERIA, format_table, run_all
 from cylkit.bao import top
 from cylkit.terms import (
     EquationReport,
@@ -51,11 +51,6 @@ def test_every_criterion_gets_exactly_one_verdict_line(results):
     table = format_table(tuple(results[n] for n in NUMBERS))
     verdicts = [ln for ln in table.splitlines() if "PASS" in ln or "FAIL" in ln]
     assert len(verdicts) == len(NUMBERS) == 12
-
-
-def test_unknown_criterion_number_is_rejected():
-    with pytest.raises(ValueError, match="no criterion"):
-        run_criterion(99)
 
 
 def _refuted_at_top(structure, *_):

@@ -1,6 +1,7 @@
 """Hypernetworks, hyperbasis checking, and the induced structure."""
 
 import functools
+import hashlib
 import random
 from itertools import islice, product
 
@@ -11,6 +12,7 @@ from cylkit import (
     RaAtomStructure,
     bin_forb,
     check_ca_frame,
+    check_ra_axioms,
     enumerate_hypernetworks,
     full_set_algebra,
     hh_ra,
@@ -154,9 +156,9 @@ def test_enumeration_counts(z4, z4_nets):
     ids=["z4", "hh_ra(3,1,3)", "bin_forb(3,1,2)", "bin_forb(2,1,3)", "ra_reduct"],
 )
 def test_pair_labellings_are_the_network_search(build):
-    # the hypernetwork enumeration keeps its own backtracker over ordered
-    # slots; on these structures it finds the same pair labellings as the
-    # network search of cylkit.ra, in the same order
+    # the hypernetwork enumeration takes its pair labellings from the
+    # network search of cylkit.ra, in the order the search yields them,
+    # and lists every one of them
     ra = build()
     for m in (1, 2, 3):
         pairs = dict.fromkeys(h.pairs for h in enumerate_hypernetworks(ra, m, 2, 1))
@@ -210,6 +212,69 @@ def test_enumeration_parameter_checks(z4):
 def test_enumeration_budget(z4):
     with pytest.raises(BudgetExceededError):
         enumerate_hypernetworks(z4, 3, 3, 1, budget=3)
+
+
+def test_enumeration_output_is_pinned():
+    nets = enumerate_hypernetworks(hh_ra(3, 1, 3), 4, 2, 1)
+    assert len(nets) == 47_995
+    digest = hashlib.sha256(repr(nets).encode()).hexdigest()
+    assert digest == "041bfba4d84db7e4933bf3f84bb3d9e3b9a4518b10659ababd189b6a41c0d45e"
+
+
+def test_structures_that_break_the_identity_law_are_refused():
+    # two identity atoms that converse swaps: 1';r0 holds r1 as well
+    swapped = RaAtomStructure.build(("r0", "r1"), [0, 1], (1, 0), [])
+    assert not check_ra_axioms(swapped).law("identity").passed
+    with pytest.raises(ValueError, match="identity law .* at atom r0"):
+        enumerate_hypernetworks(swapped, 2, 2, 1)
+    # refused before any search, whatever the budget
+    with pytest.raises(ValueError, match="identity law"):
+        enumerate_hypernetworks(swapped, 4, 5, 3, budget=0)
+
+
+def _random_structure(rng):
+    """A structure drawn as `random_ras` in tests/test_ra.py draws one."""
+    n = rng.randint(1, 5)
+    perm = list(range(n))
+    for _ in range(rng.randint(0, 2)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if perm[i] == i and perm[j] == j and i != j:
+            perm[i], perm[j] = j, i
+    ident = {rng.randrange(n) for _ in range(rng.randint(1, n))}
+    triples = {tuple(rng.randrange(n) for _ in range(3)) for _ in range(rng.randint(0, 6))}
+    return RaAtomStructure.build(tuple(f"r{i}" for i in range(n)), ident, tuple(perm), triples)
+
+
+def _listed(enumerate_, *args):
+    try:
+        return enumerate_(*args, budget=5_000)
+    except BudgetExceededError:
+        return "over budget"
+
+
+def test_enumeration_matches_the_earlier_enumeration_on_random_structures():
+    # the structures that satisfy the identity law get the earlier
+    # enumeration's networks, in its order, or are over budget in both;
+    # the others are refused
+    rng = random.Random(2013)
+    kept = compared = 0
+    for _ in range(2_000):
+        ra = _random_structure(rng)
+        if not check_ra_axioms(ra).law("identity").passed:
+            with pytest.raises(ValueError, match="identity law"):
+                enumerate_hypernetworks(ra, 2, 2, 1)
+            continue
+        kept += 1
+        for m in (1, 2, 3):
+            if ra.natoms ** (m * m) > 30_000:
+                continue
+            for n_wide in range(2, min(3, m + 1) + 1):
+                for symbols in (1, 2):
+                    args = (ra, m, n_wide, symbols)
+                    want = _listed(seed_hyper.enumerate_hypernetworks, *args)
+                    assert _listed(enumerate_hypernetworks, *args) == want, args
+                    compared += want != "over budget"
+    assert kept >= 100 and compared >= 900
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +414,9 @@ def _differential_sets():
     nets3 = enumerate_hypernetworks(z4, 3, 3, 1)
     nets2 = enumerate_hypernetworks(z4, 2, 2, 1)
     free = RaAtomStructure.build(("Id", "a"), [0], (0, 1), [])
-    free_nets = enumerate_hypernetworks(free, 2, 2, 1)
+    # `free` breaks the identity law, which the enumeration refuses; the
+    # earlier enumeration lists its networks
+    free_nets = seed_hyper.enumerate_hypernetworks(free, 2, 2, 1)
     rng = random.Random(2013)
     return {
         "z4-3": (z4, nets3),

@@ -569,6 +569,22 @@ def test_table_shapes(n):
     assert op._tables.nbytes <= (256 if n <= 16 else 512) * 1024
 
 
+@pytest.mark.parametrize("n", [1, 16, 17, 18, 31, 32])
+def test_bits_above_the_atoms_raise(n):
+    # at odd counts from 17 two chunks of ceil(n/2) bits cover one bit more
+    # than the atoms; that bit raises too, as every bit above them does
+    op = AdditiveOperator(tuple(1 << b for b in range(n)))
+    every = np.array([1 << b for b in range(n)], dtype=np.uint32)
+    assert [op.apply(1 << b) for b in range(n)] == every.tolist()
+    assert np.array_equal(op.apply_vec(every), every)
+    for stray in (n, n + 1):
+        with pytest.raises(IndexError):
+            op.apply(1 << stray)
+        if stray < 32:
+            with pytest.raises(IndexError):
+                op.apply_vec(np.array([1 << stray], dtype=np.uint32))
+
+
 # ---------------------------------------------------------------------------
 # the one evaluator
 

@@ -272,6 +272,16 @@ def test_comp_row_cache_consistent_on_random(s, data):
     )
 
 
+@settings(max_examples=40, deadline=None)
+@given(random_ras())
+def test_consistent_pairs_on_random(s):
+    n = s.natoms
+    assert s._consistent_pairs == tuple(
+        tuple((a, b) for a in range(n) for b in range(n) if s.consistent(c, a, b))
+        for c in range(n)
+    )
+
+
 def _unchecked(atoms, identity, converse, forbidden):
     """An RaAtomStructure past the constructor's checks, which already
     guarantee the converse and Peircean laws."""
