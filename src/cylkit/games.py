@@ -32,9 +32,13 @@ One solve runs one solver: one memo over positions canonicalized up to
 node renaming, and one successor generator whose demands (in a fixed
 canonical order) and bucketed responses serve the search, strategy
 extraction, strategy verification and interactive play alike.  The
-responder's completions are enumerated once per position and demanded
-node, over the labels every demand on that node retains, and bucketed
-per demand by the labels of its demanded slots.  An explicit state
+responder's completions are enumerated once per distinct completion
+problem of a solve (the new node set and the labels every demand on the
+demanded node retains), however many positions pose it, and bucketed
+once per problem and demanded-slot tuple by the labels of those slots;
+every demand with those slots, at any position, reads the same buckets.
+Strategy verification decodes and checks each distinct response of a
+position once, and each demand's own labels per entry.  An explicit state
 budget is a hard cap that turns runaway searches into refusals, and the
 returned strategy is replayed as a structural self-check before the
 result is handed back.
@@ -77,10 +81,10 @@ def search_budget(default: int = DEFAULT_BUDGET) -> int:
     The numeric semantics: the maximum number of search states the solver
     may explore, counting every candidate label placement and every
     position evaluation.  The placements of one completion enumeration
-    count once per position and demanded node, however many demands on
-    that node share its completions.  The cap is hard: the search stops at
-    the first count that takes the running total past it, which adds at
-    most a node or atom count.
+    count once per solve and distinct completion problem, however many
+    positions and demands share its completions.  The cap is hard: the
+    search stops at the first count that takes the running total past it,
+    which adds at most a node or atom count.
     """
     raw = os.environ.get("CYLKIT_BUDGET")
     if raw is None:
@@ -776,6 +780,13 @@ def _retained_slots(
     return tuple(out)
 
 
+def _demanded_slots(pos: Mapping[int, int], move: Move) -> tuple[int, ...]:
+    """Slot indices, over the node set that ``pos`` (node -> position)
+    numbers, of the move's demanded slots, in the order of its slots()."""
+    s = len(pos)
+    return tuple(_tuple_index([pos[v] for v in t], s) for t, _ in move.slots())
+
+
 def _response_task(
     net: Network, move: Move
 ) -> tuple[tuple[int, ...], dict[int, int], tuple[int, ...]]:
@@ -787,17 +798,13 @@ def _response_task(
     containing it is either brand new (fresh node) or cleared (reused
     node), so the demand can only conflict with retained labels through
     the validity checks, which the enumerators apply.  The solver leaves
-    the demanded slots free and enumerates once per demanded node; this
-    full form is what a response is checked against.
+    the demanded slots free and enumerates once per completion problem;
+    this full form is what a response is checked against.
     """
     new_nodes, pos, fixed = _retained_task(net, move.node)
-    s_new = len(new_nodes)
-    demanded = []
-    for t, a in move.slots():
-        idx = _tuple_index([pos[v] for v in t], s_new)
-        fixed[idx] = a
-        demanded.append(idx)
-    return new_nodes, fixed, tuple(demanded)
+    demanded = _demanded_slots(pos, move)
+    fixed.update(zip(demanded, (a for _, a in move.slots())))
+    return new_nodes, fixed, demanded
 
 
 # ---------------------------------------------------------------------------
@@ -985,15 +992,22 @@ class SolveResult:
         }
 
 
+# one completion problem of a solve: its completions in enumeration order,
+# and per demanded-slot tuple, those completions bucketed by their labels
+# on the slots
+_Problem = tuple[list[Network], dict[tuple[int, ...], dict]]
+
+
 @dataclass
 class _MoveClass:
     """All demands sharing their demanded slots: the move head in
     canonical order, the labels it may demand in canonical order (an atom
     b for a CaMove, an atom pair (a, b) for an RaMove), and the
     responder's completions bucketed by the label they give those slots.
-    The completions are those of the head's demanded node, enumerated
-    once per position and node and shared by every head on that node;
-    each bucket keeps their enumeration order."""
+    The completions are those of the head's completion problem, enumerated
+    once per solve; the buckets are that problem's for the head's demanded
+    slots, shared with every head that demands the same slots of the same
+    problem, and each keeps the enumeration order."""
 
     head: Move  # with its demanded atoms set to -1
     legal: tuple
@@ -1015,6 +1029,7 @@ class _Solver:
         self.complete = _ra_completions if triangle else _ca_completions
         self.memo: dict[tuple[str, int], int] = {}
         self.succ: dict[object, list[_MoveClass]] = {}
+        self.problems: dict[tuple[tuple[int, ...], tuple], _Problem] = {}
         self.canon_cache: dict[
             tuple[tuple[int, ...], tuple[int, ...]], tuple[str, dict[int, int]]
         ] = {}
@@ -1046,34 +1061,42 @@ class _Solver:
         """Per demanded slot set: legality and bucketed responses, cached
         per raw position (independent of rounds left).
 
-        The completions are enumerated once per demanded node, over the
-        retained slots with every slot through that node left free; each
-        head on the node buckets that one list by the labels of its own
-        demanded slots.
+        The completions of a demanded node are those of its completion
+        problem (node set and retained slots, with every slot through the
+        node left free), enumerated once per solve however many positions
+        pose it.  Each head reads the problem's buckets for its demanded
+        slots, built once per problem and slot tuple, so heads with the
+        same demanded slots share one bucket dict and the same networks at
+        every position.
         """
         key = (net.nodes, net.labels)
         got = self.succ.get(key)
         if got is not None:
             return got
         out: list[_MoveClass] = []
-        # per demanded node: its node -> position map and its completions
-        tasks: dict[int, tuple[dict[int, int], list[Network]]] = {}
+        # per demanded node: its node -> position map and its problem
+        tasks: dict[int, tuple[dict[int, int], _Problem]] = {}
         for head, legal in self._heads(net):
             task = tasks.get(head.node)
             if task is None:
                 new_nodes, pos, retained = _retained_task(net, head.node)
-                completions = list(
-                    self.complete(net.structure, new_nodes, retained, self.counter)
-                )
-                task = tasks[head.node] = (pos, completions)
-            pos, completions = task
-            # an atom for one demanded slot, an atom pair for two
-            label_of = operator.itemgetter(
-                *(_tuple_index([pos[v] for v in t], len(pos)) for t, _ in head.slots())
-            )
-            buckets: dict[object, list[Network]] = {}
-            for m in completions:
-                buckets.setdefault(label_of(m.labels), []).append(m)
+                problem_key = (new_nodes, tuple(sorted(retained.items())))
+                problem = self.problems.get(problem_key)
+                if problem is None:
+                    completions = list(
+                        self.complete(net.structure, new_nodes, retained, self.counter)
+                    )
+                    problem = self.problems[problem_key] = (completions, {})
+                task = tasks[head.node] = (pos, problem)
+            pos, (completions, bucketings) = task
+            slots = _demanded_slots(pos, head)
+            buckets = bucketings.get(slots)
+            if buckets is None:
+                # an atom for one demanded slot, an atom pair for two
+                label_of = operator.itemgetter(*slots)
+                buckets = bucketings[slots] = {}
+                for m in completions:
+                    buckets.setdefault(label_of(m.labels), []).append(m)
             out.append(_MoveClass(head, legal, buckets))
         self.succ[key] = out
         return out
@@ -1147,6 +1170,9 @@ class _Solver:
     def _class_contrib(self, responses: list[Network] | None, r: int) -> int:
         if not responses:
             return 0
+        if r == 1:
+            # every response survives the 0 rounds left
+            return 1
         sub_best = -1
         for m in responses:
             v = self.value(m, r - 1)
@@ -1184,6 +1210,8 @@ def _extract_exists_walk(
     if (enc, r) in visited:
         return
     visited.add((enc, r))
+    # many demands of a position choose one response: encode it once
+    encoded: dict[tuple[tuple[int, ...], tuple[int, ...]], str] = {}
     for move, responses in solver.successors(net):
         key = _strategy_key(enc, pi, r, move)
         chosen = None
@@ -1195,7 +1223,12 @@ def _extract_exists_walk(
             raise RuntimeError(
                 "strategy extraction found a demand with no surviving response"
             )
-        strategy[key] = _encode_response(net, chosen, pi)
+        resp_enc = encoded.get((chosen.nodes, chosen.labels))
+        if resp_enc is None:
+            resp_enc = encoded[chosen.nodes, chosen.labels] = _encode_response(
+                net, chosen, pi
+            )
+        strategy[key] = resp_enc
         _extract_exists_walk(solver, strategy, visited, chosen, r - 1)
 
 
@@ -1268,38 +1301,71 @@ def _verify_exists_walk(
     net: Network,
     r: int,
 ) -> None:
+    """Check every responder entry at ``net`` and below.  Many entries of
+    a position name one response: each distinct encoding is decoded and
+    validated once, its node set and retained labels are checked once per
+    demanded node, and only the demanded labels are checked per entry."""
     if r == 0:
         return
     enc, pi = solver.canon(net)
     if (enc, r) in visited:
         return
     visited.add((enc, r))
+    decoded: dict[str, Network] = {}
+    tasks: dict[int, tuple[tuple[int, ...], dict[int, int], dict[int, int]]] = {}
+    matched: set[tuple[str, int]] = set()
     for move, _responses in solver.successors(net):
         key = _strategy_key(enc, pi, r, move)
         resp_enc = strategy.get(key)
         if resp_enc is None:
             raise RuntimeError(f"responder strategy has no answer at {key}")
-        response = _decode_response(net, resp_enc, pi)
-        report = reports.get((response.nodes, response.labels))
-        if report is None:
-            report = validate_network(response)
-            reports[response.nodes, response.labels] = report
-        if not report.passed:
-            raise RuntimeError(
-                f"strategy response is invalid: {report.violations[0]}"
-            )
-        _check_response_matches(net, move, response)
+        response = decoded.get(resp_enc)
+        if response is None:
+            response = _decode_response(net, resp_enc, pi)
+            report = reports.get((response.nodes, response.labels))
+            if report is None:
+                report = validate_network(response)
+                reports[response.nodes, response.labels] = report
+            if not report.passed:
+                raise RuntimeError(
+                    f"strategy response is invalid: {report.violations[0]}"
+                )
+            decoded[resp_enc] = response
+        k = move.node
+        task = tasks.get(k)
+        if task is None:
+            task = tasks[k] = _retained_task(net, k)
+        new_nodes, pos, retained = task
+        if (resp_enc, k) not in matched:
+            _check_retained(response, new_nodes, retained)
+            matched.add((resp_enc, k))
+        _check_demanded(response, _demanded_slots(pos, move), move)
         _verify_exists_walk(solver, strategy, visited, reports, response, r - 1)
 
 
 def _check_response_matches(net: Network, move: Move, response: Network) -> None:
-    new_nodes, fixed, demanded = _response_task(net, move)
+    """Check one response against one demand: the two checks below, in
+    that order."""
+    new_nodes, pos, retained = _retained_task(net, move.node)
+    _check_retained(response, new_nodes, retained)
+    _check_demanded(response, _demanded_slots(pos, move), move)
+
+
+def _check_retained(
+    response: Network, new_nodes: tuple[int, ...], retained: Mapping[int, int]
+) -> None:
+    """The response keeps the demand's node set and its retained labels."""
     if response.nodes != new_nodes:
         raise RuntimeError("response changes the node set beyond the demand")
     labels = response.labels
-    if any(labels[idx] != a for idx, a in fixed.items() if idx not in demanded):
+    if any(labels[idx] != a for idx, a in retained.items()):
         raise RuntimeError("response rewrites a retained label")
-    if any(labels[idx] != fixed[idx] for idx in demanded):
+
+
+def _check_demanded(response: Network, demanded: tuple[int, ...], move: Move) -> None:
+    """The response gives the demanded slots the demanded labels."""
+    labels = response.labels
+    if any(labels[idx] != a for idx, (_, a) in zip(demanded, move.slots())):
         plural = "s" if len(demanded) > 1 else ""
         raise RuntimeError(f"response does not deliver the demanded label{plural}")
 

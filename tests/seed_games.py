@@ -1,24 +1,36 @@
-"""The canonical form and strategy-entry coding that rebuilt index tuples
-per call, kept as an oracle.
+"""Earlier solver code, kept as oracles.
 
 `_retained_task`, `_canon_encoding`, `_encode_response` and
-`_decode_response` are the earlier code, unchanged: every call walks
+`_decode_response` are the canonical form and strategy-entry coding that
+rebuilt index tuples per call, unchanged: every call walks
 `itertools.product` tuples and computes each slot with `_tuple_index`.
 The cached renaming tables in `cylkit.games` must give the same node sets,
 retained slots, encodings, renamings and decoded networks (the earlier
 `_decode_response` accepts a label count that does not fit; the oracle is
 only compared on encodings that fit).
+
+`move_classes`, `_verify_exists_walk`, `_check_response_matches` and
+`_response_task` are the successor generator that enumerated completions
+once per position and demanded node, and the verification walk that
+decoded, validated and matched every strategy entry on its own,
+unchanged.  A solve with these in place of the solver's own must give the
+same result, search counts aside, and a corrupted strategy the same error.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Mapping, Sequence
 
+from cylkit import games
 from cylkit.games import (
     _CANON_TIE_CAP,
+    Move,
     Network,
+    NetworkReport,
     _decode_labels,
     _least_fresh,
+    _MoveClass,
     _position_tuples,
     _tuple_index,
 )
@@ -173,3 +185,100 @@ def _decode_response(
     for abstract_t, a in zip(itertools.product(order, repeat=net.arity), labels):
         new_labels[_tuple_index([pos_real[v] for v in abstract_t], s_new)] = a
     return type(net)(net.structure, real_nodes, tuple(new_labels))
+
+
+def move_classes(self, net: Network) -> list[_MoveClass]:
+    """Per demanded slot set: legality and bucketed responses, cached
+    per raw position (independent of rounds left).
+
+    The completions are enumerated once per demanded node, over the
+    retained slots with every slot through that node left free; each
+    head on the node buckets that one list by the labels of its own
+    demanded slots.
+    """
+    key = (net.nodes, net.labels)
+    got = self.succ.get(key)
+    if got is not None:
+        return got
+    out: list[_MoveClass] = []
+    # per demanded node: its node -> position map and its completions
+    tasks: dict[int, tuple[dict[int, int], list[Network]]] = {}
+    for head, legal in self._heads(net):
+        task = tasks.get(head.node)
+        if task is None:
+            new_nodes, pos, retained = games._retained_task(net, head.node)
+            completions = list(
+                self.complete(net.structure, new_nodes, retained, self.counter)
+            )
+            task = tasks[head.node] = (pos, completions)
+        pos, completions = task
+        # an atom for one demanded slot, an atom pair for two
+        label_of = operator.itemgetter(
+            *(_tuple_index([pos[v] for v in t], len(pos)) for t, _ in head.slots())
+        )
+        buckets: dict[object, list[Network]] = {}
+        for m in completions:
+            buckets.setdefault(label_of(m.labels), []).append(m)
+        out.append(_MoveClass(head, legal, buckets))
+    self.succ[key] = out
+    return out
+
+
+def _verify_exists_walk(
+    solver,
+    strategy: Mapping[str, str],
+    visited: set[tuple[str, int]],
+    reports: dict[tuple[tuple[int, ...], tuple[int, ...]], NetworkReport],
+    net: Network,
+    r: int,
+) -> None:
+    if r == 0:
+        return
+    enc, pi = solver.canon(net)
+    if (enc, r) in visited:
+        return
+    visited.add((enc, r))
+    for move, _responses in solver.successors(net):
+        key = games._strategy_key(enc, pi, r, move)
+        resp_enc = strategy.get(key)
+        if resp_enc is None:
+            raise RuntimeError(f"responder strategy has no answer at {key}")
+        response = games._decode_response(net, resp_enc, pi)
+        report = reports.get((response.nodes, response.labels))
+        if report is None:
+            report = games.validate_network(response)
+            reports[response.nodes, response.labels] = report
+        if not report.passed:
+            raise RuntimeError(
+                f"strategy response is invalid: {report.violations[0]}"
+            )
+        _check_response_matches(net, move, response)
+        _verify_exists_walk(solver, strategy, visited, reports, response, r - 1)
+
+
+def _check_response_matches(net: Network, move: Move, response: Network) -> None:
+    new_nodes, fixed, demanded = _response_task(net, move)
+    if response.nodes != new_nodes:
+        raise RuntimeError("response changes the node set beyond the demand")
+    labels = response.labels
+    if any(labels[idx] != a for idx, a in fixed.items() if idx not in demanded):
+        raise RuntimeError("response rewrites a retained label")
+    if any(labels[idx] != fixed[idx] for idx in demanded):
+        plural = "s" if len(demanded) > 1 else ""
+        raise RuntimeError(f"response does not deliver the demanded label{plural}")
+
+
+def _response_task(
+    net: Network, move: Move
+) -> tuple[tuple[int, ...], dict[int, int], tuple[int, ...]]:
+    """Node set and fixed slots of one demand's completion problem (the
+    retained slots of ``_retained_task``, then the demanded ones), and
+    the indices of the demanded slots among them."""
+    new_nodes, pos, fixed = games._retained_task(net, move.node)
+    s_new = len(new_nodes)
+    demanded = []
+    for t, a in move.slots():
+        idx = _tuple_index([pos[v] for v in t], s_new)
+        fixed[idx] = a
+        demanded.append(idx)
+    return new_nodes, fixed, tuple(demanded)

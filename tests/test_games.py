@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import io
 import itertools
 import json
@@ -331,7 +332,7 @@ def test_fresh_game_on_full_set_algebra_is_existential():
 
 
 def test_reuse_game_on_full_set_algebra_is_existential():
-    expected_states = {0: 465, 1: 2278, 2: 6407}
+    expected_states = {0: 465, 1: 1924, 2: 4954}
     for rounds, states in expected_states.items():
         res = solve(GameSpec(VARIANT_REUSE, CS3, rounds, pebbles=4), 0)
         assert res.winner == EXISTS
@@ -361,10 +362,10 @@ def test_subtler_damage_needs_a_longer_horizon():
 
 def test_triangle_games_are_existential_on_genuine_algebras():
     expected = {
-        (id(BIN312), 2): 222,
-        (id(BIN312), 3): 3399,
-        (id(HH313), 2): 392,
-        (id(HH313), 3): 21853,
+        (id(BIN312), 2): 110,
+        (id(BIN312), 3): 1777,
+        (id(HH313), 2): 178,
+        (id(HH313), 3): 7331,
     }
     for structure in (BIN312, HH313):
         for pebbles in (2, 3):
@@ -443,6 +444,25 @@ def test_default_budget_is_a_hard_cap():
 def test_refused_exactly_when_the_total_exceeds_the_budget(rounds):
     spec = GameSpec(VARIANT_FRESH, CS3, rounds)
     total = {1: 1383, 2: 3132}[rounds]
+    res = solve(spec, 0, budget=total)
+    assert res.stats.states_explored == total
+    with pytest.raises(BudgetExceededError):
+        solve(spec, 0, budget=total - 1)
+
+
+@pytest.mark.parametrize(
+    "spec, total",
+    [
+        (GameSpec(VARIANT_REUSE, CS3, 2, pebbles=4), 4954),
+        (GameSpec(VARIANT_TRIANGLE, HH313, 2, pebbles=3), 7331),
+    ],
+    ids=["reuse-cs3", "hh_ra(3,1,3)"],
+)
+def test_refused_exactly_when_the_total_exceeds_the_budget_with_shared_problems(
+    spec, total
+):
+    # positions share completion problems here, and a shared enumeration
+    # counts once: the budget still caps the same running total
     res = solve(spec, 0, budget=total)
     assert res.stats.states_explored == total
     with pytest.raises(BudgetExceededError):
@@ -1203,17 +1223,17 @@ def test_successors_match_the_original_moves_and_responses(spec):
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, shared",
     [
-        GameSpec(VARIANT_FRESH, CS3, 2),
-        GameSpec(VARIANT_REUSE, CS3, 2, pebbles=4),
-        GameSpec(VARIANT_TRIANGLE, HH313, 2, pebbles=3),
+        (GameSpec(VARIANT_FRESH, CS3, 2), False),
+        (GameSpec(VARIANT_REUSE, CS3, 2, pebbles=4), True),
+        (GameSpec(VARIANT_TRIANGLE, HH313, 2, pebbles=3), True),
     ],
     ids=["fresh-cs3", "reuse-cs3", "hh_ra(3,1,3)"],
 )
-def test_move_classes_enumerate_once_per_demanded_node(spec):
+def test_move_classes_enumerate_once_per_distinct_problem(spec, shared):
     # every position the search expands, expanded again by a fresh solver
-    # whose completion enumerator counts its calls
+    # whose completion enumerator records its problems
     searched = games._Solver(spec, _Counter(10**12, ""))
     for net in searched.openings(0):
         searched.value(net, spec.rounds)
@@ -1226,18 +1246,29 @@ def test_move_classes_enumerate_once_per_demanded_node(spec):
     calls = []
 
     def counting(structure, nodes, fixed, counter):
-        calls.append(nodes)
+        calls.append((nodes, tuple(sorted(fixed.items()))))
         return enumerate_(structure, nodes, fixed, counter)
 
     solver.complete = counting
-    heads = 0
+    problems = set()
+    pairs = 0
+    buckets = {}
     for net in positions:
-        before = len(calls)
         classes = solver.move_classes(net)
-        heads += len(classes)
-        assert len(calls) - before == len({cls.head.node for cls in classes})
-    # demands share their node, so one enumeration per demand would be more
-    assert len(positions) > 1 and len(calls) < heads
+        pairs += len({cls.head.node for cls in classes})
+        for cls in classes:
+            nodes, pos, retained = games._retained_task(net, cls.head.node)
+            problem = (nodes, tuple(sorted(retained.items())))
+            problems.add(problem)
+            slots = games._demanded_slots(pos, cls.head)
+            # one bucket dict per problem and demanded slots, at every position
+            assert buckets.setdefault((problem, slots), cls.buckets) is cls.buckets
+    assert len(calls) == len(set(calls)) and set(calls) == problems
+    assert len(positions) > 1
+    if shared:
+        assert len(calls) < pairs
+    else:
+        assert len(calls) == pairs
 
 
 def _seed_response_task(net, move):
@@ -1435,6 +1466,121 @@ def test_verification_validates_each_network_once_and_checks_every_entry(
         with pytest.raises(error) as info:
             games._verify_exists(solver, broken, 0, spec.rounds)
         assert str(info.value) == text
+
+
+def _differential_solves():
+    """Fresh and reuse cs3 at 0-3 rounds from atoms 0 and 7, both
+    drop_cyl_pair structures fresh and reuse at 1-3 rounds, and triangle
+    games at 2-4 pebbles and 1-3 rounds on bin_forb(3,1,2), hh_ra(3,1,3)
+    and hh_ra(3,2,3), but for the five largest of these."""
+    for variant, pebbles in ((VARIANT_FRESH, None), (VARIANT_REUSE, 4)):
+        for rounds, atom in itertools.product(range(4), (0, 7)):
+            yield GameSpec(variant, CS3, rounds, pebbles=pebbles), atom
+    for damaged in (drop_cyl_pair(CS3, 0, 0, 4), drop_cyl_pair(CS3, 0, 1, 1)):
+        for variant, pebbles in ((VARIANT_FRESH, None), (VARIANT_REUSE, 4)):
+            for rounds in (1, 2, 3):
+                yield GameSpec(variant, damaged, rounds, pebbles=pebbles), 0
+    hh323 = hh_ra(3, 2, 3)
+    for structure in (BIN312, HH313, hh323):
+        for pebbles, rounds in itertools.product((2, 3, 4), (1, 2, 3)):
+            big = (structure is hh323 and pebbles > 2 and rounds > 1) or (
+                structure is HH313 and (pebbles, rounds) == (4, 3)
+            )
+            if not big:
+                yield GameSpec(VARIANT_TRIANGLE, structure, rounds, pebbles=pebbles), 0
+
+
+def _solve_digest(res):
+    """sha256 of the result's JSON without the state count."""
+    d = res.to_dict()
+    del d["stats"]["states_explored"]
+    return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+
+
+def test_shared_problems_give_the_per_position_results(monkeypatch):
+    solves = list(_differential_solves())
+    new = [solve(spec, atom) for spec, atom in solves]
+    # the per-position enumeration and the per-entry walk in place of the
+    # solver's own
+    with monkeypatch.context() as patched:
+        patched.setattr(games._Solver, "move_classes", seed_games.move_classes)
+        patched.setattr(games, "_verify_exists_walk", seed_games._verify_exists_walk)
+        old = [solve(spec, atom) for spec, atom in solves]
+    assert len(solves) == 50
+    fewer = 0
+    for (spec, _), a, b in zip(solves, new, old):
+        assert _solve_digest(a) == _solve_digest(b)
+        assert a.stats.memo_hits == b.stats.memo_hits
+        # a fresh game poses every problem once; the others share some
+        if spec.variant == VARIANT_FRESH:
+            assert a.stats.states_explored == b.stats.states_explored
+        else:
+            assert a.stats.states_explored <= b.stats.states_explored
+        fewer += a.stats.states_explored < b.stats.states_explored
+    assert fewer > 0
+
+
+def _answer_for_another_node(solver, strategy, entries):
+    """(strategy, error, text) in which two demands on two nodes of one
+    position, one round from the end, get one answer: a valid answer to
+    the first that also delivers the second's labels, but rewrites a label
+    the second retains.  Nothing when no such pair exists (the fresh game
+    demands one node per position)."""
+    counter = _Counter(10**12, "")
+    last = [entry for entry in entries if "|r1|" in entry[3]]
+    for (net, pi, first, key1), (net2, _, later, key2) in itertools.combinations(last, 2):
+        reused = first.node in net.nodes and later.node in net.nodes
+        if net2 is not net or first.node == later.node or not reused:
+            continue
+        nodes, fixed, _ = games._response_task(net, first)
+        _, fixed2, demanded2 = games._response_task(net, later)
+        for m in solver.complete(solver.spec.structure, nodes, fixed, counter):
+            labels = m.labels
+            if (
+                validate_network(m).passed
+                and all(labels[idx] == fixed2[idx] for idx in demanded2)
+                and any(labels[idx] != a for idx, a in fixed2.items())
+            ):
+                enc = games._encode_response(net, m, pi)
+                text = "response rewrites a retained label"
+                yield {**strategy, key1: enc, key2: enc}, RuntimeError, text
+                return
+
+
+@pytest.mark.parametrize(
+    "spec, corruptions",
+    [
+        (GameSpec(VARIANT_FRESH, CS3, 2), 5),
+        (GameSpec(VARIANT_REUSE, CS3, 3, pebbles=4), 6),
+        (GameSpec(VARIANT_TRIANGLE, BIN312, 3, pebbles=3), 6),
+        (GameSpec(VARIANT_TRIANGLE, HH313, 2, pebbles=3), 5),
+    ],
+    ids=["fresh-cs3", "reuse-cs3", "bin_forb(3,1,2)", "hh_ra(3,1,3)"],
+)
+def test_corrupted_strategies_raise_as_under_the_per_entry_walk(
+    spec, corruptions, monkeypatch
+):
+    # the last corruption, where the spec has one, checks that an answer's
+    # retained labels are matched per demanded node, not once per answer
+    res = solve(spec, 0)
+    assert res.winner == EXISTS
+    solver = games._Solver(spec, _Counter(10**12, ""))
+    entries = _strategy_entries(solver, res.strategy, spec.rounds)
+    seen = 0
+    for broken, error, text in itertools.chain(
+        _corrupted_strategies(solver, res.strategy, entries),
+        _answer_for_another_node(solver, res.strategy, entries),
+    ):
+        outcomes = []
+        for walk in (games._verify_exists_walk, seed_games._verify_exists_walk):
+            with monkeypatch.context() as patched:
+                patched.setattr(games, "_verify_exists_walk", walk)
+                with pytest.raises(error) as info:
+                    games._verify_exists(solver, broken, 0, spec.rounds)
+            outcomes.append((type(info.value), str(info.value)))
+        assert outcomes[0] == outcomes[1] == (error, text)
+        seen += 1
+    assert seen == corruptions
 
 
 def test_a_slot_that_is_its_own_transposition_partner_keeps_its_atom_fixed():
