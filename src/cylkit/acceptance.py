@@ -206,14 +206,7 @@ def criterion_02() -> CriterionResult:
     labels_ok = oracle == built
     frame_ok = check_ca_frame(mk).passed
     jj = johnson_extend(mk)
-    involution_ok = True
-    for i in range(3):
-        for j in range(i + 1, 3):
-            img = jj.transp_image_masks(i, j)
-            for a in range(jj.natoms):
-                m = img[a]
-                if m.bit_count() != 1 or img[m.bit_length() - 1] != 1 << a:
-                    involution_ok = False
+    involution_ok = all(perm[b] == a for perm in jj.transp for a, b in enumerate(perm))
     elapsed = time.perf_counter() - start
     within = elapsed < 1.0
     passed = count_ok and labels_ok and frame_ok and involution_ok and within

@@ -3,25 +3,22 @@
 A structure of dimension n carries, for each index i < n, a cylindrifier
 accessibility relation T_i on atoms, for each ordered pair (i, j) a diagonal
 atom set E_ij, and optionally, for each unordered pair, a transposition
-relation P_ij.  The complex algebra lives on subsets of the atom set:
-cylindrification is the T_i-preimage operator, diagonals are constants,
-and transpositions act through P_ij.
+P_ij, an involution of the atoms.  The complex algebra lives on subsets of
+the atom set: cylindrification is the T_i-preimage operator, diagonals are
+constants, and transpositions act through P_ij.
 
-Elements are dense bitmasks over atom indices, and a relation R is stored
-once, as its column table: column b is the mask of {a : (a, b) in R}.
-Cylindrification and transposition are both the image map of one relation,
-x -> {a : exists b in x with (a, b) in R}; each is an `AdditiveOperator`
-over the stored table (`cyl_op`, `transp_op`).  The other modules use the
+Elements are dense bitmasks over atom indices.  Each relation is stored
+once: T_i as its column table (column b is the mask of {a : (a, b) in
+T_i}), P_ij as its permutation (entry b is the one atom it relates to b).
+Both act as the image map x -> {a : exists b in x with (a, b) in R}, an
+`AdditiveOperator` (`cyl_op`, `transp_op`).  The other modules use the
 same primitive for every atom-wise image map: the quotient maps of `neat`,
 the copy map of atom splitting in `constructions`, and converse and
-composition in `ra`.  An operator applies to one
-mask (`apply`) or to a uint32 array of masks (`apply_vec`); on structures
-of at most 32 atoms both read lookup tables built on first use, one per
-chunk of at most 16 bits of the mask: one table, and one read per
-application, up to 16 atoms, two up to 32 (see `AdditiveOperator`).
-(a, b) pairs appear only as input to `CaAtomStructure.build` and in JSON
-output.  Everything else is immutable after construction; operations are
-pure and freely shareable across tasks.
+composition in `ra`.  An operator applies to one mask (`apply`) or to a
+uint32 array of masks (`apply_vec`), through lookup tables on at most 32
+atoms.  (a, b) pairs appear only as input to `CaAtomStructure.build` and
+in JSON output.  Everything else is immutable after construction;
+operations are pure and freely shareable across tasks.
 """
 from __future__ import annotations
 
@@ -120,22 +117,38 @@ class AdditiveOperator:
     """The image map x -> OR of cols[b] over the atoms b of x.
 
     `cols[b]` is the mask of {a : (a, b) in R} for one relation R, so this
-    is the complete additive operator of R.  On at most 32 atoms in and out
-    `apply` and `apply_vec` read lookup tables, built on first use: the n
-    input bits are cut into the fewest chunks of at most 16 bits, all of
-    equal width (one n-bit chunk up to 16 atoms, two of ceil(n/2) bits
-    up to 32), and one table per chunk holds the image of every value of
-    that chunk (the "Four Russians" scheme of Arlazarov et al., 1970).  So
-    an application is one table read up to 16 atoms and two above, and the
-    tables of one operator take at most 256 KiB up to 16 atoms and 512 KiB
-    at 32.  Otherwise `apply` runs over the set bits and `apply_vec` raises.
+    is the complete additive operator of R.  `of_map` stores a function R
+    as its map instead: `images[b]` is the one atom R relates to b, and
+    `cols` is None (`images` is None on the column form).  On at most 32
+    atoms in and out `apply` and `apply_vec` read lookup tables, built on
+    first use, the same bytes from either form: the n input bits are cut
+    into the fewest chunks of at most 16 bits, all of equal width (one
+    n-bit chunk up to 16 atoms, two of ceil(n/2) bits up to 32), and one
+    table per chunk holds the image of every value of that chunk (the
+    "Four Russians" scheme of Arlazarov et al., 1970).  So an application
+    is one table read up to 16 atoms and two above, and the tables of one
+    operator take at most 256 KiB up to 16 atoms and 512 KiB at 32.
+    Otherwise `apply` runs over the set bits and `apply_vec` raises.
     """
 
     def __init__(self, cols: tuple[int, ...]) -> None:
-        self.cols = cols
-        self._tabled = len(cols) <= _TABLE_ATOMS and not max(cols, default=0) >> _TABLE_ATOMS
-        self._chunks = -(-len(cols) // _CHUNK_BITS) or 1
-        self._width = -(-len(cols) // self._chunks)
+        self.cols, self.images = cols, None
+        self._shape(len(cols), max(cols, default=0).bit_length())
+
+    @classmethod
+    def of_map(cls, images: tuple[int, ...]) -> "AdditiveOperator":
+        """The image map of the atom map b -> images[b], kept as the map."""
+        op = cls.__new__(cls)
+        op.cols, op.images = None, images
+        op._shape(len(images), max(images, default=-1) + 1)
+        return op
+
+    def _shape(self, n: int, span: int) -> None:
+        # n atoms in, every image below bit span
+        self._atoms = n
+        self._tabled = n <= _TABLE_ATOMS and span <= _TABLE_ATOMS
+        self._chunks = -(-n // _CHUNK_BITS) or 1
+        self._width = -(-n // self._chunks)
 
     @cached_property
     def _tables(self) -> np.ndarray:
@@ -144,7 +157,8 @@ class AdditiveOperator:
             raise ValueError(f"lookup tables need at most {_TABLE_ATOMS} atoms in and out")
         w = self._width
         tables = np.zeros((self._chunks, 1 << w), dtype=np.uint32)
-        for b, col in enumerate(self.cols):
+        cols = self.cols if self.images is None else (1 << a for a in self.images)
+        for b, col in enumerate(cols):
             row, half = tables[b // w], 1 << (b % w)
             # the chunk values whose top bit is b: the values below it, joined with col
             row[half : 2 * half] = row[:half] | np.uint32(col)
@@ -158,7 +172,7 @@ class AdditiveOperator:
         end of the cut row and raises IndexError, as every bit above the
         atoms does."""
         tables = self._tables
-        last = len(self.cols) - (len(tables) - 1) * self._width
+        last = self._atoms - (len(tables) - 1) * self._width
         return (*tables[:-1], tables[-1][: 1 << last])
 
     @cached_property
@@ -175,7 +189,11 @@ class AdditiveOperator:
             w = self._width
             return rows[0][mask & (1 << w) - 1] | rows[1][mask >> w]
         out = 0
-        cols = self.cols
+        cols, images = self.cols, self.images
+        if images is not None:
+            for b in _bits(mask):
+                out |= 1 << images[b]
+            return out
         while mask:
             low = mask & -mask
             out |= cols[low.bit_length() - 1]
@@ -193,11 +211,17 @@ class AdditiveOperator:
     def after(self, inner: "AdditiveOperator") -> tuple[int, ...]:
         """Column masks of the relational composite self after inner.
 
-        Column b of the composite is the image of `inner.cols[b]`, so it
-        depends on that column alone: `self` is applied once per distinct
-        column of `inner` and the image mapped back.  This is exact on any
-        relation; on an equivalence it costs one apply per class.
+        Column b of the composite is the image of inner's column b, so it
+        depends on that column alone.  Over a map, that column is one atom
+        and the composite is self's columns reindexed by the map.
+        Otherwise `self` is applied once per distinct column of `inner` and
+        the image mapped back.  This is exact on any relation; on an
+        equivalence it costs one apply per class.
         """
+        if inner.images is not None:
+            if self.images is None:
+                return tuple(map(self.cols.__getitem__, inner.images))
+            return tuple(1 << self.images[c] for c in inner.images)
         image = {col: self.apply(col) for col in set(inner.cols)}
         return tuple(map(image.__getitem__, inner.cols))
 
@@ -245,26 +269,19 @@ def class_columns(n: int, classes: Iterable[Iterable[int]]) -> tuple[int, ...]:
     return tuple(cols)
 
 
-def _check_columns(cols: Sequence[int], n: int, kind: str) -> None:
-    if len(cols) != n:
-        raise ValueError(f"{kind} relation needs one column per atom, got {len(cols)}")
-    for b, col in enumerate(cols):
-        if col >> n:
-            raise ValueError(f"{kind} pair ({col.bit_length() - 1},{b}) out of range")
-
-
 @dataclass(frozen=True)
 class CaAtomStructure:
     """Dimension-n atom frame: atoms, T_i relations, E_ij sets, optional P_ij.
 
-    Each relation R is stored once, as its column table: n masks, column b
-    the mask of {a : (a, b) in R}, the table its operator reads.  `cyl[i]`
-    is the table of T_i; `transp` is None for a pure cylindric signature,
-    otherwise the table of P_ij per unordered index pair in lexicographic
-    order; `diag[i][j]` is the frozenset E_ij.  `build` is the one
-    constructor from (a, b) pairs.  Construction enforces only the type
-    invariants (index ranges, E_ii full, P_ij a functional bijective
-    involution); the genuine frame conditions live in check_ca_frame.
+    `cyl[i]` is the column table of T_i: n masks, column b the mask of
+    {a : (a, b) in T_i}.  `transp` is None for a pure cylindric signature,
+    otherwise one permutation per unordered index pair in lexicographic
+    order: entry b of P_ij's is the one atom a with (a, b) in P_ij.  Each
+    is the form its operator reads.  `diag[i][j]` is the frozenset E_ij.
+    `build` is the one constructor from (a, b) pairs, and checks that each
+    P_ij is a bijection.  Construction enforces only the type invariants
+    (index ranges, E_ii full, each P_ij an involution); the genuine frame
+    conditions live in check_ca_frame.
     """
 
     dim: int
@@ -284,7 +301,12 @@ class CaAtomStructure:
         if len(self.cyl) != self.dim:
             raise ValueError("need one cylindrifier relation per index")
         for cols in self.cyl:
-            _check_columns(cols, n, "cylindrifier")
+            if len(cols) != n:
+                raise ValueError(f"cylindrifier relation needs one column per atom, got {len(cols)}")
+            for b, col in enumerate(cols):
+                if col >> n:
+                    a = col.bit_length() - 1
+                    raise ValueError(f"cylindrifier pair ({a},{b}) out of range")
         if len(self.diag) != self.dim or any(len(row) != self.dim for row in self.diag):
             raise ValueError("diagonal sets must form a dim x dim grid")
         full = frozenset(range(n))
@@ -294,34 +316,29 @@ class CaAtomStructure:
                     raise ValueError(f"diagonal set E_{i}{j} out of range")
             if self.diag[i][i] != full:
                 raise ValueError(f"E_{i}{i} must be the full atom set")
-        full_mask = (1 << n) - 1
         if self.transp is not None:
             npairs = self.dim * (self.dim - 1) // 2
             if len(self.transp) != npairs:
                 raise ValueError("need one transposition relation per unordered pair")
-            for cols in self.transp:
-                _check_columns(cols, n, "transposition")
-                seen = 0
-                for col in cols:
-                    if col & seen:
-                        raise ValueError("transposition relation is not functional")
-                    seen |= col
-                if seen != full_mask or not all(cols):
-                    raise ValueError("transposition relation is not a bijection on atoms")
-                if any(cols[col.bit_length() - 1] != 1 << b for b, col in enumerate(cols)):
-                    raise ValueError("transposition relation is not an involution")
-        object.__setattr__(self, "_full_mask", full_mask)
+            for perm in self.transp:
+                if len(perm) != n:
+                    raise ValueError(
+                        f"transposition relation needs one image per atom, got {len(perm)}"
+                    )
+                for b, a in enumerate(perm):
+                    if not 0 <= a < n:
+                        raise ValueError(f"transposition pair ({a},{b}) out of range")
+                    if perm[a] != b:
+                        raise ValueError("transposition relation is not an involution")
+        object.__setattr__(self, "_full_mask", (1 << n) - 1)
         object.__setattr__(self, "_cyl_ops", tuple(map(AdditiveOperator, self.cyl)))
         diag_mask = tuple(
             tuple(sum(1 << a for a in self.diag[i][j]) for j in range(self.dim))
             for i in range(self.dim)
         )
         object.__setattr__(self, "_diag_mask", diag_mask)
-        object.__setattr__(
-            self,
-            "_transp_ops",
-            None if self.transp is None else tuple(map(AdditiveOperator, self.transp)),
-        )
+        ops = None if self.transp is None else tuple(map(AdditiveOperator.of_map, self.transp))
+        object.__setattr__(self, "_transp_ops", ops)
 
     @property
     def natoms(self) -> int:
@@ -346,13 +363,11 @@ class CaAtomStructure:
         return self._diag_mask[i][j]  # type: ignore[attr-defined]
 
     def transp_op(self, i: int, j: int) -> AdditiveOperator:
-        """The transposition s_ij for i != j: the additive operator of P_ij."""
+        """The transposition s_ij for i != j: the additive operator of P_ij,
+        whose `images` is the stored permutation."""
         if self.transp is None:
             raise SignatureError("structure carries no transposition relations")
         return self._transp_ops[_pair_rank(min(i, j), max(i, j), self.dim)]  # type: ignore[attr-defined]
-
-    def transp_image_masks(self, i: int, j: int) -> tuple[int, ...]:
-        return self.transp_op(i, j).cols
 
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.dim:
@@ -368,7 +383,9 @@ class CaAtomStructure:
         transp: Sequence[Iterable[Pair]] | None = None,
     ) -> "CaAtomStructure":
         """The structure from (a, b) pairs and atom index sets: each pair is
-        range-checked and ORed into column b of its relation's table."""
+        range-checked, a cylindrifier pair ORed into column b of its
+        relation's table, and a transposition's pairs read off as the
+        image of each b once they form a bijection."""
         atoms = tuple(atoms)
         n = len(atoms)
 
@@ -379,20 +396,35 @@ class CaAtomStructure:
                 raise ValueError(f"{name} has a non-integer atom index {bad!r}")
             return xs
 
-        def columns(rel: Iterable[Pair], kind: str, name: str) -> tuple[int, ...]:
-            cols = [0] * n
+        def checked(rel: Iterable[Pair], kind: str, name: str) -> Iterator[Pair]:
             for pair in rel:
                 a, b = indices(pair, f"{kind} relation {name}")
                 if not (0 <= a < n and 0 <= b < n):
                     raise ValueError(f"{kind} pair ({a},{b}) out of range")
+                yield a, b
+
+        def columns(rel: Iterable[Pair], name: str) -> tuple[int, ...]:
+            cols = [0] * n
+            for a, b in checked(rel, "cylindrifier", name):
                 cols[b] |= 1 << a
             return tuple(cols)
+
+        def permutation(rel: Iterable[Pair], name: str) -> tuple[int, ...]:
+            related: list[set[int]] = [set() for _ in range(n)]
+            for a, b in checked(rel, "transposition", name):
+                related[b].add(a)
+            if sum(map(len, related)) != len(set().union(*related)):
+                raise ValueError("transposition relation is not functional")
+            # n disjoint sets of atoms, each non-empty, hold one atom each
+            if not all(related):
+                raise ValueError("transposition relation is not a bijection on atoms")
+            return tuple(min(col) for col in related)
 
         names = [f"P{i}{j}" for i in range(dim) for j in range(i + 1, dim)]
         return cls(
             dim=dim,
             atoms=atoms,
-            cyl=tuple(columns(rel, "cylindrifier", f"T{i}") for i, rel in enumerate(cyl)),
+            cyl=tuple(columns(rel, f"T{i}") for i, rel in enumerate(cyl)),
             diag=tuple(
                 tuple(
                     frozenset(indices(row_j, f"diagonal set E{i}{j}"))
@@ -401,7 +433,7 @@ class CaAtomStructure:
                 for i, row in enumerate(diag)
             ),
             transp=None if transp is None else tuple(
-                columns(rel, "transposition", names[r] if r < len(names) else str(r))
+                permutation(rel, names[r] if r < len(names) else str(r))
                 for r, rel in enumerate(transp)
             ),
         )
@@ -608,9 +640,9 @@ def check_ca_frame(structure: CaAtomStructure) -> FrameReport:
     pairs of the relations: the equivalence test is the class test of
     `equivalence_defects`, the compositions apply once per distinct column
     (`AdditiveOperator.after`), and uniqueness looks at one column per atom
-    of E_ij.
+    of E_ij.  A transposition is read as its permutation: the involution
+    by index, and each T_k after it by `after`'s reindex.
     """
-    n = structure.natoms
     dim = structure.dim
     conds: list[FrameCondition] = []
 
@@ -648,11 +680,10 @@ def check_ca_frame(structure: CaAtomStructure) -> FrameReport:
             conds.append(FrameCondition(f"diag_unique_E{i}{j}_in_T{i}", ok))
 
     if structure.transp is not None:
-        identity = tuple(1 << b for b in range(n))
         for i in range(dim):
             for j in range(i + 1, dim):
                 pij = structure.transp_op(i, j)
-                inv = pij.after(pij) == identity
+                inv = all(pij.images[a] == b for b, a in enumerate(pij.images))
                 conds.append(FrameCondition(f"P{i}{j}_involution", inv))
                 swap = {i: j, j: i}
                 ok = all(
@@ -690,8 +721,9 @@ def structure_to_dict(structure: CaAtomStructure) -> dict:
         "diag": [[sorted(structure.diag[i][j]) for j in range(dim)] for i in range(dim)],
     }
     if structure.transp is not None:
+        # an involution relates a to perm[a]: its pairs in (a, b) order
         out["transp"] = [
-            [i, j, pairs(structure.transp_image_masks(i, j))]
+            [i, j, [[a, b] for a, b in enumerate(structure.transp_op(i, j).images)]]
             for i in range(dim)
             for j in range(i + 1, dim)
         ]

@@ -195,17 +195,13 @@ def johnson_extend(structure: CaAtomStructure) -> CaAtomStructure:
             fitems.append(((min(p, q), max(p, q)), c))
         return MonkAtom(blocks, tuple(sorted(fitems)))
 
-    transp = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            cols = []
-            for at in data:
-                conj = conjugate(at, i, j)
-                if conj not in index:
-                    raise ValueError("structure was not produced by monk_atoms")
-                cols.append(1 << index[conj])
-            transp.append(tuple(cols))
-    return replace(structure, transp=tuple(transp))
+    try:
+        transp = tuple(
+            tuple(index[conjugate(at, i, j)] for at in data) for i, j in combinations(range(m), 2)
+        )
+    except KeyError:
+        raise ValueError("structure was not produced by monk_atoms") from None
+    return replace(structure, transp=transp)
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +436,10 @@ def _basic_matrices(
         diag.append(tuple(row))
 
     transp = []
-    for x in range(m):
-        for y in range(x + 1, m):
-            swap = {x: y, y: x}
-            conj = [slot_index[swap.get(a, a)][swap.get(b, b)] for a, b in slots]
-            transp.append(tuple(1 << index[tuple(v[k] for k in conj)] for v in mats))
+    for x, y in combinations(range(m), 2):
+        swap = {x: y, y: x}
+        conj = [slot_index[swap.get(a, a)][swap.get(b, b)] for a, b in slots]
+        transp.append(tuple(index[tuple(v[k] for k in conj)] for v in mats))
 
     return (
         CaAtomStructure(
@@ -481,18 +476,12 @@ def full_set_algebra(n: int, base_size: int) -> CaAtomStructure:
         tuple(frozenset(index[t] for t in tuples if t[i] == t[j]) for j in range(n))
         for i in range(n)
     )
-    transp = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            cols = []
-            for t in tuples:
-                s = list(t)
-                s[i], s[j] = s[j], s[i]
-                cols.append(1 << index[tuple(s)])
-            transp.append(tuple(cols))
-    return CaAtomStructure(
-        dim=n, atoms=labels, cyl=tuple(cyl), diag=diag, transp=tuple(transp)
+    # P_ij sends a tuple to the tuple with coordinates i and j swapped
+    transp = tuple(
+        tuple(index[t[:i] + (t[j],) + t[i + 1 : j] + (t[i],) + t[j + 1 :]] for t in tuples)
+        for i, j in combinations(range(n), 2)
     )
+    return CaAtomStructure(dim=n, atoms=labels, cyl=tuple(cyl), diag=diag, transp=transp)
 
 
 def three_cube() -> CaAtomStructure:
@@ -617,12 +606,12 @@ def _split_ca(structure: CaAtomStructure, a: int, policy: SplitPolicy) -> SplitR
     )
     transp = None
     if structure.transp is not None:
-        if any(cols[a] != 1 << a for cols in structure.transp):
+        if any(perm[a] != a for perm in structure.transp):
             raise ValueError("cannot split an atom moved by a transposition")
-        # a fixed point: its copies stay individually fixed
+        # a's copies stay individually fixed; every other atom has one copy
         transp = tuple(
-            tuple(1 << new if proj[new] == a else lift.apply(cols[proj[new]]) for new in range(nn))
-            for cols in structure.transp
+            tuple(new if proj[new] == a else copy_map[perm[proj[new]]][0] for new in range(nn))
+            for perm in structure.transp
         )
     new_structure = CaAtomStructure(
         dim=structure.dim,

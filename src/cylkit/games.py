@@ -283,22 +283,20 @@ def _validate_ca(net: CaNetwork) -> Iterator[str]:
                         f"c_{i} of {st.atoms[a]!r}"
                     )
 
-    if st.transp is not None:
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                timg = st.transp_image_masks(i, j)
-                for idx, t in enumerate(tuples):
-                    a = labels[idx]
-                    u = list(t)
-                    u[i], u[j] = u[j], u[i]
-                    b = labels[_tuple_index(u, s)]
-                    if not (timg[a] >> b) & 1:
-                        real = tuple(nodes[p] for p in t)
-                        yield (
-                            f"transposition ({i},{j}): tuple {real} carries "
-                            f"{st.atoms[a]!r} but its swap carries {st.atoms[b]!r}, "
-                            f"not the transposition image"
-                        )
+    # the transpositions, by pair rank
+    for (i, j), perm in zip(itertools.combinations(range(dim), 2), st.transp or ()):
+        for idx, t in enumerate(tuples):
+            a = labels[idx]
+            u = list(t)
+            u[i], u[j] = u[j], u[i]
+            b = labels[_tuple_index(u, s)]
+            if perm[a] != b:
+                real = tuple(nodes[p] for p in t)
+                yield (
+                    f"transposition ({i},{j}): tuple {real} carries "
+                    f"{st.atoms[a]!r} but its swap carries {st.atoms[b]!r}, "
+                    f"not the transposition image"
+                )
 
 
 def _validate_ra(net: RaNetwork) -> Iterator[str]:
@@ -650,16 +648,6 @@ def _cyl_masks(structure: CaAtomStructure) -> tuple[tuple[int, ...], ...]:
     return got
 
 
-def _transp_masks(structure: CaAtomStructure) -> list[tuple[int, ...]]:
-    """Transposition image masks by pair rank; empty without transpositions."""
-    if structure.transp is None:
-        return []
-    return [
-        structure.transp_image_masks(i, j)
-        for i, j in itertools.combinations(range(structure.dim), 2)
-    ]
-
-
 def _diag_masks(structure: CaAtomStructure) -> tuple[tuple[int, ...], ...]:
     """Per i < j, the atoms a slot repeating a node at positions i and j
     may carry: those in E_ij and, with transpositions, fixed by the (i, j)
@@ -670,8 +658,8 @@ def _diag_masks(structure: CaAtomStructure) -> tuple[tuple[int, ...], ...]:
         dim = structure.dim
         rows = [[structure.diag_mask(i, j) for j in range(dim)] for i in range(dim)]
         pairs = itertools.combinations(range(dim), 2)
-        for (i, j), images in zip(pairs, _transp_masks(structure)):
-            rows[i][j] &= sum(1 << a for a, img in enumerate(images) if img >> a & 1)
+        for (i, j), perm in zip(pairs, structure.transp or ()):
+            rows[i][j] &= sum(1 << a for a, b in enumerate(perm) if a == b)
         got = tuple(map(tuple, rows))
         object.__setattr__(structure, "_game_diag_masks", got)
     return got
@@ -694,7 +682,8 @@ def _ca_completions(
     dim = structure.dim
     table = _ca_slot_table(len(nodes), dim)
     cyl = _cyl_masks(structure)
-    transp = _transp_masks(structure)
+    # by pair rank, the same order as the slot table's partners
+    transp = structure.transp or ()
     lab = [-1] * len(table)
     for idx, a in fixed.items():
         lab[idx] = a
@@ -717,7 +706,7 @@ def _ca_completions(
             for rank, n in transp_nbrs:
                 other = lab[n]
                 if other >= 0:
-                    cand &= transp[rank][other]
+                    cand &= 1 << transp[rank][other]
                     if not cand:
                         return 0
         return cand

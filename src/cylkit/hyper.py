@@ -27,7 +27,7 @@ builds about N*m^2 keys and makes at most N^2*m^2 key comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from .bao import BudgetExceededError, CaAtomStructure, class_columns
@@ -378,11 +378,10 @@ def ca_over_hyperbasis(
         for i in range(m)
     )
     transp = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            sigma = list(range(m))
-            sigma[i], sigma[j] = j, i
-            transp.append(tuple(1 << index[h.rename(sigma)] for h in nets))
+    for i, j in combinations(range(m), 2):
+        sigma = list(range(m))
+        sigma[i], sigma[j] = j, i
+        transp.append(tuple(index[h.rename(sigma)] for h in nets))
     return CaAtomStructure(
         dim=m, atoms=labels, cyl=tuple(cyl), diag=diag, transp=tuple(transp)
     )

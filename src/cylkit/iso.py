@@ -2,8 +2,8 @@
 
 Backtracking over atom bijections, pruned by cheap per-atom invariants.
 Works for both cylindric-style structures (column tables of the relations,
-diagonal sets, optional transpositions) and relation-algebra atom
-structures.
+diagonal sets, optional transposition permutations) and relation-algebra
+atom structures.
 """
 from __future__ import annotations
 
@@ -58,12 +58,16 @@ def ca_is_isomorphism(a: CaAtomStructure, b: CaAtomStructure, mapping) -> bool:
         return False
     if (a.transp is None) != (b.transp is None):
         return False
-    rename = AdditiveOperator(tuple(1 << y for y in mapping))
-    # column x of a relation of a, renamed, must be column mapping[x] of b's
+    rename = AdditiveOperator.of_map(mapping)
+    # each relation, transposition and diagonal of a, renamed, must be b's
     return all(
         cols_b[y] == rename.apply(col)
-        for cols_a, cols_b in zip(a.cyl + (a.transp or ()), b.cyl + (b.transp or ()))
+        for cols_a, cols_b in zip(a.cyl, b.cyl)
         for y, col in zip(mapping, cols_a)
+    ) and all(
+        perm_b[y] == mapping[img]
+        for perm_a, perm_b in zip(a.transp or (), b.transp or ())
+        for y, img in zip(mapping, perm_a)
     ) and all(
         rename.apply(a.diag_mask(i, j)) == b.diag_mask(i, j)
         for i in range(a.dim)
@@ -78,7 +82,7 @@ def _ca_profiles(s: CaAtomStructure) -> list[tuple]:
     return [
         tuple((rows[x].bit_count(), cols[x].bit_count()) for rows, cols in degrees)
         + tuple(x in s.diag[i][j] for i in range(s.dim) for j in range(s.dim))
-        + tuple(cols[x] == 1 << x for cols in s.transp or ())
+        + tuple(perm[x] == x for perm in s.transp or ())
         for x in range(s.natoms)
     ]
 
@@ -98,9 +102,9 @@ def ca_find_isomorphism(a: CaAtomStructure, b: CaAtomStructure):
                     return False
                 if cols_a[x] >> x2 & 1 != cols_b[y] >> y2 & 1:
                     return False
-        for cols_a, cols_b in zip(a.transp or (), b.transp or ()):
-            ia = cols_a[x].bit_length() - 1
-            if ia in mapping and cols_b[y] != 1 << mapping[ia]:
+        for perm_a, perm_b in zip(a.transp or (), b.transp or ()):
+            ia = perm_a[x]
+            if ia in mapping and perm_b[y] != mapping[ia]:
                 return False
         return True
 

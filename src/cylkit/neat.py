@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .bao import (
@@ -115,11 +116,11 @@ def nr(
 
     members = AdditiveOperator(tuple(_join_classes(structure, dropped)))
     classes = tuple(tuple(_bits(mask)) for mask in members.cols)
-    class_bit = [0] * structure.natoms
+    class_of = [0] * structure.natoms
     for ci, cls in enumerate(classes):
         for a in cls:
-            class_bit[a] = 1 << ci
-    to_class = AdditiveOperator(tuple(class_bit))
+            class_of[a] = ci
+    to_class = AdditiveOperator(tuple(1 << ci for ci in class_of))
     nclasses = len(classes)
     passed = True
     counterexample: str | None = None
@@ -149,10 +150,10 @@ def nr(
         labels = tuple(f"c{ci}|{structure.atoms[cls[0]]}" for ci, cls in enumerate(classes))
         # column c of a quotient relation: the classes met by the source
         # operator's image of class c
-        def quotient_cols(op: AdditiveOperator) -> tuple[int, ...]:
-            return tuple(to_class.apply(op.apply(mask)) for mask in members.cols)
-
-        q_cyl = tuple(quotient_cols(structure.cyl_op(i)) for i in gamma)
+        q_cyl = tuple(
+            tuple(to_class.apply(structure.cyl_op(i).apply(mask)) for mask in members.cols)
+            for i in gamma
+        )
         q_diag = []
         for i in gamma:
             row = []
@@ -167,15 +168,16 @@ def nr(
             q_transp = []
             for p, i in enumerate(gamma):
                 for j in gamma[p + 1 :]:
-                    cols = quotient_cols(structure.transp_op(i, j))
+                    perm = structure.transp_op(i, j).images
                     # well-defined iff each class has one image class
-                    if any(col & (col - 1) for col in cols):
+                    hit = [{class_of[perm[a]] for a in cls} for cls in classes]
+                    if any(len(cs) != 1 for cs in hit):
                         q_transp_ok = False
                         details.append(
                             f"transposition ({i},{j}) not well-defined on classes; dropped"
                         )
                         break
-                    q_transp.append(cols)
+                    q_transp.append(tuple(min(cs) for cs in hit))
             q_transp = tuple(q_transp) if q_transp_ok else None
         quotient = CaAtomStructure(
             dim=len(gamma), atoms=labels, cyl=q_cyl, diag=tuple(q_diag), transp=q_transp
@@ -222,15 +224,15 @@ def nr(
                 if lifted != quotient.diag_mask(p, q):
                     note_fail(f"quotient diagonal ({p},{q}) disagrees with source")
 
-    # transposition agreement on atoms: column a of either composite is the
-    # class bits of s_ij{a}
+    # transposition agreement on atoms: the class of s_ij{a} against the
+    # quotient transposition of a's class
     if quotient is not None and q_transp_ok and structure.transp is not None:
         for p, i in enumerate(gamma):
             for q, j in enumerate(gamma[p + 1 :], p + 1):
-                got = to_class.after(structure.transp_op(i, j))
-                want = quotient.transp_op(p, q).after(to_class)
+                perm = structure.transp_op(i, j).images
+                qperm = quotient.transp_op(p, q).images
                 for a in range(structure.natoms):
-                    if got[a] != want[a]:
+                    if class_of[perm[a]] != qperm[class_of[a]]:
                         note_fail(
                             f"quotient transposition ({p},{q}) disagrees at atom {a}"
                         )
@@ -262,16 +264,11 @@ def rd_rho(structure: CaAtomStructure, rho: Sequence[int]) -> CaAtomStructure:
         raise ValueError(f"renaming {rho} out of range for dimension {structure.dim}")
     if len(rho) < 2:
         raise ValueError("renaming must retain at least two indices")
-    m = len(rho)
     transp = None
     if structure.transp is not None:
-        transp = tuple(
-            structure.transp_image_masks(rho[p], rho[q])
-            for p in range(m)
-            for q in range(p + 1, m)
-        )
+        transp = tuple(structure.transp_op(i, j).images for i, j in combinations(rho, 2))
     return CaAtomStructure(
-        dim=m,
+        dim=len(rho),
         atoms=structure.atoms,
         cyl=tuple(structure.cyl[i] for i in rho),
         diag=tuple(tuple(structure.diag[i][j] for j in rho) for i in rho),
@@ -315,12 +312,10 @@ def rl_x(structure: CaAtomStructure, x: Element) -> RlResult:
     )
     transp = None
     if structure.transp is not None:
-        transp = tuple(map(restrict, structure.transp))
-        if not all(all(cols) for cols in transp):
+        transp = tuple(tuple(pos.get(perm[b]) for b in kept) for perm in structure.transp)
+        if any(None in perm for perm in transp):
             transp = None
-            details.append(
-                "transpositions do not restrict to the kept atoms; dropped"
-            )
+            details.append("transpositions do not restrict to the kept atoms; dropped")
     sub = CaAtomStructure(
         dim=structure.dim,
         atoms=tuple(structure.atoms[a] for a in kept),
@@ -541,11 +536,10 @@ def restriction_iso(msmall: int, mbig: int, bin_ra: RaAtomStructure) -> IsoRepor
         else:
             for p in range(msmall):
                 for q in range(p + 1, msmall):
-                    scols = small.transp_image_masks(p, q)
-                    qcols = quotient.transp_image_masks(p, q)
-                    for b, col in enumerate(scols):
-                        a = col.bit_length() - 1
-                        if qcols[mapping[b]] != 1 << mapping[a]:
+                    sperm = small.transp_op(p, q).images
+                    qperm = quotient.transp_op(p, q).images
+                    for b, a in enumerate(sperm):
+                        if qperm[mapping[b]] != mapping[a]:
                             fail(f"transposition ({p},{q}) differs at ({a},{b})")
                             break
 

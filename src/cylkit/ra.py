@@ -105,7 +105,7 @@ class RaAtomStructure:
 
     @cached_property
     def _converse_op(self) -> AdditiveOperator:
-        return AdditiveOperator(tuple(1 << c for c in self.converse))
+        return AdditiveOperator.of_map(self.converse)
 
     @cached_property
     def _consistent_pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:

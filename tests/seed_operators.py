@@ -12,15 +12,93 @@ as ``self`` where it was a method:
   cache; `converse_el` and `compose` were the `cylkit.ra` functions,
   here without their checks that the elements belong to the structure.
 - `structure_to_dict` listed each relation's pairs by sorting them.
+- `ColumnOperator` was `AdditiveOperator` while every operator, the
+  transpositions included, read a column table of masks; `perm_columns`
+  and `transp_columns` give a permutation's column table, the form the
+  transpositions were stored in.
 
 The operator code in `cylkit` must give the same masks.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from types import SimpleNamespace
+
+import numpy as np
 
 from cylkit.bao import Element, _bits, column_pairs
 from cylkit.ra import RaAtomStructure
+
+_TABLE_ATOMS = 32
+_CHUNK_BITS = 16
+
+
+class ColumnOperator:
+    """The image map x -> OR of cols[b] over the atoms b of x, read from
+    lookup tables on at most 32 atoms in and out, else bit by bit."""
+
+    def __init__(self, cols: tuple[int, ...]) -> None:
+        self.cols = cols
+        self._tabled = len(cols) <= _TABLE_ATOMS and not max(cols, default=0) >> _TABLE_ATOMS
+        self._chunks = -(-len(cols) // _CHUNK_BITS) or 1
+        self._width = -(-len(cols) // self._chunks)
+
+    @cached_property
+    def _tables(self) -> np.ndarray:
+        if not self._tabled:
+            raise ValueError(f"lookup tables need at most {_TABLE_ATOMS} atoms in and out")
+        w = self._width
+        tables = np.zeros((self._chunks, 1 << w), dtype=np.uint32)
+        for b, col in enumerate(self.cols):
+            row, half = tables[b // w], 1 << (b % w)
+            row[half : 2 * half] = row[:half] | np.uint32(col)
+        return tables
+
+    @cached_property
+    def _chunk_tables(self) -> tuple[np.ndarray, ...]:
+        tables = self._tables
+        last = len(self.cols) - (len(tables) - 1) * self._width
+        return (*tables[:-1], tables[-1][: 1 << last])
+
+    @cached_property
+    def _rows(self) -> tuple[memoryview, ...]:
+        return tuple(memoryview(row) for row in self._chunk_tables)
+
+    def apply(self, mask: int) -> int:
+        if self._tabled:
+            rows = self._rows
+            if len(rows) == 1:
+                return rows[0][mask]
+            w = self._width
+            return rows[0][mask & (1 << w) - 1] | rows[1][mask >> w]
+        out = 0
+        cols = self.cols
+        while mask:
+            low = mask & -mask
+            out |= cols[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def apply_vec(self, masks: np.ndarray) -> np.ndarray:
+        tables = self._chunk_tables
+        if len(tables) == 1:
+            return tables[0].take(masks)
+        w = self._width
+        return tables[0].take(masks & np.uint32((1 << w) - 1)) | tables[1].take(masks >> w)
+
+    def after(self, inner: "ColumnOperator") -> tuple[int, ...]:
+        image = {col: self.apply(col) for col in set(inner.cols)}
+        return tuple(map(image.__getitem__, inner.cols))
+
+
+def perm_columns(perm) -> tuple[int, ...]:
+    """The column table of an atom map: column b is the mask of perm[b]."""
+    return tuple(1 << a for a in perm)
+
+
+def transp_columns(structure, i: int, j: int) -> tuple[int, ...]:
+    """The column table of the transposition P_ij."""
+    return perm_columns(structure.transp_op(i, j).images)
 
 
 def frame_view(source, classes) -> SimpleNamespace:
@@ -101,7 +179,7 @@ def structure_to_dict(structure) -> dict:
     }
     if structure.transp is not None:
         out["transp"] = [
-            [i, j, pairs(structure.transp_image_masks(i, j))]
+            [i, j, pairs(transp_columns(structure, i, j))]
             for i in range(dim)
             for j in range(i + 1, dim)
         ]

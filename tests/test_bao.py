@@ -2,7 +2,9 @@
 
 import ast
 import json
+import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -148,7 +150,11 @@ def test_relations_are_stored_as_column_tables(fs32):
     # column 0 of T_0: the tuples agreeing with (0, 0, 0) off coordinate 0
     assert fs32.cyl[0][0] == 1 << 0 | 1 << fs32.atoms.index("(1, 0, 0)")
     assert fs32.cyl_op(0).cols is fs32.cyl[0]
-    assert fs32.transp_op(0, 1).cols is fs32.transp[0]
+    # a transposition is stored as its permutation, and its operator keeps
+    # the same tuple with no column table
+    assert fs32.transp[0][fs32.atoms.index("(0, 1, 0)")] == fs32.atoms.index("(1, 0, 0)")
+    assert fs32.transp_op(0, 1).images is fs32.transp[0]
+    assert fs32.transp_op(0, 1).cols is None
 
 
 @pytest.mark.parametrize(
@@ -156,12 +162,10 @@ def test_relations_are_stored_as_column_tables(fs32):
     [
         ((1, 2), None, "cylindrifier relation needs one column per atom, got 2"),
         ((1, 2, 1 << 3), None, "cylindrifier pair (3,2) out of range"),
-        ((1, 2, 4), (1, 2), "transposition relation needs one column per atom, got 2"),
-        ((1, 2, 4), (1, 2, 1 << 5), "transposition pair (5,2) out of range"),
-        ((1, 2, 4), (2, 2, 1), "transposition relation is not functional"),
-        ((1, 2, 4), (2, 1, 0), "transposition relation is not a bijection on atoms"),
-        ((1, 2, 4), (1, 6, 0), "transposition relation is not a bijection on atoms"),
-        ((1, 2, 4), (2, 4, 1), "transposition relation is not an involution"),
+        ((1, 2, 4), (0, 1), "transposition relation needs one image per atom, got 2"),
+        ((1, 2, 4), (0, 1, 5), "transposition pair (5,2) out of range"),
+        ((1, 2, 4), (1, 2, 0), "transposition relation is not an involution"),
+        ((1, 2, 4), (0, 1, -1), "transposition pair (-1,2) out of range"),
     ],
 )
 def test_column_tables_are_checked(cyl0, transp, text):
@@ -174,6 +178,31 @@ def test_column_tables_are_checked(cyl0, transp, text):
             ((full, full), (full, full)),
             None if transp is None else (transp,),
         )
+
+
+# A stored permutation is a function and a bijection by its type, so these
+# are checked where (a, b) pairs come in: in `build`.
+@pytest.mark.parametrize(
+    "pairs, text",
+    [
+        ([(1, 0), (1, 1), (0, 2)], "transposition relation is not functional"),
+        ([(1, 0), (0, 1)], "transposition relation is not a bijection on atoms"),
+        ([(0, 0), (1, 1), (2, 1)], "transposition relation is not a bijection on atoms"),
+    ],
+)
+def test_transposition_pairs_are_checked(pairs, text):
+    full = range(3)
+    ident = [(a, a) for a in full]
+    with pytest.raises(ValueError, match=re.escape(text)):
+        CaAtomStructure.build(2, ("a", "b", "c"), (ident, ident), [[full] * 2] * 2, (pairs,))
+
+
+def test_a_missing_transposition_pair_is_refused(fs32):
+    data = structure_to_dict(fs32)
+    assert [p[:2] for p in data["transp"]] == [[0, 1], [0, 2], [1, 2]]
+    del data["transp"][1]
+    with pytest.raises(ValueError, match="transposition relation is not a bijection on atoms"):
+        structure_from_dict(data)
 
 
 def test_column_helpers():
@@ -222,7 +251,7 @@ def test_non_integer_atom_indices_are_refused(fields, text):
 
 def test_two_atom_fixture_loads():
     s = structure_from_dict(_two_atoms())
-    assert s.cyl == ((1, 2), (1, 2)) and s.transp == ((1, 2),)
+    assert s.cyl == ((1, 2), (1, 2)) and s.transp == ((0, 1),)
 
 
 # ---------------------------------------------------------------------------
@@ -444,3 +473,36 @@ def test_cyl_image_mask_consistency(drawn, data):
     assert {a for a in range(s.natoms) if mask >> a & 1} == {
         a for a, bb in cyl_rels[i] if bb == b
     }
+
+
+def test_a_transposition_costs_memory_by_atoms_not_atoms_squared():
+    # 8,192 atoms: T_0 = T_1 is the full relation, one column shared by
+    # every atom; P_01 a seeded random involution that fixes an atom d
+    # (and one more), and E_01 = E_10 = {d}, so the frame passes.  As a column table of
+    # one-bit masks P_01 alone would take n^2/16 bytes, 4 MiB, and
+    # checking it about three times that.
+    n = 8192
+    full = (1 << n) - 1
+    cols = (full,) * n
+    rest = list(range(n))
+    random.Random(0).shuffle(rest)
+    d = rest.pop()
+    perm = list(range(n))
+    for a, b in zip(rest[::2], rest[1::2]):
+        perm[a], perm[b] = b, a
+    every, fixed = frozenset(range(n)), frozenset({d})
+    args = (
+        2,
+        tuple(f"a{k}" for k in range(n)),
+        (cols, cols),
+        ((every, fixed), (fixed, every)),
+        (tuple(perm),),
+    )
+    tracemalloc.start()
+    try:
+        report = check_ca_frame(CaAtomStructure(*args))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 4 * 2**20

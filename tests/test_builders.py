@@ -51,6 +51,7 @@ from cylkit.neat import nr, rd_rho, rl_x
 from cylkit.ra import RaAtomStructure
 
 from seed_hyper import _agrees_off
+from seed_operators import perm_columns, transp_columns
 
 
 def _rel(cols):
@@ -58,7 +59,7 @@ def _rel(cols):
 
 
 def _transp_rel(s, i, j):
-    return _rel(s.transp_image_masks(i, j))
+    return _rel(transp_columns(s, i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +227,8 @@ def seed_split_ca(structure, a, policy):
     transp = None
     if structure.transp is not None:
         transp = []
-        for cols in structure.transp:
-            rel = _rel(cols)
+        for perm in structure.transp:
+            rel = _rel(perm_columns(perm))
             img = dict(rel)
             if img.get(a, a) != a:
                 raise ValueError("cannot split an atom moved by a transposition")
@@ -403,7 +404,9 @@ def seed_drop_cyl_pair(structure, i, a, b):
         raise ValueError(f"({a},{b}) is not in cylindrifier relation {i}")
     cyl = [_rel(cols) for cols in structure.cyl]
     cyl[i] = rel - {(a, b)}
-    transp = None if structure.transp is None else [_rel(cols) for cols in structure.transp]
+    transp = None
+    if structure.transp is not None:
+        transp = [_rel(perm_columns(perm)) for perm in structure.transp]
     return CaAtomStructure.build(
         dim=structure.dim, atoms=structure.atoms, cyl=cyl, diag=structure.diag, transp=transp
     )
@@ -419,7 +422,7 @@ def _fixed_atoms(s):
         a
         for a in range(s.natoms)
         if all(
-            s.transp_image_masks(i, j)[a] == 1 << a
+            transp_columns(s, i, j)[a] == 1 << a
             for i in range(s.dim)
             for j in range(i + 1, s.dim)
         )
@@ -753,4 +756,4 @@ def test_transpositions_are_stored_in_pair_rank_order():
     s = _inputs()["fs42"]
     for i in range(4):
         for j in range(i + 1, 4):
-            assert s.transp[_pair_rank(i, j, 4)] == s.transp_image_masks(j, i)
+            assert s.transp[_pair_rank(i, j, 4)] == s.transp_op(j, i).images

@@ -195,8 +195,8 @@ def test_johnson_swap_conjugates_colourings():
     # the (0,1) swap sends an atom to the atom with indices 0 and 1
     # exchanged in both the partition and the colouring
     ext = johnson_extend(monk_atoms(3, 3))
-    # P_01 is an involution: column a holds the one atom a is swapped with
-    img = [col.bit_length() - 1 for col in ext.transp_image_masks(0, 1)]
+    # P_01 is an involution: entry a is the one atom a is swapped with
+    img = ext.transp_op(0, 1).images
     for a, label in enumerate(ext.atoms):
         at = parse_monk_label(label)
         perm = {0: 1, 1: 0, 2: 2}

@@ -17,6 +17,7 @@ from collections.abc import Iterator, Mapping
 
 import pytest
 import seed_games
+from seed_operators import transp_columns
 
 from cylkit import games
 from cylkit.bao import BudgetExceededError, CaAtomStructure, _pair_rank, column_pairs
@@ -614,7 +615,7 @@ def _ca_completions(
     cyl_rows = [_row_masks(structure, i) for i in range(dim)]
     if structure.transp is not None:
         transp_cols = [
-            ((i, j), structure.transp_image_masks(i, j))
+            ((i, j), transp_columns(structure, i, j))
             for i in range(dim)
             for j in range(i + 1, dim)
         ]
@@ -727,7 +728,7 @@ def _check_fixed_slot(
                 u[i], u[j] = u[j], u[i]
                 other = fixed.get(_tuple_index(u, s))
                 if other is not None:
-                    timg = structure.transp_image_masks(i, j)
+                    timg = transp_columns(structure, i, j)
                     if not (timg[other] >> a) & 1:
                         return False
     return True
@@ -1589,9 +1590,9 @@ def test_a_slot_that_is_its_own_transposition_partner_keeps_its_atom_fixed():
     x, y = CS3.atoms.index(repr((0, 0, 0))), CS3.atoms.index(repr((1, 0, 0)))
     transp = list(CS3.transp)
     rank = _pair_rank(1, 2, 3)
-    cols = list(transp[rank])
-    cols[x], cols[y] = 1 << y, 1 << x
-    transp[rank] = tuple(cols)
+    perm = list(transp[rank])
+    perm[x], perm[y] = y, x
+    transp[rank] = tuple(perm)
     swapped = dataclasses.replace(CS3, transp=tuple(transp))
     spec = GameSpec(VARIANT_FRESH, swapped, 1)
     counter = _Counter(10**12, "")

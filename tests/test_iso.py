@@ -4,9 +4,10 @@ replaced.
 `seed_ca_is_isomorphism`, `seed_ca_profile` and `seed_ca_find_isomorphism`
 are the earlier versions, which read every relation as a set of (a, b)
 pairs; they are kept here as oracles, with the pair sets recovered by
-`column_pairs`.
+`column_pairs` (a transposition's from its column table, `perm_columns`).
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -28,13 +29,17 @@ from cylkit.iso import _ca_profiles
 from cylkit.neat import rd_rho
 from cylkit.ra import RaAtomStructure
 
+from seed_operators import perm_columns
+
 
 def _pairs(s):
     return [set(column_pairs(cols)) for cols in s.cyl]
 
 
 def _transp_pairs(s):
-    return None if s.transp is None else [set(column_pairs(cols)) for cols in s.transp]
+    if s.transp is None:
+        return None
+    return [set(column_pairs(perm_columns(perm))) for perm in s.transp]
 
 
 def seed_ca_is_isomorphism(a, b, mapping):
@@ -139,7 +144,7 @@ def _relabel(s, perm):
         atoms=atoms,
         cyl=[moved(cols) for cols in s.cyl],
         diag=[[[perm[x] for x in row] for row in rows] for rows in s.diag],
-        transp=None if s.transp is None else [moved(cols) for cols in s.transp],
+        transp=None if s.transp is None else [moved(perm_columns(p)) for p in s.transp],
     )
 
 
@@ -178,6 +183,15 @@ def _digraph(n, seed):
     )
 
 
+def _moved_transposition(cs3):
+    """cs3 with P_01 pairing (0,1,0) with (1,0,1) and (0,1,1) with (1,0,0):
+    the same fixed atoms, relations and diagonals, another transposition."""
+    perm = list(cs3.transp[0])
+    a, b, c, d = (cs3.atoms.index(repr(t)) for t in ((0, 1, 0), (1, 0, 1), (0, 1, 1), (1, 0, 0)))
+    perm[a], perm[b], perm[c], perm[d] = b, a, d, c
+    return dataclasses.replace(cs3, transp=(tuple(perm), *cs3.transp[1:]))
+
+
 def _pairs_of_structures():
     cs3 = full_set_algebra(3, 2)
     johnson = johnson_extend(monk_atoms(3, 3))
@@ -190,6 +204,8 @@ def _pairs_of_structures():
         "cs3-damaged": (cs3, damaged),
         # column 0 is the only difference, seen by the identity mapping
         "cs3-damaged-column-0": (cs3, drop_cyl_pair(cs3, 0, 4, 0)),
+        # only a transposition differs, seen by the identity mapping
+        "cs3-transposition-moved": (cs3, _moved_transposition(cs3)),
         "six-cycle-vs-two-triangles": (_cycles(6), _cycles(3, 3)),
         "two-triangles-shuffled": (_cycles(3, 3), _relabel(_cycles(3, 3), _shuffled(6, 7))),
         # a search that checks only the edges from each new atom back to the

@@ -112,7 +112,7 @@ def test_rd_rho_relabels_relations(fs42):
 def test_rd_rho_transpositions_follow(fs42):
     r = rd_rho(fs42, (2, 3))
     assert r.transp is not None
-    assert r.transp_image_masks(0, 1) == fs42.transp_image_masks(2, 3)
+    assert r.transp_op(0, 1).images == fs42.transp_op(2, 3).images
 
 
 def test_rd_rho_order_two_permutation_is_involutive(cube):

@@ -81,6 +81,9 @@ from cylkit.terms import (
     variables,
 )
 
+from seed_operators import ColumnOperator, perm_columns, transp_columns
+from test_builders import CASES
+
 # ---------------------------------------------------------------------------
 # oracles: the earlier implementations
 
@@ -121,7 +124,7 @@ def seed_subst_transp(structure, i, j, x):
     structure._check_index(j)
     if i == j:
         return x
-    tables = structure.transp_image_masks(i, j)
+    tables = transp_columns(structure, i, j)
     out = 0
     for b in _bits(x.mask):
         out |= tables[b]
@@ -201,7 +204,7 @@ def seed_eval_vec(structure, t, env):
             if t.i == t.j:
                 out = inner
             else:
-                out = seed_apply_tables(structure.transp_image_masks(t.i, t.j), inner, n)
+                out = seed_apply_tables(transp_columns(structure, t.i, t.j), inner, n)
         else:
             out = seed_apply_tables(structure.cyl_image_masks(t.i), inner, n)
         if isinstance(t, DualCyl):
@@ -363,12 +366,12 @@ def seed_check_ca_frame(structure):
     if structure.transp is not None:
         for i in range(dim):
             for j in range(i + 1, dim):
-                rel = column_pairs(structure.transp_image_masks(i, j))
+                rel = column_pairs(transp_columns(structure, i, j))
                 img = dict(rel)
                 inv = len(img) == n and all(img.get(img[a]) == a for a in img)
                 conds.append(FrameCondition(f"P{i}{j}_involution", inv))
                 swap = {i: j, j: i}
-                pcols = structure.transp_image_masks(i, j)
+                pcols = transp_columns(structure, i, j)
                 ok = True
                 for k in range(dim):
                     lhs = seed_compose_cols(pcols, structure.cyl_image_masks(k))
@@ -458,7 +461,7 @@ def _operators(structure):
     if structure.transp is not None:
         for i in range(structure.dim):
             for j in range(i + 1, structure.dim):
-                out.append((structure.transp_op(i, j), structure.transp_image_masks(i, j)))
+                out.append((structure.transp_op(i, j), transp_columns(structure, i, j)))
     return out
 
 
@@ -1139,13 +1142,87 @@ def test_diag_unique_fixture_fails_inside_a_class_of_three():
     assert not seed_check_ca_frame(s).condition("diag_unique_E01_in_T0").passed
 
 
+def _assert_map_form_matches(op, oracle, masks):
+    """The map-form operator op reads the same as the column-form oracle:
+    the same shape and table bytes, and the same images of masks."""
+    assert (op._tabled, op._chunks, op._width) == (
+        oracle._tabled,
+        oracle._chunks,
+        oracle._width,
+    )
+    assert [op.apply(m) for m in masks] == [oracle.apply(m) for m in masks]
+    if not oracle._tabled:
+        with pytest.raises(ValueError, match="lookup tables need at most 32 atoms"):
+            op.apply_vec(np.zeros(1, dtype=np.uint32))
+        return
+    got, want = op._chunk_tables, oracle._chunk_tables
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    vec = np.array(masks, dtype=np.uint32)
+    assert np.array_equal(op.apply_vec(vec), oracle.apply_vec(vec))
+
+
+def _sample_masks(rng, n, count=64):
+    full = (1 << n) - 1
+    if n <= 10:
+        return list(range(full + 1))
+    return [0, full, *(1 << b for b in range(n)), *(rng.getrandbits(n) for _ in range(count))]
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_map_form_matches_the_column_form_on_random_maps(n):
+    # 1-40 atoms in crosses the one-table (16) and two-table (32) cut-overs,
+    # and images up to 40 atoms out cross the 32-bit one
+    rng = random.Random(n)
+    masks = _sample_masks(rng, n)
+    for out in {n, rng.randint(1, 40)}:
+        images = tuple(rng.randrange(out) for _ in range(n))
+        _assert_map_form_matches(
+            AdditiveOperator.of_map(images), ColumnOperator(perm_columns(images)), masks
+        )
+    # composites over n atoms: map after map, map after a relation, and a
+    # relation after a map
+    f = tuple(rng.randrange(n) for _ in range(n))
+    g = tuple(rng.randrange(n) for _ in range(n))
+    rel = tuple(rng.getrandbits(n) for _ in range(n))
+    ops = {
+        "f": (AdditiveOperator.of_map(f), ColumnOperator(perm_columns(f))),
+        "g": (AdditiveOperator.of_map(g), ColumnOperator(perm_columns(g))),
+        "rel": (AdditiveOperator(rel), ColumnOperator(rel)),
+    }
+    for outer, inner in (("f", "g"), ("f", "rel"), ("rel", "f"), ("f", "f")):
+        assert ops[outer][0].after(ops[inner][0]) == ops[outer][1].after(ops[inner][1])
+
+
+def test_map_form_matches_the_column_form_on_every_builder_transposition():
+    rng = random.Random(0)
+    seen = 0
+    for name in sorted(CASES):
+        s = CASES[name][0]()
+        if s.transp is None:
+            continue
+        masks = _sample_masks(rng, s.natoms)
+        cyls = [(s.cyl_op(k), ColumnOperator(s.cyl[k])) for k in range(s.dim)]
+        for i in range(s.dim):
+            for j in range(i + 1, s.dim):
+                op = s.transp_op(i, j)
+                oracle = ColumnOperator(perm_columns(op.images))
+                _assert_map_form_matches(op, oracle, masks)
+                for c, c_oracle in cyls:
+                    assert op.after(c) == oracle.after(c_oracle), name
+                    assert c.after(op) == c_oracle.after(oracle), name
+                seen += 1
+    assert seen > 100
+
+
 @pytest.mark.parametrize("name", sorted(_frame_fixtures()))
 def test_after_applies_the_outer_operator_to_every_column(name):
     # the random fixtures carry arbitrary relations and involutions
-    ops = [op for op, _ in _operators(_frame_fixtures()[name])]
-    for outer in ops:
-        for inner in ops:
-            assert outer.after(inner) == tuple(map(outer.apply, inner.cols))
+    ops = _operators(_frame_fixtures()[name])
+    for outer, _ in ops:
+        for inner, inner_cols in ops:
+            assert outer.after(inner) == tuple(map(outer.apply, inner_cols))
 
 
 def test_frame_check_applies_once_per_distinct_column(monkeypatch):
