@@ -206,6 +206,8 @@ def criterion_02() -> CriterionResult:
     labels_ok = oracle == built
     frame_ok = check_ca_frame(mk).passed
     jj = johnson_extend(mk)
+    # cannot fail once johnson_extend returns (CaAtomStructure refuses a
+    # non-involution); kept because "involution" is a field of the suite table
     involution_ok = all(perm[b] == a for perm in jj.transp for a, b in enumerate(perm))
     elapsed = time.perf_counter() - start
     within = elapsed < 1.0

@@ -642,6 +642,11 @@ def check_ca_frame(structure: CaAtomStructure) -> FrameReport:
     (`AdditiveOperator.after`), and uniqueness looks at one column per atom
     of E_ij.  A transposition is read as its permutation: the involution
     by index, and each T_k after it by `after`'s reindex.
+
+    `P{i}{j}_involution` cannot fail on a structure that constructs, since
+    `CaAtomStructure` refuses a transposition that is not an involution.
+    It stays in the list because its name is part of the JSON that
+    `cylkit check ca-frame` prints, and tests pin that list.
     """
     dim = structure.dim
     conds: list[FrameCondition] = []

@@ -46,7 +46,6 @@ result is handed back.
 
 from __future__ import annotations
 
-import ast
 import functools
 import itertools
 import json
@@ -332,34 +331,6 @@ def _validate_ra(net: RaNetwork) -> Iterator[str]:
                         f"{st.atoms[lab(p, w)]!r} and ({nodes[w]},{nodes[q]}) = "
                         f"{st.atoms[lab(w, q)]!r}"
                     )
-
-
-def semantic_network(
-    structure: CaAtomStructure, assignment: Mapping[int, int]
-) -> CaNetwork:
-    """Network induced by mapping nodes to points of a concrete base.
-
-    The structure must label its atoms with reprs of point tuples (as the
-    full set algebras do); the tuple of assigned points under each node
-    tuple is looked up as an atom label.
-    """
-    try:
-        atom_of = {ast.literal_eval(lbl): i for i, lbl in enumerate(structure.atoms)}
-    except (ValueError, SyntaxError) as exc:
-        raise ValueError(
-            "structure atoms do not encode point tuples; build it with "
-            "full_set_algebra"
-        ) from exc
-    nodes = tuple(sorted(assignment))
-    if not nodes:
-        raise ValueError("assignment must cover at least one node")
-    mapping = {}
-    for t in itertools.product(nodes, repeat=structure.dim):
-        point = tuple(assignment[v] for v in t)
-        if point not in atom_of:
-            raise ValueError(f"no atom labels the point tuple {point}")
-        mapping[t] = atom_of[point]
-    return CaNetwork.from_map(structure, mapping)
 
 
 def drop_cyl_pair(
@@ -774,26 +745,6 @@ def _demanded_slots(pos: Mapping[int, int], move: Move) -> tuple[int, ...]:
     numbers, of the move's demanded slots, in the order of its slots()."""
     s = len(pos)
     return tuple(_tuple_index([pos[v] for v in t], s) for t, _ in move.slots())
-
-
-def _response_task(
-    net: Network, move: Move
-) -> tuple[tuple[int, ...], dict[int, int], tuple[int, ...]]:
-    """Node set and fixed slots of one demand's completion problem (the
-    retained slots of ``_retained_task``, then the demanded ones), and
-    the indices of the demanded slots among them.
-
-    The demanded slots always contain the demanded node, and every tuple
-    containing it is either brand new (fresh node) or cleared (reused
-    node), so the demand can only conflict with retained labels through
-    the validity checks, which the enumerators apply.  The solver leaves
-    the demanded slots free and enumerates once per completion problem;
-    this full form is what a response is checked against.
-    """
-    new_nodes, pos, fixed = _retained_task(net, move.node)
-    demanded = _demanded_slots(pos, move)
-    fixed.update(zip(demanded, (a for _, a in move.slots())))
-    return new_nodes, fixed, demanded
 
 
 # ---------------------------------------------------------------------------
@@ -1221,16 +1172,6 @@ def _extract_exists_walk(
         _extract_exists_walk(solver, strategy, visited, chosen, r - 1)
 
 
-def _extract_forall(
-    solver: _Solver, opening: Network, rounds: int, strategy: dict[str, str]
-) -> None:
-    """Record an optimal demand at every position the challenger can
-    reach from this opening.  Keys are canonical, so openings can share
-    positions; an already-recorded demand is reused rather than
-    overwritten, keeping the merged strategy self-consistent."""
-    _extract_forall_walk(solver, strategy, set(), opening, rounds)
-
-
 def _extract_forall_walk(
     solver: _Solver,
     strategy: dict[str, str],
@@ -1238,6 +1179,10 @@ def _extract_forall_walk(
     net: Network,
     r: int,
 ) -> None:
+    """Record an optimal demand at every position the challenger can
+    reach from ``net``.  Keys are canonical, so openings can share
+    positions; an already-recorded demand is reused rather than
+    overwritten, keeping the merged strategy self-consistent."""
     enc, pi = solver.canon(net)
     if (enc, r) in visited:
         return
@@ -1332,14 +1277,6 @@ def _verify_exists_walk(
         _verify_exists_walk(solver, strategy, visited, reports, response, r - 1)
 
 
-def _check_response_matches(net: Network, move: Move, response: Network) -> None:
-    """Check one response against one demand: the two checks below, in
-    that order."""
-    new_nodes, pos, retained = _retained_task(net, move.node)
-    _check_retained(response, new_nodes, retained)
-    _check_demanded(response, _demanded_slots(pos, move), move)
-
-
 def _check_retained(
     response: Network, new_nodes: tuple[int, ...], retained: Mapping[int, int]
 ) -> None:
@@ -1357,16 +1294,6 @@ def _check_demanded(response: Network, demanded: tuple[int, ...], move: Move) ->
     if any(labels[idx] != a for idx, (_, a) in zip(demanded, move.slots())):
         plural = "s" if len(demanded) > 1 else ""
         raise RuntimeError(f"response does not deliver the demanded label{plural}")
-
-
-def _verify_forall(
-    solver: _Solver,
-    openings: Sequence[Network],
-    strategy: Mapping[str, str],
-    rounds: int,
-) -> None:
-    for opening in openings:
-        _verify_forall_walk(solver, strategy, set(), opening, rounds)
 
 
 def _verify_forall_walk(
@@ -1480,8 +1407,9 @@ def solve(
         else:
             winner, rounds_used = FORALL, best + 1
             for opening in openings:
-                _extract_forall(solver, opening, spec.rounds, strategy)
-            _verify_forall(solver, openings, strategy, spec.rounds)
+                _extract_forall_walk(solver, strategy, set(), opening, spec.rounds)
+            for opening in openings:
+                _verify_forall_walk(solver, strategy, set(), opening, spec.rounds)
 
     stats = SolveStats(
         states_explored=solver.counter.states,

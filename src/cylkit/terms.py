@@ -20,9 +20,6 @@ assignments, a decision procedure for the finite complex algebra; the last
 variable sweeps all masks as one array, and a first of two variables is
 the program's loop variable, so the steps that do not read it run once,
 before the loop), atoms (singleton assignments), and seeded sampling.
-
-The sc-word calculus turns a string of replacement-substitution and
-cylindrifier tokens into the partial self-map of indices it induces.
 """
 from __future__ import annotations
 
@@ -647,82 +644,3 @@ def relcomp01_spare() -> Term:
     x, y = Var(0), Var(1)
     return Cyl(3, Meet(SubstRepl(1, 3, Cyl(3, x)), SubstRepl(0, 3, Cyl(3, y))))
 
-
-# ---------------------------------------------------------------------------
-# sc-words
-
-
-@dataclass(frozen=True)
-class TokenSubst:
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class TokenCyl:
-    i: int
-
-
-ScToken = Union[TokenSubst, TokenCyl]
-
-
-@dataclass(frozen=True)
-class PartialMap:
-    """Partial self-map of {0..n-1}; None marks an undefined image."""
-
-    n: int
-    images: tuple[int | None, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.images) != self.n:
-            raise ValueError("image tuple length must equal n")
-        for v in self.images:
-            if v is not None and not 0 <= v < self.n:
-                raise ValueError(f"image {v} out of range")
-
-    @classmethod
-    def identity(cls, n: int) -> "PartialMap":
-        return cls(n, tuple(range(n)))
-
-    def domain(self) -> tuple[int, ...]:
-        return tuple(k for k in range(self.n) if self.images[k] is not None)
-
-    def __call__(self, k: int) -> int:
-        v = self.images[k]
-        if v is None:
-            raise KeyError(f"map undefined at {k}")
-        return v
-
-
-def sc_word_to_map(word: Sequence[ScToken], n: int) -> PartialMap:
-    """Fold the word, left to right, into its induced partial self-map.
-
-    The empty word is the identity.  A replacement token (i, j) updates the
-    image of i to the current image of j; a cylindrifier token removes i
-    from the domain.  The leftmost token of the word is the outermost
-    operator of the corresponding composite.
-    """
-    images: list[int | None] = list(range(n))
-    for tok in word:
-        if isinstance(tok, TokenSubst):
-            if not (0 <= tok.i < n and 0 <= tok.j < n):
-                raise ValueError(f"token index out of range in {tok}")
-            images[tok.i] = images[tok.j]
-        elif isinstance(tok, TokenCyl):
-            if not 0 <= tok.i < n:
-                raise ValueError(f"token index out of range in {tok}")
-            images[tok.i] = None
-        else:
-            raise TypeError(f"unknown token {tok!r}")
-    return PartialMap(n, tuple(images))
-
-
-def sc_word_term(word: Sequence[ScToken], body: Term) -> Term:
-    """The composite term of a word applied to body, leftmost token outermost."""
-    out = body
-    for tok in reversed(word):
-        if isinstance(tok, TokenSubst):
-            out = SubstRepl(tok.i, tok.j, out)
-        else:
-            out = Cyl(tok.i, out)
-    return out

@@ -15,6 +15,8 @@ once per position and demanded node, and the verification walk that
 decoded, validated and matched every strategy entry on its own,
 unchanged.  A solve with these in place of the solver's own must give the
 same result, search counts aside, and a corrupted strategy the same error.
+`_response_task` also gives other tests a demand's full completion
+problem, demanded slots included.
 """
 from __future__ import annotations
 

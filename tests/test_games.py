@@ -4,6 +4,7 @@ transcripts, and replay."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import gc
 import hashlib
@@ -42,7 +43,6 @@ from cylkit.games import (
     play_interactive,
     replay_transcript,
     search_budget,
-    semantic_network,
     solve,
     state_space_bound,
     transcript_from_json,
@@ -62,6 +62,34 @@ from cylkit.ra import RaAtomStructure
 CS3 = full_set_algebra(3, 2)
 BIN312 = bin_forb(3, 1, 2)
 HH313 = hh_ra(3, 1, 3)
+
+
+def semantic_network(
+    structure: CaAtomStructure, assignment: Mapping[int, int]
+) -> CaNetwork:
+    """Network induced by mapping nodes to points of a concrete base.
+
+    The structure must label its atoms with reprs of point tuples (as the
+    full set algebras do); the tuple of assigned points under each node
+    tuple is looked up as an atom label.
+    """
+    try:
+        atom_of = {ast.literal_eval(lbl): i for i, lbl in enumerate(structure.atoms)}
+    except (ValueError, SyntaxError) as exc:
+        raise ValueError(
+            "structure atoms do not encode point tuples; build it with "
+            "full_set_algebra"
+        ) from exc
+    nodes = tuple(sorted(assignment))
+    if not nodes:
+        raise ValueError("assignment must cover at least one node")
+    mapping = {}
+    for t in itertools.product(nodes, repeat=structure.dim):
+        point = tuple(assignment[v] for v in t)
+        if point not in atom_of:
+            raise ValueError(f"no atom labels the point tuple {point}")
+        mapping[t] = atom_of[point]
+    return CaNetwork.from_map(structure, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -264,24 +292,6 @@ def test_validate_network_flags_ra_damage():
 def test_validate_network_rejects_non_networks():
     with pytest.raises(TypeError, match="not a network"):
         validate_network(CS3)
-
-
-def test_semantic_network_error_paths():
-    with pytest.raises(ValueError, match="at least one node"):
-        semantic_network(CS3, {})
-    with pytest.raises(ValueError, match="no atom labels the point tuple"):
-        semantic_network(CS3, {0: 0, 1: 5})
-    plain = CaAtomStructure.build(
-        dim=2,
-        atoms=("x",),
-        cyl=({(0, 0)}, {(0, 0)}),
-        diag=(
-            (frozenset({0}), frozenset({0})),
-            (frozenset({0}), frozenset({0})),
-        ),
-    )
-    with pytest.raises(ValueError, match="do not encode point tuples"):
-        semantic_network(plain, {0: 0})
 
 
 def test_drop_cyl_pair_removes_one_directed_pair():
@@ -585,8 +595,9 @@ def test_check_move_legal_enforces_the_node_budget():
 # path, kept verbatim as the oracle for the solver's one successor
 # generator (_Solver.successors); among them, _ca_response_task,
 # _ra_response_task and _check_response_matches are also the oracles for
-# games._response_task and games._check_response_matches, which serve
-# both kinds of network.
+# the completion problem of games._retained_task and games._demanded_slots
+# and for the response checks games._check_retained and
+# games._check_demanded, which serve both kinds of network.
 
 
 def _ca_completions(
@@ -1019,7 +1030,7 @@ def _response_tasks(spec):
     """(nodes, fixed, demanded slots) of every responder task one round
     from every opening, with the demanded slots left free."""
     for net, move in _task_moves(spec):
-        nodes, fixed, demanded = games._response_task(net, move)
+        nodes, fixed, demanded = seed_games._response_task(net, move)
         for idx in demanded:
             del fixed[idx]
         yield nodes, fixed, demanded
@@ -1278,12 +1289,25 @@ def _seed_response_task(net, move):
     return _ra_response_task(net, move)
 
 
+def _solver_response_task(net, move):
+    """Node set, fixed slots (the retained ones in slot order, then the
+    demanded ones) and demanded slots of one demand, from the solver's
+    own pair: games._retained_task and games._demanded_slots."""
+    nodes, pos, retained = games._retained_task(net, move.node)
+    assert pos == {v: p for p, v in enumerate(nodes)}
+    demanded = games._demanded_slots(pos, move)
+    assert not retained.keys() & set(demanded)
+    fixed = dict(retained)
+    fixed.update(zip(demanded, (a for _, a in move.slots())))
+    return nodes, fixed, demanded
+
+
 @SUCCESSOR_SPECS
 def test_response_task_matches_the_seed(spec):
     tasks = 0
     for net, move in _task_moves(spec):
         tasks += 1
-        nodes, fixed, demanded = games._response_task(net, move)
+        nodes, fixed, demanded = _solver_response_task(net, move)
         want_nodes, want_fixed = _seed_response_task(net, move)
         assert nodes == want_nodes
         assert list(fixed.items()) == list(want_fixed.items())
@@ -1293,6 +1317,14 @@ def test_response_task_matches_the_seed(spec):
             for t, _ in move.slots()
         )
     assert tasks > 0
+
+
+def _walk_checks(net, move, response) -> None:
+    """The verification walk's checks of one response against one demand,
+    in its order: node set and retained labels, then demanded labels."""
+    nodes, pos, retained = games._retained_task(net, move.node)
+    games._check_retained(response, nodes, retained)
+    games._check_demanded(response, games._demanded_slots(pos, move), move)
 
 
 def _match_outcome(check, net, move, response):
@@ -1335,14 +1367,14 @@ def test_check_response_matches_agrees_with_the_seed(spec):
     corrupted = {"retained": 0, "demanded": 0, "nodes": 0}
     for net in _opening_and_next_positions(solver):
         for move, bucket in solver.successors(net):
-            assert games._response_task(net, move)[:2] == _seed_response_task(net, move)
+            assert _solver_response_task(net, move)[:2] == _seed_response_task(net, move)
             for m in bucket:
-                assert _match_outcome(games._check_response_matches, net, move, m) is None
+                assert _match_outcome(_walk_checks, net, move, m) is None
                 assert _match_outcome(_check_response_matches, net, move, m) is None
             if not bucket:
                 continue
             for what, bad in _corrupted_responses(net, move, bucket[0]):
-                got = _match_outcome(games._check_response_matches, net, move, bad)
+                got = _match_outcome(_walk_checks, net, move, bad)
                 assert got.startswith(CORRUPTION_ERRORS[what])
                 assert got == _match_outcome(_check_response_matches, net, move, bad)
                 corrupted[what] += 1
@@ -1402,7 +1434,7 @@ def _corrupted_strategies(solver, strategy, entries):
 
     counter = _Counter(10**12, "")
     for net, pi, move, key in entries:
-        nodes, fixed, demanded = games._response_task(net, move)
+        nodes, fixed, demanded = seed_games._response_task(net, move)
         asked = {idx: fixed[idx] for idx in demanded}
         # valid answers on the demand's node set that deliver the demanded
         # labels but differ from the position on a retained slot
@@ -1533,8 +1565,8 @@ def _answer_for_another_node(solver, strategy, entries):
         reused = first.node in net.nodes and later.node in net.nodes
         if net2 is not net or first.node == later.node or not reused:
             continue
-        nodes, fixed, _ = games._response_task(net, first)
-        _, fixed2, demanded2 = games._response_task(net, later)
+        nodes, fixed, _ = seed_games._response_task(net, first)
+        _, fixed2, demanded2 = seed_games._response_task(net, later)
         for m in solver.complete(solver.spec.structure, nodes, fixed, counter):
             labels = m.labels
             if (

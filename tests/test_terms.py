@@ -1,6 +1,7 @@
-"""Term evaluation, equation checking modes, witness terms, sc-words."""
+"""Term evaluation, equation checking modes, witness terms, sc-word terms."""
 
 import ast
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -29,19 +30,14 @@ from cylkit.terms import (
     Diag,
     Meet,
     One,
-    PartialMap,
     SubstRepl,
     SubstTransp,
     SwapMacro,
-    TokenCyl,
-    TokenSubst,
     Var,
     Zero,
     expand_swap,
     relcomp01_lowdim,
     relcomp01_spare,
-    sc_word_term,
-    sc_word_to_map,
     swap01_lowdim,
     swap01_spare,
     variables,
@@ -310,37 +306,30 @@ def test_spare_composition_matches_relational_composition(fs42):
 
 
 # ---------------------------------------------------------------------------
-# sc-words: token strings, induced partial maps, composite terms
+# sc-words: strings of replacement-substitution and cylindrifier tokens,
+# read as composite terms
 
 
-def test_partial_map_validation():
-    with pytest.raises(ValueError):
-        PartialMap(2, (0,))
-    with pytest.raises(ValueError):
-        PartialMap(2, (0, 5))
-    m = PartialMap.identity(3)
-    assert m.domain() == (0, 1, 2)
-    assert m(1) == 1
+@dataclass(frozen=True)
+class TokenSubst:
+    i: int
+    j: int
 
 
-def test_sc_word_map_small_cases():
-    m = sc_word_to_map([], 3)
-    assert m.images == (0, 1, 2)
-    m = sc_word_to_map([TokenSubst(0, 1)], 3)
-    assert m.images == (1, 1, 2)
-    m = sc_word_to_map([TokenCyl(2)], 3)
-    assert m.images == (0, 1, None)
-    with pytest.raises(KeyError):
-        m(2)
-    m = sc_word_to_map([TokenSubst(0, 2), TokenCyl(2), TokenSubst(1, 0)], 3)
-    assert m.images == (2, 2, None)
+@dataclass(frozen=True)
+class TokenCyl:
+    i: int
 
 
-def test_sc_word_token_range_checked():
-    with pytest.raises(ValueError):
-        sc_word_to_map([TokenSubst(0, 9)], 3)
-    with pytest.raises(ValueError):
-        sc_word_to_map([TokenCyl(9)], 3)
+def sc_word_term(word, body):
+    """The composite term of a word applied to body, leftmost token outermost."""
+    out = body
+    for tok in reversed(word):
+        if isinstance(tok, TokenSubst):
+            out = SubstRepl(tok.i, tok.j, out)
+        else:
+            out = Cyl(tok.i, out)
+    return out
 
 
 _tokens = st.one_of(
@@ -353,30 +342,12 @@ _tokens = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(_tokens, max_size=4),
-    st.lists(_tokens, max_size=4),
-)
-def test_sc_word_map_is_compositional(w1, w2):
-    """Splitting a word anywhere and resuming the recursion from the
-    prefix map reproduces the map of the whole word."""
-    whole = sc_word_to_map(w1 + w2, 3)
-    images = list(sc_word_to_map(w1, 3).images)
-    for tok in w2:
-        if isinstance(tok, TokenSubst):
-            images[tok.i] = images[tok.j]
-        else:
-            images[tok.i] = None
-    assert tuple(images) == whole.images
-
-
 def _symbolic_images(word, n):
     """Independent semantic route: fold the word over symbolic coordinate
     expressions, introducing one fresh shared symbol per cylindrifier
     token.  Returns the image expressions and the bound-symbol count.
-    Unlike the induced partial map, this keeps track of bound symbols
-    copied into several coordinates by later substitutions."""
+    Bound symbols copied into several coordinates by later substitutions
+    stay shared."""
     images: list[tuple[str, int]] = [("coord", k) for k in range(n)]
     fresh = 0
     for tok in word:
@@ -413,17 +384,6 @@ def test_sc_word_term_matches_symbolic_semantics(word, mask):
     got = eval_term(s, sc_word_term(word, Var(0)), {0: x})
     expected = {i for i, t in enumerate(labels) if hits(t)}
     assert set(got.atom_indices()) == expected
-
-
-def test_induced_map_forgets_bound_symbol_sharing():
-    """The partial map of a word whose substitution copies an already
-    freed coordinate marks both slots undefined; the symbolic route keeps
-    the shared bound symbol that the composite term actually produces."""
-    word = [TokenCyl(1), TokenSubst(0, 1)]
-    assert sc_word_to_map(word, 3).images == (None, None, 2)
-    images, fresh = _symbolic_images(word, 3)
-    assert fresh == 1
-    assert images[0] == images[1] == ("bound", 0)
 
 
 @settings(max_examples=40, deadline=None)
