@@ -511,7 +511,7 @@ def top(structure: object) -> Element:
     return Element(structure, structure.full_mask)  # type: ignore[union-attr]
 
 
-def _owned(structure: CaAtomStructure, x: Element) -> None:
+def _owned(structure: object, x: Element) -> None:
     if x.structure is structure or x.structure == structure:
         return
     raise StructureMismatchError("element does not belong to this structure")

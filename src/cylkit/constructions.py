@@ -5,16 +5,86 @@ the exact tower function psi and its capped stand-in, the two closely
 related forbidden-triple relation algebras (one per inequality direction),
 basic-matrix cylindric structures, full set algebras, the 27-atom cube of
 triples, atom splitting, and (in `hyper`) hypernetwork machinery.
+
+Where atoms label node tuples (partitions, matrices, tuples, hypernetworks),
+T_i, E_ij and P_ij come from one builder, `_agreement` and `_swaps`; each
+structure gives only its atoms, slots, labels and diagonal rule.
 """
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field, replace
 from itertools import combinations, product, repeat
-from typing import Callable, Iterator, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Hashable, Iterator, Sequence, Union
 
 from .bao import AdditiveOperator, CaAtomStructure, Element, Pair, class_columns
 from .ra import RaAtomStructure, Triple, _network_labellings
+
+# ---------------------------------------------------------------------------
+# the atom structure of a set of labellings
+
+
+def _agreement(
+    dim: int, slots: Sequence[tuple[int, ...]], values: Sequence, diagonal: Callable[..., bool]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[frozenset[int], ...], ...]]:
+    """T and E of the atoms that label node tuples: `values[a][k]` is atom
+    a's label on `slots[k]`, a tuple of nodes below `dim`.
+
+    T_i relates the atoms with equal labels on every slot that avoids node
+    i.  For i != j, E_ij holds the atoms a with `diagonal(values[a], i, j)`;
+    E_ii holds every atom.
+    """
+    cyl = []
+    for i in range(dim):
+        key = itemgetter(*[k for k, slot in enumerate(slots) if i not in slot])
+        groups: dict[Hashable, list[int]] = {}
+        for a, v in enumerate(values):
+            groups.setdefault(key(v), []).append(a)
+        cyl.append(class_columns(len(values), groups.values()))
+    full = frozenset(range(len(values)))
+    diag = tuple(
+        tuple(
+            full if i == j else frozenset(a for a, v in enumerate(values) if diagonal(v, i, j))
+            for j in range(dim)
+        )
+        for i in range(dim)
+    )
+    return tuple(cyl), diag
+
+
+def _swaps(
+    dim: int, slots: Sequence[tuple[int, ...]], values: Sequence[tuple[Hashable, ...]]
+) -> tuple[tuple[int, ...], ...]:
+    """P_ij for each pair i < j of the atoms of `_agreement`, as a
+    permutation: atom a goes to the atom whose label on each slot is a's
+    label on that slot with nodes i and j swapped.  A swapped slot that is
+    not a slot is read in sorted order, so slots may be unordered pairs.
+    Raises KeyError when some image is not an atom.
+    """
+    where = {slot: k for k, slot in enumerate(slots)}
+    index = {v: a for a, v in enumerate(values)}
+    perms = []
+    for i, j in combinations(range(dim), 2):
+        swap = {i: j, j: i}
+        moved = [tuple(swap.get(x, x) for x in slot) for slot in slots]
+        read = itemgetter(*[where[t] if t in where else where[tuple(sorted(t))] for t in moved])
+        perms.append(tuple(index[read(v)] for v in values))
+    return tuple(perms)
+
+
+def _slot_pairs(m: int) -> list[Pair]:
+    return list(combinations(range(m), 2))
+
+
+def _slot_index(m: int) -> list[list[int]]:
+    """Entry (x, y), x != y, is the position of the slot {x, y} in the
+    upper-triangle order of `_slot_pairs`; the diagonal holds -1."""
+    index = [[-1] * m for _ in range(m)]
+    for k, (x, y) in enumerate(_slot_pairs(m)):
+        index[x][y] = index[y][x] = k
+    return index
+
 
 # ---------------------------------------------------------------------------
 # pair-partition structures
@@ -99,6 +169,21 @@ def _monk_data(m: int, ncolours: int) -> tuple[MonkAtom, ...]:
     return tuple(out)
 
 
+def _monk_shapes(m: int, data: Sequence[MonkAtom]) -> list[tuple[int, ...]]:
+    """Each atom as one label per slot of `_slot_pairs(m)`: 0 when the two
+    nodes share a block, else 1 + their colour."""
+    pairs = _slot_pairs(m)
+    shapes = []
+    for at in data:
+        block = [0] * m
+        for bi, blk in enumerate(at.blocks):
+            for e in blk:
+                block[e] = bi
+        colours = dict(at.f)
+        shapes.append(tuple(0 if block[a] == block[b] else 1 + colours[a, b] for a, b in pairs))
+    return shapes
+
+
 def monk_label(atom: MonkAtom) -> str:
     return repr((atom.blocks, atom.f))
 
@@ -120,41 +205,11 @@ def monk_atoms(m: int, n: int) -> CaAtomStructure:
     if not m <= n <= 6:
         raise ValueError(f"n must be in {m}..6, got {n}")
     data = _monk_data(m, n)
-    labels = tuple(monk_label(at) for at in data)
-    pairs = list(combinations(range(m), 2))
-    rank = {p: k for k, p in enumerate(pairs)}
-    # each atom read once, as one byte per pair a < b: 0 when a and b share
-    # a block, else 1 + their colour
-    shapes = []
-    for at in data:
-        block = [0] * m
-        for bi, blk in enumerate(at.blocks):
-            for e in blk:
-                block[e] = bi
-        colours = dict(at.f)
-        shapes.append(bytes(0 if block[a] == block[b] else 1 + colours[a, b] for a, b in pairs))
-    cyl = []
-    for kappa_idx in range(m):
-        # two atoms agree away from kappa iff their shapes agree on the
-        # pairs that avoid kappa
-        keep = [k for k, p in enumerate(pairs) if kappa_idx not in p]
-        groups: dict[bytes, list[int]] = {}
-        for idx, shape in enumerate(shapes):
-            groups.setdefault(bytes(shape[k] for k in keep), []).append(idx)
-        cyl.append(class_columns(len(data), groups.values()))
-    full = frozenset(range(len(data)))
-    diag = tuple(
-        tuple(
-            full
-            if i == j
-            else frozenset(
-                idx for idx, shape in enumerate(shapes) if not shape[rank[min(i, j), max(i, j)]]
-            )
-            for j in range(m)
-        )
-        for i in range(m)
+    where = _slot_index(m)
+    cyl, diag = _agreement(
+        m, _slot_pairs(m), _monk_shapes(m, data), lambda shape, x, y: shape[where[x][y]] == 0
     )
-    return CaAtomStructure(dim=m, atoms=labels, cyl=tuple(cyl), diag=diag)
+    return CaAtomStructure(dim=m, atoms=tuple(monk_label(at) for at in data), cyl=cyl, diag=diag)
 
 
 def monk_atom_listing(structure: CaAtomStructure) -> list[dict]:
@@ -178,29 +233,15 @@ def johnson_extend(structure: CaAtomStructure) -> CaAtomStructure:
     index swap: the partition has i and j exchanged and the colouring is
     pulled back along the swap.  Atoms whose partition relates i and j are
     fixed, since colour constancy makes the pulled-back colouring equal.
+    T and E stay the input's.  Labels that are not pair partitions, or atoms
+    not closed under the swaps, are refused.
     """
-    try:
-        data = [parse_monk_label(label) for label in structure.atoms]
-    except (ValueError, SyntaxError) as exc:
-        raise ValueError("structure was not produced by monk_atoms") from exc
     m = structure.dim
-    index = {at: i for i, at in enumerate(data)}
-
-    def conjugate(at: MonkAtom, i: int, j: int) -> MonkAtom:
-        swap = {i: j, j: i}
-        blocks = _canon_blocks([[swap.get(e, e) for e in blk] for blk in at.blocks])
-        fitems = []
-        for (a, b), c in at.f:
-            p, q = swap.get(a, a), swap.get(b, b)
-            fitems.append(((min(p, q), max(p, q)), c))
-        return MonkAtom(blocks, tuple(sorted(fitems)))
-
     try:
-        transp = tuple(
-            tuple(index[conjugate(at, i, j)] for at in data) for i, j in combinations(range(m), 2)
-        )
-    except KeyError:
-        raise ValueError("structure was not produced by monk_atoms") from None
+        shapes = _monk_shapes(m, [parse_monk_label(label) for label in structure.atoms])
+        transp = _swaps(m, _slot_pairs(m), shapes)
+    except (ValueError, SyntaxError, TypeError, LookupError) as exc:
+        raise ValueError("structure was not produced by monk_atoms") from exc
     return replace(structure, transp=transp)
 
 
@@ -318,10 +359,6 @@ def bin_forb(n: int, r: int, psi_cap: int | None = None) -> RaAtomStructure:
 # basic matrices
 
 
-def _slot_pairs(m: int) -> list[Pair]:
-    return list(combinations(range(m), 2))
-
-
 def validate_matrix(bin_ra: RaAtomStructure, values: Sequence[int]) -> bool:
     """Triangle condition for a symmetric matrix given by upper-triangle values.
 
@@ -349,15 +386,6 @@ def _matrix_side(nslots: int) -> int:
     if m * (m - 1) // 2 != nslots:
         raise ValueError(f"{nslots} is not a triangular number")
     return m
-
-
-def _slot_index(m: int) -> list[list[int]]:
-    """Entry (x, y), x != y, is the position of the slot {x, y} in the
-    upper-triangle order of `_slot_pairs`; the diagonal holds -1."""
-    index = [[-1] * m for _ in range(m)]
-    for k, (x, y) in enumerate(_slot_pairs(m)):
-        index[x][y] = index[y][x] = k
-    return index
 
 
 def enumerate_matrices(m: int, bin_ra: RaAtomStructure) -> tuple[tuple[int, ...], ...]:
@@ -411,42 +439,11 @@ def _basic_matrices(
             raise AssertionError("enumerated matrix fails the triangle condition")
     labels = tuple(matrix_label(bin_ra, v) for v in mats)
     slots = _slot_pairs(m)
-    slot_index = _slot_index(m)
-    index = {v: i for i, v in enumerate(mats)}
+    where = _slot_index(m)
     (id_atom,) = bin_ra.identity
-
-    cyl = []
-    for x in range(m):
-        keep = [s for s, (a, b) in enumerate(slots) if x not in (a, b)]
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i, v in enumerate(mats):
-            groups.setdefault(tuple(v[s] for s in keep), []).append(i)
-        cyl.append(class_columns(len(mats), groups.values()))
-
-    full = frozenset(range(len(mats)))
-    diag = []
-    for x in range(m):
-        row = []
-        for y in range(m):
-            if x == y:
-                row.append(full)
-            else:
-                s = slot_index[x][y]
-                row.append(frozenset(i for i, v in enumerate(mats) if v[s] == id_atom))
-        diag.append(tuple(row))
-
-    transp = []
-    for x, y in combinations(range(m), 2):
-        swap = {x: y, y: x}
-        conj = [slot_index[swap.get(a, a)][swap.get(b, b)] for a, b in slots]
-        transp.append(tuple(index[tuple(v[k] for k in conj)] for v in mats))
-
-    return (
-        CaAtomStructure(
-            dim=m, atoms=labels, cyl=tuple(cyl), diag=tuple(diag), transp=tuple(transp)
-        ),
-        mats,
-    )
+    cyl, diag = _agreement(m, slots, mats, lambda v, x, y: v[where[x][y]] == id_atom)
+    transp = _swaps(m, slots, mats)
+    return CaAtomStructure(dim=m, atoms=labels, cyl=cyl, diag=diag, transp=transp), mats
 
 
 # ---------------------------------------------------------------------------
@@ -463,25 +460,13 @@ def full_set_algebra(n: int, base_size: int) -> CaAtomStructure:
         raise ValueError(f"n must be in 2..4, got {n}")
     if not 2 <= base_size <= 4:
         raise ValueError(f"base_size must be in 2..4, got {base_size}")
-    tuples = [t for t in product(range(base_size), repeat=n)]
-    index = {t: i for i, t in enumerate(tuples)}
+    tuples = list(product(range(base_size), repeat=n))
+    # coordinate i is the label on the one-node slot (i,)
+    slots = [(i,) for i in range(n)]
+    cyl, diag = _agreement(n, slots, tuples, lambda t, i, j: t[i] == t[j])
     labels = tuple(repr(t) for t in tuples)
-    cyl = []
-    for i in range(n):
-        groups: dict[tuple, list[int]] = {}
-        for t in tuples:
-            groups.setdefault(t[:i] + t[i + 1 :], []).append(index[t])
-        cyl.append(class_columns(len(tuples), groups.values()))
-    diag = tuple(
-        tuple(frozenset(index[t] for t in tuples if t[i] == t[j]) for j in range(n))
-        for i in range(n)
-    )
-    # P_ij sends a tuple to the tuple with coordinates i and j swapped
-    transp = tuple(
-        tuple(index[t[:i] + (t[j],) + t[i + 1 : j] + (t[i],) + t[j + 1 :]] for t in tuples)
-        for i, j in combinations(range(n), 2)
-    )
-    return CaAtomStructure(dim=n, atoms=labels, cyl=tuple(cyl), diag=diag, transp=transp)
+    transp = _swaps(n, slots, tuples)
+    return CaAtomStructure(dim=n, atoms=labels, cyl=cyl, diag=diag, transp=transp)
 
 
 def three_cube() -> CaAtomStructure:

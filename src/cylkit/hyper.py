@@ -4,7 +4,9 @@ A hypernetwork labels pairs of nodes with atoms and all other short tuples
 with symbols from a fixed auxiliary alphabet, subject to identity, triangle,
 and substitution coherence.  A set of them closed under witnessing,
 cylindrifier responses, amalgamation, and node maps induces a
-cylindric-style structure whose atoms are the hypernetworks themselves.
+cylindric-style structure whose atoms are the hypernetworks themselves:
+`ca_over_hyperbasis` reads its T, E and P off the networks' flat labels
+with the one builder of `constructions`, `_agreement` and `_swaps`.
 
 `enumerate_hypernetworks` works over structures that satisfy the identity
 law and refuses the others.  Its pair labellings are the networks of
@@ -27,10 +29,11 @@ builds about N*m^2 keys and makes at most N^2*m^2 key comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator, Sequence
 
-from .bao import BudgetExceededError, CaAtomStructure, class_columns
+from .bao import BudgetExceededError, CaAtomStructure
+from .constructions import _agreement, _swaps
 from .ra import RaAtomStructure, _network_labellings
 
 DEFAULT_ENUM_BUDGET = 200_000
@@ -350,7 +353,8 @@ def ca_over_hyperbasis(
 
     Relation i joins networks agreeing away from node i, the (i,j) diagonal
     collects networks with an identity label at (i,j), and transpositions
-    act by swapping the two nodes.
+    act by swapping the two nodes.  The slots of `_agreement` and `_swaps`
+    are the ordered pairs and the tuples of the networks' flat labels.
     """
     report = is_hyperbasis(ra, networks)
     if not report.passed:
@@ -360,28 +364,9 @@ def ca_over_hyperbasis(
     m = nets[0].m
     if m < 2:
         raise ValueError("need at least two nodes to form a structure")
-    index = {h: i for i, h in enumerate(nets)}
+    # the flat labels: the ordered pairs in row-major order, then the tuples
+    slots = [*product(range(m), repeat=2), *(t for t, _ in nets[0].hyper)]
+    flat = [_flat_labels(h) for h in nets]
+    cyl, diag = _agreement(m, slots, flat, lambda f, i, j: f[i * m + j] in ra.identity)
     labels = tuple(repr((h.pairs, h.hyper)) for h in nets)
-    off = _Index(nets).off
-    cyl = []
-    for i in range(m):
-        # networks agree away from node i iff their labels off node i match
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for a, key in enumerate(off[frozenset((i,))]):
-            groups.setdefault(key, []).append(a)
-        cyl.append(class_columns(len(nets), groups.values()))
-    diag = tuple(
-        tuple(
-            frozenset(a for a, h in enumerate(nets) if h.pair(i, j) in ra.identity)
-            for j in range(m)
-        )
-        for i in range(m)
-    )
-    transp = []
-    for i, j in combinations(range(m), 2):
-        sigma = list(range(m))
-        sigma[i], sigma[j] = j, i
-        transp.append(tuple(index[h.rename(sigma)] for h in nets))
-    return CaAtomStructure(
-        dim=m, atoms=labels, cyl=tuple(cyl), diag=diag, transp=tuple(transp)
-    )
+    return CaAtomStructure(dim=m, atoms=labels, cyl=cyl, diag=diag, transp=_swaps(m, slots, flat))

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .bao import MAX_ATOMS, AdditiveOperator, BudgetExceededError, Element, _bits, _label_search
+from .bao import MAX_ATOMS, AdditiveOperator, BudgetExceededError, Element
+from .bao import _bits, _label_search, _owned
 
 Triple = tuple[int, int, int]
 
@@ -155,14 +156,6 @@ class RaAtomStructure:
             converse=conv,
             forbidden=frozenset(closed),
         )
-
-
-def _owned(structure: RaAtomStructure, x: Element) -> None:
-    if x.structure is structure or x.structure == structure:
-        return
-    from .bao import StructureMismatchError
-
-    raise StructureMismatchError("element does not belong to this structure")
 
 
 def identity_el(structure: RaAtomStructure) -> Element:

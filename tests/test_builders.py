@@ -37,6 +37,7 @@ from cylkit.constructions import (
     bin_forb,
     enumerate_matrices,
     full_set_algebra,
+    hh_ra,
     johnson_extend,
     matrix_label,
     monk_atoms,
@@ -476,6 +477,7 @@ def _inputs():
     fs42 = full_set_algebra(4, 2)
     fs33 = full_set_algebra(3, 3)
     z4 = _group_z4()
+    hh313 = hh_ra(3, 1, 3)
     return {
         "monk33": monk33,
         "monk34": monk_atoms(3, 4),
@@ -494,6 +496,9 @@ def _inputs():
         "z4-nets-3": enumerate_hypernetworks(z4, 3, 3, 1),
         # two symbols: networks that agree on atoms can differ off a node
         "z4-nets-2-two-symbols": enumerate_hypernetworks(z4, 2, 2, 2),
+        # 235 networks over a graded relation algebra rather than a group
+        "hh313": hh313,
+        "hh313-nets-3": enumerate_hypernetworks(hh313, 3, 2, 1),
         "johnson-fixed": _fixed_atoms(johnson)[0],
         "cube-diag01": diag(cube, 0, 1),
         "cube-constant": element(cube, [0, 13, 26]),
@@ -608,11 +613,16 @@ CASES = {
         )
     },
     **{
-        f"ca_over_hyperbasis(z4,{nets[len('z4-nets-'):]})": (
-            lambda nets=nets: ca_over_hyperbasis(_inputs()["z4"], _inputs()[nets]),
-            lambda nets=nets: seed_ca_over_hyperbasis(_inputs()["z4"], _inputs()[nets]),
+        f"ca_over_hyperbasis({ra},{nets[len(ra) + len('-nets-'):]})": (
+            lambda ra=ra, nets=nets: ca_over_hyperbasis(_inputs()[ra], _inputs()[nets]),
+            lambda ra=ra, nets=nets: seed_ca_over_hyperbasis(_inputs()[ra], _inputs()[nets]),
         )
-        for nets in ("z4-nets-2", "z4-nets-3", "z4-nets-2-two-symbols")
+        for ra, nets in (
+            ("z4", "z4-nets-2"),
+            ("z4", "z4-nets-3"),
+            ("z4", "z4-nets-2-two-symbols"),
+            ("hh313", "hh313-nets-3"),
+        )
     },
     **{
         f"drop_cyl_pair({key},{i},{a},{b})": (
@@ -634,6 +644,9 @@ CASES = {
 PAIR_LIST_JSON = {
     "basic_matrices(3,bin_forb(3,1,2))": "e37645e4d547b160",
     "basic_matrices(4,bin_forb(3,1,2))": "80925e920ede85fd",
+    # taken from the pair-list oracle and the builder, which agreed, before
+    # the builders shared one definition of T, E and P
+    "ca_over_hyperbasis(hh313,3)": "be7e85430417faf9",
     "ca_over_hyperbasis(z4,2)": "b7cce02b43a9857c",
     "ca_over_hyperbasis(z4,2-two-symbols)": "5a6cc83f17bac065",
     "ca_over_hyperbasis(z4,3)": "1e4ec83401724d8b",

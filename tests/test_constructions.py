@@ -36,9 +36,9 @@ from cylkit.constructions import (
     monk_label,
     parse_monk_label,
 )
-from cylkit.neat import ra_reduct
+from cylkit.neat import ra_reduct, rl_x
 from cylkit.ra import RaAtomStructure, compose
-from cylkit.bao import Element, column_pairs, cyl, diag
+from cylkit.bao import Element, column_pairs, cyl, diag, element
 
 import seed_operators
 
@@ -203,6 +203,24 @@ def test_johnson_swap_conjugates_colourings():
         blocks = sorted(tuple(sorted(perm[i] for i in b)) for b in at.blocks)
         target = parse_monk_label(ext.atoms[img[a]])
         assert sorted(tuple(b) for b in target.blocks) == blocks
+
+
+# a 2-tuple label parses as the pair (blocks, colouring) of two integers
+@pytest.mark.parametrize("dim", [3, 2])
+def test_johnson_extend_refuses_labels_that_are_not_pair_partitions(dim):
+    with pytest.raises(ValueError, match="structure was not produced by monk_atoms"):
+        johnson_extend(full_set_algebra(dim, 2))
+
+
+def test_johnson_extend_refuses_atoms_not_closed_under_the_swaps():
+    base = monk_atoms(3, 3)
+    swap01 = johnson_extend(base).transp_op(0, 1).images
+    moved = next(a for a in range(base.natoms) if swap01[a] != a)
+    kept = [a for a in range(base.natoms) if a != swap01[moved]]
+    relativized = rl_x(base, element(base, kept)).structure
+    assert parse_monk_label(relativized.atoms[0])  # still pair-partition labels
+    with pytest.raises(ValueError, match="structure was not produced by monk_atoms"):
+        johnson_extend(relativized)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The library's source layout: no private helper that only tests reach.
+"""The library's source layout: no private helper that only tests reach, and
+one builder of the agreement relations.
 
 A module-level function or class whose name starts with ``_`` is not API,
 so it lives only as long as library code uses it.  One that only tests
@@ -40,3 +41,15 @@ def test_every_private_helper_has_a_library_caller():
     assert defined, "no private helpers found; is SRC right?"
     orphans = [f"{module}:{name}" for module, name in defined if name not in used]
     assert orphans == [], f"private helpers no library code reaches: {orphans}"
+
+
+def test_agreement_relations_have_one_builder():
+    """T_i of a set of labellings is grouped in one place, `_agreement`;
+    every other builder reads it from there rather than grouping its own."""
+    callers = []  # (module, enclosing module-level def) of each call
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            for sub in ast.walk(stmt):
+                if isinstance(sub, ast.Call) and "class_columns" in _referenced(sub.func):
+                    callers.append((path.name, getattr(stmt, "name", None)))
+    assert callers == [("constructions.py", "_agreement")]
