@@ -67,15 +67,6 @@ class HyperNetwork:
             return ("atom", self.pair(t[0], t[1]))
         return ("sym", self.hyper_label(t))
 
-    def rename(self, sigma: Sequence[int]) -> "HyperNetwork":
-        """The hypernetwork t -> self(sigma composed with t)."""
-        m = self.m
-        tuples = [t for t, _ in self.hyper]
-        labels = _flat_labels(self)
-        renamed = [labels[p] for p in _renaming(m, tuples, sigma)]
-        hyper = tuple(sorted(zip(tuples, renamed[m * m :])))
-        return HyperNetwork(m, self.n_wide, tuple(renamed[: m * m]), hyper)
-
 
 def _hyper_tuples(m: int, n_wide: int) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []

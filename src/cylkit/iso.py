@@ -7,7 +7,8 @@ atom structures.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from itertools import combinations, product
+from typing import Callable, Iterator, Sequence
 
 from .bao import AdditiveOperator, CaAtomStructure, transpose
 from .ra import RaAtomStructure
@@ -58,21 +59,34 @@ def ca_is_isomorphism(a: CaAtomStructure, b: CaAtomStructure, mapping) -> bool:
         return False
     if (a.transp is None) != (b.transp is None):
         return False
-    rename = AdditiveOperator.of_map(mapping)
     # each relation, transposition and diagonal of a, renamed, must be b's
-    return all(
-        cols_b[y] == rename.apply(col)
-        for cols_a, cols_b in zip(a.cyl, b.cyl)
-        for y, col in zip(mapping, cols_a)
-    ) and all(
-        perm_b[y] == mapping[img]
-        for perm_a, perm_b in zip(a.transp or (), b.transp or ())
-        for y, img in zip(mapping, perm_a)
-    ) and all(
-        rename.apply(a.diag_mask(i, j)) == b.diag_mask(i, j)
-        for i in range(a.dim)
-        for j in range(a.dim)
-    )
+    return next(_carried_defects(a, b, AdditiveOperator.of_map(mapping)), None) is None
+
+
+def _carried_defects(
+    a: CaAtomStructure, b: CaAtomStructure, embed: AdditiveOperator
+) -> Iterator[str]:
+    """Report lines for each place where the atom map `embed`, from a's
+    atoms to b's, fails to carry a relation of a onto b's: every atom x at
+    which column x of embed after an operator of a differs from column x of
+    b's operator after embed, and every E_ij whose image under embed is not
+    b's.  The T_i lines come ordered by atom, then index; the P_ij lines,
+    checked when both structures carry transpositions, come last."""
+
+    def differ(a_op: AdditiveOperator, b_op: AdditiveOperator) -> list[int]:
+        pairs = zip(embed.after(a_op), b_op.after(embed))
+        return [x for x, (lhs, rhs) in enumerate(pairs) if lhs != rhs]
+
+    bad = sorted((x, i) for i in range(a.dim) for x in differ(a.cyl_op(i), b.cyl_op(i)))
+    for x, i in bad:
+        yield f"c_{i} disagrees through the embedding at atom {x}"
+    for i, j in product(range(a.dim), repeat=2):
+        if embed.apply(a.diag_mask(i, j)) != b.diag_mask(i, j):
+            yield f"diagonal ({i},{j}) disagrees through the embedding"
+    if a.transp is not None and b.transp is not None:
+        for i, j in combinations(range(a.dim), 2):
+            for x in differ(a.transp_op(i, j), b.transp_op(i, j)):
+                yield f"transposition ({i},{j}) disagrees at atom {x}"
 
 
 def _ca_profiles(s: CaAtomStructure) -> list[tuple]:

@@ -3,8 +3,8 @@
 `validate_hypernetwork`, `_agrees_off` and the five rule generators are the
 earlier code, unchanged: every agreement test scans two networks' labels and
 every symbol lookup scans a network's `hyper` entries.  `rename` is the
-earlier `HyperNetwork.rename`, which the symmetry rule calls in place of the
-method.  `is_hyperbasis` runs the rules as `cylkit.hyper.is_hyperbasis` does.
+earlier `HyperNetwork.rename`, a method `cylkit.hyper` no longer has; the
+symmetry rule here and the tests call it.  `is_hyperbasis` runs the rules as `cylkit.hyper.is_hyperbasis` does.
 The indexed checker in `cylkit.hyper` must give the same reports.
 
 `enumerate_hypernetworks` is the earlier enumeration, unchanged: its own

@@ -51,6 +51,7 @@ from cylkit.hyper import ca_over_hyperbasis
 from cylkit.neat import nr, rd_rho, rl_x
 from cylkit.ra import RaAtomStructure
 
+import seed_hyper
 from seed_hyper import _agrees_off
 from seed_operators import perm_columns, transp_columns
 
@@ -395,7 +396,7 @@ def seed_ca_over_hyperbasis(ra, networks):
         for j in range(i + 1, m):
             sigma = list(range(m))
             sigma[i], sigma[j] = j, i
-            transp.append([(index[h.rename(sigma)], a) for a, h in enumerate(nets)])
+            transp.append([(index[seed_hyper.rename(h, sigma)], a) for a, h in enumerate(nets)])
     return CaAtomStructure.build(dim=m, atoms=labels, cyl=cyl, diag=diag_sets, transp=transp)
 
 

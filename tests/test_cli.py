@@ -127,6 +127,16 @@ def test_nr_quotient_command(cs3_file, capsys):
     assert payload["quotient"] is not None
 
 
+def test_nr_certificate_is_exhaustive_past_twelve_classes(tmp_path, capsys):
+    path = tmp_path / "fs43.json"
+    assert main(["gen", "full-set", "--dim", "4", "--base", "3", "-o", str(path)]) == 0
+    assert main(["nr", str(path), "--gamma", "0,1,2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["classes"]) == 27
+    assert payload["certificate"]["level"] == "exhaustive"
+    assert payload["certificate"]["passed"] is True
+
+
 def test_rd_renames_and_round_trips(cs3_file, capsys):
     assert main(["rd", cs3_file, "--rho", "2,1,0"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -5,10 +5,14 @@ replaced.
 are the earlier versions, which read every relation as a set of (a, b)
 pairs; they are kept here as oracles, with the pair sets recovered by
 `column_pairs` (a transposition's from its column table, `perm_columns`).
+The carried-operator check shared with the neat correspondences is compared
+with the pairwise loop of the earlier `restriction_iso`,
+`seed_neat.restriction_defects`.
 """
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -22,13 +26,14 @@ from cylkit import (
     ra_is_isomorphism,
     three_cube,
 )
-from cylkit.bao import CaAtomStructure, column_pairs
+from cylkit.bao import AdditiveOperator, CaAtomStructure, column_pairs
 from cylkit.constructions import bin_forb, hh_ra
 from cylkit.games import drop_cyl_pair
-from cylkit.iso import _ca_profiles
+from cylkit.iso import _ca_profiles, _carried_defects
 from cylkit.neat import rd_rho
 from cylkit.ra import RaAtomStructure
 
+import seed_neat
 from seed_operators import perm_columns
 
 
@@ -275,3 +280,72 @@ def test_ra_search_finds_a_relabelling(make):
     assert found is not None and ra_is_isomorphism(s, t, found)
     # the same atoms, the colour family forbidden the other way round
     assert ra_find_isomorphism(bin_forb(3, 1, 3), hh_ra(3, 1, 3)) is None
+
+
+def _flip_diagonal(s, i, j, x):
+    """s with atom x moved into or out of E_ij alone."""
+    rows = [list(row) for row in s.diag]
+    rows[i][j] = rows[i][j] ^ {x}
+    return dataclasses.replace(s, diag=tuple(map(tuple, rows)))
+
+
+def _seed_defect(line):
+    """Operator and atom of a line of the pairwise loop; a diagonal's atom
+    is left out, as the shared check does not name one."""
+    if m := re.fullmatch(r"relation (\d+) differs at atom pair \(\d+,(\d+)\)", line):
+        return ("c", int(m[1]), int(m[2]))
+    m = re.fullmatch(r"diagonal \((\d+),(\d+)\) differs at atom \d+", line)
+    return ("diagonal", int(m[1]), int(m[2]))
+
+
+def _carried_defect(line):
+    if m := re.fullmatch(r"c_(\d+) disagrees through the embedding at atom (\d+)", line):
+        return ("c", int(m[1]), int(m[2]))
+    m = re.fullmatch(r"diagonal \((\d+),(\d+)\) disagrees through the embedding", line)
+    return ("diagonal", int(m[1]), int(m[2]))
+
+
+_DAMAGE_BASES = {
+    "cs3": lambda: full_set_algebra(3, 2),
+    "fs42": lambda: full_set_algebra(4, 2),
+    "cube": three_cube,
+    "johnson33": lambda: johnson_extend(monk_atoms(3, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DAMAGE_BASES))
+def test_carried_defects_find_the_first_defect_of_the_pairwise_loop(name):
+    """Through a random bijection onto a relabelled copy, with one pair cut
+    from one relation or one atom moved across one diagonal, on either
+    side, the shared check and the earlier pairwise loop name the same
+    operator and, for a relation, the same column."""
+    a = _DAMAGE_BASES[name]()
+    n = a.natoms
+    rng = random.Random(name)
+    for _ in range(40):
+        perm = rng.sample(range(n), n)
+        b = _relabel(a, perm)
+        embed = AdditiveOperator.of_map(tuple(perm))
+        assert list(_carried_defects(a, b, embed)) == []
+        assert seed_neat.restriction_defects(a, b, perm) == []
+        a_side = rng.random() < 0.5
+        if rng.random() < 0.5:
+            i, col = rng.randrange(a.dim), rng.randrange(n)
+            row = rng.choice([x for x in range(n) if a.cyl[i][col] >> x & 1])
+            where = ("c", i, col)
+            if a_side:
+                a_cut, b_cut = drop_cyl_pair(a, i, row, col), b
+            else:
+                a_cut, b_cut = a, drop_cyl_pair(b, i, perm[row], perm[col])
+        else:
+            i, j = rng.sample(range(a.dim), 2)
+            x = rng.randrange(n)
+            where = ("diagonal", i, j)
+            if a_side:
+                a_cut, b_cut = _flip_diagonal(a, i, j, x), b
+            else:
+                a_cut, b_cut = a, _flip_diagonal(b, i, j, perm[x])
+        (seed,) = seed_neat.restriction_defects(a_cut, b_cut, perm)
+        (got,) = _carried_defects(a_cut, b_cut, embed)
+        assert _seed_defect(seed) == _carried_defect(got) == where
+        assert not ca_is_isomorphism(a_cut, b_cut, perm)

@@ -4,6 +4,7 @@ an element, the relation-algebra view, and the matrix correspondences."""
 import ast
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -29,9 +30,11 @@ from cylkit import (
     three_cube,
     top,
 )
+from cylkit import neat
 from cylkit.bao import AdditiveOperator, Element, cyl, structure_to_json
 from cylkit.ra import compose
 
+import seed_neat
 import seed_operators
 
 
@@ -246,6 +249,31 @@ def test_restriction_iso_exhaustive_pass():
     assert sorted(rep.mapping) == list(range(61))  # bijective onto the 61 classes
 
 
+def test_restriction_iso_reports_a_damaged_small_structure(monkeypatch):
+    """The failure path, which no lawful input reaches: with the pair
+    (11, 5) cut from T_0 of the small matrices, the fibres and the
+    bijection stand, and the report names column 5 of c_0, as the earlier
+    pairwise loop does."""
+    bin_ra = bin_forb(3, 1, 2)
+    mapping = restriction_iso(3, 4, bin_ra).mapping
+    build = neat._basic_matrices
+
+    def cut_small(m, ra):
+        s, values = build(m, ra)
+        return (drop_cyl_pair(s, 0, 11, 5) if m == 3 else s), values
+
+    monkeypatch.setattr(neat, "_basic_matrices", cut_small)
+    rep = restriction_iso(3, 4, bin_ra)
+    line = "c_0 disagrees through the embedding at atom 5"
+    assert (rep.passed, rep.mapping, rep.counterexample) == (False, None, line)
+    assert rep.details[1:] == (line,)
+    small = cut_small(3, bin_ra)[0]
+    quotient = nr(build(4, bin_ra)[0], range(3))[0].structure
+    assert seed_neat.restriction_defects(small, quotient, mapping) == [
+        "relation 0 differs at atom pair (11,5)"
+    ]
+
+
 def test_restriction_iso_parameter_checks():
     with pytest.raises(ValueError):
         restriction_iso(4, 3, bin_forb(3, 1, 2))
@@ -297,7 +325,25 @@ def test_monk_nr_certificate():
 # the quotient and embedding operators against the loops they replaced,
 # and the reports against the ones recorded before the change
 
-_SAMPLED_FAIL = "c_1 image of a closed set is not closed (subset 215070276954111144)"
+def _not_closed(fails):
+    return tuple(
+        f"c_{i} image of a closed set is not closed (subset {1 << ci})" for ci, i in fails
+    )
+
+
+# basic_matrices(4) kept on 0, 1, 2: each class with an image that is not
+# closed has exactly one index whose image is, listed here against it
+_BM4_CLOSED_AT = {
+    0: (7, 8, 9, 10, 20, 21, 23, 24, 43, 44, 45, 46, 56, 57, 59, 60),
+    1: (11, 12, 15, 16, 25, 26, 29, 30, 36, 37, 40, 41, 50, 51, 54, 55),
+    2: (13, 14, 17, 18, 27, 28, 31, 32, 34, 35, 38, 39, 48, 49, 52, 53),
+}
+_BM4_FAILS = _not_closed(
+    (ci, i)
+    for ci, closed in sorted((ci, k) for k, cis in _BM4_CLOSED_AT.items() for ci in cis)
+    for i in range(3)
+    if i != closed
+)
 # name: (structure, gamma, force, class count, and the recorded passed,
 # certificate level and details)
 NR_CASES = {
@@ -313,8 +359,23 @@ NR_CASES = {
         False,
         61,
         False,
-        "sampled",
-        (_SAMPLED_FAIL,),
+        "exhaustive",
+        _BM4_FAILS,
+    ),
+    "monk_atoms(4,4) keep 0,1,2": (
+        lambda: monk_atoms(4, 4), (0, 1, 2), False, 73, True, "exhaustive", ()
+    ),
+    # a check of 512 seeded random unions of classes passes this one: in
+    # each union that holds class 70, the other classes' c_0 images cover
+    # what its own misses
+    "monk_atoms(4,4) cut T0 at (525,3507) keep 0,1,3": (
+        lambda: drop_cyl_pair(monk_atoms(4, 4), 0, 525, 3507),
+        (0, 1, 3),
+        True,
+        73,
+        False,
+        "exhaustive",
+        _not_closed([(70, 0)]),
     ),
     "forced": (
         lambda: drop_cyl_pair(three_cube(), 2, 0, 1),
@@ -338,6 +399,15 @@ def test_nr_certificate_and_lift_match_the_recorded_and_seed(name):
     assert len(frame.classes) == nclasses
 
     view = seed_operators.frame_view(structure, frame.classes)
+    # the failing (class, index) pairs are those whose image the seed
+    # closure moves
+    images = {
+        (ci, i): cyl(structure, i, frame.class_element(ci))
+        for ci in range(nclasses)
+        for i in frame.gamma
+    }
+    moved = [key for key, y in images.items() if seed_operators.closure(view, y) != y]
+    assert _not_closed(moved) == tuple(d for d in details if "not closed" in d)
     rng = random.Random(0)
     xs = [Element(structure, 1 << a) for a in range(structure.natoms)]
     xs += [frame.class_element(ci) for ci in range(nclasses)]
@@ -346,6 +416,56 @@ def test_nr_certificate_and_lift_match_the_recorded_and_seed(name):
     for x in xs:
         assert frame.lift(x) == seed_operators.lift(view, x)
         assert frame.closure(x) == seed_operators.closure(view, x)
+
+
+def _single_class_lines(details):
+    """The seed certificate's details less its lines for unions of more
+    than one class and its second diagonal check's lines."""
+    return tuple(
+        d
+        for d in details
+        if not d.endswith("is not a union of classes")
+        and not any(int(sub).bit_count() > 1 for sub in re.findall(r"subset (\d+)", d))
+    )
+
+
+CORRUPTED_BASES = {
+    "full_set(3,2)": lambda: full_set_algebra(3, 2),
+    "full_set(4,2)": lambda: full_set_algebra(4, 2),
+    "full_set(3,3)": lambda: full_set_algebra(3, 3),
+    "three_cube": three_cube,
+    "monk_atoms(3,3)": lambda: monk_atoms(3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTED_BASES))
+def test_nr_per_class_certificate_matches_the_subset_sweep(name):
+    """On at most twelve classes the seed sweeps every union of classes;
+    checking one class at a time must reach the same verdict and the same
+    first counterexample."""
+    base = CORRUPTED_BASES[name]()
+    rng = random.Random(name)
+    compared = failed = 0
+    for _ in range(100):
+        s = base
+        for _ in range(rng.choice((1, 1, 2))):
+            i = rng.randrange(s.dim)
+            b = rng.randrange(s.natoms)
+            a = rng.choice([a for a in range(s.natoms) if s.cyl[i][b] >> a & 1] or [None])
+            if a is not None:
+                s = drop_cyl_pair(s, i, a, b)
+        gamma = rng.sample(range(s.dim), rng.randint(1, s.dim))
+        frame, cert = nr(s, gamma, force=True)
+        if len(frame.classes) > seed_neat.EXHAUSTIVE_CLASS_LIMIT:
+            continue
+        seed_frame, seed = seed_neat.nr(s, gamma, force=True)
+        assert seed.certificate_level == cert.certificate_level == "exhaustive"
+        assert (cert.passed, cert.counterexample) == (seed.passed, seed.counterexample)
+        assert cert.details == _single_class_lines(seed.details)
+        assert frame == seed_frame
+        compared += 1
+        failed += not cert.passed
+    assert compared >= 60 and 0 < failed < compared
 
 
 def _c_lines(pairs):
