@@ -326,7 +326,7 @@ def _structure_text(s: CaAtomStructure | RaAtomStructure) -> str:
     if isinstance(s, CaAtomStructure):
         try:
             listing = monk_atom_listing(s)
-        except (ValueError, SyntaxError):
+        except ValueError:
             listing = None
         lines.append(f"dimension {s.dim}, {s.natoms} atoms")
         if listing is not None:

@@ -8,7 +8,9 @@ triples, atom splitting, and (in `hyper`) hypernetwork machinery.
 
 Where atoms label node tuples (partitions, matrices, tuples, hypernetworks),
 T_i, E_ij and P_ij come from one builder, `_agreement` and `_swaps`; each
-structure gives only its atoms, slots, labels and diagonal rule.
+structure gives only its atoms, slots, labels and diagonal rule.  Their two
+parts, `_classes_off` (agreement off a node set) and `_reads` (renaming by a
+node map), also serve the hyperbasis rules of `hyper`.
 """
 from __future__ import annotations
 
@@ -16,17 +18,41 @@ import ast
 from dataclasses import dataclass, field, replace
 from itertools import combinations, product, repeat
 from operator import itemgetter
-from typing import Callable, Hashable, Iterator, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, Union
 
 from .bao import AdditiveOperator, CaAtomStructure, Element, Pair, class_columns
 from .ra import RaAtomStructure, Triple, _network_labellings
+
+Tuples = Sequence[tuple[int, ...]]
 
 # ---------------------------------------------------------------------------
 # the atom structure of a set of labellings
 
 
+def _classes_off(slots: Tuples, values: Sequence, nodes: set[int]) -> tuple[int, ...]:
+    """Column table of "equal labels on every slot that avoids `nodes`":
+    `values[a][k]` is atom a's label on `slots[k]`, a tuple of nodes."""
+    keep = [k for k, slot in enumerate(slots) if nodes.isdisjoint(slot)]
+    # a bare itemgetter returns a scalar for one slot and refuses none
+    key = itemgetter(*keep) if len(keep) > 1 else lambda v: tuple(v[k] for k in keep)
+    groups: dict[Hashable, list[int]] = {}
+    for a, v in enumerate(values):
+        groups.setdefault(key(v), []).append(a)
+    return class_columns(len(values), groups.values())
+
+
+def _reads(slots: Tuples, sigmas: Iterable[Sequence[int]]) -> Iterator[Callable]:
+    """Per node map sigma, the read renaming a labelling by sigma: its label
+    on each slot is its label on the slot's image under sigma, or on the
+    image sorted when that is the slot, so slots may be unordered pairs."""
+    where = {slot: k for k, slot in enumerate(slots)}
+    for sigma in sigmas:
+        moved = [tuple(sigma[x] for x in slot) for slot in slots]
+        yield itemgetter(*[where[t] if t in where else where[tuple(sorted(t))] for t in moved])
+
+
 def _agreement(
-    dim: int, slots: Sequence[tuple[int, ...]], values: Sequence, diagonal: Callable[..., bool]
+    dim: int, slots: Tuples, values: Sequence, diagonal: Callable[..., bool]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[frozenset[int], ...], ...]]:
     """T and E of the atoms that label node tuples: `values[a][k]` is atom
     a's label on `slots[k]`, a tuple of nodes below `dim`.
@@ -35,13 +61,7 @@ def _agreement(
     i.  For i != j, E_ij holds the atoms a with `diagonal(values[a], i, j)`;
     E_ii holds every atom.
     """
-    cyl = []
-    for i in range(dim):
-        key = itemgetter(*[k for k, slot in enumerate(slots) if i not in slot])
-        groups: dict[Hashable, list[int]] = {}
-        for a, v in enumerate(values):
-            groups.setdefault(key(v), []).append(a)
-        cyl.append(class_columns(len(values), groups.values()))
+    cyl = tuple(_classes_off(slots, values, {i}) for i in range(dim))
     full = frozenset(range(len(values)))
     diag = tuple(
         tuple(
@@ -50,27 +70,21 @@ def _agreement(
         )
         for i in range(dim)
     )
-    return tuple(cyl), diag
+    return cyl, diag
 
 
-def _swaps(
-    dim: int, slots: Sequence[tuple[int, ...]], values: Sequence[tuple[Hashable, ...]]
-) -> tuple[tuple[int, ...], ...]:
+def _swaps(dim: int, slots: Tuples, values: Sequence[tuple[Hashable, ...]]) -> Tuples:
     """P_ij for each pair i < j of the atoms of `_agreement`, as a
-    permutation: atom a goes to the atom whose label on each slot is a's
-    label on that slot with nodes i and j swapped.  A swapped slot that is
-    not a slot is read in sorted order, so slots may be unordered pairs.
-    Raises KeyError when some image is not an atom.
+    permutation: atom a goes to the atom whose labels are a's read by
+    `_reads` with nodes i and j swapped.  Raises KeyError when some image
+    is not an atom.
     """
-    where = {slot: k for k, slot in enumerate(slots)}
     index = {v: a for a, v in enumerate(values)}
-    perms = []
-    for i, j in combinations(range(dim), 2):
-        swap = {i: j, j: i}
-        moved = [tuple(swap.get(x, x) for x in slot) for slot in slots]
-        read = itemgetter(*[where[t] if t in where else where[tuple(sorted(t))] for t in moved])
-        perms.append(tuple(index[read(v)] for v in values))
-    return tuple(perms)
+    swaps = [
+        [j if x == i else i if x == j else x for x in range(dim)]
+        for i, j in combinations(range(dim), 2)
+    ]
+    return tuple(tuple(index[read(v)] for v in values) for read in _reads(slots, swaps))
 
 
 def _slot_pairs(m: int) -> list[Pair]:
@@ -189,8 +203,19 @@ def monk_label(atom: MonkAtom) -> str:
 
 
 def parse_monk_label(label: str) -> MonkAtom:
-    blocks, fitems = ast.literal_eval(label)
-    return MonkAtom(tuple(tuple(b) for b in blocks), tuple((tuple(p), c) for p, c in fitems))
+    """The atom a `monk_label` names.  Raises ValueError for any label that
+    is not a partition of 0..m-1 with a colour on each cross-block pair."""
+    try:
+        blocks, fitems = ast.literal_eval(label)
+        atom = MonkAtom(tuple(map(tuple, blocks)), tuple((tuple(p), c) for p, c in fitems))
+        elems = sorted(e for b in atom.blocks for e in b)
+        cross = [p for p in combinations(elems, 2) if not atom.related(*p)]
+        colours = sorted(p for p, c in atom.f if isinstance(c, int))
+        if elems != list(range(len(elems))) or colours != cross:
+            raise ValueError("not a partition with a colour on each cross-block pair")
+    except (SyntaxError, TypeError, ValueError) as exc:
+        raise ValueError(f"not a pair-partition label: {label!r}") from exc
+    return atom
 
 
 def monk_atoms(m: int, n: int) -> CaAtomStructure:
@@ -240,7 +265,7 @@ def johnson_extend(structure: CaAtomStructure) -> CaAtomStructure:
     try:
         shapes = _monk_shapes(m, [parse_monk_label(label) for label in structure.atoms])
         transp = _swaps(m, _slot_pairs(m), shapes)
-    except (ValueError, SyntaxError, TypeError, LookupError) as exc:
+    except (ValueError, LookupError) as exc:
         raise ValueError("structure was not produced by monk_atoms") from exc
     return replace(structure, transp=transp)
 

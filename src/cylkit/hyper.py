@@ -15,25 +15,22 @@ symbol classes are read off the classes of identity-linked nodes.
 `validate_hypernetwork` stays an independent check of all three
 coherence conditions.
 
-`is_hyperbasis` reads the networks through an index it builds once per
-call and drops on return.  Networks of one shape list their tuples in one
-order, so every label has a fixed position.  For each excluded node set S
-({z} and {x,y}) each network gets one key, its labels on the pairs and
-tuples that avoid S, and "g agrees with h off S" is a key comparison.  The
-cylindrifier rule groups the networks by their key off {z}; the
-amalgamation rule keeps, for each x != y, the set of (key off {x}, key off
-{y}) pairs of all networks; the symmetry rule renames a network by reading
-its labels at precomputed positions.  For N networks on m nodes a call
-builds about N*m^2 keys and makes at most N^2*m^2 key comparisons.
+`is_hyperbasis` reads the relations of the structure it certifies off the
+same builder's parts: `_classes_off` gives "agrees off S" as a column
+table, `_reads` the renaming by a node map.  For N networks on m nodes a
+call makes N*m^2 mask differences, where a keyed checker would make
+N^2*m^2 key comparisons.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import reduce
+from itertools import combinations, permutations, product
+from operator import or_
 from typing import Iterator, Sequence
 
-from .bao import BudgetExceededError, CaAtomStructure
-from .constructions import _agreement, _swaps
+from .bao import AdditiveOperator, BudgetExceededError, CaAtomStructure, _bits
+from .constructions import Tuples, _agreement, _classes_off, _reads, _swaps
 from .ra import RaAtomStructure, _network_labellings
 
 DEFAULT_ENUM_BUDGET = 200_000
@@ -82,13 +79,9 @@ def _flat_labels(h: HyperNetwork) -> tuple[int, ...]:
     return h.pairs + tuple(v for _, v in h.hyper)
 
 
-def _renaming(m: int, tuples: Sequence[tuple[int, ...]], sigma: Sequence[int]) -> list[int]:
-    """For each position of the flat labels renamed by sigma, the position
-    it reads in the flat labels of a network listing `tuples`."""
-    where = {t: m * m + k for k, t in enumerate(tuples)}
-    return [sigma[x] * m + sigma[y] for x in range(m) for y in range(m)] + [
-        where[tuple(sigma[v] for v in t)] for t in tuples
-    ]
+def _slots(h: HyperNetwork) -> list[tuple[int, ...]]:
+    """The node tuple of each place of `_flat_labels(h)`."""
+    return [*product(range(h.m), repeat=2), *(t for t, _ in h.hyper)]
 
 
 def validate_hypernetwork(
@@ -214,85 +207,55 @@ def _witness_defects(ra: RaAtomStructure, nets: Sequence[HyperNetwork]) -> Itera
                 yield f"no network labels (0,1) with atom {a}"
 
 
-class _Index:
-    """One call's view of a set of networks of one shape.
-
-    `flat[i]` is network i's labels as one tuple (`_flat_labels`), and
-    `off[S][i]` its key off the node set S, for every S of one or two nodes:
-    its labels on the pairs and tuples that avoid S.  The networks list
-    their tuples in one order, so two of them agree off S iff their keys
-    are equal.
-    """
-
-    def __init__(self, nets: Sequence[HyperNetwork]) -> None:
-        m = nets[0].m
-        self.m = m
-        self.tuples = [t for t, _ in nets[0].hyper]
-        self.flat = [_flat_labels(h) for h in nets]
-        self.off: dict[frozenset[int], list[tuple[int, ...]]] = {}
-        for excluded in {frozenset((x, y)) for x in range(m) for y in range(m)}:
-            keep = [x * m + y for x in range(m) for y in range(m) if excluded.isdisjoint((x, y))]
-            keep += [m * m + k for k, t in enumerate(self.tuples) if excluded.isdisjoint(t)]
-            self.off[excluded] = [tuple(map(f.__getitem__, keep)) for f in self.flat]
-
-
-def _cylindrifier_defects(ra: RaAtomStructure, ix: _Index) -> Iterator[str]:
-    m = ix.m
-    # peers[z][i]: the networks that agree with network i off node z
-    peers = []
-    for z in range(m):
-        keys = ix.off[frozenset((z,))]
-        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for key, g in zip(keys, ix.flat):
-            groups.setdefault(key, []).append(g)
-        peers.append([groups[key] for key in keys])
-    for hi, h in enumerate(ix.flat):
-        for x in range(m):
-            for y in range(m):
-                pairs = ra._consistent_pairs[h[x * m + y]]
-                for z in range(m):
-                    if z in (x, y):
-                        continue
-                    witnessed = {(g[x * m + z], g[z * m + y]) for g in peers[z][hi]}
-                    for a, b in pairs:
-                        if (a, b) not in witnessed:
-                            yield f"no witness for ({x},{y}) via {z} with atoms ({a},{b})"
+def _cylindrifier_defects(ra: RaAtomStructure, m: int, flat: Tuples, cyl: Tuples) -> Iterator[str]:
+    # for z not in (x, y), h's (x,y) label and its peers off z are those of
+    # its whole class of T_z, so gaps[z][h][x * m + y], the pairs consistent
+    # with that label that no peer carries at ((x,z), (z,y)), is built once
+    # per class
+    gaps: list[list] = [[None] * len(flat) for _ in range(m)]
+    for z, hi in product(range(m), range(len(flat))):
+        if gaps[z][hi] is None:
+            members = list(_bits(cyl[z][hi]))
+            row = []
+            for x, y in product(range(m), repeat=2):
+                if z in (x, y):
+                    row.append(())
+                    continue
+                witnessed = {(flat[g][x * m + z], flat[g][z * m + y]) for g in members}
+                pairs = ra._consistent_pairs[flat[hi][x * m + y]]
+                row.append(tuple(p for p in pairs if p not in witnessed))
+            for g in members:
+                gaps[z][g] = row
+    for hi in range(len(flat)):
+        for x, y, z in product(range(m), repeat=3):
+            for a, b in gaps[z][hi][x * m + y]:
+                yield f"no witness for ({x},{y}) via {z} with atoms ({a},{b})"
 
 
-def _amalgamation_defects(ix: _Index) -> Iterator[str]:
-    m = ix.m
-    off = ix.off
-    # for x == y, h itself is an amalgam of h and g
+def _amalgamation_defects(m: int, slots: Tuples, flat: Tuples, cyl: Tuples) -> Iterator[str]:
+    # an amalgam of h and g is a k with k T_x h and k T_y g, so one exists
+    # iff g is in (T_y after T_x)(h); for x == y, h itself is one
+    ops = [AdditiveOperator(cols) for cols in cyl]
+    agree = {frozenset(p): _classes_off(slots, flat, set(p)) for p in combinations(range(m), 2)}
     rows = [
-        (
-            x,
-            y,
-            off[frozenset((x, y))],
-            off[frozenset((x,))],
-            off[frozenset((y,))],
-            set(zip(off[frozenset((x,))], off[frozenset((y,))])),
-        )
-        for x in range(m)
-        for y in range(m)
-        if x != y
+        (x, y, agree[frozenset((x, y))], ops[y].after(ops[x]))
+        for x, y in permutations(range(m), 2)
     ]
-    count = len(ix.flat)
-    for hi in range(count):
-        for gi in range(count):
-            for x, y, off_xy, off_x, off_y, amalgams in rows:
-                if off_xy[hi] == off_xy[gi] and (off_x[hi], off_y[gi]) not in amalgams:
+    for hi in range(len(flat)):
+        gaps = [(x, y, off[hi] & ~reach[hi]) for x, y, off, reach in rows]
+        for gi in _bits(reduce(or_, (gap for _, _, gap in gaps), 0)):
+            for x, y, gap in gaps:
+                if gap >> gi & 1:
                     yield f"networks {hi},{gi} agree off ({x},{y}) but have no amalgam"
 
 
-def _symmetry_defects(ix: _Index) -> Iterator[str]:
-    present = set(ix.flat)
-    renamings = [
-        (sigma, _renaming(ix.m, ix.tuples, sigma))
-        for sigma in product(range(ix.m), repeat=ix.m)
-    ]
-    for h in ix.flat:
-        for sigma, reads in renamings:
-            if tuple(map(h.__getitem__, reads)) not in present:
+def _symmetry_defects(m: int, slots: Tuples, flat: Tuples) -> Iterator[str]:
+    present = set(flat)
+    sigmas = list(product(range(m), repeat=m))
+    renamings = list(zip(sigmas, _reads(slots, sigmas)))
+    for h in flat:
+        for sigma, read in renamings:
+            if read(h) not in present:
                 yield f"renaming by {sigma} leaves the set"
 
 
@@ -304,11 +267,11 @@ def is_hyperbasis(
 
     The networks must be of one shape (m and n_wide), each labelling every
     tuple of that shape once, in sorted order, as `enumerate_hypernetworks`
-    builds them.  The rules read the `_Index` built here.  For N networks
-    on m nodes: amalgamation makes N^2*m^2 key comparisons, the cylindrifier
-    rule reads the networks that agree with h off z once per (h, x, y, z),
-    and symmetry makes m^m renamings per network, each one pass over the
-    network's labels.
+    builds them.  The rules read the slots, flat labels and T_z columns
+    built here.  Amalgamation makes N*m^2 mask differences: g lacks an
+    amalgam with h at (x, y) iff g agrees with h off {x, y} but is not in
+    (T_y after T_x)(h).  The cylindrifier rule builds one witness set per
+    (z, class of T_z, x, y), and symmetry reads each network m^m times.
     """
     nets = list(networks)
     if not nets:
@@ -321,13 +284,16 @@ def is_hyperbasis(
             return HyperbasisReport(
                 False, (("member", f"network {idx} does not list the tuples of its shape"),)
             )
-    ix = _Index(nets)
+    m = nets[0].m
+    slots = _slots(nets[0])
+    flat = [_flat_labels(h) for h in nets]
+    cyl = [_classes_off(slots, flat, {z}) for z in range(m)]
     rules = (
         ("member", _member_defects(ra, nets)),
         ("witness", _witness_defects(ra, nets)),
-        ("cylindrifier", _cylindrifier_defects(ra, ix)),
-        ("amalgamation", _amalgamation_defects(ix)),
-        ("symmetry", _symmetry_defects(ix)),
+        ("cylindrifier", _cylindrifier_defects(ra, m, flat, cyl)),
+        ("amalgamation", _amalgamation_defects(m, slots, flat, cyl)),
+        ("symmetry", _symmetry_defects(m, slots, flat)),
     )
     violations = tuple(
         (rule, detail)
@@ -355,8 +321,7 @@ def ca_over_hyperbasis(
     m = nets[0].m
     if m < 2:
         raise ValueError("need at least two nodes to form a structure")
-    # the flat labels: the ordered pairs in row-major order, then the tuples
-    slots = [*product(range(m), repeat=2), *(t for t, _ in nets[0].hyper)]
+    slots = _slots(nets[0])
     flat = [_flat_labels(h) for h in nets]
     cyl, diag = _agreement(m, slots, flat, lambda f, i, j: f[i * m + j] in ra.identity)
     labels = tuple(repr((h.pairs, h.hyper)) for h in nets)

@@ -1,11 +1,19 @@
-"""The hyperbasis checker that scanned pairs of networks, kept as an oracle.
+"""The earlier hyperbasis checkers, kept as oracles.
 
 `validate_hypernetwork`, `_agrees_off` and the five rule generators are the
-earlier code, unchanged: every agreement test scans two networks' labels and
+first code, unchanged: every agreement test scans two networks' labels and
 every symbol lookup scans a network's `hyper` entries.  `rename` is the
 earlier `HyperNetwork.rename`, a method `cylkit.hyper` no longer has; the
-symmetry rule here and the tests call it.  `is_hyperbasis` runs the rules as `cylkit.hyper.is_hyperbasis` does.
-The indexed checker in `cylkit.hyper` must give the same reports.
+symmetry rule here and the tests call it.  `is_hyperbasis` runs the rules
+as `cylkit.hyper.is_hyperbasis` does.
+
+`_Index`, `_indexed_cylindrifier_defects` and `_indexed_amalgamation_defects`
+are the keyed checker that came next, unchanged but for the two names: one
+key per network and excluded node set, networks grouped by their key off
+{z} by hand, and the amalgamation rule comparing the keys of every pair of
+networks.  Fast enough for a few hundred networks, it is the oracle where
+the scanning rules are too slow.  `cylkit.hyper` must list the same defects
+in the same order as both.
 
 `enumerate_hypernetworks` is the earlier enumeration, unchanged: its own
 backtracker over ordered pair slots, a pair-substitution filter, and a
@@ -19,7 +27,13 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from cylkit.bao import BudgetExceededError
-from cylkit.hyper import DEFAULT_ENUM_BUDGET, HyperbasisReport, HyperNetwork, _hyper_tuples
+from cylkit.hyper import (
+    DEFAULT_ENUM_BUDGET,
+    HyperbasisReport,
+    HyperNetwork,
+    _flat_labels,
+    _hyper_tuples,
+)
 from cylkit.ra import RaAtomStructure
 
 
@@ -138,6 +152,76 @@ def _symmetry_defects(nets: Sequence[HyperNetwork]) -> Iterator[str]:
         for sigma in product(range(m), repeat=m):
             if rename(h, sigma) not in net_set:
                 yield f"renaming by {sigma} leaves the set"
+
+
+class _Index:
+    """One call's view of a set of networks of one shape.
+
+    `flat[i]` is network i's labels as one tuple (`_flat_labels`), and
+    `off[S][i]` its key off the node set S, for every S of one or two nodes:
+    its labels on the pairs and tuples that avoid S.  The networks list
+    their tuples in one order, so two of them agree off S iff their keys
+    are equal.
+    """
+
+    def __init__(self, nets: Sequence[HyperNetwork]) -> None:
+        m = nets[0].m
+        self.m = m
+        self.tuples = [t for t, _ in nets[0].hyper]
+        self.flat = [_flat_labels(h) for h in nets]
+        self.off: dict[frozenset[int], list[tuple[int, ...]]] = {}
+        for excluded in {frozenset((x, y)) for x in range(m) for y in range(m)}:
+            keep = [x * m + y for x in range(m) for y in range(m) if excluded.isdisjoint((x, y))]
+            keep += [m * m + k for k, t in enumerate(self.tuples) if excluded.isdisjoint(t)]
+            self.off[excluded] = [tuple(map(f.__getitem__, keep)) for f in self.flat]
+
+
+def _indexed_cylindrifier_defects(ra: RaAtomStructure, ix: _Index) -> Iterator[str]:
+    m = ix.m
+    # peers[z][i]: the networks that agree with network i off node z
+    peers = []
+    for z in range(m):
+        keys = ix.off[frozenset((z,))]
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for key, g in zip(keys, ix.flat):
+            groups.setdefault(key, []).append(g)
+        peers.append([groups[key] for key in keys])
+    for hi, h in enumerate(ix.flat):
+        for x in range(m):
+            for y in range(m):
+                pairs = ra._consistent_pairs[h[x * m + y]]
+                for z in range(m):
+                    if z in (x, y):
+                        continue
+                    witnessed = {(g[x * m + z], g[z * m + y]) for g in peers[z][hi]}
+                    for a, b in pairs:
+                        if (a, b) not in witnessed:
+                            yield f"no witness for ({x},{y}) via {z} with atoms ({a},{b})"
+
+
+def _indexed_amalgamation_defects(ix: _Index) -> Iterator[str]:
+    m = ix.m
+    off = ix.off
+    # for x == y, h itself is an amalgam of h and g
+    rows = [
+        (
+            x,
+            y,
+            off[frozenset((x, y))],
+            off[frozenset((x,))],
+            off[frozenset((y,))],
+            set(zip(off[frozenset((x,))], off[frozenset((y,))])),
+        )
+        for x in range(m)
+        for y in range(m)
+        if x != y
+    ]
+    count = len(ix.flat)
+    for hi in range(count):
+        for gi in range(count):
+            for x, y, off_xy, off_x, off_y, amalgams in rows:
+                if off_xy[hi] == off_xy[gi] and (off_x[hi], off_y[gi]) not in amalgams:
+                    yield f"networks {hi},{gi} agree off ({x},{y}) but have no amalgam"
 
 
 def is_hyperbasis(

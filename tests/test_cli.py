@@ -294,6 +294,18 @@ def test_export_text_renders_monk_blocks(monk_file, capsys):
     assert capsys.readouterr().out.startswith("graph structure {")
 
 
+def test_export_text_lists_labels_that_are_not_pair_partitions(tmp_path, capsys):
+    # each label of full-set --dim 2 parses as a pair of integers
+    path = tmp_path / "fs22.json"
+    assert main(["gen", "full-set", "--dim", "2", "--base", "2", "-o", str(path)]) == 0
+    assert main(["export", str(path), "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    labels = json.loads(path.read_text())["atoms"]
+    assert lines == ["dimension 2, 4 atoms"] + [
+        f"  atom {k}: {label}" for k, label in enumerate(labels)
+    ]
+
+
 def test_suite_is_deterministic_and_reports_every_criterion(tmp_path):
     first, second = tmp_path / "one.txt", tmp_path / "two.txt"
     assert main(["suite", "-o", str(first)]) == 0

@@ -30,6 +30,7 @@ from cylkit import (
     validate_matrix,
 )
 from cylkit.constructions import (
+    _classes_off,
     _matrix_side,
     _slot_pairs,
     monk_atom_listing,
@@ -160,6 +161,25 @@ def test_monk_label_round_trip():
         assert monk_label(parse_monk_label(label)) == label
 
 
+@pytest.mark.parametrize(
+    "label",
+    [
+        "(0, 1)",  # a pair of integers
+        "((0, 1, 0), ())",
+        "(((0,), (0,)), ())",  # not a partition
+        "(((0,), (2,)), (((0, 2), 1),))",  # not of 0..m-1
+        "(((0,), (1,)), ())",  # a cross-block pair left uncoloured
+        "(((0, 1),), (((0, 1), 1),))",  # a pair inside a block coloured
+        "(((0,), (1,)), (((0, 1), 'x'),))",
+        "((0, 1), ((0, 0), ((0,), 0)))",  # the label of a hypernetwork
+        "not a label",
+    ],
+)
+def test_parse_monk_label_refuses_what_is_not_a_pair_partition(label):
+    with pytest.raises(ValueError, match="not a pair-partition label"):
+        parse_monk_label(label)
+
+
 def test_monk_listing_shape():
     s = monk_atoms(3, 3)
     listing = monk_atom_listing(s)
@@ -203,6 +223,24 @@ def test_johnson_swap_conjugates_colourings():
         blocks = sorted(tuple(sorted(perm[i] for i in b)) for b in at.blocks)
         target = parse_monk_label(ext.atoms[img[a]])
         assert sorted(tuple(b) for b in target.blocks) == blocks
+
+
+@pytest.mark.parametrize(
+    "nodes, classes",
+    [
+        (set(), [[0], [1], [2], [3]]),
+        ({0}, [[0, 2], [1, 3]]),  # one kept slot: grouped by coordinate 1
+        ({1}, [[0, 1], [2, 3]]),
+        ({0, 1}, [[0, 1, 2, 3]]),  # no kept slot: one class
+    ],
+)
+def test_classes_off_groups_by_the_slots_that_avoid_the_nodes(nodes, classes):
+    # the pairs over {0, 1}, one slot per coordinate
+    values = list(product(range(2), repeat=2))
+    cols = _classes_off([(0,), (1,)], values, nodes)
+    assert cols == tuple(
+        sum(1 << b for b in cls) for a in range(4) for cls in classes if a in cls
+    )
 
 
 # a 2-tuple label parses as the pair (blocks, colouring) of two integers

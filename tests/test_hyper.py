@@ -3,7 +3,7 @@
 import functools
 import hashlib
 import random
-from itertools import islice, product
+from itertools import product
 
 import pytest
 
@@ -21,6 +21,7 @@ from cylkit import (
     validate_hypernetwork,
 )
 from cylkit import hyper
+from cylkit.constructions import _classes_off, _reads
 from cylkit.hyper import HyperNetwork, ca_over_hyperbasis
 from cylkit.ra import _network_labellings
 
@@ -392,7 +393,7 @@ def test_violation_reports_match_the_recorded_ones(z4, z4_nets, name):
 
 
 # ---------------------------------------------------------------------------
-# the indexed checker against the checker that scanned pairs of networks
+# the checker against the earlier checkers
 
 
 def _substitution_breaker(nets):
@@ -461,17 +462,72 @@ def test_report_matches_the_pairwise_checker(name):
         assert validate_hypernetwork(ra, h) == seed_hyper.validate_hypernetwork(ra, h)
 
 
+def _rules(ra, nets):
+    """The cylindrifier, amalgamation and symmetry rules of `cylkit.hyper`,
+    over the slots, labels and T_z columns `is_hyperbasis` builds."""
+    m = nets[0].m
+    slots = hyper._slots(nets[0])
+    flat = [hyper._flat_labels(h) for h in nets]
+    cyl = [_classes_off(slots, flat, {z}) for z in range(m)]
+    return (
+        hyper._cylindrifier_defects(ra, m, flat, cyl),
+        hyper._amalgamation_defects(m, slots, flat, cyl),
+        hyper._symmetry_defects(m, slots, flat),
+    )
+
+
+def _keyed_rules(ra, nets):
+    """The same three rules of the keyed checker in `tests/seed_hyper.py`."""
+    ix = seed_hyper._Index(nets)
+    return (
+        seed_hyper._indexed_cylindrifier_defects(ra, ix),
+        seed_hyper._indexed_amalgamation_defects(ix),
+        seed_hyper._symmetry_defects(nets),
+    )
+
+
 @pytest.mark.parametrize("name", sorted(_differential_sets()))
 def test_rules_list_the_defects_of_the_pairwise_checker(name):
-    # the first 25 defects of each rule, not only the first one the report keeps
+    # every defect of each rule, not only the first one the report keeps
     ra, nets = _differential_sets()[name]
-    ix = hyper._Index(nets)
-    for got, want in (
-        (hyper._cylindrifier_defects(ra, ix), seed_hyper._cylindrifier_defects(ra, nets)),
-        (hyper._amalgamation_defects(ix), seed_hyper._amalgamation_defects(nets)),
-        (hyper._symmetry_defects(ix), seed_hyper._symmetry_defects(nets)),
-    ):
-        assert list(islice(got, 25)) == list(islice(want, 25))
+    want = (
+        seed_hyper._cylindrifier_defects(ra, nets),
+        seed_hyper._amalgamation_defects(nets),
+        seed_hyper._symmetry_defects(nets),
+    )
+    for got, scanned, keyed in zip(_rules(ra, nets), want, _keyed_rules(ra, nets)):
+        got = list(got)
+        assert got == list(scanned)
+        assert got == list(keyed)
+
+
+@functools.cache
+def _hh313_subsets():
+    """Seeded subsets of the 235 three-node networks of `hh_ra(3,1,3)`,
+    each missing from one to half of them."""
+    ra = hh_ra(3, 1, 3)
+    nets = enumerate_hypernetworks(ra, 3, 2, 1)
+    rng = random.Random(1313)
+    subsets = []
+    for drop in (1, 2, 3, 4, 6, 10, 20, 40, 80, 118):
+        dropped = set(rng.sample(range(len(nets)), drop))
+        subsets.append([h for k, h in enumerate(nets) if k not in dropped])
+    return ra, subsets
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_rules_list_the_defects_of_the_keyed_checker(seed):
+    ra, subsets = _hh313_subsets()
+    nets = subsets[seed]
+    for got, want in zip(_rules(ra, nets), _keyed_rules(ra, nets)):
+        assert list(got) == list(want)
+
+
+def test_hh313_subsets_reach_the_amalgamation_rule():
+    ra, subsets = _hh313_subsets()
+    reports = [is_hyperbasis(ra, nets) for nets in subsets]
+    assert sum(rep.violation("amalgamation") is not None for rep in reports) >= 2
+    assert is_hyperbasis(ra, enumerate_hypernetworks(ra, 3, 2, 1)).passed
 
 
 def test_corrupted_sets_fail_the_member_rule_as_built():
@@ -499,23 +555,25 @@ def test_random_subsets_reach_every_rule():
 def test_off_keys_are_equal_iff_the_networks_agree(z4, symbols):
     # with two symbols, networks that agree on atoms can differ off a node
     nets = enumerate_hypernetworks(z4, 2, 3, symbols)[:64]
-    ix = hyper._Index(nets)
-    for excluded, keys in ix.off.items():
-        for a, ka in zip(nets, keys):
-            for b, kb in zip(nets, keys):
-                assert (ka == kb) == seed_hyper._agrees_off(a, b, excluded)
+    slots = hyper._slots(nets[0])
+    flat = [hyper._flat_labels(h) for h in nets]
+    for excluded in {frozenset((x, y)) for x in range(2) for y in range(2)}:
+        cols = _classes_off(slots, flat, set(excluded))
+        for ai, a in enumerate(nets):
+            for bi, b in enumerate(nets):
+                agree = bool(cols[ai] >> bi & 1)
+                assert agree == seed_hyper._agrees_off(a, b, excluded)
 
 
 def test_rename_matches_the_scanning_rename(z4, z4_nets):
-    # the positions the symmetry rule reads give the renamed network's labels
+    # the reads the symmetry rule makes give the renamed network's labels
     two_symbols = enumerate_hypernetworks(pair_algebra(), 2, 3, 2)[::97]
     for h in list(z4_nets) + list(two_symbols):
         labels = hyper._flat_labels(h)
-        tuples = [t for t, _ in h.hyper]
-        for sigma in product(range(h.m), repeat=h.m):
-            reads = hyper._renaming(h.m, tuples, sigma)
+        sigmas = list(product(range(h.m), repeat=h.m))
+        for sigma, read in zip(sigmas, _reads(hyper._slots(h), sigmas)):
             renamed = hyper._flat_labels(seed_hyper.rename(h, sigma))
-            assert tuple(map(labels.__getitem__, reads)) == renamed
+            assert read(labels) == renamed
 
 
 def test_networks_must_list_the_tuples_of_their_shape(z4, z4_nets):

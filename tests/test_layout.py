@@ -44,12 +44,13 @@ def test_every_private_helper_has_a_library_caller():
 
 
 def test_agreement_relations_have_one_builder():
-    """T_i of a set of labellings is grouped in one place, `_agreement`;
-    every other builder reads it from there rather than grouping its own."""
+    """Agreement off a node set is grouped in one place, `_classes_off`:
+    `_agreement` reads each T_i from it and the hyperbasis rules read T_z
+    and the two-node agreement from it, rather than grouping their own."""
     callers = []  # (module, enclosing module-level def) of each call
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
             for sub in ast.walk(stmt):
                 if isinstance(sub, ast.Call) and "class_columns" in _referenced(sub.func):
                     callers.append((path.name, getattr(stmt, "name", None)))
-    assert callers == [("constructions.py", "_agreement")]
+    assert callers == [("constructions.py", "_classes_off")]
