@@ -23,7 +23,7 @@ operations are pure and freely shareable across tasks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -214,16 +214,25 @@ class AdditiveOperator:
         Column b of the composite is the image of inner's column b, so it
         depends on that column alone.  Over a map, that column is one atom
         and the composite is self's columns reindexed by the map.
-        Otherwise `self` is applied once per distinct column of `inner` and
-        the image mapped back.  This is exact on any relation; on an
-        equivalence it costs one apply per class.
+        Otherwise the columns of `inner` are read once per distinct object,
+        keyed by id, so a mask object shared by many columns, as the class
+        masks of `class_columns` are, is hashed twice in all rather than
+        twice per column; `self` is applied once per distinct mask.  This is
+        exact on any relation; on an equivalence it costs one apply per
+        class.
         """
         if inner.images is not None:
             if self.images is None:
                 return tuple(map(self.cols.__getitem__, inner.images))
             return tuple(1 << self.images[c] for c in inner.images)
-        image = {col: self.apply(col) for col in set(inner.cols)}
-        return tuple(map(image.__getitem__, inner.cols))
+        keys = tuple(map(id, inner.cols))
+        image, values = {}, {}
+        for key, col in dict(zip(keys, inner.cols)).items():
+            value = values.get(col)
+            if value is None:
+                value = values[col] = self.apply(col)
+            image[key] = value
+        return tuple(map(image.__getitem__, keys))
 
 
 def column_pairs(cols: Sequence[int]) -> Iterator[Pair]:
@@ -439,17 +448,44 @@ class CaAtomStructure:
         )
 
 
-@dataclass(frozen=True)
 class Element:
-    """A set of atom indices over a fixed structure, stored as a bitmask."""
+    """A set of atom indices over a fixed structure, stored as a bitmask.
 
+    Immutable: assigning or deleting a field raises `FrozenInstanceError`.
+    Equality, hash and repr are those of a frozen dataclass over
+    (structure, mask).  The mask is checked against the structure's atoms
+    on construction, and again when a pickled or copied Element is rebuilt.
+    """
+
+    __slots__ = ("structure", "mask")
     structure: object
     mask: int
 
-    def __post_init__(self) -> None:
-        full = self.structure.full_mask  # type: ignore[union-attr]
-        if self.mask & ~full:
+    def __init__(self, structure: object, mask: int) -> None:
+        if mask & ~structure._full_mask:  # type: ignore[attr-defined]
             raise ValueError("element mask contains out-of-range atom indices")
+        _set_structure(self, structure)
+        _set_mask(self, mask)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple[object, int]]:
+        return Element, (self.structure, self.mask)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.structure, self.mask) == (other.structure, other.mask)  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.structure, self.mask))
+
+    def __repr__(self) -> str:
+        return f"Element(structure={self.structure!r}, mask={self.mask!r})"
 
     def _join(self, other: "Element") -> object:
         if self.structure is other.structure or self.structure == other.structure:
@@ -490,6 +526,11 @@ class Element:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.structure.atoms[a] for a in self)  # type: ignore[union-attr]
+
+
+# the slots' own setters, which the frozen __setattr__ leaves to __init__
+_set_structure = Element.structure.__set__  # type: ignore[attr-defined]
+_set_mask = Element.mask.__set__  # type: ignore[attr-defined]
 
 
 def element(structure: object, indices: Iterable[int]) -> Element:

@@ -1,7 +1,10 @@
 """Atom structures, element algebra, frame checking, serialization."""
 
 import ast
+import copy
+import dataclasses
 import json
+import pickle
 import random
 import re
 import tracemalloc
@@ -261,6 +264,56 @@ def test_two_atom_fixture_loads():
 def test_element_mask_range_checked(cube):
     with pytest.raises(ValueError):
         Element(cube, 1 << cube.natoms)
+
+
+@dataclasses.dataclass(frozen=True)
+class _FrozenElement:
+    """The frozen dataclass that Element was: its eq, hash and repr."""
+
+    structure: object
+    mask: int
+
+
+class _Forged:
+    """Pickles as an Element of the structure with any mask."""
+
+    def __init__(self, structure, mask):
+        self.args = structure, mask
+
+    def __reduce__(self):
+        return Element, self.args
+
+
+def test_element_keeps_the_frozen_dataclass_contract(cube, fs32):
+    x = Element(cube, 0b1011)
+    twin = _FrozenElement(cube, 0b1011)
+    assert repr(x) == repr(twin).replace("_FrozenElement", "Element")
+    assert hash(x) == hash(twin) == hash(Element(cube, 0b1011))
+    assert x == Element(cube, 0b1011) and not x != Element(cube, 0b1011)
+    assert x != Element(cube, 0b1010) and x != Element(fs32, 0b1011)
+    assert x != twin and x != (cube, 0b1011) and x != 0b1011
+    assert len({x, Element(cube, 0b1011), Element(cube, 0b1010)}) == 2
+    for field in ("mask", "structure", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{field}'"):
+            setattr(x, field, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{field}'"):
+            delattr(x, field)
+    assert x.mask == 0b1011 and x.structure is cube
+    assert not hasattr(x, "__dict__")
+    for other in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(other) is Element and other == x
+
+
+def test_element_rebuilt_from_a_pickle_or_copy_is_range_checked(cube, fs32):
+    # pickling and copying rebuild an Element through its constructor, so a
+    # pickle whose mask lies past its structure's atoms is refused on loading
+    x = Element(cube, 1 << 20)
+    assert x.__reduce__() == (Element, (cube, 1 << 20))
+    with pytest.raises(ValueError, match="out-of-range atom indices"):
+        pickle.loads(pickle.dumps(_Forged(fs32, 1 << 20)))
+    for bad in (1 << fs32.natoms, -1):
+        with pytest.raises(ValueError, match="out-of-range atom indices"):
+            Element(fs32, bad)
 
 
 def test_element_structure_mismatch(cube, fs32):

@@ -913,7 +913,7 @@ def _loud(t):
 
 _ALLOWED_NAMES = {
     "def", "try", "except", "raise", "from", "None", "for", "in", "yield", "return",
-    "ValueError", "KeyError", "_program", "env", "outer_masks", "mask",
+    "ValueError", "KeyError", "_program", "env", "inverse", "blocks", "mask",
 }  # fmt: skip
 # the literals a program may hold: 0, and a chunk width w of a two-table
 # operator (9 to 16 bits) with its low mask 2^w - 1
@@ -1223,6 +1223,30 @@ def test_after_applies_the_outer_operator_to_every_column(name):
     for outer, _ in ops:
         for inner, inner_cols in ops:
             assert outer.after(inner) == tuple(map(outer.apply, inner_cols))
+
+
+def test_after_applies_once_per_distinct_column_shared_or_not(monkeypatch):
+    # monk_atoms(3,3)'s class masks are shared objects (`class_columns`);
+    # the copies are equal masks, one object per column
+    s = monk_atoms(3, 3)
+    shared = s.cyl[0]
+    copies = tuple(int(str(col)) for col in shared)
+    assert len(set(map(id, shared))) == len(set(shared)) < len(set(map(id, copies)))
+    calls = 0
+    apply = AdditiveOperator.apply
+
+    def counted(self, mask):
+        nonlocal calls
+        calls += 1
+        return apply(self, mask)
+
+    outer = s.cyl_op(1)
+    want = tuple(map(outer.apply, shared))
+    monkeypatch.setattr(AdditiveOperator, "apply", counted)
+    for cols in (shared, copies):
+        calls = 0
+        assert outer.after(AdditiveOperator(cols)) == want
+        assert calls == len(set(shared))
 
 
 def test_frame_check_applies_once_per_distinct_column(monkeypatch):
