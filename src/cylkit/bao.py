@@ -394,9 +394,11 @@ class CaAtomStructure:
         """The structure from (a, b) pairs and atom index sets: each pair is
         range-checked, a cylindrifier pair ORed into column b of its
         relation's table, and a transposition's pairs read off as the
-        image of each b once they form a bijection."""
+        image of each b once they form a bijection.  Equal columns are one
+        int object, which `AdditiveOperator.after` reads once."""
         atoms = tuple(atoms)
         n = len(atoms)
+        interned: dict[int, int] = {}
 
         def indices(xs: Iterable, name: str) -> tuple:
             xs = tuple(xs)
@@ -416,7 +418,7 @@ class CaAtomStructure:
             cols = [0] * n
             for a, b in checked(rel, "cylindrifier", name):
                 cols[b] |= 1 << a
-            return tuple(cols)
+            return tuple(map(interned.setdefault, cols, cols))
 
         def permutation(rel: Iterable[Pair], name: str) -> tuple[int, ...]:
             related: list[set[int]] = [set() for _ in range(n)]

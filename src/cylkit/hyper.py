@@ -312,6 +312,8 @@ def ca_over_hyperbasis(
     collects networks with an identity label at (i,j), and transpositions
     act by swapping the two nodes.  The slots of `_agreement` and `_swaps`
     are the ordered pairs and the tuples of the networks' flat labels.
+    It runs `is_hyperbasis` itself and refuses a set that fails it with the
+    first violation, so a caller needs no check of its own beforehand.
     """
     report = is_hyperbasis(ra, networks)
     if not report.passed:

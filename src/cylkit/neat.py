@@ -3,12 +3,14 @@ relation-algebra reduct, and the restriction correspondence for basic
 matrices.
 
 Every transform returns both the derived object and a verification report.
-The quotient's report checks that each retained diagonal and each retained
-c_i's image of each class is a union of classes; since c_i is complete
-additive, that decides closedness for every closed set.  The quotient's
-operators are read off those same class images (column c of its c_p is the
-set of classes met by the image of class c), so they agree with the source
-on atoms by construction, and by additivity on every closed set.  The
+A quotient's classes are found by one union-find over the distinct columns
+of the dropped relations, exact for any relation, forced or not.  Its
+report checks that each retained diagonal and each retained c_i's image of
+each class is a union of classes; since c_i is complete additive, that
+decides closedness for every closed set.  The quotient's operators are
+read off those same class images (column c of its c_p is the set of
+classes met by the image of class c), so they agree with the source on
+atoms by construction, and by additivity on every closed set.  The
 correspondences check that their atom map carries each operator of one
 structure onto the other's (`iso._carried_defects`).
 
@@ -33,32 +35,48 @@ from .bao import (
     element,
     equivalence_defects,
     subst_repl,
-    transpose,
 )
 from .constructions import _basic_matrices, _slot_index, _slot_pairs
 from .iso import _carried_defects
 from .ra import RaAtomStructure, RaAxiomReport, check_ra_axioms
 
 
-def _join_classes(structure: CaAtomStructure, indices: Iterable[int]) -> list[int]:
-    """Masks of the classes of the equivalence generated by the relations
-    of these indices, ordered by least atom: each grows from its least atom
-    by applying the operator of "equal, or related either way" to a
-    fixpoint."""
-    near = [1 << a for a in range(structure.natoms)]
+def _join_classes(
+    structure: CaAtomStructure, indices: Iterable[int]
+) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+    """Per atom its class index, and per class its atoms in ascending
+    order, for the equivalence generated by the relations of these
+    indices, with classes numbered by least atom.
+
+    A union-find (Tarjan, 1975) over each relation's distinct columns,
+    found by value: the atoms of a non-empty column and every atom that
+    holds it are joined.  Those are the relation's pairs, so this is exact
+    for any relation, an equivalence or not.
+    """
+    parent = list(range(structure.natoms))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]  # path halving
+        return a
+
     for i in indices:
-        cols = structure.cyl_image_masks(i)
-        near = [x | col | row for x, col, row in zip(near, cols, transpose(cols))]
-    step = AdditiveOperator(tuple(near))
-    masks = []
-    unseen = structure.full_mask
-    while unseen:
-        cls = unseen & -unseen
-        while (grown := step.apply(cls)) != cls:
-            cls = grown
-        masks.append(cls)
-        unseen &= ~cls
-    return masks
+        holders: dict[int, list[int]] = {}
+        for b, col in enumerate(structure.cyl_image_masks(i)):
+            holders.setdefault(col, []).append(b)
+        for col, held in holders.items():
+            if col:
+                roots = {find(a) for a in (*_bits(col), *held)}
+                root = min(roots)
+                for r in roots:
+                    parent[r] = root
+    # roots first met in atom order: the classes in order of least atom
+    roots = list(map(find, range(structure.natoms)))
+    groups: dict[int, list[int]] = {}
+    for a, root in enumerate(roots):
+        groups.setdefault(root, []).append(a)
+    index = {root: ci for ci, root in enumerate(groups)}
+    return [index[root] for root in roots], tuple(map(tuple, groups.values()))
 
 
 @dataclass(frozen=True)
@@ -128,22 +146,14 @@ def nr(
                 raise ValueError(f"dropped relation is not an equivalence: {why}")
             details.append(f"forced past non-equivalence: {why}")
 
-    members = AdditiveOperator(tuple(_join_classes(structure, dropped)))
-    classes = tuple(tuple(_bits(mask)) for mask in members.cols)
-    class_of = [0] * structure.natoms
-    for ci, cls in enumerate(classes):
-        for a in cls:
-            class_of[a] = ci
+    class_of, classes = _join_classes(structure, dropped)
+    members = AdditiveOperator(tuple(sum(1 << a for a in cls) for cls in classes))
     to_class = AdditiveOperator(tuple(1 << ci for ci in class_of))
     nclasses = len(classes)
-    passed = True
-    counterexample: str | None = None
+    fails: list[str] = []
 
     def note_fail(msg: str) -> None:
-        nonlocal passed, counterexample
-        passed = False
-        if counterexample is None:
-            counterexample = msg
+        fails.append(msg)
         details.append(msg)
 
     # well-definedness of diagonal sets on classes
@@ -209,7 +219,7 @@ def nr(
             if members.apply(lifted[i][ci]) != images[i][ci]:
                 note_fail(f"c_{i} image of a closed set is not closed (subset {1 << ci})")
 
-    cert = NrCertificate(passed, "exhaustive", tuple(details), counterexample)
+    cert = NrCertificate(not fails, "exhaustive", tuple(details), fails[0] if fails else None)
     return frame, cert
 
 
@@ -440,14 +450,10 @@ def restriction_iso(msmall: int, mbig: int, bin_ra: RaAtomStructure) -> IsoRepor
     keep = [big_slot[row][col] for row, col in _slot_pairs(msmall)]
 
     details: list[str] = []
-    counterexample: str | None = None
-    passed = True
+    fails: list[str] = []
 
     def fail(msg: str) -> None:
-        nonlocal passed, counterexample
-        passed = False
-        if counterexample is None:
-            counterexample = msg
+        fails.append(msg)
         details.append(msg)
 
     fibres: dict[tuple[int, ...], list[int]] = {v: [] for v in small_vals}
@@ -455,7 +461,7 @@ def restriction_iso(msmall: int, mbig: int, bin_ra: RaAtomStructure) -> IsoRepor
         restricted = tuple(fv[s] for s in keep)
         if restricted not in fibres:
             fail(f"big matrix {fi} restricts outside the small matrix set")
-            return IsoReport(False, "exhaustive", None, tuple(details), counterexample)
+            return IsoReport(False, "exhaustive", None, tuple(details), fails[0])
         fibres[restricted].append(fi)
 
     frame, cert = nr(big, range(msmall))
@@ -471,36 +477,25 @@ def restriction_iso(msmall: int, mbig: int, bin_ra: RaAtomStructure) -> IsoRepor
     mapping: list[int] = []
     for gi, gv in enumerate(small_vals):
         fib = frozenset(fibres[gv])
+        mapping.append(class_sets.get(fib, -1))
         if not fib:
             fail(f"small matrix {gi} has no extension")
-            mapping.append(-1)
-            continue
-        ci = class_sets.get(fib)
-        if ci is None:
+        elif mapping[-1] < 0:
             fail(f"fibre of small matrix {gi} is not a quotient class")
-            mapping.append(-1)
-            continue
-        mapping.append(ci)
 
-    if passed:
-        if sorted(mapping) != list(range(len(frame.classes))):
-            fail("fibre map is not a bijection onto the quotient classes")
+    if not fails and sorted(mapping) != list(range(len(frame.classes))):
+        fail("fibre map is not a bijection onto the quotient classes")
 
     quotient = frame.structure
-    if passed and quotient is not None:
+    if not fails and quotient is not None:
         embed = AdditiveOperator.of_map(tuple(mapping))
         for line in _carried_defects(small, quotient, embed):
             fail(line)
         if quotient.transp is None:
             fail("quotient lost its transpositions")
 
-    return IsoReport(
-        passed,
-        "exhaustive",
-        tuple(mapping) if passed else None,
-        tuple(details),
-        counterexample,
-    )
+    mapped = None if fails else tuple(mapping)
+    return IsoReport(not fails, "exhaustive", mapped, tuple(details), fails[0] if fails else None)
 
 
 @dataclass(frozen=True)

@@ -17,17 +17,50 @@ the two structures as arguments and returning its failure lines.  It
 reports the first defect of each relation, diagonal and transposition in
 its own words; once one has failed, later relations are read at their
 first row only.
+
+`_join_classes` is the earlier `cylkit.neat._join_classes`, unchanged: it
+grows each class from its least atom by applying the operator of "equal,
+or related either way" to a fixpoint, over an n-column table built with a
+`transpose` of every relation.  The union-find that replaced it must give
+the same class masks in the same order.
 """
 from __future__ import annotations
 
 import random
 from typing import Iterable
 
-from cylkit.bao import AdditiveOperator, CaAtomStructure, _bits, equivalence_defects
-from cylkit.neat import NrCertificate, QuotientFrame, _join_classes
+from cylkit.bao import (
+    AdditiveOperator,
+    CaAtomStructure,
+    _bits,
+    equivalence_defects,
+    transpose,
+)
+from cylkit.neat import NrCertificate, QuotientFrame
 
 EXHAUSTIVE_CLASS_LIMIT = 12
 SAMPLE_COUNT = 512
+
+
+def _join_classes(structure: CaAtomStructure, indices: Iterable[int]) -> list[int]:
+    """Masks of the classes of the equivalence generated by the relations
+    of these indices, ordered by least atom: each grows from its least atom
+    by applying the operator of "equal, or related either way" to a
+    fixpoint."""
+    near = [1 << a for a in range(structure.natoms)]
+    for i in indices:
+        cols = structure.cyl_image_masks(i)
+        near = [x | col | row for x, col, row in zip(near, cols, transpose(cols))]
+    step = AdditiveOperator(tuple(near))
+    masks = []
+    unseen = structure.full_mask
+    while unseen:
+        cls = unseen & -unseen
+        while (grown := step.apply(cls)) != cls:
+            cls = grown
+        masks.append(cls)
+        unseen &= ~cls
+    return masks
 
 
 def nr(

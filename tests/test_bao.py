@@ -446,6 +446,16 @@ def test_round_trip_dict_and_json(cube, fs32):
         assert structure_from_json(structure_to_json(s)) == s
 
 
+def test_loaded_structure_shares_each_distinct_column():
+    """`build` makes equal columns one object, so `AdditiveOperator.after`
+    reads each distinct column once on a loaded structure too."""
+    s = monk_atoms(4, 4)
+    loaded = structure_from_dict(structure_to_dict(s))
+    assert loaded == s
+    for cols in loaded.cyl:
+        assert len(set(map(id, cols))) == len(set(cols))
+
+
 def test_json_is_canonical(cube):
     text = structure_to_json(cube)
     assert text.endswith("\n")

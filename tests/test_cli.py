@@ -3,6 +3,7 @@ outputs, file round-trips, interactive play, and the verification suite."""
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
@@ -10,7 +11,7 @@ import pytest
 
 from cylkit.bao import structure_from_json, structure_to_json
 from cylkit.cli import main
-from cylkit.constructions import full_set_algebra
+from cylkit.constructions import full_set_algebra, three_cube
 from cylkit.games import EXISTS, FORALL, drop_cyl_pair
 from cylkit.ra import ra_from_json
 
@@ -135,6 +136,30 @@ def test_nr_certificate_is_exhaustive_past_twelve_classes(tmp_path, capsys):
     assert len(payload["classes"]) == 27
     assert payload["certificate"]["level"] == "exhaustive"
     assert payload["certificate"]["passed"] is True
+
+
+@pytest.fixture
+def forced_file(tmp_path):
+    """The three-cube with pair (0,1) cut from T2, which is then not
+    symmetric."""
+    path = tmp_path / "forced.json"
+    path.write_text(structure_to_json(drop_cyl_pair(three_cube(), 2, 0, 1)), encoding="utf-8")
+    return str(path)
+
+
+def test_nr_refuses_a_dropped_non_equivalence(forced_file, capsys):
+    assert main(["nr", forced_file, "--gamma", "0,1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "dropped relation is not an equivalence" in err
+
+
+def test_nr_force_quotients_a_dropped_non_equivalence(forced_file, capsys):
+    assert main(["nr", forced_file, "--gamma", "0,1", "--force"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1aed7ded93e43d7081d8c421994cafa46442c4cdd355dfeba3cfedce0a2e2076"
+    )
 
 
 def test_rd_renames_and_round_trips(cs3_file, capsys):

@@ -5,6 +5,8 @@ import ast
 import hashlib
 import random
 import re
+import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -31,7 +33,15 @@ from cylkit import (
     top,
 )
 from cylkit import neat
-from cylkit.bao import AdditiveOperator, Element, cyl, structure_to_json
+from cylkit.bao import (
+    AdditiveOperator,
+    CaAtomStructure,
+    Element,
+    cyl,
+    structure_from_dict,
+    structure_to_dict,
+    structure_to_json,
+)
 from cylkit.ra import compose
 
 import seed_neat
@@ -274,6 +284,37 @@ def test_restriction_iso_reports_a_damaged_small_structure(monkeypatch):
     ]
 
 
+def test_restriction_iso_names_an_empty_fibre_and_a_merged_one(monkeypatch):
+    """With every big matrix over small matrix 0 relabelled onto small
+    matrix 1, fibre 0 is empty and fibre 1 is two quotient classes; the
+    report names both, the empty one first."""
+    bin_ra = bin_forb(3, 1, 2)
+    build = neat._basic_matrices
+    small_vals = build(3, bin_ra)[1]
+    keep = [neat._slot_index(4)[row][col] for row, col in neat._slot_pairs(3)]
+
+    def move(v):
+        if tuple(v[k] for k in keep) != small_vals[0]:
+            return v
+        v = list(v)
+        for k, x in zip(keep, small_vals[1]):
+            v[k] = x
+        return tuple(v)
+
+    def moved(m, ra):
+        s, values = build(m, ra)
+        return s, (values if m == 3 else [move(v) for v in values])
+
+    monkeypatch.setattr(neat, "_basic_matrices", moved)
+    rep = restriction_iso(3, 4, bin_ra)
+    lines = (
+        "small matrix 0 has no extension",
+        "fibre of small matrix 1 is not a quotient class",
+    )
+    assert (rep.passed, rep.mapping, rep.counterexample) == (False, None, lines[0])
+    assert rep.details[1:] == lines
+
+
 def test_restriction_iso_parameter_checks():
     with pytest.raises(ValueError):
         restriction_iso(4, 3, bin_forb(3, 1, 2))
@@ -466,6 +507,75 @@ def test_nr_per_class_certificate_matches_the_subset_sweep(name):
         compared += 1
         failed += not cert.passed
     assert compared >= 60 and 0 < failed < compared
+
+
+def _joined_masks(structure, indices):
+    """The union-find join's class masks, after checking that its class
+    index of each atom names the class that lists it."""
+    class_of, classes = neat._join_classes(structure, indices)
+    assert len(class_of) == structure.natoms
+    assert all(class_of[a] == ci for ci, cls in enumerate(classes) for a in cls)
+    assert all(list(cls) == sorted(cls) for cls in classes)
+    return [sum(1 << a for a in cls) for cls in classes]
+
+
+def _random_relation(rng, n):
+    """Columns of a random relation on n atoms: an equivalence, one with
+    pairs dropped or added, or a sparse relation of no shape at all."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        return tuple(sum(1 << a for a in range(n) if rng.random() < 0.08) for _ in range(n))
+    label = [rng.randrange(max(1, n // 3)) for _ in range(n)]
+    cols = [sum(1 << a for a in range(n) if label[a] == label[b]) for b in range(n)]
+    for _ in range(kind * rng.randint(1, 3)):
+        cols[rng.randrange(n)] ^= 1 << rng.randrange(n)
+    return tuple(cols)
+
+
+def _join_fixtures():
+    yield "basic_matrices(4)", basic_matrices(4, bin_forb(3, 1, 2))
+    yield "monk_atoms(4,4) loaded", structure_from_dict(structure_to_dict(monk_atoms(4, 4)))
+    for name, (build, *_) in NR_CASES.items():
+        yield name, build()
+
+
+def test_join_classes_matches_the_fixpoint_join():
+    """The union-find gives the same class masks, in the same order, as the
+    earlier fixpoint join: on every dropped set of each fixture, and on
+    seeded random relations, two thirds of them not equivalences."""
+    for name, s in _join_fixtures():
+        for k in range(s.dim + 1):
+            for dropped in combinations(range(s.dim), k):
+                assert _joined_masks(s, dropped) == seed_neat._join_classes(s, dropped), (
+                    name,
+                    dropped,
+                )
+    rng = random.Random(26)
+    for _ in range(2000):
+        n, dim = rng.randint(1, 40), rng.randint(2, 4)
+        full = frozenset(range(n))
+        s = CaAtomStructure(
+            dim=dim,
+            atoms=tuple(f"a{a}" for a in range(n)),
+            cyl=tuple(_random_relation(rng, n) for _ in range(dim)),
+            diag=((full,) * dim,) * dim,
+        )
+        dropped = rng.sample(range(dim), rng.randint(1, dim))
+        assert _joined_masks(s, dropped) == seed_neat._join_classes(s, dropped)
+
+
+def test_nr_keeps_no_table_per_atom():
+    """The quotient of a 3,545-atom structure stays within 1 MiB of traced
+    allocation: the join holds one parent per atom, not a mask per atom."""
+    s = monk_atoms(4, 4)
+    tracemalloc.start()
+    try:
+        _, cert = nr(s, (0, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.passed
+    assert peak < 2**20
 
 
 def _c_lines(pairs):
