@@ -128,7 +128,8 @@ class AdditiveOperator:
     "Four Russians" scheme of Arlazarov et al., 1970).  So an application
     is one table read up to 16 atoms and two above, and the tables of one
     operator take at most 256 KiB up to 16 atoms and 512 KiB at 32.
-    Otherwise `apply` runs over the set bits and `apply_vec` raises.
+    Otherwise `apply_vec` raises and `apply` walks the set bits top down: the
+    mask shortens at each step, with no full-width `mask & -mask` pass.
     """
 
     def __init__(self, cols: tuple[int, ...]) -> None:
@@ -191,13 +192,15 @@ class AdditiveOperator:
         out = 0
         cols, images = self.cols, self.images
         if images is not None:
-            for b in _bits(mask):
+            while mask:
+                b = mask.bit_length() - 1
                 out |= 1 << images[b]
+                mask ^= 1 << b
             return out
         while mask:
-            low = mask & -mask
-            out |= cols[low.bit_length() - 1]
-            mask ^= low
+            b = mask.bit_length() - 1
+            out |= cols[b]
+            mask ^= 1 << b
         return out
 
     def apply_vec(self, masks: np.ndarray) -> np.ndarray:
@@ -455,8 +458,8 @@ class Element:
 
     Immutable: assigning or deleting a field raises `FrozenInstanceError`.
     Equality, hash and repr are those of a frozen dataclass over
-    (structure, mask).  The mask is checked against the structure's atoms
-    on construction, and again when a pickled or copied Element is rebuilt.
+    (structure, mask).  Construction, unpickling and copying check that the
+    mask is an int from 0 to the full mask, by comparisons that build no int.
     """
 
     __slots__ = ("structure", "mask")
@@ -464,7 +467,9 @@ class Element:
     mask: int
 
     def __init__(self, structure: object, mask: int) -> None:
-        if mask & ~structure._full_mask:  # type: ignore[attr-defined]
+        if not isinstance(mask, int):
+            raise TypeError(f"element mask must be an int, got {type(mask).__name__}")
+        if not 0 <= mask <= structure._full_mask:  # type: ignore[attr-defined]
             raise ValueError("element mask contains out-of-range atom indices")
         _set_structure(self, structure)
         _set_mask(self, mask)

@@ -16,6 +16,9 @@ as ``self`` where it was a method:
   transpositions included, read a column table of masks; `perm_columns`
   and `transp_columns` give a permutation's column table, the form the
   transpositions were stored in.
+- `map_apply` was `AdditiveOperator.apply` on the map form above 32
+  atoms, which walked the set bits from the lowest up, as `ColumnOperator`
+  does on the column form.
 
 The operator code in `cylkit` must give the same masks.
 """
@@ -89,6 +92,13 @@ class ColumnOperator:
     def after(self, inner: "ColumnOperator") -> tuple[int, ...]:
         image = {col: self.apply(col) for col in set(inner.cols)}
         return tuple(map(image.__getitem__, inner.cols))
+
+
+def map_apply(images: tuple[int, ...], mask: int) -> int:
+    out = 0
+    for b in _bits(mask):
+        out |= 1 << images[b]
+    return out
 
 
 def perm_columns(perm) -> tuple[int, ...]:

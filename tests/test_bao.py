@@ -9,6 +9,7 @@ import random
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -314,6 +315,34 @@ def test_element_rebuilt_from_a_pickle_or_copy_is_range_checked(cube, fs32):
     for bad in (1 << fs32.natoms, -1):
         with pytest.raises(ValueError, match="out-of-range atom indices"):
             Element(fs32, bad)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: full_set_algebra(4, 2), lambda: monk_atoms(4, 4)], ids=["16", "3545"]
+)
+def test_element_accepts_exactly_the_int_masks_of_its_atoms(build):
+    # the range test compares the mask with 0 and the full mask, so what it
+    # accepts does not depend on the atom count; pickling and copying
+    # rebuild through the same test
+    s = build()
+    n, full = s.natoms, s.full_mask
+    makers = (
+        lambda mask: Element(s, mask),
+        lambda mask: pickle.loads(pickle.dumps(_Forged(s, mask))),
+        lambda mask: copy.copy(_Forged(s, mask)),
+    )
+    for mask in (0, full, 1, 1 << n - 1):
+        for make in makers:
+            x = make(mask)
+            assert type(x) is Element and x.mask == mask and x.structure == s
+    for mask in (full + 1, 1 << n, 1 << n | 1, -1):
+        for make in makers:
+            with pytest.raises(ValueError, match="^element mask contains out-of-range atom indices$"):
+                make(mask)
+    for mask in (1.5, 2.0, np.uint8(1), np.uint32(1), np.uint64(1), np.int64(1)):
+        for make in makers:
+            with pytest.raises(TypeError, match="^element mask must be an int, got "):
+                make(mask)
 
 
 def test_element_structure_mismatch(cube, fs32):

@@ -50,7 +50,7 @@ from cylkit.bao import (
     column_pairs,
     equivalence_defects,
 )
-from cylkit.constructions import SplitPolicy, johnson_extend, split_atom
+from cylkit.constructions import SplitPolicy, basic_matrices, bin_forb, johnson_extend, split_atom
 from cylkit.games import drop_cyl_pair
 from cylkit import terms as terms_module
 from cylkit.neat import nr
@@ -81,7 +81,7 @@ from cylkit.terms import (
     variables,
 )
 
-from seed_operators import ColumnOperator, perm_columns, transp_columns
+from seed_operators import ColumnOperator, map_apply, perm_columns, transp_columns
 from test_builders import CASES
 
 # ---------------------------------------------------------------------------
@@ -572,20 +572,83 @@ def test_table_shapes(n):
     assert op._tables.nbytes <= (256 if n <= 16 else 512) * 1024
 
 
-@pytest.mark.parametrize("n", [1, 16, 17, 18, 31, 32])
+@pytest.mark.parametrize("n", [1, 16, 17, 18, 31, 32, 33, 100, 3545])
 def test_bits_above_the_atoms_raise(n):
     # at odd counts from 17 two chunks of ceil(n/2) bits cover one bit more
-    # than the atoms; that bit raises too, as every bit above them does
-    op = AdditiveOperator(tuple(1 << b for b in range(n)))
-    every = np.array([1 << b for b in range(n)], dtype=np.uint32)
-    assert [op.apply(1 << b) for b in range(n)] == every.tolist()
-    assert np.array_equal(op.apply_vec(every), every)
-    for stray in (n, n + 1):
-        with pytest.raises(IndexError):
-            op.apply(1 << stray)
-        if stray < 32:
-            with pytest.raises(IndexError):
-                op.apply_vec(np.array([1 << stray], dtype=np.uint32))
+    # than the atoms; that bit raises too, as every bit above them does.
+    # Above 32 atoms the walk from the top bit reads a stray bit first.
+    full = (1 << n) - 1
+    singles = [1 << b for b in range(n)]
+    for op in (AdditiveOperator(tuple(singles)), AdditiveOperator.of_map(tuple(range(n)))):
+        assert [op.apply(m) for m in singles] == singles
+        assert op.apply(full) == full
+        if n <= 32:
+            every = np.array(singles, dtype=np.uint32)
+            assert np.array_equal(op.apply_vec(every), every)
+        for stray in (n, n + 1):
+            for lower in (0, 1, full):
+                with pytest.raises(IndexError):
+                    op.apply(1 << stray | lower)
+            if stray < 32:
+                with pytest.raises(IndexError):
+                    op.apply_vec(np.array([1 << stray], dtype=np.uint32))
+
+
+def _oracle(op):
+    """The low-to-high loop `op.apply` replaced, on op's own form."""
+    if op.images is None:
+        return ColumnOperator(op.cols).apply
+    return functools.partial(map_apply, op.images)
+
+
+def _edge_masks(rng, n):
+    """0, the full mask, bit 0 alone, the top bit alone, and seeded sparse
+    and dense masks on n atoms."""
+    sparse = [sum(1 << b for b in rng.sample(range(n), min(n, 6))) for _ in range(4)]
+    dense = [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(4)]
+    return [0, (1 << n) - 1, 1, 1 << n - 1, *sparse, *dense]
+
+
+_LARGE = {
+    "monk_atoms(4,4)": lambda: monk_atoms(4, 4),
+    "johnson_extend(monk_atoms(3,3))": lambda: johnson_extend(monk_atoms(3, 3)),
+    "basic_matrices(4,bin_forb(3,1,2))": lambda: basic_matrices(4, bin_forb(3, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LARGE))
+def test_operators_match_the_low_to_high_loops_above_32_atoms(name):
+    # every cyl_op in its column form; every transp_op in its map form and
+    # as the column table of its permutation
+    s = _LARGE[name]()
+    assert s.natoms > 32
+    masks = _edge_masks(random.Random(s.natoms), s.natoms)
+    for op, cols in _operators(s):
+        for form in (op,) if op.images is None else (op, AdditiveOperator(cols)):
+            oracle = _oracle(form)
+            assert [form.apply(m) for m in masks] == [oracle(m) for m in masks], name
+
+
+@pytest.mark.parametrize("n", [33, 100, 1000, 5000])
+@pytest.mark.parametrize("out", ["n", "n/7", "3n"])
+def test_operators_match_the_low_to_high_loops_on_random_tables(n, out):
+    # n columns onto n bits, onto fewer (as `to_class`) and onto more (as
+    # `members` and `lift`); a quarter of the columns empty, a quarter
+    # single bits; the map form and its column table on random images
+    width = {"n": n, "n/7": n // 7, "3n": 3 * n}[out]
+    rng = random.Random(n * 7 + width)
+    cols = tuple(
+        rng.choice((0, 1 << rng.randrange(width), rng.getrandbits(width), rng.getrandbits(width)))
+        for _ in range(n)
+    )
+    assert 0 in cols and max(cols).bit_length() == width
+    images = tuple(rng.randrange(width) for _ in range(n))
+    masks = _edge_masks(rng, n)
+    forms = AdditiveOperator(cols), AdditiveOperator.of_map(images), AdditiveOperator(perm_columns(images))
+    for op in forms:
+        oracle = _oracle(op)
+        assert [op.apply(m) for m in masks] == [oracle(m) for m in masks]
+        assert "_tables" not in vars(op)
 
 
 # ---------------------------------------------------------------------------
