@@ -217,25 +217,21 @@ class AdditiveOperator:
         Column b of the composite is the image of inner's column b, so it
         depends on that column alone.  Over a map, that column is one atom
         and the composite is self's columns reindexed by the map.
-        Otherwise the columns of `inner` are read once per distinct object,
-        keyed by id, so a mask object shared by many columns, as the class
-        masks of `class_columns` are, is hashed twice in all rather than
-        twice per column; `self` is applied once per distinct mask.  This is
-        exact on any relation; on an equivalence it costs one apply per
+        Otherwise `self` is applied once per distinct column of `inner`
+        (`_holders`) and the image shared by the columns that hold it.  This
+        is exact on any relation; on an equivalence it costs one apply per
         class.
         """
         if inner.images is not None:
             if self.images is None:
                 return tuple(map(self.cols.__getitem__, inner.images))
             return tuple(1 << self.images[c] for c in inner.images)
-        keys = tuple(map(id, inner.cols))
-        image, values = {}, {}
-        for key, col in dict(zip(keys, inner.cols)).items():
-            value = values.get(col)
-            if value is None:
-                value = values[col] = self.apply(col)
-            image[key] = value
-        return tuple(map(image.__getitem__, keys))
+        image = [0] * len(inner.cols)
+        for col, held in _holders(inner.cols).items():
+            value = self.apply(col)
+            for b in held:
+                image[b] = value
+        return tuple(image)
 
 
 def column_pairs(cols: Sequence[int]) -> Iterator[Pair]:
@@ -246,11 +242,19 @@ def column_pairs(cols: Sequence[int]) -> Iterator[Pair]:
             yield a, b
 
 
-def _holders(cols: Sequence[int]) -> dict[int, int]:
-    """Per distinct column, the mask of the atoms whose column it is."""
-    holders: dict[int, int] = {}
+def _holders(cols: Sequence[int]) -> dict[int, list[int]]:
+    """The one grouping of a column table: per distinct column, in order of
+    first occurrence, the atoms whose column it is, ascending.  Columns are
+    grouped by object, so a mask object shared by many columns, as the class
+    masks of `class_columns` and the columns `CaAtomStructure.build` interns
+    are, is hashed once rather than once per column."""
+    holders: dict[int, list[int]] = {}
+    by_object: dict[int, list[int]] = {}
     for b, col in enumerate(cols):
-        holders[col] = holders.get(col, 0) | 1 << b
+        held = by_object.get(id(col))
+        if held is None:
+            held = by_object[id(col)] = holders.setdefault(col, [])
+        held.append(b)
     return holders
 
 
@@ -262,8 +266,9 @@ def transpose(cols: Sequence[int]) -> tuple[int, ...]:
     """
     rows = [0] * len(cols)
     for col, held in _holders(cols).items():
+        mask = sum(1 << b for b in held)
         for a in _bits(col):
-            rows[a] |= held
+            rows[a] |= mask
     return tuple(rows)
 
 
@@ -398,7 +403,7 @@ class CaAtomStructure:
         range-checked, a cylindrifier pair ORed into column b of its
         relation's table, and a transposition's pairs read off as the
         image of each b once they form a bijection.  Equal columns are one
-        int object, which `AdditiveOperator.after` reads once."""
+        int object, which `_holders` hashes once."""
         atoms = tuple(atoms)
         n = len(atoms)
         interned: dict[int, int] = {}
@@ -642,12 +647,12 @@ def equivalence_defects(
     property name and the first violation found, or None if it holds.
 
     The class test runs first: T_i is an equivalence iff every distinct
-    column c is exactly the set of atoms whose column is c, which takes one
-    pass over the columns.  Only when it fails do the pair scans run, and
-    they run only to name each property's first violation.
+    column c is exactly the set of atoms whose column is c (`_holders`),
+    one test per distinct column.  Only when it fails do the pair scans
+    run, and they run only to name each property's first violation.
     """
     cols = structure.cyl_image_masks(i)
-    if all(col == atoms for col, atoms in _holders(cols).items()):
+    if all(col == sum(1 << b for b in held) for col, held in _holders(cols).items()):
         for prop in ("reflexive", "symmetric", "transitive"):
             yield prop, None
         return

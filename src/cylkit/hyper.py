@@ -17,9 +17,9 @@ coherence conditions.
 
 `is_hyperbasis` reads the relations of the structure it certifies off the
 same builder's parts: `_classes_off` gives "agrees off S" as a column
-table, `_reads` the renaming by a node map.  For N networks on m nodes a
-call makes N*m^2 mask differences, where a keyed checker would make
-N^2*m^2 key comparisons.
+table, `_reads` the renaming by a node map.  Amalgamation makes one mask
+difference per node pair and class of T_x (`bao._holders`), where a keyed
+checker on N networks of m nodes makes N^2*m^2 key comparisons.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from itertools import combinations, permutations, product
 from operator import or_
 from typing import Iterator, Sequence
 
-from .bao import AdditiveOperator, BudgetExceededError, CaAtomStructure, _bits
+from .bao import AdditiveOperator, BudgetExceededError, CaAtomStructure, _bits, _holders
 from .constructions import Tuples, _agreement, _classes_off, _reads, _swaps
 from .ra import RaAtomStructure, _network_labellings
 
@@ -212,17 +212,16 @@ def _cylindrifier_defects(ra: RaAtomStructure, m: int, flat: Tuples, cyl: Tuples
     # its whole class of T_z, so gaps[z][h][x * m + y], the pairs consistent
     # with that label that no peer carries at ((x,z), (z,y)), is built once
     # per class
-    gaps: list[list] = [[None] * len(flat) for _ in range(m)]
-    for z, hi in product(range(m), range(len(flat))):
-        if gaps[z][hi] is None:
-            members = list(_bits(cyl[z][hi]))
+    gaps: list[list] = [[()] * len(flat) for _ in range(m)]
+    for z in range(m):
+        for members in _holders(cyl[z]).values():
             row = []
             for x, y in product(range(m), repeat=2):
                 if z in (x, y):
                     row.append(())
                     continue
                 witnessed = {(flat[g][x * m + z], flat[g][z * m + y]) for g in members}
-                pairs = ra._consistent_pairs[flat[hi][x * m + y]]
+                pairs = ra._consistent_pairs[flat[members[0]][x * m + y]]
                 row.append(tuple(p for p in pairs if p not in witnessed))
             for g in members:
                 gaps[z][g] = row
@@ -233,16 +232,20 @@ def _cylindrifier_defects(ra: RaAtomStructure, m: int, flat: Tuples, cyl: Tuples
 
 
 def _amalgamation_defects(m: int, slots: Tuples, flat: Tuples, cyl: Tuples) -> Iterator[str]:
-    # an amalgam of h and g is a k with k T_x h and k T_y g, so one exists
-    # iff g is in (T_y after T_x)(h); for x == y, h itself is one
+    # an amalgam is a k with k T_x h and k T_y g (h itself when x == y); the
+    # gap of h's T_x class: the class off {x, y} outside T_y's image of it
     ops = [AdditiveOperator(cols) for cols in cyl]
     agree = {frozenset(p): _classes_off(slots, flat, set(p)) for p in combinations(range(m), 2)}
-    rows = [
-        (x, y, agree[frozenset((x, y))], ops[y].after(ops[x]))
-        for x, y in permutations(range(m), 2)
-    ]
+    rows = []
+    for x, y in permutations(range(m), 2):
+        off, gap = agree[frozenset((x, y))], [0] * len(flat)
+        for col, members in _holders(cyl[x]).items():
+            diff = off[members[0]] & ~ops[y].apply(col)
+            for h in members:
+                gap[h] = diff
+        rows.append((x, y, gap))
     for hi in range(len(flat)):
-        gaps = [(x, y, off[hi] & ~reach[hi]) for x, y, off, reach in rows]
+        gaps = [(x, y, gap[hi]) for x, y, gap in rows]
         for gi in _bits(reduce(or_, (gap for _, _, gap in gaps), 0)):
             for x, y, gap in gaps:
                 if gap >> gi & 1:
@@ -268,10 +271,11 @@ def is_hyperbasis(
     The networks must be of one shape (m and n_wide), each labelling every
     tuple of that shape once, in sorted order, as `enumerate_hypernetworks`
     builds them.  The rules read the slots, flat labels and T_z columns
-    built here.  Amalgamation makes N*m^2 mask differences: g lacks an
-    amalgam with h at (x, y) iff g agrees with h off {x, y} but is not in
-    (T_y after T_x)(h).  The cylindrifier rule builds one witness set per
-    (z, class of T_z, x, y), and symmetry reads each network m^m times.
+    built here.  Amalgamation makes one mask difference per (x, y, class
+    of T_x): g lacks an amalgam with h at (x, y) iff g agrees with h off
+    {x, y} but is not in (T_y after T_x)(h), both the same across h's class.
+    The cylindrifier rule builds one witness set per (z, class of T_z, x,
+    y), and symmetry reads each network m^m times.
     """
     nets = list(networks)
     if not nets:

@@ -30,6 +30,7 @@ from .bao import (
     CaAtomStructure,
     Element,
     _bits,
+    _holders,
     cyl,
     diag,
     element,
@@ -48,8 +49,8 @@ def _join_classes(
     order, for the equivalence generated by the relations of these
     indices, with classes numbered by least atom.
 
-    A union-find (Tarjan, 1975) over each relation's distinct columns,
-    found by value: the atoms of a non-empty column and every atom that
+    A union-find (Tarjan, 1975) over each relation's distinct columns
+    (`bao._holders`): the atoms of a non-empty column and every atom that
     holds it are joined.  Those are the relation's pairs, so this is exact
     for any relation, an equivalence or not.
     """
@@ -61,10 +62,7 @@ def _join_classes(
         return a
 
     for i in indices:
-        holders: dict[int, list[int]] = {}
-        for b, col in enumerate(structure.cyl_image_masks(i)):
-            holders.setdefault(col, []).append(b)
-        for col, held in holders.items():
+        for col, held in _holders(structure.cyl_image_masks(i)).items():
             if col:
                 roots = {find(a) for a in (*_bits(col), *held)}
                 root = min(roots)
@@ -72,9 +70,7 @@ def _join_classes(
                     parent[r] = root
     # roots first met in atom order: the classes in order of least atom
     roots = list(map(find, range(structure.natoms)))
-    groups: dict[int, list[int]] = {}
-    for a, root in enumerate(roots):
-        groups.setdefault(root, []).append(a)
+    groups = _holders(roots)
     index = {root: ci for ci, root in enumerate(groups)}
     return [index[root] for root in roots], tuple(map(tuple, groups.values()))
 
@@ -231,7 +227,7 @@ def cyl_fixed_masks(structure: CaAtomStructure, i: int) -> list[int]:
     mask's position in the list stands for the k-th class.
     """
     masks = [0]
-    for c in dict.fromkeys(structure.cyl_image_masks(i)):
+    for c in _holders(structure.cyl_image_masks(i)):
         masks += [m | c for m in masks]
     return masks
 

@@ -15,6 +15,13 @@ networks.  Fast enough for a few hundred networks, it is the oracle where
 the scanning rules are too slow.  `cylkit.hyper` must list the same defects
 in the same order as both.
 
+`_column_cylindrifier_defects` and `_column_amalgamation_defects` are the
+rules that read the structure builder's column tables next, unchanged but
+for the two names and for reading `after` from `seed_operators`: the
+cylindrifier rule finds each class of T_z by a per-network `None` test and
+the bits of its column, and the amalgamation rule takes one mask
+difference per network and node pair.
+
 `enumerate_hypernetworks` is the earlier enumeration, unchanged: its own
 backtracker over ordered pair slots, a pair-substitution filter, and a
 union-find over the tuples for the symbol classes.  It accepts any
@@ -23,10 +30,14 @@ return the same networks in the same order.
 """
 from __future__ import annotations
 
-from itertools import product
+from functools import reduce
+from itertools import combinations, permutations, product
+from operator import or_
 from typing import Iterator, Sequence
 
-from cylkit.bao import BudgetExceededError
+import seed_operators
+from cylkit.bao import AdditiveOperator, BudgetExceededError, _bits
+from cylkit.constructions import Tuples, _classes_off
 from cylkit.hyper import (
     DEFAULT_ENUM_BUDGET,
     HyperbasisReport,
@@ -245,6 +256,50 @@ def is_hyperbasis(
         if (detail := next(defects, None)) is not None
     )
     return HyperbasisReport(not violations, violations)
+
+
+def _column_cylindrifier_defects(
+    ra: RaAtomStructure, m: int, flat: Tuples, cyl: Tuples
+) -> Iterator[str]:
+    # for z not in (x, y), h's (x,y) label and its peers off z are those of
+    # its whole class of T_z, so gaps[z][h][x * m + y], the pairs consistent
+    # with that label that no peer carries at ((x,z), (z,y)), is built once
+    # per class
+    gaps: list[list] = [[None] * len(flat) for _ in range(m)]
+    for z, hi in product(range(m), range(len(flat))):
+        if gaps[z][hi] is None:
+            members = list(_bits(cyl[z][hi]))
+            row = []
+            for x, y in product(range(m), repeat=2):
+                if z in (x, y):
+                    row.append(())
+                    continue
+                witnessed = {(flat[g][x * m + z], flat[g][z * m + y]) for g in members}
+                pairs = ra._consistent_pairs[flat[hi][x * m + y]]
+                row.append(tuple(p for p in pairs if p not in witnessed))
+            for g in members:
+                gaps[z][g] = row
+    for hi in range(len(flat)):
+        for x, y, z in product(range(m), repeat=3):
+            for a, b in gaps[z][hi][x * m + y]:
+                yield f"no witness for ({x},{y}) via {z} with atoms ({a},{b})"
+
+
+def _column_amalgamation_defects(m: int, slots: Tuples, flat: Tuples, cyl: Tuples) -> Iterator[str]:
+    # an amalgam of h and g is a k with k T_x h and k T_y g, so one exists
+    # iff g is in (T_y after T_x)(h); for x == y, h itself is one
+    ops = [AdditiveOperator(cols) for cols in cyl]
+    agree = {frozenset(p): _classes_off(slots, flat, set(p)) for p in combinations(range(m), 2)}
+    rows = [
+        (x, y, agree[frozenset((x, y))], seed_operators.after(ops[y], ops[x]))
+        for x, y in permutations(range(m), 2)
+    ]
+    for hi in range(len(flat)):
+        gaps = [(x, y, off[hi] & ~reach[hi]) for x, y, off, reach in rows]
+        for gi in _bits(reduce(or_, (gap for _, _, gap in gaps), 0)):
+            for x, y, gap in gaps:
+                if gap >> gi & 1:
+                    yield f"networks {hi},{gi} agree off ({x},{y}) but have no amalgam"
 
 
 def enumerate_hypernetworks(

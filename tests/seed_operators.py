@@ -19,6 +19,11 @@ as ``self`` where it was a method:
 - `map_apply` was `AdditiveOperator.apply` on the map form above 32
   atoms, which walked the set bits from the lowest up, as `ColumnOperator`
   does on the column form.
+- `after` was `AdditiveOperator.after`, which grouped the inner columns
+  in a dict keyed by object id and then in one keyed by value; `_holders`
+  was `bao._holders`, one hash and one OR of a whole mask per column, and
+  `transpose` and `cyl_fixed_masks` (`dict.fromkeys`) the functions that
+  read it.
 
 The operator code in `cylkit` must give the same masks.
 """
@@ -194,3 +199,42 @@ def structure_to_dict(structure) -> dict:
             for j in range(i + 1, dim)
         ]
     return out
+
+
+def after(self, inner) -> tuple[int, ...]:
+    if inner.images is not None:
+        if self.images is None:
+            return tuple(map(self.cols.__getitem__, inner.images))
+        return tuple(1 << self.images[c] for c in inner.images)
+    keys = tuple(map(id, inner.cols))
+    image, values = {}, {}
+    for key, col in dict(zip(keys, inner.cols)).items():
+        value = values.get(col)
+        if value is None:
+            value = values[col] = self.apply(col)
+        image[key] = value
+    return tuple(map(image.__getitem__, keys))
+
+
+def _holders(cols) -> dict[int, int]:
+    """Per distinct column, the mask of the atoms whose column it is."""
+    holders: dict[int, int] = {}
+    for b, col in enumerate(cols):
+        holders[col] = holders.get(col, 0) | 1 << b
+    return holders
+
+
+def transpose(cols) -> tuple[int, ...]:
+    """Column table of the converse relation: column a is {b : (a, b) in R}."""
+    rows = [0] * len(cols)
+    for col, held in _holders(cols).items():
+        for a in _bits(col):
+            rows[a] |= held
+    return tuple(rows)
+
+
+def cyl_fixed_masks(structure, i: int) -> list[int]:
+    masks = [0]
+    for c in dict.fromkeys(structure.cyl_image_masks(i)):
+        masks += [m | c for m in masks]
+    return masks

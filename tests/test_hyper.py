@@ -501,6 +501,26 @@ def test_rules_list_the_defects_of_the_pairwise_checker(name):
         assert got == list(keyed)
 
 
+def _column_rules(ra, nets):
+    """The cylindrifier and amalgamation rules of the column-table checker
+    in `tests/seed_hyper.py`, over the same T_z columns as `_rules`."""
+    m = nets[0].m
+    slots = hyper._slots(nets[0])
+    flat = [hyper._flat_labels(h) for h in nets]
+    cyl = [_classes_off(slots, flat, {z}) for z in range(m)]
+    return (
+        seed_hyper._column_cylindrifier_defects(ra, m, flat, cyl),
+        seed_hyper._column_amalgamation_defects(m, slots, flat, cyl),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_differential_sets()))
+def test_rules_list_the_defects_of_the_column_checker(name):
+    ra, nets = _differential_sets()[name]
+    for got, want in zip(_rules(ra, nets), _column_rules(ra, nets)):
+        assert list(got) == list(want)
+
+
 @functools.cache
 def _hh313_subsets():
     """Seeded subsets of the 235 three-node networks of `hh_ra(3,1,3)`,
@@ -520,6 +540,14 @@ def test_rules_list_the_defects_of_the_keyed_checker(seed):
     ra, subsets = _hh313_subsets()
     nets = subsets[seed]
     for got, want in zip(_rules(ra, nets), _keyed_rules(ra, nets)):
+        assert list(got) == list(want)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_rules_list_the_defects_of_the_column_checker_on_hh313_subsets(seed):
+    ra, subsets = _hh313_subsets()
+    nets = subsets[seed]
+    for got, want in zip(_rules(ra, nets), _column_rules(ra, nets)):
         assert list(got) == list(want)
 
 

@@ -54,3 +54,20 @@ def test_agreement_relations_have_one_builder():
                 if isinstance(sub, ast.Call) and "class_columns" in _referenced(sub.func):
                     callers.append((path.name, getattr(stmt, "name", None)))
     assert callers == [("constructions.py", "_classes_off")]
+
+
+def test_column_tables_are_grouped_in_one_place():
+    """A column table's distinct columns and their holders are read through
+    `bao._holders` alone: no `dict.fromkeys` dedupe, and object ids read
+    only there and by the namespace binder of `terms._Emitter`."""
+    fromkeys, ids = [], set()  # (module, enclosing module-level def or class)
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            where = (path.name, getattr(stmt, "name", None))
+            for sub in ast.walk(stmt):
+                if isinstance(sub, ast.Attribute) and sub.attr == "fromkeys":
+                    fromkeys.append(where)
+                elif isinstance(sub, ast.Name) and sub.id == "id":
+                    ids.add(where)
+    assert fromkeys == []
+    assert ids == {("bao.py", "_holders"), ("terms.py", "_Emitter")}

@@ -7,7 +7,9 @@ vectorised `_apply_tables` (one `np.where` pass per atom), the array
 evaluator `_eval_vec`, the Element-level `eval_term` and `check_equation`,
 `check_ca_frame` with its `_compose_cols` and its pair scan for
 `diag_unique`, `neat._is_equivalence`, and the three pair scans of
-`equivalence_defects`.
+`equivalence_defects`.  The groupings of a column table that `bao._holders`
+replaced (`after`, the old `_holders`, `transpose` and `cyl_fixed_masks`)
+are the oracles of `tests/seed_operators.py`.
 """
 
 import builtins
@@ -46,14 +48,19 @@ from cylkit.bao import (
     FrameCondition,
     FrameReport,
     _bits,
+    _holders,
     check_ca_frame,
+    class_columns,
     column_pairs,
     equivalence_defects,
+    structure_from_dict,
+    structure_to_dict,
+    transpose,
 )
 from cylkit.constructions import SplitPolicy, basic_matrices, bin_forb, johnson_extend, split_atom
 from cylkit.games import drop_cyl_pair
 from cylkit import terms as terms_module
-from cylkit.neat import nr
+from cylkit.neat import cyl_fixed_masks, nr
 from cylkit.terms import (
     Complement,
     Cyl,
@@ -81,6 +88,7 @@ from cylkit.terms import (
     variables,
 )
 
+import seed_operators
 from seed_operators import ColumnOperator, map_apply, perm_columns, transp_columns
 from test_builders import CASES
 
@@ -1346,3 +1354,164 @@ def test_first_violation_is_named_in_column_order(name, prop, text):
     with pytest.raises(ValueError) as err:
         nr(s, [1])
     assert str(err.value) == f"dropped relation is not an equivalence: {text}"
+
+
+# ---------------------------------------------------------------------------
+# the one grouping of a column table
+
+
+def _copies(cols):
+    """The columns as fresh int objects, one per column."""
+    return tuple(int(str(col)) for col in cols)
+
+
+def _constructed(s):
+    """`s` through the dataclass constructor, equal columns distinct objects."""
+    return CaAtomStructure(
+        dim=s.dim, atoms=s.atoms, cyl=tuple(map(_copies, s.cyl)), diag=s.diag, transp=s.transp
+    )
+
+
+def _on_two_indices(cols):
+    """A dimension-2 structure with T_0 = T_1 = cols."""
+    full = frozenset(range(len(cols)))
+    atoms = tuple(map(str, range(len(cols))))
+    return CaAtomStructure(
+        dim=2, atoms=atoms, cyl=(cols, cols), diag=((full, frozenset()), (frozenset(), full))
+    )
+
+
+@functools.cache
+def _grouped_structures():
+    """Builder structures, as built, loaded back from their dicts, and
+    through the constructor, with the seed's pair scans of each T_i."""
+    out = {}
+    for name, s in [
+        ("monk_atoms(4,4)", monk_atoms(4, 4)),
+        ("basic_matrices(4,bin_forb(3,1,2))", basic_matrices(4, bin_forb(3, 1, 2))),
+    ]:
+        defects = [list(seed_equivalence_defects(s, i)) for i in range(s.dim)]
+        out[name] = (s, defects)
+        out[f"{name} loaded"] = (structure_from_dict(structure_to_dict(s)), defects)
+        out[f"{name} constructed"] = (_constructed(s), defects)
+    return out
+
+
+@functools.cache
+def _random_tables():
+    """Seeded column tables of 1-5,000 atoms: arbitrary columns drawn from
+    a small pool, some as the pool's objects and some as equal copies, some
+    empty; and the class tables of random partitions, as shared objects and
+    as copies."""
+    rng = random.Random(2013)
+    tables = {}
+    for n in (1, 2, 5, 33, 100, 1000, 5000):
+        pool = [rng.getrandbits(n) for _ in range(1 + n // 40)]
+        cols = []
+        for _ in range(n):
+            roll = rng.random()
+            if roll < 0.1:
+                cols.append(0)
+            elif roll < 0.4:
+                cols.append(int(str(rng.choice(pool))))
+            else:
+                cols.append(rng.choice(pool))
+        tables[f"pool-{n}"] = tuple(cols)
+        classes = [[] for _ in range(1 + n // 30)]
+        for a in range(n):
+            rng.choice(classes).append(a)
+        shared = class_columns(n, filter(None, classes))
+        tables[f"classes-{n}"] = shared
+        tables[f"classes-{n}-copies"] = _copies(shared)
+    return tables
+
+
+def _by_value(cols):
+    """A plain grouping by value, in order of first occurrence."""
+    out = {}
+    for b, col in enumerate(cols):
+        out.setdefault(col, []).append(b)
+    return out
+
+
+def _assert_grouped(cols):
+    got = _holders(cols)
+    assert list(got.items()) == list(_by_value(cols).items())
+    old = {col: sum(1 << b for b in held) for col, held in got.items()}
+    assert list(old.items()) == list(seed_operators._holders(cols).items())
+    assert transpose(cols) == seed_operators.transpose(cols)
+
+
+@pytest.mark.parametrize("name", sorted(_grouped_structures()))
+def test_grouping_matches_the_oracles_on_builder_structures(name):
+    s, defects = _grouped_structures()[name]
+    ops = [s.cyl_op(i) for i in range(s.dim)]
+    if s.transp is not None:
+        ops += [s.transp_op(i, j) for i in range(s.dim) for j in range(i + 1, s.dim)]
+    for i in range(s.dim):
+        _assert_grouped(s.cyl[i])
+        assert list(equivalence_defects(s, i)) == defects[i]
+    for outer in ops:
+        for inner in ops:
+            assert outer.after(inner) == seed_operators.after(outer, inner)
+
+
+@pytest.mark.parametrize("name", list(_random_tables()))
+def test_grouping_matches_the_oracles_on_random_tables(name):
+    cols = _random_tables()[name]
+    if name.endswith("copies") and len(cols) > 8:
+        # masks below 2^8 are interned by the interpreter
+        assert len(set(map(id, cols))) > len(set(cols))
+    _assert_grouped(cols)
+    op = AdditiveOperator(cols)
+    assert op.after(op) == seed_operators.after(op, op)
+    s = _on_two_indices(cols)
+    if len(cols) <= 100 or name.startswith("classes"):
+        assert list(equivalence_defects(s, 0)) == list(seed_equivalence_defects(s, 0))
+    if len(set(cols)) <= 12:
+        assert cyl_fixed_masks(s, 0) == seed_operators.cyl_fixed_masks(s, 0)
+
+
+class _Counted(int):
+    """An int that counts the hashes taken of it."""
+
+    def __hash__(self):
+        self.hashes = getattr(self, "hashes", 0) + 1
+        return int.__hash__(self)
+
+
+def test_grouping_hashes_each_column_object_a_bounded_number_of_times():
+    n, rng = 3545, random.Random(3545)
+    atoms = list(range(n))
+    rng.shuffle(atoms)
+    classes = [sorted(atoms[k::50]) for k in range(50)]
+    objects = [_Counted(sum(1 << a for a in cls)) for cls in classes]
+    cols = [0] * n
+    for obj, cls in zip(objects, classes):
+        for a in cls:
+            cols[a] = obj
+    cols = tuple(cols)
+    op = AdditiveOperator(cols)
+    s = _on_two_indices(cols)
+    for read in (
+        _holders,
+        transpose,
+        lambda cols: op.after(op),
+        lambda cols: list(equivalence_defects(s, 0)),
+    ):
+        for obj in objects:
+            obj.hashes = 0
+        read(cols)
+        assert max(obj.hashes for obj in objects) <= 2
+    assert sorted(_holders(cols).values()) == sorted(classes)
+
+
+@pytest.mark.parametrize("build", [lambda: full_set_algebra(4, 2), three_cube, lambda: monk_atoms(3, 3)])
+def test_fixed_masks_list_each_union_once_when_equal_columns_are_distinct_objects(build):
+    s = build()
+    copied = _constructed(s)
+    for i in range(s.dim):
+        assert len(set(map(id, copied.cyl[i]))) > len(set(copied.cyl[i]))
+        masks = cyl_fixed_masks(copied, i)
+        assert masks == seed_operators.cyl_fixed_masks(s, i) == cyl_fixed_masks(s, i)
+        assert len(masks) == len(set(masks)) == 2 ** len(set(s.cyl[i]))
