@@ -23,7 +23,7 @@ operations are pure and freely shareable across tasks.
 from __future__ import annotations
 
 import json
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -458,13 +458,16 @@ class CaAtomStructure:
         )
 
 
+@dataclass(frozen=True, init=False)
 class Element:
     """A set of atom indices over a fixed structure, stored as a bitmask.
 
-    Immutable: assigning or deleting a field raises `FrozenInstanceError`.
-    Equality, hash and repr are those of a frozen dataclass over
-    (structure, mask).  Construction, unpickling and copying check that the
-    mask is an int from 0 to the full mask, by comparisons that build no int.
+    A frozen dataclass over (structure, mask), with its own `__init__`:
+    construction, unpickling and copying check that the mask is an int from
+    0 to the full mask, by comparisons that build no int.  The slots are
+    declared here, not by `slots=True`, which rebuilds the class: on Python
+    3.11 the rebuilt class's frozen `__setattr__` raises `TypeError`, not
+    `FrozenInstanceError`, for a name that is not a field.
     """
 
     __slots__ = ("structure", "mask")
@@ -479,25 +482,8 @@ class Element:
         _set_structure(self, structure)
         _set_mask(self, mask)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __reduce__(self) -> tuple[type, tuple[object, int]]:
         return Element, (self.structure, self.mask)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.structure, self.mask) == (other.structure, other.mask)  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash((self.structure, self.mask))
-
-    def __repr__(self) -> str:
-        return f"Element(structure={self.structure!r}, mask={self.mask!r})"
 
     def _join(self, other: "Element") -> object:
         if self.structure is other.structure or self.structure == other.structure:

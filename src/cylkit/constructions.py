@@ -389,7 +389,9 @@ def validate_matrix(bin_ra: RaAtomStructure, values: Sequence[int]) -> bool:
 
     The m x m entry table, the identity atom on its diagonal, is built once;
     then each (x, y) tests the triples (xy, yz, xz) over every z against the
-    forbidden set in one pass.
+    forbidden set in one pass.  It reads the triple set on purpose, not the
+    composition table that the network search reads: it is the independent
+    route that re-checks the matrices that search yields.
     """
     m = _matrix_side(len(values))
     (id_atom,) = bin_ra.identity

@@ -53,7 +53,7 @@ import math
 import operator
 import os
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import ClassVar, NoReturn
 
 from .bao import BudgetExceededError, CaAtomStructure, _label_search, transpose
@@ -918,18 +918,7 @@ class SolveResult:
     stats: SolveStats
 
     def to_dict(self) -> dict:
-        return {
-            "winner": self.winner,
-            "rounds_used": self.rounds_used,
-            "strategy": dict(sorted(self.strategy.items())),
-            "stats": {
-                "states_explored": self.stats.states_explored,
-                "memo_hits": self.stats.memo_hits,
-                "openings": self.stats.openings,
-                "representative_disagreements": self.stats.representative_disagreements,
-                "state_space_bound": self.stats.state_space_bound,
-            },
-        }
+        return {**asdict(self), "strategy": dict(sorted(self.strategy.items()))}
 
 
 # one completion problem of a solve: its completions in enumeration order,
@@ -1443,23 +1432,7 @@ class Transcript:
 
 
 def transcript_to_json(transcript: Transcript) -> str:
-    data = {
-        "variant": transcript.variant,
-        "rounds": transcript.rounds,
-        "pebbles": transcript.pebbles,
-        "human_side": transcript.human_side,
-        "initial_atom": transcript.initial_atom,
-        "events": list(transcript.events),
-        "winner": transcript.winner,
-        "resigned": transcript.resigned,
-        "final_nodes": list(transcript.final_nodes)
-        if transcript.final_nodes is not None
-        else None,
-        "final_labels": list(transcript.final_labels)
-        if transcript.final_labels is not None
-        else None,
-    }
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(transcript), indent=2, sort_keys=True) + "\n"
 
 
 def transcript_from_json(text: str) -> Transcript:

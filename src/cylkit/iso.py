@@ -128,49 +128,71 @@ def ca_find_isomorphism(a: CaAtomStructure, b: CaAtomStructure):
 
 
 def ra_is_isomorphism(a: RaAtomStructure, b: RaAtomStructure, mapping) -> bool:
+    """Does the atom map carry identity, converse and every composition
+    table entry of a onto b's?"""
     mapping = tuple(mapping)
-    if a.natoms != b.natoms or sorted(mapping) != list(range(a.natoms)):
+    n = a.natoms
+    if b.natoms != n or sorted(mapping) != list(range(n)):
         return False
     if {mapping[x] for x in a.identity} != set(b.identity):
         return False
-    for x in range(a.natoms):
+    for x in range(n):
         if mapping[a.converse[x]] != b.converse[mapping[x]]:
             return False
-    mapped = {(mapping[x], mapping[y], mapping[z]) for x, y, z in a.forbidden}
-    return mapped == set(b.forbidden)
+    embed = AdditiveOperator.of_map(mapping)
+    comp_a, comp_b = a._comp_table, b._comp_table
+    return all(
+        embed.apply(comp_a[y * n + z]) == comp_b[mapping[y] * n + mapping[z]]
+        for y in range(n)
+        for z in range(n)
+    )
 
 
-def _ra_profile(s: RaAtomStructure, atom: int) -> tuple:
-    in_each = [sum(1 for t in s.forbidden if t[i] == atom) for i in range(3)]
-    return (atom in s.identity, s.converse[atom] == atom, tuple(in_each))
+def _ra_profiles(s: RaAtomStructure) -> list[tuple]:
+    """Per atom: identity membership, whether it is its own converse, and
+    the number of forbidden triples holding it in each place, counted off
+    the composition table as the unset bits of its entries."""
+    n, comp = s.natoms, s._comp_table
+    square = n * n
+    return [
+        (
+            x in s.identity,
+            s.converse[x] == x,
+            (
+                square - sum(entry >> x & 1 for entry in comp),
+                square - sum(entry.bit_count() for entry in comp[x * n : x * n + n]),
+                square - sum(entry.bit_count() for entry in comp[x::n]),
+            ),
+        )
+        for x in range(n)
+    ]
 
 
 def ra_find_isomorphism(a: RaAtomStructure, b: RaAtomStructure):
-    if a.natoms != b.natoms or len(a.identity) != len(b.identity):
+    """An atom bijection preserving identity, converse and composition, or
+    None."""
+    n = a.natoms
+    if b.natoms != n or len(a.identity) != len(b.identity):
         return None
-    forb_a, forb_b = set(a.forbidden), set(b.forbidden)
+    comp_a, comp_b = a._comp_table, b._comp_table
 
     def consistent(x: int, y: int, mapping: dict[int, int]) -> bool:
         ca = a.converse[x]
         if ca in mapping and mapping[ca] != b.converse[y]:
             return False
-        keys = list(mapping.items()) + [(x, y)]
-        # only triples that involve the new pair need checking
+        # only triples that involve the new pair need checking; (p, q, r) is
+        # consistent iff bit p of entry (q, r) is set
+        keys = (*mapping.items(), (x, y))
         for x1, y1 in keys:
             for x2, y2 in keys:
-                for ta, tb in (
-                    ((x, x1, x2), (y, y1, y2)),
-                    ((x1, x, x2), (y1, y, y2)),
-                    ((x1, x2, x), (y1, y2, y)),
-                ):
-                    if (ta in forb_a) != (tb in forb_b):
-                        return False
+                if (comp_a[x1 * n + x2] >> x ^ comp_b[y1 * n + y2] >> y) & 1:
+                    return False
+                if (comp_a[x * n + x2] >> x1 ^ comp_b[y * n + y2] >> y1) & 1:
+                    return False
+                if (comp_a[x2 * n + x] >> x1 ^ comp_b[y2 * n + y] >> y1) & 1:
+                    return False
         return True
 
-    out = _search(
-        [_ra_profile(a, x) for x in range(a.natoms)],
-        [_ra_profile(b, x) for x in range(b.natoms)],
-        consistent,
-    )
+    out = _search(_ra_profiles(a), _ra_profiles(b), consistent)
     assert out is None or ra_is_isomorphism(a, b, out)
     return out

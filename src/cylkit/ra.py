@@ -1,16 +1,16 @@
 """Finite relation-algebra atom structures and their complex algebras.
 
 An atom structure carries an ordered atom list, an identity atom set, a
-converse involution, and a consistency predicate on atom triples stored as
-the complement of a forbidden-triple set.  The forbidden set is closed
-under the six Peircean images at construction time so that consistency
-queries are O(1) membership tests.
-
-Composition, converse and identity act on Elements (bitmasks) by additive
-lifting from atoms.  A structure has one composition table, built on first
-use: entry (b, c) is the mask of {a : (a,b,c) consistent}.  Converse is the
-`AdditiveOperator` of the converse permutation; composition ORs, per atom b
-of x, the operator of table row b applied to y.
+converse involution, and a consistency predicate on atom triples, given as
+the complement of a forbidden-triple set that construction checks (or
+`build` makes) closed under the six Peircean images.  After construction
+the structure is read through one composition table, built on first use:
+entry b * n + c is the mask of b;c = {a : (a,b,c) consistent}.
+`consistent` reads one bit of it, composition ORs, per atom b of x, the
+operator of table row b applied to y, and converse is the
+`AdditiveOperator` of the converse permutation.  The law battery is mask
+arithmetic on the table, and `iso` compares tables.  Only construction,
+JSON output and the independent re-checks elsewhere read the triple set.
 
 The one search for atom networks lives here too: `_network_labellings`,
 which reads the same table.  Its candidate masks cover every triangle the
@@ -86,7 +86,8 @@ class RaAtomStructure:
         return self._full_mask  # type: ignore[attr-defined]
 
     def consistent(self, a: int, b: int, c: int) -> bool:
-        return (a, b, c) not in self.forbidden
+        """Is (a, b, c) consistent: bit a of composition table entry (b, c)."""
+        return self._comp_table[b * self.natoms + c] >> a & 1 == 1
 
     @cached_property
     def _comp_table(self) -> list[int]:
@@ -274,8 +275,12 @@ def check_ra_axioms(structure: RaAtomStructure, bound: int = 50_000_000) -> RaAx
 
     Checks the identity law, converse involution and distribution over
     composition, constancy of the consistency predicate on Peircean orbits,
-    and associativity over all atom triples.  Cost is dominated by the
-    |atoms|^4 associativity sweep, gated by `bound`.
+    and associativity over all atom triples, each on the masks of the
+    composition table: entry b * n + c is the mask of b;c.  Associativity
+    compares (a;b);c, the operator of right composition with c applied to
+    entry (a, b), with a;(b;c), row a's operator applied to entry (b, c), so
+    the sweep is n^3 pairs of operator applications; `bound` gates it at
+    |atoms|^4 all the same.
     """
     n = structure.natoms
     if n**4 > bound:
@@ -284,17 +289,15 @@ def check_ra_axioms(structure: RaAtomStructure, bound: int = 50_000_000) -> RaAx
         )
     name = structure.atoms
     cv = structure.converse
-    ident = identity_el(structure)
-
-    def atom(a: int) -> Element:
-        return Element(structure, 1 << a)
+    comp = structure._comp_table
 
     def identity() -> Iterator[str]:
         for a in range(n):
-            el = atom(a)
-            left = compose(structure, ident, el)
-            right = compose(structure, el, ident)
-            if left.mask != el.mask or right.mask != el.mask:
+            left = right = 0
+            for e in structure.identity:
+                left |= comp[e * n + a]
+                right |= comp[a * n + e]
+            if left != 1 << a or right != 1 << a:
                 yield f"atom {name[a]}"
 
     def converse_involution() -> Iterator[str]:
@@ -303,11 +306,10 @@ def check_ra_axioms(structure: RaAtomStructure, bound: int = 50_000_000) -> RaAx
                 yield f"atom {name[a]}"
 
     def converse_distribution() -> Iterator[str]:
+        conv = structure._converse_op
         for a in range(n):
             for b in range(n):
-                lhs = converse_el(structure, compose(structure, atom(a), atom(b)))
-                rhs = compose(structure, atom(cv[b]), atom(cv[a]))
-                if lhs.mask != rhs.mask:
+                if conv.apply(comp[a * n + b]) != comp[cv[b] * n + cv[a]]:
                     yield f"pair ({name[a]}, {name[b]})"
 
     def peircean() -> Iterator[str]:
@@ -320,15 +322,14 @@ def check_ra_axioms(structure: RaAtomStructure, bound: int = 50_000_000) -> RaAx
                             yield f"triple ({a},{b},{c}) vs {t}"
 
     def associativity() -> Iterator[str]:
+        left = structure._comp_ops
+        # per atom c, the operator x -> x;c: column b is entry (b, c)
+        right = [AdditiveOperator(tuple(comp[c::n])) for c in range(n)]
         for a in range(n):
-            ea = atom(a)
             for b in range(n):
-                ab = compose(structure, ea, atom(b))
+                ab = comp[a * n + b]
                 for c in range(n):
-                    ec = atom(c)
-                    lhs = compose(structure, ab, ec)
-                    rhs = compose(structure, ea, compose(structure, atom(b), ec))
-                    if lhs.mask != rhs.mask:
+                    if right[c].apply(ab) != left[a].apply(comp[b * n + c]):
                         yield f"triple ({name[a]}, {name[b]}, {name[c]})"
 
     laws = [

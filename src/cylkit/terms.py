@@ -27,6 +27,7 @@ tuples only.  The counterexample's y is read back through the inverse map.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -485,7 +486,7 @@ def check_equation(
             raise ValueError("atoms mode bound exceeded")
         assignments: Iterator[dict[int, int]] = (
             {v: 1 << a for v, a in zip(vs, combo)}
-            for combo in _product_indices(n, len(vs))
+            for combo in itertools.product(range(n), repeat=len(vs))
         )
         label = "atoms"
     elif isinstance(mode, Sample):
@@ -505,15 +506,6 @@ def check_equation(
                 False, _counterexample(structure, masks), count, label, relation
             )
     return EquationReport(True, None, count, label, relation)
-
-
-def _product_indices(n: int, arity: int) -> Iterator[tuple[int, ...]]:
-    if arity == 0:
-        yield ()
-        return
-    for head in range(n):
-        for tail in _product_indices(n, arity - 1):
-            yield (head, *tail)
 
 
 def _check_exhaustive(

@@ -10,8 +10,14 @@ variable once, before its loop; here the one-shot program runs whole per
 mask, which gives the same values.  The report (verdict, assignment count,
 counterexample) is built as the earlier one was: the first violating mask
 of the first variable and, for it, the least mask of the last.
+
+`_product_indices` is the earlier `cylkit.terms._product_indices`,
+unchanged: the recursive generator of atom-index tuples that atoms mode
+swept before `itertools.product`, which yields them in the same order.
 """
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -46,3 +52,12 @@ def check_exhaustive(
             count = total if xmask is None else (xmask + 1) * total
             return EquationReport(False, counterexample, count, "exhaustive", relation)
     return EquationReport(True, None, total ** len(vs), "exhaustive", relation)
+
+
+def _product_indices(n: int, arity: int) -> Iterator[tuple[int, ...]]:
+    if arity == 0:
+        yield ()
+        return
+    for head in range(n):
+        for tail in _product_indices(n, arity - 1):
+            yield (head, *tail)

@@ -7,7 +7,9 @@ pairs; they are kept here as oracles, with the pair sets recovered by
 `column_pairs` (a transposition's from its column table, `perm_columns`).
 The carried-operator check shared with the neat correspondences is compared
 with the pairwise loop of the earlier `restriction_iso`,
-`seed_neat.restriction_defects`.
+`seed_neat.restriction_defects`.  The relation-algebra checks, which read
+composition tables, are compared with the ones that read forbidden-triple
+sets, `seed_ra`.
 """
 
 import dataclasses
@@ -29,12 +31,14 @@ from cylkit import (
 from cylkit.bao import AdditiveOperator, CaAtomStructure, column_pairs
 from cylkit.constructions import bin_forb, hh_ra
 from cylkit.games import drop_cyl_pair
-from cylkit.iso import _ca_profiles, _carried_defects
+from cylkit.iso import _ca_profiles, _carried_defects, _ra_profiles
 from cylkit.neat import rd_rho
 from cylkit.ra import RaAtomStructure
 
 import seed_neat
+import seed_ra
 from seed_operators import perm_columns
+from test_ra import RA_FIXTURES, _random_ra, _unchecked
 
 
 def _pairs(s):
@@ -349,3 +353,75 @@ def test_carried_defects_find_the_first_defect_of_the_pairwise_loop(name):
         (got,) = _carried_defects(a_cut, b_cut, embed)
         assert _seed_defect(seed) == _carried_defect(got) == where
         assert not ca_is_isomorphism(a_cut, b_cut, perm)
+
+
+def _ra_renamed(s, perm):
+    """s with atom x renamed perm[x], past the constructor's checks, so
+    that structures which fail them can be renamed too."""
+    old = sorted(range(s.natoms), key=perm.__getitem__)  # atom y was atom old[y]
+    return _unchecked(
+        [s.atoms[x] for x in old],
+        [perm[x] for x in s.identity],
+        [perm[s.converse[x]] for x in old],
+        [tuple(perm[x] for x in t) for t in s.forbidden],
+    )
+
+
+def _ra_checks_match_the_triple_set_checks(a, b, rng):
+    """Search, profiles and verdicts on a and b against `seed_ra`; the
+    verdicts on the found map, the map with one transposition, a
+    non-bijection and random bijections.  Returns the found map."""
+    n = a.natoms
+    found = ra_find_isomorphism(a, b)
+    assert found == seed_ra.ra_find_isomorphism(a, b)
+    for s in (a, b):
+        assert _ra_profiles(s) == [seed_ra._ra_profile(s, x) for x in range(s.natoms)]
+    mappings = [list(range(n)), [0] * n] + [rng.sample(range(n), n) for _ in range(3)]
+    if found is not None:
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        swapped = list(found)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        mappings += [found, swapped]
+    for mapping in mappings:
+        assert ra_is_isomorphism(a, b, mapping) == seed_ra.ra_is_isomorphism(a, b, mapping)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(RA_FIXTURES))
+def test_ra_checks_match_the_triple_set_checks_on_permuted_fixtures(name):
+    a = RA_FIXTURES[name]()
+    rng = random.Random(name)
+    # above 30 atoms one search backtracks for about a second
+    for _ in range(20 if a.natoms <= 30 else 2):
+        b = _ra_renamed(a, rng.sample(range(a.natoms), a.natoms))
+        assert _ra_checks_match_the_triple_set_checks(a, b, rng) is not None
+
+
+def _third_places_swapped(s, rng):
+    """s with two forbidden triples trading their third atoms, which keeps
+    every atom's profile: a search that skipped the triples whose last
+    placed atom is third alone would pass maps it must refuse."""
+    forbidden = set(s.forbidden)
+    if len(forbidden) < 2:
+        return s
+    (p, q, r), (p2, q2, r2) = rng.sample(sorted(forbidden), 2)
+    forbidden -= {(p, q, r), (p2, q2, r2)}
+    forbidden |= {(p, q, r2), (p2, q2, r)}
+    return _unchecked(s.atoms, s.identity, s.converse, forbidden)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ra_checks_match_the_triple_set_checks_on_random(seed):
+    """Seeded random structures against a renamed copy of themselves, a
+    renamed copy with two third places swapped, and the next structure
+    drawn, on the same atom count or not."""
+    rng = random.Random(seed)
+    a = _random_ra(rng)
+    for _ in range(200):
+        b = _random_ra(rng)
+        perm = rng.sample(range(a.natoms), a.natoms)
+        assert _ra_checks_match_the_triple_set_checks(a, _ra_renamed(a, perm), rng) is not None
+        swapped = _ra_renamed(_third_places_swapped(a, rng), perm)
+        _ra_checks_match_the_triple_set_checks(a, swapped, rng)
+        _ra_checks_match_the_triple_set_checks(a, b, rng)
+        a = b

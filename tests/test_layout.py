@@ -71,3 +71,25 @@ def test_column_tables_are_grouped_in_one_place():
                     ids.add(where)
     assert fromkeys == []
     assert ids == {("bao.py", "_holders"), ("terms.py", "_Emitter")}
+
+
+def test_forbidden_triples_are_read_at_construction_only():
+    """After construction a relation-algebra structure is read through its
+    composition table.  The forbidden-triple set is read by the structure
+    itself (its checks and its table), by JSON output, by atom splitting,
+    which builds a new set from it, and by the two independent routes that
+    re-check triangles against it: `validate_matrix` and criterion 3's
+    closure check."""
+    readers = set()  # (module, enclosing module-level def or class)
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            for sub in ast.walk(stmt):
+                if isinstance(sub, ast.Attribute) and sub.attr == "forbidden":
+                    readers.add((path.name, getattr(stmt, "name", None)))
+    assert readers == {
+        ("ra.py", "RaAtomStructure"),
+        ("ra.py", "ra_to_dict"),
+        ("constructions.py", "_split_ra"),
+        ("constructions.py", "validate_matrix"),
+        ("acceptance.py", "criterion_03"),
+    }

@@ -77,7 +77,6 @@ from cylkit.terms import (
     Zero,
     _Emitter,
     _eval_masks,
-    _product_indices,
     _violates,
     check_equation,
     expand_swap,
@@ -90,6 +89,7 @@ from cylkit.terms import (
 
 import seed_operators
 from seed_operators import ColumnOperator, map_apply, perm_columns, transp_columns
+from seed_terms import _product_indices
 from test_builders import CASES
 
 # ---------------------------------------------------------------------------

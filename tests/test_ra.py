@@ -1,4 +1,11 @@
-"""Relation-algebra atom structures: laws, composition, serialization."""
+"""Relation-algebra atom structures: laws, composition, serialization.
+
+The law battery, which reads the composition table as masks, is compared
+with the one that computed on atom Elements, `seed_ra.check_ra_axioms`.
+"""
+
+import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,17 +15,23 @@ from cylkit import (
     BudgetExceededError,
     Element,
     RaAtomStructure,
+    SplitPolicy,
     bin_forb,
     check_ra_axioms,
+    full_set_algebra,
     hh_ra,
+    monk_atoms,
     ra_from_dict,
     ra_from_json,
+    ra_reduct,
     ra_to_dict,
     ra_to_json,
+    split_atom,
 )
 from cylkit.ra import compose, converse_el, identity_el, peircean_orbit
 
 import seed_operators
+import seed_ra
 
 
 def pair_algebra(forbid_diversity_triangle: bool) -> RaAtomStructure:
@@ -366,3 +379,120 @@ def test_operators_match_the_seed_loops_past_the_checks(name):
     # a converse that is not an involution, and a forbidden set that is not
     # Peircean-closed
     _matches_the_seed_loops(RECORDED_LAWS[name][0])
+
+
+# ---------------------------------------------------------------------------
+# the table-based law battery against the Element one
+
+
+def _law_tuples(report):
+    return [(law.name, law.passed, law.detail) for law in report.laws]
+
+
+def _group(n: int) -> RaAtomStructure:
+    """Complex algebra of the cyclic group of order n."""
+    return RaAtomStructure.build(
+        tuple(f"g{i}" for i in range(n)),
+        [0],
+        tuple(-i % n for i in range(n)),
+        [(a, b, c) for a, b, c in product(range(n), repeat=3) if a != (b + c) % n],
+    )
+
+
+RA_FIXTURES = {
+    "z4": group_z4,
+    "pair(True)": lambda: pair_algebra(True),
+    "pair(False)": lambda: pair_algebra(False),
+    "hh_ra(3,1,3)": lambda: hh_ra(3, 1, 3),
+    "hh_ra(3,2,3)": lambda: hh_ra(3, 2, 3),
+    "hh_ra(3,2,3,lax)": lambda: hh_ra(3, 2, 3, strict=False),
+    "hh_ra(4,2,4)": lambda: hh_ra(4, 2, 4),
+    "hh_ra(4,2,5)": lambda: hh_ra(4, 2, 5),
+    "hh_ra(3,3,6)": lambda: hh_ra(3, 3, 6),
+    "bin_forb(3,1,2)": lambda: bin_forb(3, 1, 2),
+    "bin_forb(3,1,3)": lambda: bin_forb(3, 1, 3),
+    "split(hh_ra(3,1,3))": lambda: split_atom(hh_ra(3, 1, 3), 1, SplitPolicy(2)).structure,
+    "reduct(cs3)": lambda: ra_reduct(full_set_algebra(3, 2)).ra,
+    "reduct(monk33)": lambda: ra_reduct(monk_atoms(3, 3)).ra,
+    **{f"recorded:{name}": (lambda s=s: s) for name, (s, _) in RECORDED_LAWS.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RA_FIXTURES))
+def test_law_battery_matches_the_element_battery_on_fixtures(name):
+    s = RA_FIXTURES[name]()
+    assert _law_tuples(check_ra_axioms(s)) == _law_tuples(seed_ra.check_ra_axioms(s))
+
+
+def _involution(rng: random.Random, n: int) -> list[int]:
+    perm = list(range(n))
+    free = rng.sample(range(n), n)
+    for i, j in zip(free[::3], free[1::3]):
+        perm[i], perm[j] = j, i
+    return perm
+
+
+def _random_ra(rng: random.Random) -> RaAtomStructure:
+    """One of four kinds, drawn at random: a built structure with random
+    triples; a relabelled cyclic group algebra with up to two more orbits
+    forbidden (whose laws fail late, if at all); and, past the constructor's
+    checks, a converse that is any permutation, or random triples left
+    unclosed."""
+    n = rng.randint(1, 6)
+    kind = rng.randrange(4)
+    if kind == 1:
+        base = _group(n)
+        allowed = [t for t in product(range(n), repeat=3) if t not in base.forbidden]
+        forbidden = [*base.forbidden, *rng.sample(allowed, min(len(allowed), rng.randrange(3)))]
+        perm = rng.sample(range(n), n)
+        old = sorted(range(n), key=perm.__getitem__)  # atom y was atom old[y]
+        return RaAtomStructure.build(
+            tuple(base.atoms[x] for x in old),
+            [perm[0]],
+            [perm[base.converse[x]] for x in old],
+            [tuple(perm[x] for x in t) for t in forbidden],
+        )
+    atoms = tuple(f"r{i}" for i in range(n))
+    identity = rng.sample(range(n), rng.choice([1, 1, rng.randint(1, n)]))
+    triples = [tuple(rng.randrange(n) for _ in range(3)) for _ in range(rng.randrange(n**3 // 2 + 2))]
+    if kind == 0:
+        return RaAtomStructure.build(atoms, identity, _involution(rng, n), triples)
+    if kind == 2:
+        return _unchecked(atoms, identity, rng.sample(range(n), n), triples)
+    return _unchecked(atoms, identity, _involution(rng, n), triples)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_law_battery_matches_the_element_battery_on_random(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        s = _random_ra(rng)
+        assert _law_tuples(check_ra_axioms(s)) == _law_tuples(seed_ra.check_ra_axioms(s)), s
+
+
+def test_random_structures_reach_every_law_both_ways():
+    """The random set passes and fails each law, so the comparison above
+    sees each law's detail text and its empty one."""
+    rng = random.Random(0)
+    seen = set()
+    for _ in range(600):
+        seen.update((law.name, law.passed) for law in check_ra_axioms(_random_ra(rng)).laws)
+    names = [law.name for law in check_ra_axioms(group_z4()).laws]
+    assert seen == {(name, passed) for name in names for passed in (True, False)}
+
+
+def _consistent_is_triple_membership(s):
+    n = s.natoms
+    for t in product(range(n), repeat=3):
+        assert s.consistent(*t) is (t not in s.forbidden)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_ras())
+def test_consistent_reads_the_forbidden_triples(s):
+    _consistent_is_triple_membership(s)
+
+
+@pytest.mark.parametrize("name", ["cycle", "open"])
+def test_consistent_reads_the_forbidden_triples_past_the_checks(name):
+    _consistent_is_triple_membership(RECORDED_LAWS[name][0])
