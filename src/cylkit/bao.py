@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -456,6 +457,50 @@ class CaAtomStructure:
                 for r, rel in enumerate(transp)
             ),
         )
+
+
+def _carried(
+    structure: CaAtomStructure, indices: Iterable[int], f: AdditiveOperator, g: AdditiveOperator
+) -> tuple[tuple, tuple, tuple, tuple | None, list[Pair]]:
+    """T, E and P of a structure carried along an atom map, on the given
+    source indices in order: new atom c stands for the source atoms g(c),
+    which must not be empty, and f, in column form, sends a source atom to
+    the new atoms it meets, the c whose g(c) holds it (g's converse).
+
+    Per index i, `images` (T_i(g(c)) for each c) and the carried columns
+    f(T_i(g(c))).  Per pair of indices, E'_ij: the c whose least atom of
+    g(c) is in E_ij.  Per pair i < j, P'_ij sends c to the one atom of
+    f(P_ij(g(c))), with the pairs where some such image is not one atom
+    listed; when there are any, or the source has no P_ij, no
+    transpositions are returned.  `neat.nr`'s quotient, `neat.rl_x`'s
+    relativization and atom splitting read their T, E and P off this.
+    """
+    indices = tuple(indices)
+    images = tuple(structure.cyl_op(i).after(g) for i in indices)
+    least = g.images if g.cols is None else [(c & -c).bit_length() - 1 for c in g.cols]
+    if min(least, default=0) < 0:
+        raise ValueError("every new atom must stand for some source atom")
+    rows = [[structure.diag[i][j] for j in indices] for i in indices]
+    diag = tuple(tuple(frozenset(c for c, a in enumerate(least) if a in e) for e in r) for r in rows)
+    transp, undefined = [], []
+    for i, j in combinations(indices, 2) if structure.transp is not None else ():
+        moved = f.after(structure.transp_op(i, j))  # f(P_ij(b)) per source atom b
+        if g.images is not None:  # each g(c) is one atom
+            hits = list(map(moved.__getitem__, g.images))
+        else:
+            # the union of f(P_ij(b)) over the b that meet c: walk each f(b),
+            # a few bits, rather than each g(c)
+            hits = [0] * len(least)
+            for col, image in zip(f.cols, moved):
+                while col:
+                    c = col.bit_length() - 1
+                    hits[c] |= image
+                    col ^= 1 << c
+        if any(hit.bit_count() != 1 for hit in hits):
+            undefined.append((i, j))
+        transp.append(tuple(hit.bit_length() - 1 for hit in hits))
+    transp = None if undefined or structure.transp is None else tuple(transp)
+    return images, tuple(tuple(map(f.apply, image)) for image in images), diag, transp, undefined
 
 
 @dataclass(frozen=True, init=False)

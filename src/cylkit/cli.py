@@ -42,7 +42,9 @@ from .games import (
     FORALL,
     VARIANT_TRIANGLE,
     VARIANTS,
+    CaNetwork,
     GameSpec,
+    RaNetwork,
     network_to_dot,
     play_interactive,
     replay_transcript,
@@ -268,9 +270,9 @@ def _cmd_game(args) -> int:
         if args.transcript:
             _write(transcript_to_json(transcript), args.transcript)
         if args.dot and transcript.final_nodes is not None:
-            final = replay_transcript(spec, transcript, budget=args.budget)
-            if final is not None:
-                _write(network_to_dot(final), args.dot)
+            net = RaNetwork if spec.variant == VARIANT_TRIANGLE else CaNetwork
+            final = net(spec.structure, transcript.final_nodes, transcript.final_labels)
+            _write(network_to_dot(final), args.dot)
         return 0
     if args.action == "replay":
         spec = _game_spec(args)

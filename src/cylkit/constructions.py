@@ -20,7 +20,7 @@ from itertools import combinations, product, repeat
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, Union
 
-from .bao import AdditiveOperator, CaAtomStructure, Element, Pair, class_columns
+from .bao import AdditiveOperator, CaAtomStructure, Element, Pair, _carried, class_columns
 from .ra import RaAtomStructure, Triple, _network_labellings
 
 Tuples = Sequence[tuple[int, ...]]
@@ -566,71 +566,49 @@ def _split_indexing(n: int, a: int, k: int):
     copy map as an operator."""
     if not 0 <= a < n:
         raise ValueError(f"atom index {a} out of range")
-    copy_map: list[tuple[int, ...]] = []
-    for old in range(n):
-        if old < a:
-            copy_map.append((old,))
-        elif old == a:
-            copy_map.append(tuple(a + p for p in range(k)))
-        else:
-            copy_map.append((old + k - 1,))
-    proj = [0] * (n + k - 1)
-    for old, news in enumerate(copy_map):
-        for new in news:
-            proj[new] = old
+    copy_map = tuple(
+        tuple(range(a, a + k)) if old == a else (old if old < a else old + k - 1,)
+        for old in range(n)
+    )
+    # the copies are numbered in the order of their old atoms
+    proj = tuple(old for old, news in enumerate(copy_map) for _ in news)
     lift = AdditiveOperator(tuple(sum(1 << new for new in news) for news in copy_map))
-    return tuple(copy_map), tuple(proj), lift
+    return copy_map, proj, lift
 
 
 def _split_labels(labels: Sequence[str], a: int, k: int) -> list[str]:
-    out = []
-    for old, label in enumerate(labels):
-        if old == a:
-            out.extend(f"{label}#{p}" for p in range(k))
-        else:
-            out.append(label)
-    return out
+    return [*labels[:a], *(f"{labels[a]}#{p}" for p in range(k)), *labels[a + 1 :]]
 
 
 def _split_ca(structure: CaAtomStructure, a: int, policy: SplitPolicy) -> SplitResult:
     k = policy.copies
     copy_map, proj, lift = _split_indexing(structure.natoms, a, k)
     labels = _split_labels(structure.atoms, a, k)
-    nn = len(labels)
-    copies = lift.cols[a]
-
-    def lift_cols(cols: tuple[int, ...]) -> tuple[int, ...]:
-        # column of a new atom: the column of its source atom, with every
-        # atom replaced by its copies
-        out = [lift.apply(cols[proj[new]]) for new in range(nn)]
-        if callable(policy.intra) and cols[a] >> a & 1:
-            for yn in copy_map[a]:
-                kept = sum(1 << xn for xn in copy_map[a] if policy.intra(xn - a, yn - a))
-                out[yn] = out[yn] & ~copies | kept
-        return tuple(out)
-
-    diag = tuple(
-        tuple(
-            frozenset(new for new in range(nn) if proj[new] in structure.diag[i][j])
-            for j in range(structure.dim)
-        )
-        for i in range(structure.dim)
-    )
     transp = None
     if structure.transp is not None:
         if any(perm[a] != a for perm in structure.transp):
             raise ValueError("cannot split an atom moved by a transposition")
         # a's copies stay individually fixed; every other atom has one copy
         transp = tuple(
-            tuple(new if proj[new] == a else copy_map[perm[proj[new]]][0] for new in range(nn))
+            tuple(new if old == a else copy_map[perm[old]][0] for new, old in enumerate(proj))
             for perm in structure.transp
         )
+    # a new atom's column is its source atom's, each atom replaced by its copies
+    _, cyl, diag, _, _ = _carried(
+        structure, range(structure.dim), lift, AdditiveOperator.of_map(proj)
+    )
+    if callable(policy.intra):
+        # where T_i relates a to itself, the policy picks the copy-copy pairs
+        news, copies = copy_map[a], lift.cols[a]
+        kept = [sum(1 << x for x in news if policy.intra(x - a, y - a)) for y in news]
+        cyl = tuple(
+            col[:a] + tuple(c & ~copies | m for c, m in zip(col[a : a + k], kept)) + col[a + k :]
+            if source[a] >> a & 1
+            else col
+            for col, source in zip(cyl, structure.cyl)
+        )
     new_structure = CaAtomStructure(
-        dim=structure.dim,
-        atoms=tuple(labels),
-        cyl=tuple(map(lift_cols, structure.cyl)),
-        diag=diag,
-        transp=transp,
+        dim=structure.dim, atoms=tuple(labels), cyl=cyl, diag=diag, transp=transp
     )
     return SplitResult(new_structure, copy_map, a, lift)
 
@@ -655,21 +633,13 @@ def _split_ra(structure: RaAtomStructure, a: int, policy: SplitPolicy) -> SplitR
     if structure.converse[a] != a:
         raise ValueError("cannot split an atom with a distinct converse partner")
 
-    converse = []
-    for new in range(nn):
-        old = proj[new]
-        if old == a:
-            converse.append(a + matching[new - a])
-        else:
-            converse.append(copy_map[structure.converse[old]][0])
-
-    forbidden = []
-    for x, y, z in structure.forbidden:
-        for xn in copy_map[x]:
-            for yn in copy_map[y]:
-                for zn in copy_map[z]:
-                    forbidden.append((xn, yn, zn))
-
+    converse = [
+        a + matching[new - a] if old == a else copy_map[structure.converse[old]][0]
+        for new, old in enumerate(proj)
+    ]
+    forbidden = [
+        t for x, y, z in structure.forbidden for t in product(copy_map[x], copy_map[y], copy_map[z])
+    ]
     identity = [new for new in range(nn) if proj[new] in structure.identity]
     new_structure = RaAtomStructure(
         atoms=tuple(labels),

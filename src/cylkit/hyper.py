@@ -262,6 +262,39 @@ def _symmetry_defects(m: int, slots: Tuples, flat: Tuples) -> Iterator[str]:
                 yield f"renaming by {sigma} leaves the set"
 
 
+def _shape_defect(nets: Sequence[HyperNetwork]) -> str | None:
+    """Why the networks are not of one shape, each listing its tuples in
+    sorted order, or None."""
+    if not nets:
+        return "empty set"
+    if any(h.m != nets[0].m or h.n_wide != nets[0].n_wide for h in nets):
+        return "mixed shapes"
+    tuples = sorted(_hyper_tuples(nets[0].m, nets[0].n_wide))
+    for idx, h in enumerate(nets):
+        if [t for t, _ in h.hyper] != tuples:
+            return f"network {idx} does not list the tuples of its shape"
+    return None
+
+
+def _hyperbasis_report(
+    ra: RaAtomStructure, nets: Sequence[HyperNetwork], slots: Tuples, flat: Tuples, cyl: Tuples
+) -> HyperbasisReport:
+    m = nets[0].m
+    rules = (
+        ("member", _member_defects(ra, nets)),
+        ("witness", _witness_defects(ra, nets)),
+        ("cylindrifier", _cylindrifier_defects(ra, m, flat, cyl)),
+        ("amalgamation", _amalgamation_defects(m, slots, flat, cyl)),
+        ("symmetry", _symmetry_defects(m, slots, flat)),
+    )
+    violations = tuple(
+        (rule, detail)
+        for rule, defects in rules
+        if (detail := next(defects, None)) is not None
+    )
+    return HyperbasisReport(not violations, violations)
+
+
 def is_hyperbasis(
     ra: RaAtomStructure, networks: Sequence[HyperNetwork]
 ) -> HyperbasisReport:
@@ -278,33 +311,13 @@ def is_hyperbasis(
     y), and symmetry reads each network m^m times.
     """
     nets = list(networks)
-    if not nets:
-        return HyperbasisReport(False, (("member", "empty set"),))
-    if any(h.m != nets[0].m or h.n_wide != nets[0].n_wide for h in nets):
-        return HyperbasisReport(False, (("member", "mixed shapes"),))
-    tuples = sorted(_hyper_tuples(nets[0].m, nets[0].n_wide))
-    for idx, h in enumerate(nets):
-        if [t for t, _ in h.hyper] != tuples:
-            return HyperbasisReport(
-                False, (("member", f"network {idx} does not list the tuples of its shape"),)
-            )
-    m = nets[0].m
+    shape = _shape_defect(nets)
+    if shape is not None:
+        return HyperbasisReport(False, (("member", shape),))
     slots = _slots(nets[0])
     flat = [_flat_labels(h) for h in nets]
-    cyl = [_classes_off(slots, flat, {z}) for z in range(m)]
-    rules = (
-        ("member", _member_defects(ra, nets)),
-        ("witness", _witness_defects(ra, nets)),
-        ("cylindrifier", _cylindrifier_defects(ra, m, flat, cyl)),
-        ("amalgamation", _amalgamation_defects(m, slots, flat, cyl)),
-        ("symmetry", _symmetry_defects(m, slots, flat)),
-    )
-    violations = tuple(
-        (rule, detail)
-        for rule, defects in rules
-        if (detail := next(defects, None)) is not None
-    )
-    return HyperbasisReport(not violations, violations)
+    cyl = [_classes_off(slots, flat, {z}) for z in range(nets[0].m)]
+    return _hyperbasis_report(ra, nets, slots, flat, cyl)
 
 
 def ca_over_hyperbasis(
@@ -316,19 +329,24 @@ def ca_over_hyperbasis(
     collects networks with an identity label at (i,j), and transpositions
     act by swapping the two nodes.  The slots of `_agreement` and `_swaps`
     are the ordered pairs and the tuples of the networks' flat labels.
-    It runs `is_hyperbasis` itself and refuses a set that fails it with the
-    first violation, so a caller needs no check of its own beforehand.
+    It sorts the networks once and runs `is_hyperbasis`'s rules itself on
+    the slots, flat labels and T columns it builds from, refusing a set
+    that fails them with the first violation, which names networks by their
+    position in the sorted order; so a caller needs no check of its own.
     """
-    report = is_hyperbasis(ra, networks)
-    if not report.passed:
-        rule, detail = report.violations[0]
-        raise ValueError(f"not a hyperbasis ({rule}: {detail})")
     nets = sorted(networks, key=lambda h: (h.pairs, h.hyper))
+    shape = _shape_defect(nets)
+    if shape is not None:
+        raise ValueError(f"not a hyperbasis (member: {shape})")
     m = nets[0].m
-    if m < 2:
-        raise ValueError("need at least two nodes to form a structure")
     slots = _slots(nets[0])
     flat = [_flat_labels(h) for h in nets]
     cyl, diag = _agreement(m, slots, flat, lambda f, i, j: f[i * m + j] in ra.identity)
+    report = _hyperbasis_report(ra, nets, slots, flat, cyl)
+    if not report.passed:
+        rule, detail = report.violations[0]
+        raise ValueError(f"not a hyperbasis ({rule}: {detail})")
+    if m < 2:
+        raise ValueError("need at least two nodes to form a structure")
     labels = tuple(repr((h.pairs, h.hyper)) for h in nets)
     return CaAtomStructure(dim=m, atoms=labels, cyl=cyl, diag=diag, transp=_swaps(m, slots, flat))

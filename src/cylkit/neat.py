@@ -30,6 +30,7 @@ from .bao import (
     CaAtomStructure,
     Element,
     _bits,
+    _carried,
     _holders,
     cyl,
     diag,
@@ -119,16 +120,20 @@ def nr(
     a retained c_i's image of a class is not a union of classes (reported
     as the singleton subset of that class).  Each c_i is complete additive,
     so this per-class check decides closedness for every closed set, and
-    the certificate level is always "exhaustive".  The quotient operators
-    are built from the same class images, so they need no check of their
-    own.
+    the certificate level is always "exhaustive".  The quotient's T, E and
+    P are the source's carried along the class map (`bao._carried`, with f
+    = `to_class` and g = `members`): its c_i from the same class images the
+    certificate reads, so they need no check of their own, and its E_ij
+    from each class's least atom, which settles a class that a diagonal
+    splits when forced.
 
     The transpositions are checked by their well-definedness on classes
     alone: P_ij passes to the quotient when every class has exactly one
     image class, and the quotient permutation is read off those images, so
     it agrees with the source on atoms by construction.  When one is not
     well-defined, the quotient carries no transpositions and the details
-    say so; the certificate does not fail for it.
+    name the first such pair (i, j) of each retained row i, rows in order;
+    the certificate does not fail for it.
     """
     gamma = tuple(sorted(set(gamma)))
     if any(i < 0 or i >= structure.dim for i in gamma):
@@ -145,7 +150,6 @@ def nr(
     class_of, classes = _join_classes(structure, dropped)
     members = AdditiveOperator(tuple(sum(1 << a for a in cls) for cls in classes))
     to_class = AdditiveOperator(tuple(1 << ci for ci in class_of))
-    nclasses = len(classes)
     fails: list[str] = []
 
     def note_fail(msg: str) -> None:
@@ -164,43 +168,18 @@ def nr(
                         f"{hits} of {len(cls)} atoms inside"
                     )
 
-    # images[i][c] is the source c_i's image of class c, and lifted[i][c]
-    # the classes it meets
-    images = {i: structure.cyl_op(i).after(members) for i in gamma}
-    lifted = {i: tuple(map(to_class.apply, images[i])) for i in gamma}
-
+    # per retained index, the source c_i's image of each class and the
+    # classes it meets, with the quotient's diagonals and transpositions
+    images, lifted, q_diag, q_transp, undefined = _carried(structure, gamma, to_class, members)
     quotient: CaAtomStructure | None = None
-    q_transp_ok = structure.transp is not None and len(gamma) >= 2
     if len(gamma) >= 2:
+        rows: dict[int, str] = {}  # the first undefined pair of each row
+        for i, j in undefined:
+            rows.setdefault(i, f"transposition ({i},{j}) not well-defined on classes; dropped")
+        details += rows.values()
         labels = tuple(f"c{ci}|{structure.atoms[cls[0]]}" for ci, cls in enumerate(classes))
-        q_cyl = tuple(lifted[i] for i in gamma)
-        q_diag = []
-        for i in gamma:
-            row = []
-            for j in gamma:
-                dmask = structure.diag_mask(i, j)
-                row.append(
-                    frozenset(ci for ci, cls in enumerate(classes) if (dmask >> cls[0]) & 1)
-                )
-            q_diag.append(tuple(row))
-        q_transp = None
-        if q_transp_ok:
-            q_transp = []
-            for p, i in enumerate(gamma):
-                for j in gamma[p + 1 :]:
-                    perm = structure.transp_op(i, j).images
-                    # well-defined iff each class has one image class
-                    hit = [{class_of[perm[a]] for a in cls} for cls in classes]
-                    if any(len(cs) != 1 for cs in hit):
-                        q_transp_ok = False
-                        details.append(
-                            f"transposition ({i},{j}) not well-defined on classes; dropped"
-                        )
-                        break
-                    q_transp.append(tuple(min(cs) for cs in hit))
-            q_transp = tuple(q_transp) if q_transp_ok else None
         quotient = CaAtomStructure(
-            dim=len(gamma), atoms=labels, cyl=q_cyl, diag=tuple(q_diag), transp=q_transp
+            dim=len(gamma), atoms=labels, cyl=lifted, diag=q_diag, transp=q_transp
         )
     else:
         details.append("fewer than two retained indices; no quotient structure built")
@@ -210,9 +189,9 @@ def nr(
     # closedness, class by class: a closed set is a union of classes and
     # c_i is complete additive, so its image is closed for every closed set
     # when it is for every class
-    for ci in range(nclasses):
-        for i in gamma:
-            if members.apply(lifted[i][ci]) != images[i][ci]:
+    for ci in range(len(classes)):
+        for i, image, met in zip(gamma, images, lifted):
+            if members.apply(met[ci]) != image[ci]:
                 note_fail(f"c_{i} image of a closed set is not closed (subset {1 << ci})")
 
     cert = NrCertificate(not fails, "exhaustive", tuple(details), fails[0] if fails else None)
@@ -265,52 +244,36 @@ class RlResult:
 
 def rl_x(structure: CaAtomStructure, x: Element) -> RlResult:
     """Relativize to the atoms of x: induced subframe plus a commutativity
-    probe, since relativization can break relation composition laws."""
+    probe, since relativization can break relation composition laws.  T, E
+    and P are carried to the kept atoms (`bao._carried`); when some P_ij
+    moves a kept atom out of x, the subframe has none and the details say so."""
     if x.structure is not structure and x.structure != structure:
         raise ValueError("element belongs to a different structure")
     if x.is_empty:
         raise ValueError("cannot relativize to the empty element")
     kept = x.atom_indices()
     pos = {a: p for p, a in enumerate(kept)}
-    details: list[str] = []
     # a kept atom to its position, any other atom to nothing
     squeeze = AdditiveOperator(
         tuple(1 << pos[a] if a in pos else 0 for a in range(structure.natoms))
     )
-
-    def restrict(cols: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(squeeze.apply(cols[b]) for b in kept)
-
-    diag_rel = tuple(
-        tuple(
-            frozenset(pos[a] for a in structure.diag[i][j] if a in pos)
-            for j in range(structure.dim)
-        )
-        for i in range(structure.dim)
+    _, cyl_rel, diag_rel, transp, undefined = _carried(
+        structure, range(structure.dim), squeeze, AdditiveOperator.of_map(kept)
     )
-    transp = None
-    if structure.transp is not None:
-        transp = tuple(tuple(pos.get(perm[b]) for b in kept) for perm in structure.transp)
-        if any(None in perm for perm in transp):
-            transp = None
-            details.append("transpositions do not restrict to the kept atoms; dropped")
+    details = ["transpositions do not restrict to the kept atoms; dropped"] if undefined else []
     sub = CaAtomStructure(
         dim=structure.dim,
         atoms=tuple(structure.atoms[a] for a in kept),
-        cyl=tuple(map(restrict, structure.cyl)),
+        cyl=cyl_rel,
         diag=diag_rel,
         transp=transp,
     )
-    probe = []
-    commutes = True
-    for i in range(sub.dim):
-        ci = sub.cyl_op(i)
-        for j in range(i + 1, sub.dim):
-            cj = sub.cyl_op(j)
-            same = ci.after(cj) == cj.after(ci)
-            probe.append((i, j, same))
-            commutes = commutes and same
-    return RlResult(sub, kept, tuple(probe), commutes, tuple(details))
+    ops = [sub.cyl_op(i) for i in range(sub.dim)]
+    probe = tuple(
+        (i, j, ops[i].after(ops[j]) == ops[j].after(ops[i]))
+        for i, j in combinations(range(sub.dim), 2)
+    )
+    return RlResult(sub, kept, probe, all(same for _, _, same in probe), tuple(details))
 
 
 # ---------------------------------------------------------------------------

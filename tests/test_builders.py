@@ -12,13 +12,15 @@ import dataclasses
 import functools
 import hashlib
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from cylkit import enumerate_hypernetworks
 from cylkit.bao import (
+    AdditiveOperator,
     CaAtomStructure,
+    _carried,
     _pair_rank,
     column_pairs,
     diag,
@@ -431,8 +433,9 @@ def _fixed_atoms(s):
     ]
 
 
-def _random_structure(n, seed, dim):
-    """Arbitrary relations and involutions on n atoms, full diagonals."""
+def _random_structure(n, seed, dim, diagonals=False):
+    """Arbitrary relations and involutions on n atoms; full diagonals, or
+    with `diagonals` arbitrary off-diagonal E_ij."""
     rng = random.Random(seed)
     rels = [
         {(a, b) for a in range(n) for b in range(n) if rng.random() < 0.15} for _ in range(dim)
@@ -445,11 +448,17 @@ def _random_structure(n, seed, dim):
         fixed = [(a, a) for a in atoms[len(pairs) * 2 :]]
         transp.append(pairs + [(b, a) for a, b in pairs] + fixed)
     full = range(n)
+    diag_sets = [[full] * dim for _ in range(dim)]
+    if diagonals:
+        diag_sets = [
+            [full if i == j else [a for a in full if rng.random() < 0.5] for j in range(dim)]
+            for i in range(dim)
+        ]
     return CaAtomStructure.build(
         dim=dim,
         atoms=[f"a{k}" for k in range(n)],
         cyl=rels,
-        diag=[[full] * dim for _ in range(dim)],
+        diag=diag_sets,
         transp=transp,
     )
 
@@ -479,6 +488,7 @@ def _inputs():
     fs33 = full_set_algebra(3, 3)
     z4 = _group_z4()
     hh313 = hh_ra(3, 1, 3)
+    basic4 = basic_matrices(4, bin_forb(3, 1, 2))
     return {
         "monk33": monk33,
         "monk34": monk_atoms(3, 4),
@@ -491,7 +501,7 @@ def _inputs():
         "fs33": fs33,
         "fs33-no-transp": dataclasses.replace(fs33, transp=None),
         "bin": bin_forb(3, 1, 2),
-        "basic4": basic_matrices(4, bin_forb(3, 1, 2)),
+        "basic4": basic4,
         "z4": z4,
         "z4-nets-2": enumerate_hypernetworks(z4, 2, 2, 1),
         "z4-nets-3": enumerate_hypernetworks(z4, 3, 3, 1),
@@ -508,6 +518,10 @@ def _inputs():
         "johnson-every-third": element(johnson, range(0, 34, 3)),
         **{f"random-{seed}": _random_structure(9, seed, 4) for seed in range(4)},
         **{f"random-two-{seed}": _random_structure(12, seed, 4) for seed in range(4)},
+        # forced quotients by T_0 of these: diagonals split classes, and the
+        # transpositions of rows 1 and 2 are not well-defined on classes
+        **{f"random-diag-{seed}": _random_structure(9, seed, 4, True) for seed in (0, 2)},
+        "basic4-even": element(basic4, range(0, basic4.natoms, 2)),
     }
 
 
@@ -570,6 +584,8 @@ CASES = {
             ("fs33-no-transp", 5, 9, _below),
             ("cube", 13, 7, _below),
             ("cube", 0, 30, None),
+            # 1,469 atoms with transpositions; atom 0 is the one they all fix
+            ("basic4", 0, 3, _apart),
         )
     },
     **{
@@ -595,6 +611,8 @@ CASES = {
             ("fs32", "fs32-not-closed"),
             ("johnson", "johnson-fixed-atoms"),
             ("johnson", "johnson-every-third"),
+            # 1,469 atoms to 735, dropping the transpositions
+            ("basic4", "basic4-even"),
         )
     },
     **{
@@ -611,6 +629,7 @@ CASES = {
             ("monk44", (1, 3)),
             *((f"random-{seed}", (1, 2, 3)) for seed in range(4)),
             *((f"random-two-{seed}", (2, 3)) for seed in range(4)),
+            *((f"random-diag-{seed}", (1, 2, 3)) for seed in (0, 2)),
         )
     },
     **{
@@ -676,6 +695,11 @@ PAIR_LIST_JSON = {
     "nr(fs42,(1, 2))": "eca401c24aa1977f",
     "nr(johnson,(0, 1))": "b09b9560255c8152",
     "nr(monk44,(1, 3))": "4b00a543a4ae131e",
+    # taken from the pair-list oracle, which the builders matched before
+    # they read T, E and P off `bao._carried`; so are the rl_x and split
+    # entries on basic4
+    "nr(random-diag-0,(1, 2, 3))": "6b92ac88efa8b584",
+    "nr(random-diag-2,(1, 2, 3))": "eb9330418f021598",
     "nr(random-0,(1, 2, 3))": "4cc10f2da9f087f1",
     "nr(random-1,(1, 2, 3))": "ff97e1182028e5cd",
     "nr(random-2,(1, 2, 3))": "2a6079151b0d6ae1",
@@ -688,12 +712,14 @@ PAIR_LIST_JSON = {
     "rd_rho(fs42,(2, 3))": "909a1d58fa242424",
     "rd_rho(fs42,(3, 1, 0))": "19444f8ea0274947",
     "rd_rho(johnson,(2, 0))": "99747be4d5789ca2",
+    "rl_x(basic4,basic4-even)": "f10e9871328e43c3",
     "rl_x(cube,cube-constant)": "ace2afd3cfb0d6f1",
     "rl_x(cube,cube-diag01)": "da0bec20df5fa878",
     "rl_x(fs32,fs32-not-closed)": "b3afbbb1fe882862",
     "rl_x(johnson,johnson-every-third)": "1259b11169740b44",
     "rl_x(johnson,johnson-fixed-atoms)": "e8b5fa492608cb15",
     "split_atom(cube,0,30,inherit)": "1a6b5117a0ed52fd",
+    "split_atom(basic4,0,3,_apart)": "1742d694f913b57f",
     "split_atom(cube,13,3,_below)": "348af1134cb561a1",
     "split_atom(cube,13,7,_below)": "10413397992490f7",
     "split_atom(fs22,0,2,inherit)": "88aeb1204982a0a4",
@@ -738,6 +764,73 @@ def test_nr_classes_and_details_match_the_pair_lists(name):
     classes, _, details = seed_nr_quotient(_inputs()[key], gamma)
     assert frame.classes == classes
     assert [d for d in cert.details if d.startswith("transposition")] == details
+
+
+def test_forced_nr_names_the_first_undefined_transposition_of_each_row():
+    for seed in (0, 2):
+        s = _inputs()[f"random-diag-{seed}"]
+        frame, cert = nr(s, (1, 2, 3), force=True)
+        assert not cert.passed and any("splits class" in d for d in cert.details)
+        assert _carried(s, (1, 2, 3), frame.to_class, frame.members)[4] == [(1, 2), (1, 3), (2, 3)]
+        assert [d for d in cert.details if d.startswith("transposition")] == [
+            "transposition (1,2) not well-defined on classes; dropped",
+            "transposition (2,3) not well-defined on classes; dropped",
+        ]
+        assert frame.structure.transp is None
+
+
+def _carried_by_sets(s, indices, groups):
+    """`bao._carried` read off atom sets: new atom c stands for the source
+    atoms groups[c], and meets[b] holds the new atoms that source atom b is in."""
+    meets = [{c for c, group in enumerate(groups) if b in group} for b in range(s.natoms)]
+    images, cyl = [], []
+    for i in indices:
+        col = [{a for b in group for a in range(s.natoms) if s.cyl[i][b] >> a & 1} for group in groups]
+        images.append(tuple(sum(1 << a for a in image) for image in col))
+        cyl.append(tuple(sum(1 << c for c in set().union(*(meets[a] for a in image))) for image in col))
+    diag = tuple(
+        tuple(frozenset(c for c, group in enumerate(groups) if min(group) in s.diag[i][j]) for j in indices)
+        for i in indices
+    )
+    perms, undefined = [], []
+    for p, i in enumerate(indices):
+        for j in indices[p + 1 :]:
+            perm = s.transp_op(i, j).images
+            hits = [set().union(*(meets[perm[b]] for b in group)) for group in groups]
+            if any(len(hit) != 1 for hit in hits):
+                undefined.append((i, j))
+            perms.append(tuple(min(hit, default=-1) for hit in hits))
+    transp = None if undefined else tuple(perms)
+    return tuple(images), tuple(cyl), diag, transp, undefined
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_carried_matches_a_reading_off_atom_sets_on_random_maps(seed):
+    """Maps (each new atom one source atom), overlapping source sets (a
+    source atom in several new atoms), and the identity, whose carry keeps
+    every transposition."""
+    rng = random.Random(seed)
+    s = _random_structure(rng.choice((5, 9, 40)), seed, 4, diagonals=True)
+    n = s.natoms
+    indices = tuple(sorted(rng.sample(range(4), rng.randint(1, 4))))
+    if seed % 3 == 0:
+        groups = [[b] for b in range(n)]
+    elif seed % 3 == 1:
+        groups = [[rng.randrange(n)] for _ in range(rng.randint(1, n + 3))]
+    else:
+        groups = [rng.sample(range(n), rng.randint(1, 3)) for _ in range(rng.randint(1, n + 3))]
+    f = AdditiveOperator(
+        tuple(sum(1 << c for c, group in enumerate(groups) if b in group) for b in range(n))
+    )
+    g = (
+        AdditiveOperator.of_map(tuple(group[0] for group in groups))
+        if seed % 3 < 2
+        else AdditiveOperator(tuple(sum(1 << b for b in group) for group in groups))
+    )
+    got = _carried(s, indices, f, g)
+    assert got == _carried_by_sets(s, indices, groups)
+    if seed % 3 == 0:
+        assert got[3] == tuple(s.transp_op(i, j).images for i, j in combinations(indices, 2))
 
 
 def test_random_nr_cases_keep_and_drop_transpositions():

@@ -12,7 +12,15 @@ import pytest
 from cylkit.bao import structure_from_json, structure_to_json
 from cylkit.cli import main
 from cylkit.constructions import full_set_algebra, three_cube
-from cylkit.games import EXISTS, FORALL, drop_cyl_pair
+from cylkit.games import (
+    EXISTS,
+    FORALL,
+    GameSpec,
+    drop_cyl_pair,
+    network_to_dot,
+    replay_transcript,
+    transcript_from_json,
+)
 from cylkit.ra import ra_from_json
 
 
@@ -279,6 +287,10 @@ def test_game_play_then_replay(cs3_file, tmp_path, capsys, monkeypatch):
     record = json.loads(transcript.read_text(encoding="utf-8"))
     assert record["winner"] == EXISTS and record["human_side"] == FORALL
     assert dot.read_text(encoding="utf-8").startswith("graph network {")
+    # the play draws the recorded final network, the one a replay rebuilds
+    spec = GameSpec("fresh", structure_from_json(open(cs3_file).read()), 1, None)
+    replayed = replay_transcript(spec, transcript_from_json(transcript.read_text()))
+    assert dot.read_bytes() == network_to_dot(replayed).encode()
 
     replay = [
         "game", "replay",
@@ -286,8 +298,9 @@ def test_game_play_then_replay(cs3_file, tmp_path, capsys, monkeypatch):
         "--structure", cs3_file,
         "--transcript", str(transcript),
     ]
-    assert main(replay) == 0
+    assert main(replay + ["--dot", str(tmp_path / "replayed.dot")]) == 0
     assert "replay matches the recorded events" in capsys.readouterr().out
+    assert (tmp_path / "replayed.dot").read_bytes() == dot.read_bytes()
 
     record["final_labels"] = [7 for _ in record["final_labels"]]
     forged = tmp_path / "forged.json"
@@ -295,6 +308,28 @@ def test_game_play_then_replay(cs3_file, tmp_path, capsys, monkeypatch):
     replay[-1] = str(forged)
     assert main(replay) == 1
     assert capsys.readouterr().err.startswith("replay divergence:")
+
+
+@pytest.mark.parametrize(
+    "structure, game",
+    [
+        # three nodes and eight distinct labels
+        ("cs3_file", ["--variant", "fresh", "--rounds", "1"]),
+        ("bin_file", ["--variant", "triangle", "--rounds", "2", "--pebbles", "3"]),
+    ],
+)
+def test_game_play_dot_is_the_replayed_network(
+    structure, game, request, tmp_path, capsys, monkeypatch
+):
+    game = [*game, "--structure", request.getfixturevalue(structure)]
+    transcript, dot, again = (tmp_path / name for name in ("t.json", "play.dot", "replay.dot"))
+    monkeypatch.setattr("sys.stdin", io.StringIO("0\n" * 10))
+    argv = ["game", "play", *game, "--atom", "1", "--side", FORALL]
+    assert main(argv + ["--transcript", str(transcript), "--dot", str(dot)]) == 0
+    assert main(["game", "replay", *game, "--transcript", str(transcript), "--dot", str(again)]) == 0
+    assert "replay matches the recorded events" in capsys.readouterr().out
+    assert dot.read_text(encoding="utf-8").startswith("graph network {")
+    assert dot.read_bytes() == again.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,25 @@ def test_induced_structure_refuses_non_basis(z4, z4_nets):
         ca_over_hyperbasis(z4, list(z4_nets)[:-1])
 
 
+def test_induced_structure_checks_and_names_networks_in_sorted_order():
+    """`ca_over_hyperbasis` sorts first and runs the rules on what it
+    builds: a set in any order refuses with `is_hyperbasis`'s first
+    violation on the sorted set, and passes with the same structure."""
+    rng = random.Random(30)
+    for name, (ra, nets) in sorted(_differential_sets().items()):
+        ordered = sorted(nets, key=lambda h: (h.pairs, h.hyper))
+        shuffled = list(nets)
+        rng.shuffle(shuffled)
+        report = is_hyperbasis(ra, ordered)
+        if report.passed:
+            assert ca_over_hyperbasis(ra, shuffled) == ca_over_hyperbasis(ra, ordered), name
+        else:
+            rule, detail = report.violations[0]
+            with pytest.raises(ValueError) as refusal:
+                ca_over_hyperbasis(ra, shuffled)
+            assert str(refusal.value) == f"not a hyperbasis ({rule}: {detail})", name
+
+
 def _with_bad_member(nets):
     first = nets[0]
     bad = HyperNetwork(first.m, first.n_wide, (1,) + first.pairs[1:], first.hyper)

@@ -93,3 +93,81 @@ def test_forbidden_triples_are_read_at_construction_only():
         ("constructions.py", "validate_matrix"),
         ("acceptance.py", "criterion_03"),
     }
+
+
+# a structure's E_ij and P_ij, as stored and as read
+_DIAG_TRANSP = {"diag", "diag_mask", "transp", "transp_op"}
+
+
+def _assignments(defn: ast.AST) -> dict[str, list[ast.AST]]:
+    """Per local name, the expressions a def binds to it: by assignment
+    (every name of a tuple target gets the whole value), as a loop target,
+    or by `name.append(x)` and `name.extend(x)`."""
+    out: dict[str, list[ast.AST]] = {}
+    for sub in ast.walk(defn):
+        pairs = []
+        if isinstance(sub, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and sub.value is not None:
+            targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
+            pairs = [(t, sub.value) for t in targets]
+        elif isinstance(sub, (ast.For, ast.comprehension)):
+            pairs = [(sub.target, sub.iter)]
+        elif (
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Attribute)
+            and sub.func.attr in ("append", "extend")
+            and isinstance(sub.func.value, ast.Name)
+        ):
+            pairs = [(sub.func.value, arg) for arg in sub.args]
+        for target, value in pairs:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    out.setdefault(name.id, []).append(value)
+    return out
+
+
+def _origins(expr: ast.AST, bound: dict[str, list[ast.AST]], seen: set[str]) -> set[str]:
+    """"read" where an expression reads a structure's E_ij or P_ij, and
+    "_carried" where it takes a value of `bao._carried`, following the
+    local names it reads to what they are bound to."""
+    if isinstance(expr, ast.Call) and getattr(expr.func, "id", None) == "_carried":
+        return {"_carried"}
+    if isinstance(expr, ast.Attribute) and expr.attr in _DIAG_TRANSP:
+        return {"read"}
+    out = set()
+    if isinstance(expr, ast.Name) and expr.id not in seen:
+        seen.add(expr.id)
+        for value in bound.get(expr.id, ()):
+            out |= _origins(value, bound, seen)
+    for child in ast.iter_child_nodes(expr):
+        out |= _origins(child, bound, seen)
+    return out
+
+
+def test_derived_diagonals_and_transpositions_are_carried_in_one_place():
+    """A structure built from another takes its E_ij and P_ij from
+    `bao._carried`, which carries them along an atom map.  Only the index
+    renaming `rd_rho`, which maps no atoms, and atom splitting's copy rule
+    for P_ij (copies stay individually fixed) read the source's own."""
+    origins = {}  # (module, def, keyword) -> origins of the keyword's value
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            bound = _assignments(stmt)
+            for sub in ast.walk(stmt):
+                if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) in (
+                    "CaAtomStructure",
+                    "replace",
+                ):
+                    for kw in sub.keywords:
+                        found = _origins(kw.value, bound, set())
+                        if kw.arg in ("diag", "transp") and found:
+                            origins[path.name, stmt.name, kw.arg] = found
+    assert origins == {
+        ("constructions.py", "_split_ca", "diag"): {"_carried"},
+        ("constructions.py", "_split_ca", "transp"): {"read"},
+        ("neat.py", "nr", "diag"): {"_carried"},
+        ("neat.py", "nr", "transp"): {"_carried"},
+        ("neat.py", "rd_rho", "diag"): {"read"},
+        ("neat.py", "rd_rho", "transp"): {"read"},
+        ("neat.py", "rl_x", "diag"): {"_carried"},
+        ("neat.py", "rl_x", "transp"): {"_carried"},
+    }
