@@ -37,11 +37,14 @@ problem of a solve (the new node set and the labels every demand on the
 demanded node retains), however many positions pose it, and bucketed
 once per problem and demanded-slot tuple by the labels of those slots;
 every demand with those slots, at any position, reads the same buckets.
-Strategy verification decodes and checks each distinct response of a
-position once, and each demand's own labels per entry.  An explicit state
-budget is a hard cap that turns runaway searches into refusals, and the
-returned strategy is replayed as a structural self-check before the
-result is handed back.
+Strategy extraction and verification walk a position's move classes:
+each class renames and encodes its head once for the keys of all its
+labels, and verification reads the class's demanded slots once.  Each
+distinct response of a position is encoded, or decoded and checked, once,
+and each demand's own labels per entry.  An explicit state budget is a
+hard cap that turns runaway searches into refusals, and the returned
+strategy is replayed as a structural self-check before the result is
+handed back.
 """
 
 from __future__ import annotations
@@ -455,9 +458,18 @@ class CaMove:
         """The same demand asking for atom ``b``."""
         return CaMove(self.face, self.l, self.k, b)
 
-    def encode(self) -> str:
+    def head_text(self) -> str:
+        """The encoding up to the demanded atom: the same for every label."""
         face = ",".join(map(str, self.face))
-        return f"f({face});l{self.l};k{self.k};b{self.b}"
+        return f"f({face});l{self.l};k{self.k};"
+
+    @staticmethod
+    def label_text(b: int) -> str:
+        """The encoding of the demanded atom, which ends the move's."""
+        return f"b{b}"
+
+    def encode(self) -> str:
+        return self.head_text() + self.label_text(self.b)
 
     @classmethod
     def decode(cls, text: str) -> "CaMove":
@@ -497,8 +509,18 @@ class RaMove:
         """The same demand asking for the atom pair ``ab``."""
         return RaMove(self.x, self.y, self.z, *ab)
 
+    def head_text(self) -> str:
+        """The encoding up to the demanded atoms: the same for every label."""
+        return f"x{self.x};y{self.y};z{self.z};"
+
+    @staticmethod
+    def label_text(ab: tuple[int, int]) -> str:
+        """The encoding of the demanded atom pair, which ends the move's."""
+        a, b = ab
+        return f"a{a};b{b}"
+
     def encode(self) -> str:
-        return f"x{self.x};y{self.y};z{self.z};a{self.a};b{self.b}"
+        return self.head_text() + self.label_text((self.a, self.b))
 
     @classmethod
     def decode(cls, text: str) -> "RaMove":
@@ -556,21 +578,38 @@ def _k_choices(spec: GameSpec, net: Network, excluded: frozenset[int] | set[int]
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _lines(s: int, dim: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per face (a (dim-1)-tuple of positions of ``s``, in row-major order)
+    and index l, the slots of the dim-tuples that put each position
+    0..s-1 at place l of the face: the representatives whose cylindrified
+    labels bound the demands on that (face, l).  Built once per (s, dim)."""
+    return tuple(
+        tuple(
+            tuple(_tuple_index(face[:l] + (x,) + face[l:], s) for x in range(s))
+            for l in range(dim)
+        )
+        for face in _position_tuples(s, dim - 1)
+    )
+
+
+def _line_mask(
+    cols: Sequence[int], labels: Sequence[int], line: Sequence[int]
+) -> tuple[int, bool]:
+    """Union over the line's representatives of the cylindrified label
+    mask (``cols`` is the index's image masks), and whether the
+    representatives disagreed (they cannot on a genuine frame)."""
+    masks = [cols[labels[idx]] for idx in line]
+    return functools.reduce(operator.or_, masks), masks.count(masks[0]) < len(masks)
+
+
 def _legal_mask(net: CaNetwork, face: tuple[int, ...], l: int) -> tuple[int, bool]:
-    """Union over representatives of the cylindrified label mask, and
-    whether the representatives disagreed (they cannot on a genuine frame)."""
-    cols = net.structure.cyl_image_masks(l)
-    union = 0
-    first = None
-    differed = False
-    for x in net.nodes:
-        mask = cols[net.label(face[:l] + (x,) + face[l:])]
-        if first is None:
-            first = mask
-        elif mask != first:
-            differed = True
-        union |= mask
-    return union, differed
+    """``_line_mask`` of the line through ``face`` (in node names) at
+    index ``l``."""
+    s = len(net.nodes)
+    pos = net._pos
+    line = _lines(s, net.structure.dim)[_tuple_index([pos[f] for f in face], s)][l]
+    return _line_mask(net.structure.cyl_image_masks(l), net.labels, line)
 
 
 # ---------------------------------------------------------------------------
@@ -754,18 +793,22 @@ def _demanded_slots(pos: Mapping[int, int], move: Move) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=None)
 def _incidence(
     s: int, arity: int
-) -> tuple[tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...], ...]:
-    """Per position p of ``s``, every tuple containing it in slot order,
-    with its slot and the places at which p occurs: colour refinement's
-    incidence lists, built once per (s, arity)."""
-    return tuple(
-        tuple(
-            (t, idx, tuple(i for i, q in enumerate(t) if q == p))
-            for idx, t in enumerate(_position_tuples(s, arity))
-            if p in t
-        )
+) -> tuple[int, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
+    """Colour refinement's incidence lists, built once per (s, arity): the
+    number of distinct place tuples, and per position p of ``s`` the slots
+    whose tuples contain p, in slot order, beside the rank of the places at
+    which p occurs in each among the sorted distinct place tuples."""
+    places = [
+        [tuple(i for i, q in enumerate(t) if q == p) for t in _position_tuples(s, arity)]
         for p in range(s)
-    )
+    ]
+    ranked = sorted({pl for row in places for pl in row if pl})
+    rank = {pl: r for r, pl in enumerate(ranked)}
+    lists = []
+    for row in places:
+        slots = tuple(idx for idx, pl in enumerate(row) if pl)
+        lists.append((slots, tuple(rank[row[idx]] for idx in slots)))
+    return len(ranked), tuple(lists)
 
 
 def _canon_encoding(
@@ -775,35 +818,51 @@ def _canon_encoding(
     label string.  Colour refinement orders the nodes; remaining ties are
     resolved by minimizing the encoding over the tie group's renamings
     when their count is at most ``_CANON_TIE_CAP``, else by stable order.
-    Equal encodings imply isomorphic networks either way.  Refinement reads
-    the cached incidence lists of ``_incidence`` and every candidate
+    Equal encodings imply isomorphic networks either way.  Every candidate
     encoding reads the labels through a cached ``_renaming`` table.
+
+    A node's signature in a refinement round is its colour and the sorted
+    triples (colours of the tuple, places of the node in it, label) of
+    the tuples through it.  Each triple is one int, ordered as the
+    triples are: the colour tuple in base s (colours are ranks below s),
+    then the rank of the places among the place tuples of ``_incidence``,
+    then the label (below the largest label plus one).  So signatures,
+    colour ranks and encodings are those of the triples themselves.  The
+    colour codes of all slots are computed once per round, and refinement
+    stops once every node has its own colour, since a further round would
+    rank the colours as they are.
     """
     s = len(nodes)
     if s == 1:
         return f"1:{','.join(map(str, labels))}", {nodes[0]: 0}
 
-    incidence = _incidence(s, arity)
+    n_places, incidence = _incidence(s, arity)
+    base = max(labels) + 1
+    scale = n_places * base
+    # per position: its slots and the low digits (places, label) of their keys
+    keyed = [
+        (slots, [r * base + labels[idx] for idx, r in zip(slots, ranks)])
+        for slots, ranks in incidence
+    ]
     colour = [0] * s
     for _ in range(s):
-        get = colour.__getitem__
+        # per slot, its tuple's colours in base s, in slot order
+        codes = [0]
+        for _ in range(arity):
+            codes = [c * s + x for c in codes for x in colour]
+        high = [c * scale for c in codes]
+        get = high.__getitem__
         sigs = [
-            (
-                colour[p],
-                tuple(
-                    sorted(
-                        (tuple(map(get, t)), places, labels[idx])
-                        for t, idx, places in incidence[p]
-                    )
-                ),
-            )
-            for p in range(s)
+            (colour[p], tuple(sorted(map(operator.add, map(get, slots), low))))
+            for p, (slots, low) in enumerate(keyed)
         ]
         rank = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
         new_colour = [rank[sig] for sig in sigs]
         if new_colour == colour:
             break
         colour = new_colour
+        if len(rank) == s:
+            break
 
     order = sorted(range(s), key=lambda p: (colour[p], p))
     groups: list[list[int]] = []
@@ -854,16 +913,26 @@ def _unrename_move(move: Move, pi: Mapping[int, int]) -> Move:
     return move.renamed(lambda v: inv[v] if v in inv else fresh)
 
 
-def _strategy_key(
-    enc: str, pi: Mapping[int, int], r: int, move: Move | None = None
-) -> str:
-    """Key of a strategy entry at the position with canonical encoding
-    ``enc`` and renaming ``pi``, ``r`` rounds left: the challenger's entry,
-    or with ``move`` the responder's answer to that demand."""
-    key = f"{enc}|r{r}"
-    if move is None:
-        return key
-    return f"{key}|{_rename_move(move, pi).encode()}"
+def _strategy_key(enc: str, r: int) -> str:
+    """Key of the challenger's strategy entry at the position with
+    canonical encoding ``enc``, ``r`` rounds left; the responder's keys
+    there extend it (``_demand_keys``)."""
+    return f"{enc}|r{r}"
+
+
+def _demand_keys(
+    enc: str, pi: Mapping[int, int], r: int, head: Move, labels: Sequence
+) -> list[str]:
+    """Keys of the responder's strategy entries at the position with
+    canonical encoding ``enc`` and renaming ``pi``, ``r`` rounds left, for
+    the demands of ``head`` (whose own labels are not read) with each of
+    ``labels``, in order: the challenger's key, then the demand's
+    ``encode()`` in the canonical node names.  The head is renamed and
+    encoded once, as the prefix all the keys share, and each key appends
+    its label's ``label_text``."""
+    prefix = f"{_strategy_key(enc, r)}|{_rename_move(head, pi).head_text()}"
+    label_text = head.label_text
+    return [prefix + label_text(label) for label in labels]
 
 
 def _encode_response(net: Network, response: Network, pi: Mapping[int, int]) -> str:
@@ -1033,14 +1102,20 @@ class _Solver:
     def _heads(self, net: Network) -> Iterator[tuple[Move, tuple]]:
         """Every demand head at ``net`` in canonical order, with the labels
         it may demand.  A (face, index) whose legality depends on the
-        representative is counted once, here."""
+        representative is counted once, here.  The representatives of each
+        (face, index) are one line of slots of the cached ``_lines`` table,
+        and an edge's label is one slot."""
+        nodes, labels = net.nodes, net.labels
+        s = len(nodes)
         if isinstance(net, CaNetwork):
             dim = net.structure.dim
-            for face in itertools.product(net.nodes, repeat=dim - 1):
+            cols = [net.structure.cyl_image_masks(l) for l in range(dim)]
+            faces = itertools.product(nodes, repeat=dim - 1)
+            for face, lines in zip(faces, _lines(s, dim)):
                 k_choices = _k_choices(self.spec, net, set(face))
-                for l in range(dim):
-                    self.counter.tick(len(net.nodes))
-                    mask, differed = _legal_mask(net, face, l)
+                for l, line in enumerate(lines):
+                    self.counter.tick(s)
+                    mask, differed = _line_mask(cols[l], labels, line)
                     if differed:
                         self.disagreements += 1
                     if not mask:
@@ -1050,9 +1125,9 @@ class _Solver:
                         yield CaMove(face, l, k, -1), legal
         else:
             st = net.structure
-            for x in net.nodes:
-                for y in net.nodes:
-                    pairs = st._consistent_pairs[net.label((x, y))]
+            for p, x in enumerate(nodes):
+                for q, y in enumerate(nodes):
+                    pairs = st._consistent_pairs[labels[p * s + q]]
                     if not pairs:
                         continue
                     for z in _k_choices(self.spec, net, {x, y}):
@@ -1133,32 +1208,39 @@ def _extract_exists_walk(
     net: Network,
     r: int,
 ) -> None:
+    """Answer every demand at ``net`` and below with its first response,
+    in enumeration order, that survives the rounds left.  The walk goes
+    per move class: the class's keys share one renamed head
+    (``_demand_keys``), and each label costs its bucket's value lookups
+    and one key.  Many demands of a position choose one response, which is
+    encoded and walked once."""
     if r == 0:
         return
     enc, pi = solver.canon(net)
     if (enc, r) in visited:
         return
     visited.add((enc, r))
-    # many demands of a position choose one response: encode it once
     encoded: dict[tuple[tuple[int, ...], tuple[int, ...]], str] = {}
-    for move, responses in solver.successors(net):
-        key = _strategy_key(enc, pi, r, move)
-        chosen = None
-        for response in responses:
-            if solver.value(response, r - 1) == r - 1:
-                chosen = response
-                break
-        if chosen is None:
-            raise RuntimeError(
-                "strategy extraction found a demand with no surviving response"
-            )
-        resp_enc = encoded.get((chosen.nodes, chosen.labels))
-        if resp_enc is None:
-            resp_enc = encoded[chosen.nodes, chosen.labels] = _encode_response(
-                net, chosen, pi
-            )
-        strategy[key] = resp_enc
-        _extract_exists_walk(solver, strategy, visited, chosen, r - 1)
+    value = solver.value
+    for cls in solver.move_classes(net):
+        buckets = cls.buckets
+        for label, key in zip(cls.legal, _demand_keys(enc, pi, r, cls.head, cls.legal)):
+            for chosen in buckets.get(label, ()):
+                if value(chosen, r - 1) == r - 1:
+                    break
+            else:
+                raise RuntimeError(
+                    "strategy extraction found a demand with no surviving response"
+                )
+            seen = (chosen.nodes, chosen.labels)
+            resp_enc = encoded.get(seen)
+            fresh = resp_enc is None
+            if fresh:
+                resp_enc = encoded[seen] = _encode_response(net, chosen, pi)
+            strategy[key] = resp_enc
+            if fresh:
+                # a later demand choosing it would find it visited
+                _extract_exists_walk(solver, strategy, visited, chosen, r - 1)
 
 
 def _extract_forall_walk(
@@ -1179,7 +1261,7 @@ def _extract_forall_walk(
     val = solver.value(net, r)
     if val >= r:
         raise RuntimeError("challenger extraction reached a surviving position")
-    key = _strategy_key(enc, pi, r)
+    key = _strategy_key(enc, r)
     recorded = strategy.get(key)
     if recorded is not None:
         move = _unrename_move(solver.move_type.decode(recorded), pi)
@@ -1224,10 +1306,14 @@ def _verify_exists_walk(
     net: Network,
     r: int,
 ) -> None:
-    """Check every responder entry at ``net`` and below.  Many entries of
-    a position name one response: each distinct encoding is decoded and
-    validated once, its node set and retained labels are checked once per
-    demanded node, and only the demanded labels are checked per entry."""
+    """Check every responder entry at ``net`` and below.  The walk goes
+    per move class: the class's keys share one renamed head
+    (``_demand_keys``), and its demanded node's completion problem and its
+    demanded slots are read once.  Many entries of a position name one
+    response: each distinct encoding is decoded, validated (once per
+    distinct network) and walked once, and its node set and retained labels
+    are checked once per demanded node; per entry, only the demanded labels
+    are checked."""
     if r == 0:
         return
     enc, pi = solver.canon(net)
@@ -1237,33 +1323,37 @@ def _verify_exists_walk(
     decoded: dict[str, Network] = {}
     tasks: dict[int, tuple[tuple[int, ...], dict[int, int], dict[int, int]]] = {}
     matched: set[tuple[str, int]] = set()
-    for move, _responses in solver.successors(net):
-        key = _strategy_key(enc, pi, r, move)
-        resp_enc = strategy.get(key)
-        if resp_enc is None:
-            raise RuntimeError(f"responder strategy has no answer at {key}")
-        response = decoded.get(resp_enc)
-        if response is None:
-            response = _decode_response(net, resp_enc, pi)
-            report = reports.get((response.nodes, response.labels))
-            if report is None:
-                report = validate_network(response)
-                reports[response.nodes, response.labels] = report
-            if not report.passed:
-                raise RuntimeError(
-                    f"strategy response is invalid: {report.violations[0]}"
-                )
-            decoded[resp_enc] = response
-        k = move.node
+    for cls in solver.move_classes(net):
+        k = cls.head.node
         task = tasks.get(k)
         if task is None:
             task = tasks[k] = _retained_task(net, k)
         new_nodes, pos, retained = task
-        if (resp_enc, k) not in matched:
-            _check_retained(response, new_nodes, retained)
-            matched.add((resp_enc, k))
-        _check_demanded(response, _demanded_slots(pos, move), move)
-        _verify_exists_walk(solver, strategy, visited, reports, response, r - 1)
+        demanded = _demanded_slots(pos, cls.head)
+        for label, key in zip(cls.legal, _demand_keys(enc, pi, r, cls.head, cls.legal)):
+            resp_enc = strategy.get(key)
+            if resp_enc is None:
+                raise RuntimeError(f"responder strategy has no answer at {key}")
+            response = decoded.get(resp_enc)
+            fresh = response is None
+            if fresh:
+                response = _decode_response(net, resp_enc, pi)
+                report = reports.get((response.nodes, response.labels))
+                if report is None:
+                    report = validate_network(response)
+                    reports[response.nodes, response.labels] = report
+                if not report.passed:
+                    raise RuntimeError(
+                        f"strategy response is invalid: {report.violations[0]}"
+                    )
+                decoded[resp_enc] = response
+            if (resp_enc, k) not in matched:
+                _check_retained(response, new_nodes, retained)
+                matched.add((resp_enc, k))
+            _check_demanded(response, demanded, label)
+            if fresh:
+                # a later entry naming it would find it visited
+                _verify_exists_walk(solver, strategy, visited, reports, response, r - 1)
 
 
 def _check_retained(
@@ -1277,10 +1367,10 @@ def _check_retained(
         raise RuntimeError("response rewrites a retained label")
 
 
-def _check_demanded(response: Network, demanded: tuple[int, ...], move: Move) -> None:
-    """The response gives the demanded slots the demanded labels."""
-    labels = response.labels
-    if any(labels[idx] != a for idx, (_, a) in zip(demanded, move.slots())):
+def _check_demanded(response: Network, demanded: tuple[int, ...], label) -> None:
+    """The response gives the demanded slots the demanded label: an atom
+    for one slot, an atom pair (in slot order) for two."""
+    if operator.itemgetter(*demanded)(response.labels) != label:
         plural = "s" if len(demanded) > 1 else ""
         raise RuntimeError(f"response does not deliver the demanded label{plural}")
 
@@ -1296,7 +1386,7 @@ def _verify_forall_walk(
     if (enc, r) in visited:
         return
     visited.add((enc, r))
-    key = _strategy_key(enc, pi, r)
+    key = _strategy_key(enc, r)
     move_enc = strategy.get(key)
     if move_enc is None:
         raise RuntimeError(f"challenger strategy has no demand at {key}")

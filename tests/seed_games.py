@@ -17,6 +17,16 @@ unchanged.  A solve with these in place of the solver's own must give the
 same result, search counts aside, and a corrupted strategy the same error.
 `_response_task` also gives other tests a demand's full completion
 problem, demanded slots included.
+
+`_legal_mask` is the demand legality that read every representative of
+a (face, index) through `Network.label`, unchanged: the cached line
+table must give the same union and the same disagreement.
+
+`_extract_exists_walk` is the extraction walk that renamed, encoded and
+keyed every demand on its own, through `solver.successors`, unchanged.
+With both per-entry walks in place of the solver's own, a solve must give
+the same result and the same search counts.  Both walks key entries with
+`_strategy_key`, the key format written out per demand, unchanged.
 """
 from __future__ import annotations
 
@@ -27,6 +37,7 @@ from collections.abc import Mapping, Sequence
 from cylkit import games
 from cylkit.games import (
     _CANON_TIE_CAP,
+    CaNetwork,
     Move,
     Network,
     NetworkReport,
@@ -34,6 +45,7 @@ from cylkit.games import (
     _least_fresh,
     _MoveClass,
     _position_tuples,
+    _Solver,
     _tuple_index,
 )
 
@@ -62,6 +74,23 @@ def _retained_task(
         if kp not in u:
             fixed[_tuple_index(u, s_new)] = a
     return new_nodes, pos, fixed
+
+
+def _legal_mask(net: CaNetwork, face: tuple[int, ...], l: int) -> tuple[int, bool]:
+    """Union over representatives of the cylindrified label mask, and
+    whether the representatives disagreed (they cannot on a genuine frame)."""
+    cols = net.structure.cyl_image_masks(l)
+    union = 0
+    first = None
+    differed = False
+    for x in net.nodes:
+        mask = cols[net.label(face[:l] + (x,) + face[l:])]
+        if first is None:
+            first = mask
+        elif mask != first:
+            differed = True
+        union |= mask
+    return union, differed
 
 
 def _canon_encoding(
@@ -226,6 +255,53 @@ def move_classes(self, net: Network) -> list[_MoveClass]:
     return out
 
 
+def _strategy_key(
+    enc: str, pi: Mapping[int, int], r: int, move: Move | None = None
+) -> str:
+    """Key of a strategy entry at the position with canonical encoding
+    ``enc`` and renaming ``pi``, ``r`` rounds left: the challenger's entry,
+    or with ``move`` the responder's answer to that demand."""
+    key = f"{enc}|r{r}"
+    if move is None:
+        return key
+    return f"{key}|{games._rename_move(move, pi).encode()}"
+
+
+def _extract_exists_walk(
+    solver: _Solver,
+    strategy: dict[str, str],
+    visited: set[tuple[str, int]],
+    net: Network,
+    r: int,
+) -> None:
+    if r == 0:
+        return
+    enc, pi = solver.canon(net)
+    if (enc, r) in visited:
+        return
+    visited.add((enc, r))
+    # many demands of a position choose one response: encode it once
+    encoded: dict[tuple[tuple[int, ...], tuple[int, ...]], str] = {}
+    for move, responses in solver.successors(net):
+        key = _strategy_key(enc, pi, r, move)
+        chosen = None
+        for response in responses:
+            if solver.value(response, r - 1) == r - 1:
+                chosen = response
+                break
+        if chosen is None:
+            raise RuntimeError(
+                "strategy extraction found a demand with no surviving response"
+            )
+        resp_enc = encoded.get((chosen.nodes, chosen.labels))
+        if resp_enc is None:
+            resp_enc = encoded[chosen.nodes, chosen.labels] = games._encode_response(
+                net, chosen, pi
+            )
+        strategy[key] = resp_enc
+        _extract_exists_walk(solver, strategy, visited, chosen, r - 1)
+
+
 def _verify_exists_walk(
     solver,
     strategy: Mapping[str, str],
@@ -241,7 +317,7 @@ def _verify_exists_walk(
         return
     visited.add((enc, r))
     for move, _responses in solver.successors(net):
-        key = games._strategy_key(enc, pi, r, move)
+        key = _strategy_key(enc, pi, r, move)
         resp_enc = strategy.get(key)
         if resp_enc is None:
             raise RuntimeError(f"responder strategy has no answer at {key}")

@@ -843,7 +843,7 @@ def _ca_moves(spec: GameSpec, net: CaNetwork, counter: _Counter) -> tuple[list[C
         k_choices = _k_choices(spec, net, set(face))
         for l in range(dim):
             counter.tick(len(nodes))
-            union, differed = _legal_mask(net, face, l)
+            union, differed = seed_games._legal_mask(net, face, l)
             if differed:
                 disagreements += 1
             if not union:
@@ -1324,7 +1324,8 @@ def _walk_checks(net, move, response) -> None:
     in its order: node set and retained labels, then demanded labels."""
     nodes, pos, retained = games._retained_task(net, move.node)
     games._check_retained(response, nodes, retained)
-    games._check_demanded(response, games._demanded_slots(pos, move), move)
+    label = move.b if isinstance(move, CaMove) else (move.a, move.b)
+    games._check_demanded(response, games._demanded_slots(pos, move), label)
 
 
 def _match_outcome(check, net, move, response):
@@ -1397,7 +1398,7 @@ def _strategy_entries(solver, strategy, rounds):
             return
         visited.add((enc, r))
         for move, _ in solver.successors(net):
-            key = games._strategy_key(enc, pi, r, move)
+            key = seed_games._strategy_key(enc, pi, r, move)
             entries.append((net, pi, move, key))
             walk(games._decode_response(net, strategy[key], pi), r - 1)
 
@@ -1533,24 +1534,29 @@ def _solve_digest(res):
 def test_shared_problems_give_the_per_position_results(monkeypatch):
     solves = list(_differential_solves())
     new = [solve(spec, atom) for spec, atom in solves]
-    # the per-position enumeration and the per-entry walk in place of the
-    # solver's own
+    # the per-entry extraction and verification walks in place of the
+    # solver's own: the same search, so the same counts
     with monkeypatch.context() as patched:
-        patched.setattr(games._Solver, "move_classes", seed_games.move_classes)
+        patched.setattr(games, "_extract_exists_walk", seed_games._extract_exists_walk)
         patched.setattr(games, "_verify_exists_walk", seed_games._verify_exists_walk)
+        per_entry = [solve(spec, atom) for spec, atom in solves]
+        # and the per-position enumeration too
+        patched.setattr(games._Solver, "move_classes", seed_games.move_classes)
         old = [solve(spec, atom) for spec, atom in solves]
     assert len(solves) == 50
     fewer = 0
-    for (spec, _), a, b in zip(solves, new, old):
-        assert _solve_digest(a) == _solve_digest(b)
-        assert a.stats.memo_hits == b.stats.memo_hits
+    for (spec, _), a, b, c in zip(solves, new, per_entry, old):
+        assert _solve_digest(a) == _solve_digest(b) == _solve_digest(c)
+        assert a.stats.memo_hits == b.stats.memo_hits == c.stats.memo_hits
+        assert a.stats.states_explored == b.stats.states_explored
         # a fresh game poses every problem once; the others share some
         if spec.variant == VARIANT_FRESH:
-            assert a.stats.states_explored == b.stats.states_explored
+            assert a.stats.states_explored == c.stats.states_explored
         else:
-            assert a.stats.states_explored <= b.stats.states_explored
-        fewer += a.stats.states_explored < b.stats.states_explored
+            assert a.stats.states_explored <= c.stats.states_explored
+        fewer += a.stats.states_explored < c.stats.states_explored
     assert fewer > 0
+    assert sum(a.winner == EXISTS and a.rounds_used > 0 for a in new) > 10
 
 
 def _answer_for_another_node(solver, strategy, entries):
@@ -1614,6 +1620,55 @@ def test_corrupted_strategies_raise_as_under_the_per_entry_walk(
         assert outcomes[0] == outcomes[1] == (error, text)
         seen += 1
     assert seen == corruptions
+
+
+@SUCCESSOR_SPECS
+def test_class_keys_are_the_strategy_keys_of_each_demand(spec):
+    # the walks key a move class's demands from one renamed head; each key
+    # is the one the per-entry walks wrote for the demand
+    solver = games._Solver(spec, _Counter(10**12, ""))
+    keys = 0
+    for net in _opening_and_next_positions(solver):
+        enc, pi = solver.canon(net)
+        for r in (1, 3):
+            assert games._strategy_key(enc, r) == seed_games._strategy_key(enc, pi, r)
+            for cls in solver.move_classes(net):
+                got = games._demand_keys(enc, pi, r, cls.head, cls.legal)
+                want = [
+                    seed_games._strategy_key(enc, pi, r, cls.head.with_label(label))
+                    for label in cls.legal
+                ]
+                assert got == want
+                keys += len(got)
+    assert keys > 0
+
+
+@pytest.mark.parametrize(
+    "structure", [CS3, drop_cyl_pair(CS3, 0, 1, 1)], ids=["cs3", "drop011"]
+)
+def test_line_masks_match_the_per_representative_masks(structure):
+    # random labellings, valid or not: every (face, index) read through the
+    # cached line table gives the union and the disagreement of the
+    # per-representative reading, and the heads count each disagreement once
+    rng = random.Random(structure.natoms)
+    spec = GameSpec(VARIANT_REUSE, structure, 1, pebbles=5)
+    disagreed = 0
+    for s in range(1, 5):
+        for _ in range(10):
+            nodes = tuple(sorted(rng.sample(range(9), s)))
+            labels = tuple(rng.randrange(structure.natoms) for _ in range(s**3))
+            net = CaNetwork(structure, nodes, labels)
+            want = 0
+            for face in itertools.product(nodes, repeat=2):
+                for l in range(3):
+                    got = _legal_mask(net, face, l)
+                    assert got == seed_games._legal_mask(net, face, l)
+                    want += got[1]
+            solver = games._Solver(spec, _Counter(10**12, ""))
+            list(solver._heads(net))
+            assert solver.disagreements == want
+            disagreed += want
+    assert disagreed > 0
 
 
 def test_a_slot_that_is_its_own_transposition_partner_keeps_its_atom_fixed():
@@ -1730,17 +1785,62 @@ def test_cached_renamings_match_the_earlier_code_on_every_solver_call(
     assert all(calls.values()) == (spec.rounds > 0)
 
 
+def _random_labellings(rng, arity, s, draws):
+    """``draws`` labellings of ``s`` random nodes with 1-13 atoms, three
+    kinds in turn: uniform labels, which with many atoms refine to one
+    node per colour; labels that depend on the node equalities of the
+    tuple alone, so every node is tied with every other; and labels that
+    depend on those equalities and a random grouping of the nodes into up
+    to three groups, so the ties are the groups."""
+    for draw in range(draws):
+        nodes = tuple(sorted(rng.sample(range(9), s)))
+        natoms = rng.randint(1, 13)
+        kind = draw % 3
+        group = [rng.randrange(3) if kind == 2 else 0 for _ in range(s)]
+        atom_of = {}
+        labels = []
+        for t in _position_tuples(s, arity):
+            if kind == 0:
+                labels.append(rng.randrange(natoms))
+                continue
+            shape = (tuple(t.index(q) for q in t), tuple(group[q] for q in t))
+            if shape not in atom_of:
+                atom_of[shape] = rng.randrange(natoms)
+            labels.append(atom_of[shape])
+        yield kind, nodes, tuple(labels)
+
+
 @pytest.mark.parametrize("arity", [2, 3])
-def test_cached_renamings_match_the_earlier_code_on_random_labellings(arity):
-    structure, network_type = (BIN312, RaNetwork) if arity == 2 else (CS3, CaNetwork)
+def test_cached_renamings_match_the_earlier_code_on_random_labellings(
+    arity, monkeypatch
+):
+    # 1,104 labellings of 1-6 nodes at arity 2 and 920 of 1-5 nodes at
+    # arity 3; a renaming table is read once per candidate encoding, so the
+    # count tells a discrete refinement (one candidate) from a tie search
+    structure, network_type = (
+        (hh_ra(3, 2, 3), RaNetwork) if arity == 2 else (full_set_algebra(3, 3), CaNetwork)
+    )
+    assert structure.natoms >= 13
+    candidates = []
+    renaming = games._renaming
+    monkeypatch.setattr(
+        games, "_renaming", lambda *args: candidates.append(args) or renaming(*args)
+    )
     rng = random.Random(arity)
-    for s in range(1, 6):
-        for _ in range(12):
-            nodes = tuple(sorted(rng.sample(range(8), s)))
-            natoms = rng.randint(1, 3)  # few atoms: large tie groups
-            labels = tuple(rng.randrange(natoms) for _ in range(s**arity))
+    searched = {0: 0, 1: 0, 2: 0}
+    draws = 0
+    for s in range(1, 9 - arity):
+        for kind, nodes, labels in _random_labellings(rng, arity, s, 184):
+            draws += 1
+            candidates.clear()
             got = games._canon_encoding(nodes, labels, arity)
             assert got == seed_games._canon_encoding(nodes, labels, arity)
+            searched[kind] += len(candidates) > 1
+            if kind == 1 and s > 1:
+                # every renaming gives the same labels: the stable order,
+                # then all s! orders are tried
+                assert len(candidates) == 1 + math.factorial(s)
+                assert got[0] == f"{s}:{','.join(map(str, labels))}"
             net = network_type(structure, nodes, labels)
             pi = got[1]
             for k in nodes + (games._least_fresh(nodes),):
@@ -1750,12 +1850,15 @@ def test_cached_renamings_match_the_earlier_code_on_random_labellings(arity):
                 response = network_type(
                     structure,
                     new_nodes,
-                    tuple(rng.randrange(natoms) for _ in range(len(new_nodes) ** arity)),
+                    tuple(rng.randrange(13) for _ in range(len(new_nodes) ** arity)),
                 )
                 enc = games._encode_response(net, response, pi)
                 assert enc == seed_games._encode_response(net, response, pi)
                 decoded = games._decode_response(net, enc, pi)
                 assert decoded == seed_games._decode_response(net, enc, pi) == response
+    assert draws == 184 * (8 - arity)
+    # uniform labels mostly refine to single nodes, the other kinds tie
+    assert searched[0] < draws / 3 / 2 < searched[2] < searched[1]
 
 
 @pytest.mark.parametrize("s", [5, 7])

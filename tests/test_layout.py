@@ -171,3 +171,43 @@ def test_derived_diagonals_and_transpositions_are_carried_in_one_place():
         ("neat.py", "rl_x", "diag"): {"_carried"},
         ("neat.py", "rl_x", "transp"): {"_carried"},
     }
+
+
+def _docstrings(tree: ast.AST) -> set[int]:
+    """ids of the docstring constants of a module and its defs and classes."""
+    out = set()
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if isinstance(body, list) and body and isinstance(body[0], ast.Expr):
+            if isinstance(body[0].value, ast.Constant):
+                out.add(id(body[0].value))
+    return out
+
+
+def test_strategy_keys_are_built_in_one_place():
+    """A strategy key is built by `games._strategy_key` and, for the
+    demands of one move class, by `games._demand_keys`: no other code in
+    `games` writes the key's ``|`` separator or reads a move's head or
+    label text, which only the moves' own `encode` also joins.  So
+    extraction, verification and play key entries alike."""
+    tree = ast.parse((SRC / "games.py").read_text())
+    docstrings = _docstrings(tree)
+    pipes, texts = set(), set()  # enclosing def, as Class.method for methods
+    for stmt in tree.body:
+        members = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+        for member in members:
+            where = getattr(member, "name", None)
+            if member is not stmt:
+                where = f"{stmt.name}.{where}"
+            for sub in ast.walk(member):
+                if (
+                    isinstance(sub, ast.Constant)
+                    and isinstance(sub.value, str)
+                    and "|" in sub.value
+                    and id(sub) not in docstrings
+                ):
+                    pipes.add(where)
+                elif isinstance(sub, ast.Attribute) and sub.attr in ("head_text", "label_text"):
+                    texts.add(where)
+    assert pipes == {"_strategy_key", "_demand_keys"}
+    assert texts == {"_demand_keys", "CaMove.encode", "RaMove.encode"}
