@@ -153,8 +153,13 @@ class AdditiveOperator:
         self._width = -(-n // self._chunks)
 
     @cached_property
-    def _tables(self) -> np.ndarray:
-        """Row k, entry m: the image of the mask m << (k * _width)."""
+    def _chunk_tables(self) -> tuple[np.ndarray, ...]:
+        """Per chunk k, entry m: the image of the mask m << (k * _width).
+        The rows are cut from one array, the last to the values of its
+        real bits.  At odd atom counts from 17 to 31 the two chunks cover
+        one bit more than the atoms; a mask with that bit then reads past
+        the end of the cut row and raises IndexError, as every bit above
+        the atoms does."""
         if not self._tabled:
             raise ValueError(f"lookup tables need at most {_TABLE_ATOMS} atoms in and out")
         w = self._width
@@ -164,17 +169,7 @@ class AdditiveOperator:
             row, half = tables[b // w], 1 << (b % w)
             # the chunk values whose top bit is b: the values below it, joined with col
             row[half : 2 * half] = row[:half] | np.uint32(col)
-        return tables
-
-    @cached_property
-    def _chunk_tables(self) -> tuple[np.ndarray, ...]:
-        """The rows of `_tables`, the last cut to the values of its real
-        bits.  At odd atom counts from 17 to 31 the two chunks cover one
-        bit more than the atoms; a mask with that bit then reads past the
-        end of the cut row and raises IndexError, as every bit above the
-        atoms does."""
-        tables = self._tables
-        last = self._atoms - (len(tables) - 1) * self._width
+        last = self._atoms - (self._chunks - 1) * w
         return (*tables[:-1], tables[-1][: 1 << last])
 
     @cached_property

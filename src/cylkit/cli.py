@@ -243,17 +243,8 @@ def _cmd_split(args) -> int:
 
 
 def _game_spec(args) -> GameSpec:
-    structure = _load_any(args.structure)
-    if args.variant == VARIANT_TRIANGLE:
-        if not isinstance(structure, RaAtomStructure):
-            raise ValueError(
-                "the triangle variant needs a relation-algebra structure file"
-            )
-    elif not isinstance(structure, CaAtomStructure):
-        raise ValueError(
-            f"the {args.variant} variant needs a cylindric-style structure file"
-        )
-    return GameSpec(args.variant, structure, args.rounds, args.pebbles)
+    # GameSpec refuses a structure of the wrong kind for the variant
+    return GameSpec(args.variant, _load_any(args.structure), args.rounds, args.pebbles)
 
 
 def _cmd_game(args) -> int:

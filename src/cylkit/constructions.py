@@ -126,13 +126,6 @@ class MonkAtom:
     def related(self, a: int, b: int) -> bool:
         return self.class_of(a) == self.class_of(b)
 
-    def colour(self, a: int, b: int) -> int:
-        key = (min(a, b), max(a, b))
-        for pair, c in self.f:
-            if pair == key:
-                return c
-        raise KeyError(f"pair {key} is inside a block")
-
 
 def _partitions(elems: list[int]) -> Iterator[list[list[int]]]:
     if not elems:

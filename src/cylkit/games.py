@@ -39,7 +39,8 @@ once per problem and demanded-slot tuple by the labels of those slots;
 every demand with those slots, at any position, reads the same buckets.
 Strategy extraction and verification walk a position's move classes:
 each class renames and encodes its head once for the keys of all its
-labels, and verification reads the class's demanded slots once.  Each
+labels, and verification checks responses against the completion problem
+and demanded slots the class carries, as the search found them.  Each
 distinct response of a position is encoded, or decoded and checked, once,
 and each demand's own labels per entry.  An explicit state budget is a
 hard cap that turns runaway searches into refusals, and the returned
@@ -56,8 +57,8 @@ import math
 import operator
 import os
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from dataclasses import asdict, dataclass, replace
-from typing import ClassVar, NoReturn
+from dataclasses import asdict, dataclass, field, replace
+from typing import ClassVar
 
 from .bao import BudgetExceededError, CaAtomStructure, _label_search, transpose
 from .ra import RaAtomStructure, _network_labellings
@@ -548,13 +549,10 @@ class _Counter:
     def tick(self, n: int = 1) -> None:
         self.states += n
         if self.states > self.budget:
-            self.refuse(self.states)
-
-    def refuse(self, states: int) -> NoReturn:
-        raise BudgetExceededError(
-            f"search budget exhausted after {states} states "
-            f"(budget {self.budget}, state-space bound {self.bound})"
-        )
+            raise BudgetExceededError(
+                f"search budget exhausted after {self.states} states "
+                f"(budget {self.budget}, state-space bound {self.bound})"
+            )
 
 
 def _least_fresh(nodes: Sequence[int]) -> int:
@@ -601,15 +599,6 @@ def _line_mask(
     representatives disagreed (they cannot on a genuine frame)."""
     masks = [cols[labels[idx]] for idx in line]
     return functools.reduce(operator.or_, masks), masks.count(masks[0]) < len(masks)
-
-
-def _legal_mask(net: CaNetwork, face: tuple[int, ...], l: int) -> tuple[int, bool]:
-    """``_line_mask`` of the line through ``face`` (in node names) at
-    index ``l``."""
-    s = len(net.nodes)
-    pos = net._pos
-    line = _lines(s, net.structure.dim)[_tuple_index([pos[f] for f in face], s)][l]
-    return _line_mask(net.structure.cyl_image_masks(l), net.labels, line)
 
 
 # ---------------------------------------------------------------------------
@@ -990,25 +979,34 @@ class SolveResult:
         return {**asdict(self), "strategy": dict(sorted(self.strategy.items()))}
 
 
-# one completion problem of a solve: its completions in enumeration order,
-# and per demanded-slot tuple, those completions bucketed by their labels
-# on the slots
-_Problem = tuple[list[Network], dict[tuple[int, ...], dict]]
+@dataclass(slots=True)
+class _Problem:
+    """One completion problem of a solve, one record however many
+    positions pose it: the new node set and retained (slot, atom) pairs in
+    slot order, which key ``_Solver.problems``; the completions in
+    enumeration order; and per demanded-slot tuple, that tuple and the
+    completions bucketed by their labels on those slots, each bucket in
+    enumeration order."""
+
+    nodes: tuple[int, ...]
+    retained: tuple[tuple[int, int], ...]
+    completions: list[Network]
+    bucketings: dict[tuple[int, ...], tuple] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class _MoveClass:
-    """All demands sharing their demanded slots: the move head in
-    canonical order, the labels it may demand in canonical order (an atom
-    b for a CaMove, an atom pair (a, b) for an RaMove), and the
-    responder's completions bucketed by the label they give those slots.
-    The completions are those of the head's completion problem, enumerated
-    once per solve; the buckets are that problem's for the head's demanded
-    slots, shared with every head that demands the same slots of the same
-    problem, and each keeps the enumeration order."""
+    """The demands of one head at one position: the head, the labels it
+    may demand in canonical order (an atom b for a CaMove, an atom pair
+    (a, b) for an RaMove), its demanded node's completion problem, its
+    demanded slots over the problem's nodes (in the order of slots()) and
+    the problem's buckets for them.  The last three are the problem's own
+    objects, shared by every class that demands the same slots of it."""
 
     head: Move  # with its demanded atoms set to -1
     legal: tuple
+    problem: _Problem
+    demanded: tuple[int, ...]
     buckets: dict
 
 
@@ -1056,17 +1054,12 @@ class _Solver:
         return out
 
     def move_classes(self, net: Network) -> list[_MoveClass]:
-        """Per demanded slot set: legality and bucketed responses, cached
-        per raw position (independent of rounds left).
-
-        The completions of a demanded node are those of its completion
-        problem (node set and retained slots, with every slot through the
-        node left free), enumerated once per solve however many positions
-        pose it.  Each head reads the problem's buckets for its demanded
-        slots, built once per problem and slot tuple, so heads with the
-        same demanded slots share one bucket dict and the same networks at
-        every position.
-        """
+        """The move classes of ``net`` in canonical order, cached per raw
+        position (independent of rounds left).  This is where each class's
+        completion problem (node set and retained slots, every slot through
+        the demanded node left free) and demanded slots are found; a
+        problem is enumerated once per solve, and its bucketing for a slot
+        tuple built once, however many positions and heads read them."""
         key = (net.nodes, net.labels)
         got = self.succ.get(key)
         if got is not None:
@@ -1084,18 +1077,19 @@ class _Solver:
                     completions = list(
                         self.complete(net.structure, new_nodes, retained, self.counter)
                     )
-                    problem = self.problems[problem_key] = (completions, {})
+                    problem = self.problems[problem_key] = _Problem(*problem_key, completions)
                 task = tasks[head.node] = (pos, problem)
-            pos, (completions, bucketings) = task
+            pos, problem = task
             slots = _demanded_slots(pos, head)
-            buckets = bucketings.get(slots)
-            if buckets is None:
+            bucketing = problem.bucketings.get(slots)
+            if bucketing is None:
                 # an atom for one demanded slot, an atom pair for two
                 label_of = operator.itemgetter(*slots)
-                buckets = bucketings[slots] = {}
-                for m in completions:
+                buckets = {}
+                for m in problem.completions:
                     buckets.setdefault(label_of(m.labels), []).append(m)
-            out.append(_MoveClass(head, legal, buckets))
+                bucketing = problem.bucketings[slots] = (slots, buckets)
+            out.append(_MoveClass(head, legal, problem, *bucketing))
         self.succ[key] = out
         return out
 
@@ -1193,14 +1187,6 @@ class _Solver:
 # completion alive after `solve` returns, until the cyclic collector ran.
 
 
-def _extract_exists(solver: _Solver, opening: Network, rounds: int) -> dict[str, str]:
-    strategy: dict[str, str] = {}
-    enc0, _pi0 = solver.canon(opening)
-    strategy["open"] = enc0
-    _extract_exists_walk(solver, strategy, set(), opening, rounds)
-    return strategy
-
-
 def _extract_exists_walk(
     solver: _Solver,
     strategy: dict[str, str],
@@ -1268,6 +1254,10 @@ def _extract_forall_walk(
         for response in solver.responses(net, move):
             _extract_forall_walk(solver, strategy, visited, response, r - 1)
         return
+    # every response is valued: `_Solver._class_contrib` stops at the first
+    # survivor, and the lookups it skips would change `memo_hits` and the
+    # result's bytes (triangle bin_forb(3,1,2), 4 pebbles: 63 -> 61 at 2
+    # rounds from atom 1, 3,091 -> 3,061 at 3 rounds from atom 0)
     for move, responses in solver.successors(net):
         sub_best = max((solver.value(m, r - 1) for m in responses), default=-1)
         if 1 + sub_best == val:
@@ -1308,12 +1298,12 @@ def _verify_exists_walk(
 ) -> None:
     """Check every responder entry at ``net`` and below.  The walk goes
     per move class: the class's keys share one renamed head
-    (``_demand_keys``), and its demanded node's completion problem and its
-    demanded slots are read once.  Many entries of a position name one
-    response: each distinct encoding is decoded, validated (once per
-    distinct network) and walked once, and its node set and retained labels
-    are checked once per demanded node; per entry, only the demanded labels
-    are checked."""
+    (``_demand_keys``), and the class carries its demanded node's
+    completion problem and its demanded slots, as the search built them.
+    Many entries of a position name one response: each distinct encoding
+    is decoded, validated (once per distinct network) and walked once,
+    and its node set and retained labels are checked once per demanded
+    node; per entry, only the demanded labels are checked."""
     if r == 0:
         return
     enc, pi = solver.canon(net)
@@ -1321,15 +1311,9 @@ def _verify_exists_walk(
         return
     visited.add((enc, r))
     decoded: dict[str, Network] = {}
-    tasks: dict[int, tuple[tuple[int, ...], dict[int, int], dict[int, int]]] = {}
     matched: set[tuple[str, int]] = set()
     for cls in solver.move_classes(net):
         k = cls.head.node
-        task = tasks.get(k)
-        if task is None:
-            task = tasks[k] = _retained_task(net, k)
-        new_nodes, pos, retained = task
-        demanded = _demanded_slots(pos, cls.head)
         for label, key in zip(cls.legal, _demand_keys(enc, pi, r, cls.head, cls.legal)):
             resp_enc = strategy.get(key)
             if resp_enc is None:
@@ -1348,22 +1332,20 @@ def _verify_exists_walk(
                     )
                 decoded[resp_enc] = response
             if (resp_enc, k) not in matched:
-                _check_retained(response, new_nodes, retained)
+                _check_retained(response, cls.problem)
                 matched.add((resp_enc, k))
-            _check_demanded(response, demanded, label)
+            _check_demanded(response, cls.demanded, label)
             if fresh:
                 # a later entry naming it would find it visited
                 _verify_exists_walk(solver, strategy, visited, reports, response, r - 1)
 
 
-def _check_retained(
-    response: Network, new_nodes: tuple[int, ...], retained: Mapping[int, int]
-) -> None:
-    """The response keeps the demand's node set and its retained labels."""
-    if response.nodes != new_nodes:
+def _check_retained(response: Network, problem: _Problem) -> None:
+    """The response keeps the problem's node set and its retained labels."""
+    if response.nodes != problem.nodes:
         raise RuntimeError("response changes the node set beyond the demand")
     labels = response.labels
-    if any(labels[idx] != a for idx, a in retained.items()):
+    if any(labels[idx] != a for idx, a in problem.retained):
         raise RuntimeError("response rewrites a retained label")
 
 
@@ -1411,7 +1393,9 @@ def _check_move_legal(spec: GameSpec, net: Network, move: Move) -> None:
             raise RuntimeError("demanded node collides with the face")
         if not 0 <= move.l < st.dim:
             raise RuntimeError("demand position out of range")
-        union, _ = _legal_mask(net, move.face, move.l)
+        s, pos = len(net.nodes), net._pos
+        line = _lines(s, st.dim)[_tuple_index([pos[f] for f in move.face], s)][move.l]
+        union, _ = _line_mask(st.cyl_image_masks(move.l), net.labels, line)
         if not (union >> move.b) & 1:
             raise RuntimeError("demanded atom is not below the cylindrified label")
     else:
@@ -1481,7 +1465,8 @@ def solve(
         if best == spec.rounds:
             winner, rounds_used = EXISTS, spec.rounds
             opening = openings[values.index(best)]
-            strategy = _extract_exists(solver, opening, spec.rounds)
+            strategy["open"] = solver.canon(opening)[0]
+            _extract_exists_walk(solver, strategy, set(), opening, spec.rounds)
             _verify_exists(solver, strategy, initial_atom, spec.rounds)
         else:
             winner, rounds_used = FORALL, best + 1

@@ -13,8 +13,10 @@ only compared on encodings that fit).
 `_response_task` are the successor generator that enumerated completions
 once per position and demanded node, and the verification walk that
 decoded, validated and matched every strategy entry on its own,
-unchanged.  A solve with these in place of the solver's own must give the
-same result, search counts aside, and a corrupted strategy the same error.
+unchanged but for the class and problem records `move_classes` builds
+(one problem per position and demanded node).  A solve with these in
+place of the solver's own must give the same result, search counts
+aside, and a corrupted strategy the same error.
 `_response_task` also gives other tests a demand's full completion
 problem, demanded slots included.
 
@@ -44,6 +46,7 @@ from cylkit.games import (
     _decode_labels,
     _least_fresh,
     _MoveClass,
+    _Problem,
     _position_tuples,
     _Solver,
     _tuple_index,
@@ -232,8 +235,8 @@ def move_classes(self, net: Network) -> list[_MoveClass]:
     if got is not None:
         return got
     out: list[_MoveClass] = []
-    # per demanded node: its node -> position map and its completions
-    tasks: dict[int, tuple[dict[int, int], list[Network]]] = {}
+    # per demanded node: its node -> position map and its problem
+    tasks: dict[int, tuple[dict[int, int], _Problem]] = {}
     for head, legal in self._heads(net):
         task = tasks.get(head.node)
         if task is None:
@@ -241,16 +244,16 @@ def move_classes(self, net: Network) -> list[_MoveClass]:
             completions = list(
                 self.complete(net.structure, new_nodes, retained, self.counter)
             )
-            task = tasks[head.node] = (pos, completions)
-        pos, completions = task
+            problem = _Problem(new_nodes, tuple(sorted(retained.items())), completions)
+            task = tasks[head.node] = (pos, problem)
+        pos, problem = task
         # an atom for one demanded slot, an atom pair for two
-        label_of = operator.itemgetter(
-            *(_tuple_index([pos[v] for v in t], len(pos)) for t, _ in head.slots())
-        )
+        demanded = tuple(_tuple_index([pos[v] for v in t], len(pos)) for t, _ in head.slots())
+        label_of = operator.itemgetter(*demanded)
         buckets: dict[object, list[Network]] = {}
-        for m in completions:
+        for m in problem.completions:
             buckets.setdefault(label_of(m.labels), []).append(m)
-        out.append(_MoveClass(head, legal, buckets))
+        out.append(_MoveClass(head, legal, problem, demanded, buckets))
     self.succ[key] = out
     return out
 

@@ -256,7 +256,22 @@ def test_game_solve_refuses_mismatched_structure(bin_file, capsys):
         "--structure", bin_file, "--atom", "0",
     ]
     assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    # GameSpec's own refusal
+    assert capsys.readouterr().err == "error: the fresh variant runs over a CaAtomStructure\n"
+
+
+def test_game_solve_refuses_a_cylindric_structure_for_the_triangle_variant(
+    cs3_file, capsys
+):
+    argv = [
+        "game", "solve",
+        "--variant", "triangle", "--rounds", "1", "--pebbles", "3",
+        "--structure", cs3_file, "--atom", "0",
+    ]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: the triangle variant runs over a relation-algebra atom structure\n"
+    )
 
 
 def test_game_budget_refusal_exits_3(cs3_file, capsys, monkeypatch):

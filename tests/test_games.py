@@ -52,7 +52,6 @@ from cylkit.games import (
 from cylkit.games import (
     _Counter,
     _k_choices,
-    _legal_mask,
     _position_tuples,
     _tuple_index,
 )
@@ -556,6 +555,16 @@ def test_strategy_keys_name_the_position_rounds_and_canonical_demand(spec, atom)
         assert move.node <= s
         if spec.variant == VARIANT_FRESH:
             assert move.node == s
+
+
+def _legal_mask(net: CaNetwork, face: tuple[int, ...], l: int) -> tuple[int, bool]:
+    """The union and disagreement of the cylindrified labels on the line
+    through ``face`` (in node names) at index ``l``, read as
+    `games._check_move_legal` reads them: one row of the cached
+    `games._lines` table, through `games._line_mask`."""
+    s = len(net.nodes)
+    line = games._lines(s, net.structure.dim)[_tuple_index([net._pos[f] for f in face], s)][l]
+    return games._line_mask(net.structure.cyl_image_masks(l), net.labels, line)
 
 
 def test_check_move_legal_enforces_the_node_budget():
@@ -1275,12 +1284,52 @@ def test_move_classes_enumerate_once_per_distinct_problem(spec, shared):
             slots = games._demanded_slots(pos, cls.head)
             # one bucket dict per problem and demanded slots, at every position
             assert buckets.setdefault((problem, slots), cls.buckets) is cls.buckets
+            # the class carries its problem record, and that record's own
+            # demanded-slot tuple and buckets
+            assert cls.problem is solver.problems[problem]
+            own_slots, own_buckets = cls.problem.bucketings[slots]
+            assert cls.demanded is own_slots and cls.buckets is own_buckets
+            assert own_slots == slots
     assert len(calls) == len(set(calls)) and set(calls) == problems
     assert len(positions) > 1
     if shared:
         assert len(calls) < pairs
     else:
         assert len(calls) == pairs
+
+
+def test_verification_reads_the_problems_the_search_built(monkeypatch):
+    # an Exists win whose strategy is verified: the completion problem of
+    # each (position, demanded node) is derived once, when move_classes
+    # builds the position's classes, and verification derives none again
+    # (test_move_classes_enumerate_once_per_distinct_problem checks that
+    # each class carries the problem record of solver.problems)
+    spec = GameSpec(VARIANT_REUSE, CS3, 2, pebbles=4)
+    solvers, tasks, before_after = [], [], []
+
+    class Recorded(games._Solver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            solvers.append(self)
+
+    retained_task, verify = games._retained_task, games._verify_exists
+    monkeypatch.setattr(games, "_Solver", Recorded)
+    monkeypatch.setattr(
+        games, "_retained_task", lambda net, k: tasks.append(k) or retained_task(net, k)
+    )
+
+    def counted_verify(*args):
+        before_after.append(len(tasks))
+        verify(*args)
+        before_after.append(len(tasks))
+
+    monkeypatch.setattr(games, "_verify_exists", counted_verify)
+    res = solve(spec, 0)
+    assert res.winner == EXISTS and res.rounds_used == 2
+    [solver] = solvers
+    pairs = sum(len({cls.head.node for cls in got}) for got in solver.succ.values())
+    assert len(before_after) == 2 and before_after[0] == before_after[1]
+    assert len(tasks) == pairs > len(solver.problems) > 1
 
 
 def _seed_response_task(net, move):
@@ -1323,7 +1372,7 @@ def _walk_checks(net, move, response) -> None:
     """The verification walk's checks of one response against one demand,
     in its order: node set and retained labels, then demanded labels."""
     nodes, pos, retained = games._retained_task(net, move.node)
-    games._check_retained(response, nodes, retained)
+    games._check_retained(response, games._Problem(nodes, tuple(retained.items()), []))
     label = move.b if isinstance(move, CaMove) else (move.a, move.b)
     games._check_demanded(response, games._demanded_slots(pos, move), label)
 

@@ -211,3 +211,27 @@ def test_strategy_keys_are_built_in_one_place():
                     texts.add(where)
     assert pipes == {"_strategy_key", "_demand_keys"}
     assert texts == {"_demand_keys", "CaMove.encode", "RaMove.encode"}
+
+
+def test_completion_problems_are_derived_in_one_place():
+    """A demand's completion problem (`games._retained_task`) and its
+    demanded slots (`games._demanded_slots`) are found only where the
+    search builds its move classes, `_Solver.move_classes`; strategy
+    verification and every other walk read them off the class records."""
+    callees = {"_retained_task", "_demanded_slots"}
+    callers = set()  # (callee, enclosing def, as Class.method for methods)
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            members = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+            for member in members:
+                where = getattr(member, "name", None)
+                if member is not stmt:
+                    where = f"{stmt.name}.{where}"
+                for sub in ast.walk(member):
+                    if isinstance(sub, ast.Call):
+                        for name in callees & _referenced(sub.func):
+                            callers.add((name, f"{path.name}:{where}"))
+    assert callers == {
+        ("_retained_task", "games.py:_Solver.move_classes"),
+        ("_demanded_slots", "games.py:_Solver.move_classes"),
+    }

@@ -564,20 +564,26 @@ def test_no_tables_for_columns_past_32_bits():
 def test_tables_are_built_on_first_use():
     s = full_set_algebra(3, 2)
     op = s.cyl_op(0)
-    assert "_tables" not in vars(op)
+    assert "_chunk_tables" not in vars(op)
     op.apply(5)
-    assert vars(op)["_tables"].shape == (1, 256)  # 8 atoms: one table of 2^8 images
+    # 8 atoms: one table of 2^8 images
+    assert [row.shape for row in vars(op)["_chunk_tables"]] == [(256,)]
     assert s.cyl_op(0) is op
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 9, 15, 16, 17, 18, 24, 27, 31, 32])
 def test_table_shapes(n):
-    # one table of 2^n entries up to 16 atoms, two of 2^ceil(n/2) up to 32
+    # one table of 2^n entries up to 16 atoms, two of 2^ceil(n/2) up to 32,
+    # the rows of one array, the last cut to the values of its real bits
     op = _random_structure(n, n).cyl_op(0)
     want = (1, 1 << n) if n <= 16 else (2, 1 << -(-n // 2))
-    assert op._tables.shape == want
-    assert op._tables.dtype == np.uint32
-    assert op._tables.nbytes <= (256 if n <= 16 else 512) * 1024
+    tables = op._chunk_tables
+    base = tables[0].base
+    assert all(row.base is base for row in tables)
+    assert base.shape == want
+    assert base.dtype == np.uint32
+    assert base.nbytes <= (256 if n <= 16 else 512) * 1024
+    assert [len(row) for row in tables] == ([1 << n] if n <= 16 else [want[1], 1 << n // 2])
 
 
 @pytest.mark.parametrize("n", [1, 16, 17, 18, 31, 32, 33, 100, 3545])
